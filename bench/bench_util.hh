@@ -10,29 +10,15 @@
  * noisier); figures keep their shape.
  */
 
-#ifndef NORD_BENCH_BENCH_UTIL_HH
-#define NORD_BENCH_BENCH_UTIL_HH
+#ifndef NORD_BENCHUTIL_HH
+#define NORD_BENCHUTIL_HH
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NORD_BENCH_HAVE_SUPERVISOR 1
-#include <csignal>
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <time.h>
-#include <unistd.h>
-#endif
-
-#include "campaign/backoff.hh"
-#include "campaign/exit_codes.hh"
-#include "ckpt/checkpoint.hh"
-#include "ckpt/state_serializer.hh"
 #include "network/noc_system.hh"
 #include "power/area_model.hh"
 #include "power/power_model.hh"
@@ -194,232 +180,6 @@ runCampaign(const PowerModel &pm)
     return rows;
 }
 
-// --- Resilient campaign running ---------------------------------------------
-
-/**
- * Drive @p sys to absolute cycle @p target, writing a checkpoint to
- * @p path every @p every cycles (0 = never). Resumes transparently: when
- * the system was restored mid-phase, sys.now() already sits past zero and
- * only the remaining cycles run. @p user is campaign metadata stored in
- * the checkpoint header.
- */
-inline void
-runCheckpointed(NocSystem &sys, Cycle target, Cycle every,
-                const std::string &path,
-                const std::array<std::uint64_t, 4> &user = {})
-{
-    while (sys.now() < target) {
-        const Cycle remaining = target - sys.now();
-        sys.run(every > 0 ? std::min(every, remaining) : remaining);
-        if (every > 0 && !path.empty()) {
-            std::string err;
-            if (!sys.saveCheckpoint(path, user, &err))
-                std::fprintf(stderr, "warning: checkpoint write failed: "
-                             "%s\n", err.c_str());
-        }
-    }
-}
-
-/** Supervisor policy for runSupervised(). */
-struct SupervisorOptions
-{
-    /**
-     * Wall-clock seconds without progress (checkpoint file mtime advance
-     * or child exit) before the campaign is declared hung and killed.
-     */
-    double hangTimeoutSec = 300.0;
-
-    /**
-     * CONSECUTIVE failures without sustained progress before giving up.
-     * A failure that follows resetAfterProgressSec of heartbeat progress
-     * starts a fresh streak: a campaign whose rare crashes are separated
-     * by hours of honest work is not punished like one that dies on
-     * startup in a loop.
-     */
-    int maxRetries = 3;
-
-    /** Delay before the first restart of a streak. */
-    double backoffSec = 1.0;
-
-    /** Hard cap on the restart delay; doubling stops here. */
-    double maxBackoffSec = 60.0;
-
-    /**
-     * Restart delay is drawn from [(1-j)*d, d] with a deterministic
-     * per-supervisor jitter, so a shared-cause crash (disk full, OOM
-     * sweep) does not restart every campaign on the machine in lockstep.
-     */
-    double jitterFraction = 0.5;
-
-    /** Heartbeat progress this long marks the streak as reset-worthy. */
-    double resetAfterProgressSec = 30.0;
-
-    /** Decorrelates the jitter of concurrent supervisors. */
-    std::uint64_t backoffNoise = 0;
-};
-
-/**
- * Run @p body in a supervised child process (POSIX). The child is
- * expected to checkpoint periodically to @p heartbeatPath; the file's
- * mtime is its heartbeat. The parent SIGKILLs a child that stops making
- * progress for opts.hangTimeoutSec and restarts after a crash or hang,
- * passing resume=true so the body restores from the last checkpoint.
- *
- * Restart policy (the anti-restart-storm rules):
- *  - the delay before restart n of a streak is exponential from
- *    opts.backoffSec, hard-capped at opts.maxBackoffSec, and jittered
- *    by a deterministic multiplier (campaign::backoffDelaySec), so
- *    concurrent supervisors hit by a shared-cause crash desynchronize;
- *  - a failure that followed >= opts.resetAfterProgressSec of heartbeat
- *    progress starts a NEW streak (backoff and retry budget reset);
- *    opts.maxRetries bounds consecutive unproductive failures, not
- *    lifetime restarts;
- *  - a child exiting with a deterministic taxonomy code
- *    (campaign::kExitGateFailure, kExitBadConfig) is NEVER restarted:
- *    retrying reproduces the failure bit-exactly, so the supervisor
- *    returns it immediately.
- *
- * Returns the child's exit code (0 = success), or the last failure's
- * code once the streak budget is exhausted. On platforms without fork()
- * the body runs inline, unsupervised.
- *
- * @param body campaign entry point; receives whether to resume from
- *        heartbeatPath and returns a process exit code
- */
-inline int
-runSupervised(const std::string &heartbeatPath,
-              const SupervisorOptions &opts,
-              const std::function<int(bool resume)> &body)
-{
-#if NORD_BENCH_HAVE_SUPERVISOR
-    // Nanosecond mtimes: second-granular heartbeats would spuriously
-    // declare a hang whenever hangTimeoutSec < 1 (as the tests use).
-    auto mtimeNs = [](const std::string &p, std::uint64_t *out) {
-        struct stat st;
-        if (stat(p.c_str(), &st) != 0)
-            return false;
-#if defined(__APPLE__)
-        *out = static_cast<std::uint64_t>(st.st_mtimespec.tv_sec) *
-                   1000000000ull +
-               static_cast<std::uint64_t>(st.st_mtimespec.tv_nsec);
-#else
-        *out = static_cast<std::uint64_t>(st.st_mtim.tv_sec) *
-                   1000000000ull +
-               static_cast<std::uint64_t>(st.st_mtim.tv_nsec);
-#endif
-        return true;
-    };
-    auto wallClock = [] {
-        struct timespec ts;
-        clock_gettime(CLOCK_MONOTONIC, &ts);
-        return static_cast<double>(ts.tv_sec) +
-               static_cast<double>(ts.tv_nsec) * 1e-9;
-    };
-    const campaign::BackoffPolicy policy{
-        opts.backoffSec, opts.maxBackoffSec, opts.jitterFraction};
-
-    int lastStatus = 1;
-    int streak = 0;  // consecutive failures without sustained progress
-    for (int attempt = 0;; ++attempt) {
-        std::uint64_t heartbeat0 = 0;
-        const bool haveCkpt = mtimeNs(heartbeatPath, &heartbeat0);
-        const bool resume = attempt > 0 && haveCkpt;
-        if (attempt > 0) {
-            const double delay =
-                campaign::backoffDelaySec(policy, streak,
-                                          opts.backoffNoise);
-            std::fprintf(stderr,
-                         "[supervisor] restart (streak %d/%d, %s) in "
-                         "%.2fs\n",
-                         streak, opts.maxRetries,
-                         resume ? "resuming from checkpoint"
-                                : "no checkpoint yet, from scratch",
-                         delay);
-            struct timespec d;
-            d.tv_sec = static_cast<time_t>(delay);
-            d.tv_nsec = static_cast<long>(
-                (delay - static_cast<double>(d.tv_sec)) * 1e9);
-            nanosleep(&d, nullptr);
-        }
-
-        const pid_t pid = fork();
-        if (pid < 0) {
-            std::fprintf(stderr, "[supervisor] fork failed; running "
-                         "inline\n");
-            return body(resume);
-        }
-        if (pid == 0)
-            _exit(body(resume));
-
-        const double spawned = wallClock();
-        double lastProgress = spawned;
-        std::uint64_t lastMtime = heartbeat0;
-        bool progressed = false;
-        bool killedForHang = false;
-        int status = 0;
-        for (;;) {
-            const pid_t done = waitpid(pid, &status, WNOHANG);
-            if (done == pid)
-                break;
-            std::uint64_t m = 0;
-            if (mtimeNs(heartbeatPath, &m) && m != lastMtime) {
-                lastMtime = m;
-                lastProgress = wallClock();
-                progressed = true;
-            }
-            if (wallClock() - lastProgress > opts.hangTimeoutSec) {
-                std::fprintf(stderr, "[supervisor] no progress for "
-                             "%.2fs: killing hung campaign\n",
-                             opts.hangTimeoutSec);
-                kill(pid, SIGKILL);
-                waitpid(pid, &status, 0);
-                killedForHang = true;
-                break;
-            }
-            struct timespec poll = {0, 20 * 1000 * 1000};
-            nanosleep(&poll, nullptr);
-        }
-        if (!killedForHang && WIFEXITED(status)) {
-            lastStatus = WEXITSTATUS(status);
-            if (lastStatus == 0)
-                return 0;
-            std::fprintf(stderr, "[supervisor] campaign exited with "
-                         "code %d\n", lastStatus);
-            if (lastStatus == campaign::kExitGateFailure ||
-                lastStatus == campaign::kExitBadConfig) {
-                std::fprintf(stderr,
-                             "[supervisor] deterministic failure: a "
-                             "retry would reproduce it bit-exactly, "
-                             "not retrying\n");
-                return lastStatus;
-            }
-        } else {
-            lastStatus = 1;
-            if (!killedForHang)
-                std::fprintf(stderr, "[supervisor] campaign crashed "
-                             "(signal %d)\n",
-                             WIFSIGNALED(status) ? WTERMSIG(status) : 0);
-        }
-
-        const bool sustained =
-            progressed &&
-            wallClock() - spawned >= opts.resetAfterProgressSec;
-        streak = sustained ? 1 : streak + 1;
-        if (streak > opts.maxRetries)
-            break;
-    }
-    std::fprintf(stderr,
-                 "[supervisor] giving up after %d consecutive "
-                 "unproductive failures\n",
-                 opts.maxRetries);
-    return lastStatus;
-#else
-    (void)heartbeatPath;
-    (void)opts;
-    return body(false);
-#endif
-}
-
 /** Print one labeled row of "value (paper: x)" style output. */
 inline void
 printRow(const std::string &label, double value, const char *unit,
@@ -434,4 +194,4 @@ printRow(const std::string &label, double value, const char *unit,
 }  // namespace bench
 }  // namespace nord
 
-#endif  // NORD_BENCH_BENCH_UTIL_HH
+#endif  // NORD_BENCHUTIL_HH

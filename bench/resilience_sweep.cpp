@@ -17,41 +17,25 @@
  * stays 1.0) while the baselines can only eat what routes into the dead
  * router and account the loss.
  *
- * The campaign itself is resilient (see DESIGN.md "Checkpoint/restore"):
- *
- *   --checkpoint-every=N   checkpoint the campaign every N cycles
- *   --checkpoint=PATH      checkpoint file (default resilience_sweep.ckpt)
- *   --resume-from=PATH     restore a killed campaign and continue; the
- *                          resumed run is bit-exact with an uninterrupted
- *                          one (identical JSON output)
- *   --supervise            run under a fork-based supervisor that kills a
- *                          hung campaign (no checkpoint progress) and
- *                          restarts from the last checkpoint with
- *                          exponential backoff
- *   --hang-timeout=SEC     supervisor hang threshold (default 300)
- *   --max-retries=N        supervisor restart budget (default 3)
  *   --out=FILE             write the JSON lines to FILE instead of stdout
  *   --min-delivered=F      fail when a zero-fault-rate transient run
  *                          delivers less than this fraction
  *                          (default 0.99)
  *
- * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh),
- * which is what lets a supervisor separate "retry me" from "quarantine
- * me": 10 = the delivery gate failed (deterministic simulation result),
- * 11 = bad configuration / stale checkpoint fingerprint (deterministic),
- * 12 = infrastructure trouble (unreadable checkpoint, unwritable output;
- * transient, retry may succeed).
+ * Crash-resumable fault campaigns are `nord-campaign --fault-rates ...`
+ * (DESIGN.md section 5.9). Exit codes follow the campaign taxonomy
+ * (src/campaign/exit_codes.hh): 10 = the delivery gate failed, 11 = bad
+ * arguments, 12 = the output file could not be written.
  */
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "campaign/exit_codes.hh"
 
 namespace {
 
@@ -84,27 +68,7 @@ struct SweepResult
     }
 };
 
-void
-ioSweepResult(StateSerializer &s, SweepResult &r)
-{
-    s.io(r.scenario);
-    s.io(r.design);
-    s.io(r.rate);
-    s.io(r.created);
-    s.io(r.delivered);
-    s.io(r.failed);
-    s.io(r.retransmits);
-    s.io(r.recovered);
-    s.io(r.eaten);
-    s.io(r.injectedFaults);
-    s.io(r.drained);
-    s.io(r.avgLatency);
-    s.io(r.p99Latency);
-    s.io(r.offFraction);
-    s.io(r.energyJ);
-}
-
-/** One campaign run in the fixed sweep order. */
+/** One run of the sweep. */
 struct RunSpec
 {
     PgDesign design = PgDesign::kNoPg;
@@ -112,38 +76,10 @@ struct RunSpec
     NodeId deadRouter = kInvalidNode;
 };
 
-/** Campaign-run phase recorded in a checkpoint. */
-enum : std::uint8_t
-{
-    kPhaseMeasure = 0,   ///< workload attached, injecting
-    kPhaseDrain = 1,     ///< workload detached, recovery finishing
-    kPhaseBoundary = 2,  ///< between runs (no system payload)
-};
-
 struct Options
 {
-    std::string checkpointPath;
-    Cycle checkpointEvery = 0;
-    bool resume = false;
-    bool supervise = false;
-    double hangTimeoutSec = 300.0;
-    int maxRetries = 3;
     std::string outPath;
     double minDelivered = 0.99;
-};
-
-/** Checkpointing context threaded through the campaign. */
-struct Ckpt
-{
-    std::string path;
-    Cycle every = 0;
-
-    // Pending restore, consumed by the first run executed after resume.
-    std::unique_ptr<StateSerializer> restore;
-    std::uint8_t restorePhase = kPhaseBoundary;
-    std::uint64_t restoreFingerprint = 0;
-
-    bool enabled() const { return every > 0 && !path.empty(); }
 };
 
 NocConfig
@@ -159,169 +95,25 @@ runConfig(const RunSpec &spec, int rows, int cols)
     return cfg;
 }
 
-/**
- * Checkpoint the whole campaign: completed results, the index and phase
- * of the in-flight run, then the full network state. @p sys is null for
- * run-boundary checkpoints (no system is alive between runs).
- */
-void
-writeCampaignCheckpoint(const Ckpt &ck, NocSystem *sys,
-                        std::vector<SweepResult> &results,
-                        std::uint64_t runIndex, std::uint8_t phase)
-{
-    StateSerializer s(SerialMode::kSave);
-    s.section(StateSerializer::tag4("CAMP"));
-    s.io(runIndex);
-    s.io(phase);
-    s.ioSequence(results, [&s](SweepResult &r) { ioSweepResult(s, r); });
-    if (phase != kPhaseBoundary)
-        sys->saveState(s);
-    if (!s.ok()) {
-        std::fprintf(stderr, "warning: checkpoint serialization failed: "
-                     "%s\n", s.error().c_str());
-        return;
-    }
-    CheckpointMeta meta;
-    meta.version = kCheckpointVersion;
-    meta.configFingerprint =
-        phase != kPhaseBoundary ? sys->configFingerprint() : 0;
-    meta.cycle = phase != kPhaseBoundary ? sys->now() : 0;
-    meta.user = {runIndex, phase, 0, 0};
-    std::string err;
-    if (!writeCheckpointFile(ck.path, meta, s.buffer(), &err))
-        std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
-                     err.c_str());
-}
-
-/**
- * Read a campaign checkpoint: refill @p results, return the in-flight run
- * index and leave the system payload pending in @p ck for that run to
- * consume. Returns false (campaign starts from scratch) when the file is
- * unreadable.
- */
-bool
-readCampaignCheckpoint(Ckpt &ck, const std::string &path,
-                       std::vector<SweepResult> &results,
-                       std::uint64_t *runIndex)
-{
-    CheckpointMeta meta;
-    std::vector<std::uint8_t> payload;
-    std::string err;
-    if (!readCheckpointFile(path, &meta, &payload, &err)) {
-        std::fprintf(stderr, "cannot resume from %s: %s\n", path.c_str(),
-                     err.c_str());
-        return false;
-    }
-    auto s = std::make_unique<StateSerializer>(std::move(payload));
-    s->section(StateSerializer::tag4("CAMP"));
-    std::uint64_t idx = 0;
-    std::uint8_t phase = kPhaseBoundary;
-    s->io(idx);
-    s->io(phase);
-    s->ioSequence(results, [&s](SweepResult &r) { ioSweepResult(*s, r); });
-    if (!s->ok()) {
-        std::fprintf(stderr, "cannot resume from %s: %s\n", path.c_str(),
-                     s->error().c_str());
-        results.clear();
-        return false;
-    }
-    *runIndex = idx;
-    if (phase != kPhaseBoundary) {
-        ck.restore = std::move(s);
-        ck.restorePhase = phase;
-        ck.restoreFingerprint = meta.configFingerprint;
-    }
-    std::fprintf(stderr,
-                 "[resume] %zu completed runs, continuing run %llu "
-                 "(%s phase) from cycle %llu\n",
-                 results.size(), static_cast<unsigned long long>(idx),
-                 phase == kPhaseMeasure ? "measure"
-                 : phase == kPhaseDrain ? "drain" : "boundary",
-                 static_cast<unsigned long long>(meta.cycle));
-    return true;
-}
-
 SweepResult
-runCampaign(const RunSpec &spec, int rows, int cols, Cycle measure,
-            const PowerModel &pm, Ckpt &ck,
-            std::vector<SweepResult> &results, std::uint64_t runIndex)
+runSweepPoint(const RunSpec &spec, int rows, int cols, Cycle measure,
+              const PowerModel &pm)
 {
-    const NocConfig cfg = runConfig(spec, rows, cols);
-    NocSystem sys(cfg);
+    NocSystem sys(runConfig(spec, rows, cols));
     SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.10, 1);
-
-    std::uint8_t phase = kPhaseMeasure;
-    if (ck.restore) {
-        // Resume the interrupted run: the snapshot already contains every
-        // side effect (killed router, injected faults, auditor history),
-        // so the system is rebuilt bare and overwritten wholesale.
-        phase = ck.restorePhase;
-        if (ck.restoreFingerprint != sys.configFingerprint()) {
-            // Deterministic: the checkpoint can never match this build
-            // again, so retrying under a supervisor must not happen.
-            std::fprintf(stderr, "fatal: checkpoint configuration "
-                         "fingerprint mismatch (campaign code or config "
-                         "changed since the checkpoint was written)\n");
-            std::exit(campaign::kExitBadConfig);
-        }
-        if (phase == kPhaseMeasure)
-            sys.setWorkload(&traffic);
-        std::unique_ptr<StateSerializer> s = std::move(ck.restore);
-        sys.loadState(*s);
-        if (!s->ok() || !s->exhausted()) {
-            // Transient: discard the damaged artifact so the retry
-            // degrades to recomputation instead of hitting the same
-            // corrupt bytes forever.
-            std::fprintf(stderr, "fatal: checkpoint restore failed: %s\n",
-                         s->ok() ? "trailing bytes" : s->error().c_str());
-            if (std::remove(ck.path.c_str()) != 0) {
-                // Best effort; the supervisor may still restart clean.
-            }
-            std::exit(campaign::kExitInfraFailure);
-        }
-    } else {
-        if (spec.deadRouter != kInvalidNode)
-            sys.killRouter(spec.deadRouter);
-        sys.setWorkload(&traffic);
-    }
-
-    if (phase == kPhaseMeasure) {
-        while (sys.now() < measure) {
-            const Cycle remaining = measure - sys.now();
-            sys.run(ck.every > 0 ? std::min(ck.every, remaining)
-                                 : remaining);
-            if (ck.enabled())
-                writeCampaignCheckpoint(ck, &sys, results, runIndex,
-                                        kPhaseMeasure);
-        }
-        sys.setWorkload(nullptr);  // stop injecting, let recovery finish
-        phase = kPhaseDrain;
-        if (ck.enabled())
-            writeCampaignCheckpoint(ck, &sys, results, runIndex,
-                                    kPhaseDrain);
-    }
+    if (spec.deadRouter != kInvalidNode)
+        sys.killRouter(spec.deadRouter);
+    sys.setWorkload(&traffic);
+    sys.run(measure);
+    sys.setWorkload(nullptr);  // stop injecting, let recovery finish
 
     SweepResult r;
     r.scenario =
         spec.deadRouter != kInvalidNode ? "dead-router" : "transient";
     r.design = spec.design;
     r.rate = spec.rate;
-
-    // Drain with the same total budget an uninterrupted
-    // runToCompletion(measure + 500000) would get; the completion
-    // predicate is evaluated every cycle either way, so chunking changes
-    // nothing.
-    const Cycle limit = measure + (measure + 500000);
-    bool done = sys.completionReached();
-    while (!done && sys.now() < limit) {
-        const Cycle remaining = limit - sys.now();
-        done = sys.runTowardCompletion(
-            ck.every > 0 ? std::min(ck.every, remaining) : remaining);
-        if (ck.enabled() && !done)
-            writeCampaignCheckpoint(ck, &sys, results, runIndex,
-                                    kPhaseDrain);
-    }
-    r.drained = done;
+    r.drained = sys.completionReached() ||
+                sys.runTowardCompletion(measure + 500000);
     sys.finalizeStats();
 
     const RunResult run = summarize(sys, pm);
@@ -377,20 +169,7 @@ parseArgs(int argc, char **argv, Options *opt)
                 return arg.c_str() + n + 1;
             return nullptr;
         };
-        if (const char *v = value("--checkpoint-every")) {
-            opt->checkpointEvery = static_cast<Cycle>(std::atoll(v));
-        } else if (const char *v = value("--checkpoint")) {
-            opt->checkpointPath = v;
-        } else if (const char *v = value("--resume-from")) {
-            opt->checkpointPath = v;
-            opt->resume = true;
-        } else if (arg == "--supervise") {
-            opt->supervise = true;
-        } else if (const char *v = value("--hang-timeout")) {
-            opt->hangTimeoutSec = std::atof(v);
-        } else if (const char *v = value("--max-retries")) {
-            opt->maxRetries = std::atoi(v);
-        } else if (const char *v = value("--out")) {
+        if (const char *v = value("--out")) {
             opt->outPath = v;
         } else if (const char *v = value("--min-delivered")) {
             opt->minDelivered = std::atof(v);
@@ -399,15 +178,18 @@ parseArgs(int argc, char **argv, Options *opt)
             return false;
         }
     }
-    if ((opt->checkpointEvery > 0 || opt->resume) &&
-        opt->checkpointPath.empty())
-        opt->checkpointPath = "resilience_sweep.ckpt";
     return true;
 }
 
+}  // namespace
+
 int
-runWholeCampaign(const Options &opt, bool resume)
+main(int argc, char **argv)
 {
+    Options opt;
+    if (!parseArgs(argc, argv, &opt))
+        return campaign::kExitBadConfig;
+
     const bool quick = quickMode();
     const int rows = quick ? 4 : 8;
     const int cols = rows;
@@ -418,7 +200,6 @@ runWholeCampaign(const Options &opt, bool resume)
         ? std::vector<double>{0.0, 1e-4}
         : std::vector<double>{0.0, 1e-5, 1e-4, 1e-3};
 
-    // The fixed run order a checkpoint's run index refers to.
     std::vector<RunSpec> specs;
     for (int d = 0; d < 4; ++d) {
         for (double rate : rates)
@@ -428,30 +209,16 @@ runWholeCampaign(const Options &opt, bool resume)
         specs.push_back({static_cast<PgDesign>(d), 0.0, center});
     }
 
-    Ckpt ck;
-    ck.path = opt.checkpointPath;
-    ck.every = opt.checkpointEvery;
-
-    PowerModel pm;
-    std::vector<SweepResult> results;
-    std::uint64_t startRun = 0;
-    if (resume && !opt.checkpointPath.empty())
-        readCampaignCheckpoint(ck, opt.checkpointPath, results,
-                               &startRun);
-
     std::fprintf(stderr,
                  "=== Resilience sweep: %dx%d mesh, %llu cycles/run ===\n",
                  rows, cols, static_cast<unsigned long long>(measure));
-    for (std::uint64_t i = startRun; i < specs.size(); ++i) {
-        SweepResult r = runCampaign(specs[i], rows, cols, measure, pm, ck,
-                                    results, i);
-        results.push_back(std::move(r));
-        if (ck.enabled())
-            writeCampaignCheckpoint(ck, nullptr, results, i + 1,
-                                    kPhaseBoundary);
-        if (specs[i].deadRouter != kInvalidNode)
+    PowerModel pm;
+    std::vector<SweepResult> results;
+    for (const RunSpec &spec : specs) {
+        results.push_back(runSweepPoint(spec, rows, cols, measure, pm));
+        if (spec.deadRouter != kInvalidNode)
             std::fprintf(stderr, "  [sweep] %s done\n",
-                         pgDesignName(specs[i].design));
+                         pgDesignName(spec.design));
     }
 
     // Emit the JSON lines in run order, with each design's energy
@@ -500,30 +267,4 @@ runWholeCampaign(const Options &opt, bool resume)
         }
     }
     return exitCode;
-}
-
-}  // namespace
-
-int
-main(int argc, char **argv)
-{
-    Options opt;
-    if (!parseArgs(argc, argv, &opt))
-        return campaign::kExitBadConfig;
-
-    if (opt.supervise) {
-        if (opt.checkpointPath.empty())
-            opt.checkpointPath = "resilience_sweep.ckpt";
-        if (opt.checkpointEvery == 0)
-            opt.checkpointEvery = 1000;
-        SupervisorOptions sup;
-        sup.hangTimeoutSec = opt.hangTimeoutSec;
-        sup.maxRetries = opt.maxRetries;
-        return runSupervised(opt.checkpointPath, sup,
-                             [&opt](bool resume) {
-                                 return runWholeCampaign(
-                                     opt, resume || opt.resume);
-                             });
-    }
-    return runWholeCampaign(opt, opt.resume);
 }

@@ -1,41 +1,33 @@
 #!/usr/bin/env bash
 # Chaos smoke test: the fault-tolerance acceptance gate.
 #
-# Phase A -- single-process kill-and-resume (the original smoke):
-#   1. Runs the quick resilience_sweep campaign uninterrupted to produce
-#      a reference JSON.
-#   2. Starts the same campaign with periodic checkpointing, SIGKILLs it
-#      mid-flight, then resumes from the last checkpoint.
-#   3. Requires the resumed run's final JSON to be byte-identical.
-#
-# Phase B -- the campaign orchestrator under fire:
+# Phase B -- one executor (`--out`, a fleet of one) under fire:
 #   1. Clean reference campaign (includes a deterministic poison point
 #      and a hang point, so quarantine paths are exercised).
 #   2. The same grid under --chaos: workers are SIGKILLed on a seeded
 #      schedule and must resume from checkpoints. Report must be
 #      byte-identical to the clean run's.
-#   3. The same grid with the ORCHESTRATOR itself SIGKILLed mid-campaign
+#   3. The same grid with the executor itself SIGKILLed mid-campaign
 #      and re-executed. Report must again be byte-identical.
-#   4. The journal must show both quarantine classes (gate, hang) with
-#      diagnostics.
+#   4. The canonical journal must show both quarantine classes (gate,
+#      hang) with diagnostics.
 #
 # Phase C -- multi-executor fleet under partition chaos (--executors 2):
-#   1. Clean reference campaign (classic single orchestrator).
+#   1. Clean reference campaign (an `--out` run).
 #   2. Two executors --join the same campaign directory. One SIGSTOPs
 #      itself for longer than the lease grace (partition chaos), loses
 #      its shard leases, and must self-fence: exit 14 (lease-lost), no
 #      post-fence writes. The survivor steals the shards and drains the
 #      grid.
-#   3. The fleet's report must be byte-identical to the classic run's.
+#   3. The fleet's report must be byte-identical to the `--out` run's.
 #
-# Usage: scripts/chaos_smoke.sh [resilience_sweep] [nord-campaign]
-#                               [--executors N]
+# Bit-exact resume of a single simulation is tests/test_ckpt.cc's job.
+#
+# Usage: scripts/chaos_smoke.sh [nord-campaign] [--executors N]
 set -u
 
-SWEEP="build/bench/resilience_sweep"
 CAMPAIGN="build/tools/nord-campaign"
 EXECUTORS=1
-POS=0
 while [ $# -gt 0 ]; do
     case "$1" in
       --executors)
@@ -44,8 +36,7 @@ while [ $# -gt 0 ]; do
         shift 2
         ;;
       *)
-        POS=$((POS + 1))
-        if [ "$POS" -eq 1 ]; then SWEEP="$1"; else CAMPAIGN="$1"; fi
+        CAMPAIGN="$1"
         shift
         ;;
     esac
@@ -65,53 +56,10 @@ fail() {
     exit 1
 }
 
-[ -x "$SWEEP" ] || fail "$SWEEP not found or not executable"
 [ -x "$CAMPAIGN" ] || fail "$CAMPAIGN not found or not executable"
 
 # ----------------------------------------------------------------------
-# Phase A: resilience_sweep kill-and-resume.
-# ----------------------------------------------------------------------
-
-REF="$WORK/ref.json"
-OUT="$WORK/resumed.json"
-CKPT="$WORK/sweep.ckpt"
-
-echo "[smoke A] reference run (uninterrupted)..."
-NORD_QUICK=1 "$SWEEP" --out="$REF" 2>/dev/null \
-    || fail "reference campaign did not exit cleanly"
-
-echo "[smoke A] checkpointed run, to be killed mid-campaign..."
-NORD_QUICK=1 "$SWEEP" --checkpoint="$CKPT" --checkpoint-every=300 \
-    --out="$OUT" 2>/dev/null &
-PID=$!
-
-# Wait until at least one checkpoint lands, then give the campaign a
-# moment to advance past it so the resume genuinely re-enters mid-run.
-for _ in $(seq 1 300); do
-    [ -f "$CKPT" ] && break
-    sleep 0.1
-done
-if [ ! -f "$CKPT" ]; then
-    kill -9 "$PID" 2>/dev/null
-    fail "no checkpoint appeared within 30s"
-fi
-sleep 1
-kill -9 "$PID" 2>/dev/null
-wait "$PID" 2>/dev/null
-
-[ -f "$OUT" ] && fail "campaign finished before the kill; nothing to resume"
-
-echo "[smoke A] resuming from $CKPT..."
-NORD_QUICK=1 "$SWEEP" --resume-from="$CKPT" --checkpoint="$CKPT" \
-    --checkpoint-every=300 --out="$OUT" \
-    || fail "resumed campaign did not exit cleanly"
-
-diff -u "$REF" "$OUT" \
-    || fail "resumed output differs from uninterrupted reference"
-echo "[smoke A] PASS: resumed campaign output is byte-identical"
-
-# ----------------------------------------------------------------------
-# Phase B: nord-campaign orchestrator.
+# Phase B: one nord-campaign executor.
 # ----------------------------------------------------------------------
 
 # Point 0 is honest work, point 1 is deterministic poison (gate), point 2
@@ -153,13 +101,14 @@ diff -u "$WORK/clean/report.csv" "$WORK/chaos/report.csv" \
     || fail "chaos kills changed report.csv"
 echo "[smoke B] PASS: chaos-disturbed report is byte-identical"
 
-echo "[smoke B] orchestrator SIGKILL + resume..."
+echo "[smoke B] executor SIGKILL + resume..."
 run_campaign "$WORK/kr" &
 PID=$!
-# Let it journal some progress first (the journal appears immediately;
-# give the workers time to start and checkpoint).
+# Let it journal some progress first: its live journal appears at once
+# (journal.jsonl is only written at completion); give the workers time
+# to start and checkpoint.
 for _ in $(seq 1 100); do
-    [ -f "$WORK/kr/journal.jsonl" ] && break
+    [ -f "$WORK/kr/journal-local.jsonl" ] && break
     sleep 0.1
 done
 sleep 2
@@ -170,12 +119,13 @@ pkill -9 -x nord-campaign 2>/dev/null
 sleep 0.2
 [ -f "$WORK/kr/report.json" ] && fail "campaign finished before the kill"
 
+# The rerun first waits one lease grace for the killed run's leases.
 run_campaign "$WORK/kr"
 [ $? -eq $QUARANTINE_RC ] || fail "resumed campaign: bad exit"
 diff -u "$WORK/clean/report.json" "$WORK/kr/report.json" \
-    || fail "orchestrator kill+resume changed report.json"
+    || fail "executor kill+resume changed report.json"
 diff -u "$WORK/clean/report.csv" "$WORK/kr/report.csv" \
-    || fail "orchestrator kill+resume changed report.csv"
+    || fail "executor kill+resume changed report.csv"
 echo "[smoke B] PASS: kill+resume report is byte-identical"
 
 echo "[smoke B] quarantine diagnostics..."
@@ -191,18 +141,18 @@ grep -q '"status":"quarantined"' "$WORK/clean/report.json" \
 # ----------------------------------------------------------------------
 
 if [ "$EXECUTORS" -ge 2 ]; then
-    # A clean grid (no poison/hang): completion-only, so the classic
-    # golden and the surviving executor both exit 0 and every byte of
-    # report divergence is a fleet bug, not taxonomy noise.
+    # A clean grid (no poison/hang): completion-only, so the golden run
+    # and the surviving executor both exit 0 and every byte of report
+    # divergence is a fleet bug, not taxonomy noise.
     CGRID="--designs nord --rates 0.05 --seeds 1,2,3,4,5,6
            --cycles 150000 --rows 4 --cols 4"
     CSUP="--workers 2 --checkpoint-every 2000 --max-failures 2
           --backoff-initial 0.05 --backoff-max 0.2"
 
-    echo "[smoke C] classic golden run..."
+    echo "[smoke C] golden --out run..."
     # shellcheck disable=SC2086
     "$CAMPAIGN" $CGRID $CSUP --out "$WORK/fleet-gold" \
-        || fail "golden classic campaign failed"
+        || fail "golden campaign failed"
 
     echo "[smoke C] two executors join; one self-partitions past the" \
          "lease grace..."
@@ -241,16 +191,16 @@ if [ "$EXECUTORS" -ge 2 ]; then
         || fail "partitioned executor never reported the lost lease"
 
     diff -u "$WORK/fleet-gold/report.json" "$FLEET/report.json" \
-        || fail "fleet report.json differs from the classic golden run"
+        || fail "fleet report.json differs from the golden run"
     diff -u "$WORK/fleet-gold/report.csv" "$FLEET/report.csv" \
-        || fail "fleet report.csv differs from the classic golden run"
+        || fail "fleet report.csv differs from the golden run"
     # The canonical journal must carry no trace of the fenced executor's
-    # abandoned work: replay it as a classic journal and count points.
+    # abandoned work: count its done events.
     DONE_COUNT=$(grep -c '"event":"done"' "$FLEET/journal.jsonl")
     [ "$DONE_COUNT" -eq 6 ] \
         || fail "canonical journal has $DONE_COUNT done events, want 6"
     echo "[smoke C] PASS: self-fence at exit 14, fleet report" \
-         "byte-identical to the classic golden"
+         "byte-identical to the golden run"
 fi
 
 echo "[smoke] PASS: all phases"

@@ -10,9 +10,8 @@
  * nondeterminism (the delay is a pure function of (noise, attempt), so a
  * replayed campaign schedules identically). Second, a delay that only
  * ever doubles punishes long-running campaigns whose rare crashes are
- * separated by hours of honest progress; callers reset the attempt
- * streak after sustained heartbeat progress (see runSupervised and the
- * campaign orchestrator).
+ * separated by hours of honest progress, so the campaign executor only
+ * charges counted failures to the attempt number.
  */
 
 #ifndef NORD_CAMPAIGN_BACKOFF_HH

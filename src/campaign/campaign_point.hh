@@ -6,7 +6,7 @@
  * order; the point id is the index in that order and is what the journal,
  * the checkpoint files and the report key on. Each point runs as its own
  * supervised worker process (runPointWorker), checkpointing periodically
- * so the orchestrator can read heartbeats from the checkpoint file's
+ * so the executor can read heartbeats from the checkpoint file's
  * mtime and so a killed attempt resumes bit-exactly instead of starting
  * over.
  *
@@ -117,7 +117,7 @@ struct PointPaths
 /** Compose the artifact paths of point @p id under @p outDir. */
 PointPaths pointPaths(const std::string &outDir, std::uint64_t id);
 
-/** Worker knobs forwarded by the orchestrator. */
+/** Worker knobs forwarded by the executor. */
 struct WorkerOptions
 {
     Cycle checkpointEvery = 500;  ///< checkpoint/heartbeat period

@@ -1,7 +1,7 @@
 /**
  * @file
- * Multi-executor campaign engine implementation (see executor.hh for
- * the join protocol and merge.hh / lease.hh for the invariants).
+ * Campaign executor implementation (see executor.hh for the supervision
+ * rules and the join protocol, merge.hh / lease.hh for the invariants).
  */
 
 #include "campaign/executor.hh"
@@ -16,6 +16,7 @@
 #include "campaign/fleet.hh"
 #include "campaign/lease.hh"
 #include "campaign/merge.hh"
+#include "campaign/orchestrator.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -253,12 +254,6 @@ runExecutor(const std::vector<PointSpec> &specs,
                                          std::strerror(errno)));
         return false;
     }
-    const bool hasManifest = fileExists(opts.outDir + "/campaign.json");
-    if (!hasManifest && fileExists(opts.outDir + "/journal.jsonl")) {
-        setErr(err, opts.outDir + " is a classic single-orchestrator "
-                    "campaign directory; resume it without --join");
-        return false;
-    }
 
     const std::string execId =
         opts.execId.empty() ? autoExecId() : opts.execId;
@@ -294,7 +289,9 @@ runExecutor(const std::vector<PointSpec> &specs,
 
     // Per-executor artifact directory: no temp-file collisions between
     // executors' workers, ever.
-    const std::string execDir = opts.outDir + "/" + execId;
+    const std::string execDir = opts.artifactDir.empty()
+                                    ? opts.outDir + "/" + execId
+                                    : opts.artifactDir;
     if (mkdir(execDir.c_str(), 0755) != 0 && errno != EEXIST) {
         setErr(err, detail::formatString("cannot create %s: %s",
                                          execDir.c_str(),
@@ -633,13 +630,6 @@ runExecutor(const std::vector<PointSpec> &specs,
         if (allTerminal && fleet.empty())
             break;
 
-        leases.renewDue(monotonicSec());
-        if (leases.fenced()) {
-            outcome.fenced = true;
-            outcome.fenceReason = leases.fenceReason();
-            break;
-        }
-
         // Acquire another shard only when the held ones cannot feed the
         // worker slots -- the fleet load-shares instead of hoarding.
         now = monotonicSec();
@@ -700,6 +690,27 @@ runExecutor(const std::vector<PointSpec> &specs,
                 if (!spawn(specs[i].id))
                     break;
             }
+        }
+
+        // Lease upkeep runs after the launches so its fsyncs never delay
+        // the next worker. A held shard whose points are all terminal
+        // (none running) is released at once: renewing a finished
+        // shard's lease is pure fsync cost.
+        for (const std::uint64_t shard : leases.heldShards()) {
+            bool finished = true;
+            for (std::uint64_t id = shard; id < specs.size() && finished;
+                 id += shards) {
+                finished = runtime[id].phase == PointPhase::kDone ||
+                           runtime[id].phase == PointPhase::kQuarantined;
+            }
+            if (finished)
+                leases.release(shard);
+        }
+        leases.renewDue(monotonicSec());
+        if (leases.fenced()) {
+            outcome.fenced = true;
+            outcome.fenceReason = leases.fenceReason();
+            break;
         }
 
         sleepSec(opts.pollIntervalSec);
@@ -785,7 +796,7 @@ runExecutor(const std::vector<PointSpec> &specs,
     (void)opts;
     (void)out;
     if (err)
-        *err = "multi-executor campaigns require a POSIX host";
+        *err = "campaign execution requires a POSIX host";
     return false;
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Worker-fleet primitives shared by the single-host orchestrator and the
- * multi-executor engine: monotonic time, artifact-file helpers, the
- * per-point scheduling state, and -- most importantly -- orphan-safe
- * worker spawning.
+ * Worker-fleet primitives of the campaign executor: monotonic time,
+ * artifact-file helpers, the per-point scheduling state, and -- most
+ * importantly -- orphan-safe worker spawning.
  *
  * Orphan safety: every forked worker is placed in its OWN process group
  * (setpgid in both child and parent, closing the fork race), and the

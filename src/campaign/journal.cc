@@ -395,7 +395,7 @@ CampaignJournal::replayContent(const std::string &content,
             ReplayPoint &p = replay->perPoint[point];
             bool counted = true;
             if (jsonFieldBool(line, "counted", &counted) && !counted) {
-                // chaos kill / orchestrator-inflicted: not charged
+                // chaos kill / executor-inflicted: not charged
             } else {
                 p.countedFailures += 1;
             }
@@ -468,7 +468,6 @@ CampaignJournal::appendLine(const std::string &line)
         return fail(detail::formatString("journal append to %s failed: %s",
                                          path_.c_str(),
                                          std::strerror(errno)));
-    events_ += 1;
     return true;
 }
 
@@ -479,10 +478,7 @@ CampaignJournal::open(const std::string &path, std::uint64_t points,
 {
     close();
     path_ = path;
-    points_ = points;
-    gridFp_ = gridFp;
     error_.clear();
-    events_ = 0;
 
 #ifndef _WIN32
     lockFd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
@@ -494,8 +490,8 @@ CampaignJournal::open(const std::string &path, std::uint64_t points,
     }
     if (flock(lockFd_, LOCK_EX | LOCK_NB) != 0) {
         setErr(err, detail::formatString(
-                        "journal %s is locked (another orchestrator is "
-                        "running this campaign)",
+                        "journal %s is locked (another executor with this "
+                        "id is running this campaign)",
                         path.c_str()));
         ::close(lockFd_);
         lockFd_ = -1;
@@ -518,7 +514,6 @@ CampaignJournal::open(const std::string &path, std::uint64_t points,
             close();
             return false;
         }
-        events_ = replay->events;
         if (replay->tornTail) {
             // Chop the torn fragment: the interrupted append never took
             // effect, and leaving it would glue the next event onto a
@@ -649,71 +644,6 @@ CampaignJournal::appendClaim(std::uint64_t shard, std::uint64_t token)
         "{\"event\":\"claim\",\"shard\":%llu,\"token\":%llu}",
         static_cast<unsigned long long>(shard),
         static_cast<unsigned long long>(token)));
-}
-
-bool
-CampaignJournal::rotate(const ReplayState &state)
-{
-    if (!ok())
-        return false;
-    std::string snapshot = openLine(points_, gridFp_) + "\n";
-    std::uint64_t lines = 1;
-    for (const auto &kv : state.perPoint) {
-        const std::uint64_t id = kv.first;
-        const ReplayPoint &p = kv.second;
-        // Counted-failure totals are kept even for terminal points:
-        // provenance reports them, and a quarantine decision must stay
-        // explainable after compaction.
-        if (p.countedFailures > 0) {
-            snapshot += detail::formatString(
-                "{\"event\":\"fails\",\"point\":%llu,\"counted\":%d}\n",
-                static_cast<unsigned long long>(id), p.countedFailures);
-            ++lines;
-        }
-        if (p.done) {
-            snapshot += detail::formatString(
-                            "{\"event\":\"done\",\"point\":%llu,"
-                            "\"result\":",
-                            static_cast<unsigned long long>(id)) +
-                        p.resultLine + "}\n";
-            ++lines;
-        } else if (p.quarantined) {
-            const QuarantineRecord &q = p.quarantine;
-            snapshot += detail::formatString(
-                            "{\"event\":\"quarantine\",\"point\":%llu,"
-                            "\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
-                            "\"ckpt\":\"",
-                            static_cast<unsigned long long>(id),
-                            failureClassName(q.cls), q.exitCode,
-                            q.signal) +
-                        jsonEscape(q.ckptPath) + "\",\"stderrTail\":\"" +
-                        jsonEscape(q.stderrTail) + "\"}\n";
-            ++lines;
-        }
-    }
-
-    if (file_) {
-        if (std::fclose(file_) != 0)
-            return fail("journal close before rotation failed");
-        file_ = nullptr;
-    }
-    std::string err;
-    if (!atomicWriteFile(path_, snapshot, &err))
-        return fail("journal rotation failed: " + err);
-#ifndef _WIN32
-    if (lockFd_ >= 0) {
-        // The flock followed the old inode; re-acquire it on the new one.
-        ::close(lockFd_);
-        lockFd_ = ::open(path_.c_str(), O_RDWR, 0644);
-        if (lockFd_ < 0 || flock(lockFd_, LOCK_EX | LOCK_NB) != 0)
-            return fail("cannot re-lock rotated journal " + path_);
-    }
-#endif
-    file_ = std::fopen(path_.c_str(), "ab");
-    if (!file_)
-        return fail("cannot reopen rotated journal " + path_);
-    events_ = lines;
-    return true;
 }
 
 void

@@ -4,7 +4,7 @@
  *
  * The journal is the single source of truth for a campaign's progress.
  * One JSON object per line (JSONL); every append is flushed and fsync'd
- * before the orchestrator acts on it, so the failure model is simple:
+ * before the executor acts on it, so the failure model is simple:
  * whatever the journal says happened, happened. Event vocabulary:
  *
  *   open       {"event":"open","format":1,"points":N,"gridFp":H}
@@ -14,29 +14,26 @@
  *   fail       {"event":"fail","point":i,"class":"infra","exit":12,
  *              "signal":0,"counted":true,"ckpt":"...","stderrTail":"..."}
  *   quarantine {"event":"quarantine","point":i,"class":"gate",...}
- *   fails      {"event":"fails","point":i,"counted":n}   (rotation
- *              summary of prior counted failures)
+ *   fails      {"event":"fails","point":i,"counted":n}   (canonical
+ *              journal's summary of prior counted failures)
  *   claim      {"event":"claim","shard":k,"token":T}     (multi-executor
  *              mode: this journal's executor acquired shard k's lease
  *              with fencing token T)
  *
- * In multi-executor mode (lease.hh, executor.hh) each executor appends
- * to its OWN journal and stamps point events with the shard and fencing
- * token they were committed under ("shard":k,"token":T after the point
- * field). Single-executor journals omit the stamp (token 0); replayers
- * ignore unknown fields, so the two dialects interread freely. The
- * deterministic fold of N per-executor journals into one canonical
- * journal lives in merge.hh.
+ * Each executor (lease.hh, executor.hh) appends to its OWN journal and
+ * stamps point events with the shard and fencing token they were
+ * committed under ("shard":k,"token":T after the point field). The
+ * canonical journal a finished campaign leaves behind omits the stamp
+ * (token 0); replayers ignore unknown fields, so the two dialects
+ * interread freely. The deterministic fold of N per-executor journals
+ * into one canonical journal lives in merge.hh.
  *
  * Crash-safety rules:
  *  - appends go to the end of the file; a torn final line (crash or
  *    ENOSPC mid-append) is detected on replay by the missing newline and
  *    ignored -- the event simply never happened;
- *  - rotation (compaction of a long journal) writes a complete snapshot
- *    to "<path>.tmp", fsyncs it and atomically renames it over the
- *    journal, the same protocol as checkpoint files;
- *  - the journal is exclusively flock()ed for the orchestrator's
- *    lifetime, so two orchestrators can never interleave writes;
+ *  - the journal is exclusively flock()ed for its executor's lifetime,
+ *    so two executors can never interleave writes;
  *  - every fwrite/fflush/fsync/rename is checked (nord-lint's
  *    unchecked-io rule enforces this for src/campaign/ and src/ckpt/):
  *    an I/O error makes the journal sticky-failed rather than silently
@@ -111,17 +108,17 @@ bool atomicWriteFile(const std::string &path, const std::string &bytes,
 // --- Replayed state -----------------------------------------------------
 
 /**
- * Fencing stamp carried by point events in multi-executor journals: the
- * shard the point belongs to and the fencing token the writing executor
- * held when it committed the event. token 0 means "unstamped" -- the
- * single-executor dialect -- and is what the default-constructed stamp
+ * Fencing stamp carried by point events in executor journals: the shard
+ * the point belongs to and the fencing token the writing executor held
+ * when it committed the event. token 0 means "unstamped" -- the
+ * canonical-journal dialect -- and is what the default-constructed stamp
  * encodes; stamped events always carry token >= 1 (the lease layer hands
  * out tokens starting at 1).
  */
 struct ShardStamp
 {
     std::uint64_t shard = 0;
-    std::uint64_t token = 0;  ///< 0 = unstamped (classic single-executor)
+    std::uint64_t token = 0;  ///< 0 = unstamped
 
     bool stamped() const { return token != 0; }
 };
@@ -146,7 +143,7 @@ struct ReplayPoint
     std::string resultLine;   ///< verbatim worker result object when done
     QuarantineRecord quarantine;
     std::uint64_t token = 0;  ///< fencing token of the terminal event
-                              ///< (0 = unstamped single-executor dialect)
+                              ///< (0 = unstamped)
 };
 
 /** Journal replay result. */
@@ -185,7 +182,7 @@ class CampaignJournal
      * campaign, its events are replayed into @p replay and appending
      * continues where it left off; a fresh file gets an "open" header.
      * Returns false (with @p err) on I/O failure, on a held lock
-     * (another orchestrator is live) or on a header mismatch (the
+     * (another executor is live) or on a header mismatch (the
      * journal belongs to a different grid).
      */
     bool open(const std::string &path, std::uint64_t points,
@@ -197,12 +194,8 @@ class CampaignJournal
     const std::string &error() const { return error_; }
     const std::string &path() const { return path_; }
 
-    /** Complete events appended or replayed since open(). */
-    std::uint64_t events() const { return events_; }
-
-    // Point events. @p stamp carries the (shard, fencing-token) pair in
-    // multi-executor mode; the default (token 0) emits the classic
-    // unstamped single-executor dialect.
+    // Point events. @p stamp carries the (shard, fencing-token) pair the
+    // executor holds; the default (token 0) emits the unstamped dialect.
     bool appendAttempt(std::uint64_t point, int launch,
                        const ShardStamp &stamp = ShardStamp());
     bool appendDone(std::uint64_t point, const std::string &resultLine,
@@ -216,16 +209,8 @@ class CampaignJournal
                           const QuarantineRecord &rec,
                           const ShardStamp &stamp = ShardStamp());
 
-    /** Record a shard-lease acquisition (multi-executor mode). */
+    /** Record a shard-lease acquisition. */
     bool appendClaim(std::uint64_t shard, std::uint64_t token);
-
-    /**
-     * Compact the journal: atomically replace it with a snapshot headed
-     * by "open" and carrying only each point's terminal state (done /
-     * quarantine) and counted-failure totals. Bounds journal growth for
-     * campaigns with heavy retry traffic.
-     */
-    bool rotate(const ReplayState &state);
 
     /** Close (drops the flock). Safe to call twice. */
     void close();
@@ -251,9 +236,6 @@ class CampaignJournal
     int lockFd_ = -1;
     std::string path_;
     std::string error_;
-    std::uint64_t events_ = 0;
-    std::uint64_t points_ = 0;
-    std::uint64_t gridFp_ = 0;
 };
 
 }  // namespace campaign

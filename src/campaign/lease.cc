@@ -331,24 +331,28 @@ LeaseManager::heldShards() const
 }
 
 void
+LeaseManager::release(std::uint64_t shard)
+{
+    const auto it = shards_.find(shard);
+    if (fenced_ || it == shards_.end() || !it->second.held)
+        return;
+    ShardView &v = it->second;
+    LeaseInfo rel;
+    rel.shard = shard;
+    rel.token = v.token;
+    rel.owner = "";
+    rel.beat = v.beat;
+    if (!writeLease(rel)) {
+        // The lease simply expires after graceSec instead.
+    }
+    v.held = false;
+}
+
+void
 LeaseManager::releaseAll()
 {
-    if (fenced_)
-        return;
-    for (auto &kv : shards_) {
-        ShardView &v = kv.second;
-        if (!v.held)
-            continue;
-        LeaseInfo rel;
-        rel.shard = kv.first;
-        rel.token = v.token;
-        rel.owner = "";
-        rel.beat = v.beat;
-        if (!writeLease(rel)) {
-            // The lease simply expires after graceSec instead.
-        }
-        v.held = false;
-    }
+    for (const std::uint64_t shard : heldShards())
+        release(shard);
 }
 
 }  // namespace campaign

@@ -132,8 +132,11 @@ class LeaseManager
     bool fenced() const { return fenced_; }
     const std::string &fenceReason() const { return fenceReason_; }
 
-    /** Gracefully release every held lease (owner ""). No-op when
-     *  fenced -- a fenced executor must not touch lease files. */
+    /** Gracefully release @p shard's lease (owner "") if held. No-op
+     *  when fenced -- a fenced executor must not touch lease files. */
+    void release(std::uint64_t shard);
+
+    /** release() every held lease. */
     void releaseAll();
 
   private:

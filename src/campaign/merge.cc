@@ -22,7 +22,7 @@ setErr(std::string *err, std::string what)
         *err = std::move(what);
 }
 
-/** Snapshot-dialect "fails" line (byte-equal to journal rotation's). */
+/** Snapshot-dialect "fails" line. */
 std::string
 renderFailsLine(std::uint64_t id, int counted)
 {
@@ -31,7 +31,7 @@ renderFailsLine(std::uint64_t id, int counted)
         static_cast<unsigned long long>(id), counted);
 }
 
-/** Snapshot-dialect "done" line (byte-equal to journal rotation's). */
+/** Snapshot-dialect "done" line. */
 std::string
 renderDoneLine(std::uint64_t id, const std::string &resultLine)
 {
@@ -41,7 +41,7 @@ renderDoneLine(std::uint64_t id, const std::string &resultLine)
            resultLine + "}\n";
 }
 
-/** Snapshot-dialect quarantine line (byte-equal to rotation's). */
+/** Snapshot-dialect quarantine line. */
 std::string
 renderQuarantineLine(std::uint64_t id, const QuarantineRecord &q)
 {

@@ -27,10 +27,9 @@
  *    token mean the simulator itself is nondeterministic -- exactly the
  *    bug this engine exists to surface, never to paper over.
  *
- * renderCanonicalJournal emits the merged state in the classic
- * single-executor snapshot dialect (the same bytes journal rotation
- * writes, no shard/token stamps), so the canonical journal of a fully
- * drained fleet campaign is readable by any classic tool.
+ * renderCanonicalJournal emits the merged state as an unstamped
+ * snapshot journal (terminal state plus counted-failure totals, no
+ * shard/token stamps) that CampaignJournal replays like any other.
  */
 
 #ifndef NORD_CAMPAIGN_MERGE_HH
@@ -73,7 +72,7 @@ bool mergeJournals(std::uint64_t points, std::uint64_t gridFp,
                    std::string *err);
 
 /**
- * Render @p merged as a classic snapshot journal (open header, then per
+ * Render @p merged as a snapshot journal (open header, then per
  * point in id order: counted-failure total, terminal event). Byte-equal
  * for byte-equal merged states.
  */

@@ -1,26 +1,15 @@
 /**
  * @file
- * Campaign orchestrator implementation (see orchestrator.hh for the
- * supervision rules and the byte-identical-report contract).
+ * Campaign report rendering and the drain latch (see orchestrator.hh for
+ * the byte-identical-report contract).
  */
 
 #include "campaign/orchestrator.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
-#include <cstring>
 
-#include "campaign/fleet.hh"
 #include "common/log.hh"
-#include "common/rng.hh"
-
-#ifdef NORD_CAMPAIGN_POSIX
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 namespace nord {
 namespace campaign {
@@ -188,320 +177,6 @@ renderProvenanceJson(const std::vector<PointSpec> &specs,
     }
     out += "\n]}\n";
     return out;
-}
-
-// --- The orchestrator loop ----------------------------------------------
-
-bool
-runCampaign(const std::vector<PointSpec> &specs,
-            const OrchestratorOptions &opts, CampaignOutcome *out,
-            std::string *err)
-{
-#ifndef NORD_CAMPAIGN_POSIX
-    (void)specs;
-    (void)opts;
-    (void)out;
-    if (err)
-        *err = "campaign orchestration requires a POSIX host";
-    return false;
-#else
-    CampaignOutcome outcome;
-    if (opts.outDir.empty()) {
-        if (err)
-            *err = "campaign outDir must not be empty";
-        return false;
-    }
-    // The scheduler indexes specs/runtime by point id; expandGrid's
-    // sequential ids are part of the journal's resume contract.
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (specs[i].id != i) {
-            if (err)
-                *err = "campaign point ids must be dense and ordered";
-            return false;
-        }
-    }
-    if (mkdir(opts.outDir.c_str(), 0755) != 0 && errno != EEXIST) {
-        if (err)
-            *err = detail::formatString("cannot create %s: %s",
-                                        opts.outDir.c_str(),
-                                        std::strerror(errno));
-        return false;
-    }
-    if (fileExists(opts.outDir + "/campaign.json")) {
-        // A manifest marks a multi-executor campaign: its journals are
-        // per-executor and its shards are lease-protected. A classic
-        // orchestrator would bypass both protocols.
-        if (err)
-            *err = opts.outDir + " is a multi-executor campaign "
-                   "directory; drain it with --join";
-        return false;
-    }
-
-    const std::uint64_t gridFp = gridFingerprint(specs);
-    CampaignJournal journal;
-    ReplayState state;
-    if (!journal.open(opts.outDir + "/journal.jsonl", specs.size(), gridFp,
-                      &state, err))
-        return false;
-    state.gridFp = gridFp;
-    state.points = specs.size();
-
-    std::vector<PointRuntime> runtime(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto it = state.perPoint.find(specs[i].id);
-        if (it == state.perPoint.end())
-            continue;
-        if (it->second.done)
-            runtime[i].phase = PointPhase::kDone;
-        else if (it->second.quarantined)
-            runtime[i].phase = PointPhase::kQuarantined;
-    }
-
-    std::vector<WorkerSlot> fleet;
-    Rng chaosRng(opts.chaos.seed);
-    double nextChaosAt = monotonicSec();
-    if (opts.chaos.enabled)
-        nextChaosAt += opts.chaos.meanIntervalSec *
-                       (0.5 + chaosRng.uniform());
-
-    const int maxWorkers = std::max(1, opts.workers);
-    const int maxFailures = std::max(1, opts.maxFailures);
-    bool orchestrationFailed = false;
-
-    /** Journal + schedule the consequences of one reaped worker. */
-    auto handleExit = [&](const WorkerSlot &slot, int wstatus) {
-        const std::uint64_t id = slot.point;
-        const PointPaths paths = pointPaths(opts.outDir, id);
-        const bool exited = WIFEXITED(wstatus);
-        const int exitCode = exited ? WEXITSTATUS(wstatus) : 0;
-        const bool signaled = WIFSIGNALED(wstatus);
-        const int sig = signaled ? WTERMSIG(wstatus) : 0;
-        FailureClass cls =
-            classifyExit(exited, exitCode, signaled, sig,
-                         slot.killedForHang, slot.killedForChaos);
-
-        if (cls == FailureClass::kNone) {
-            std::string result;
-            if (readResultLine(paths.result, &result)) {
-                journal.appendDone(id, result);
-                ReplayPoint &p = state.perPoint[id];
-                p.done = true;
-                p.resultLine = std::move(result);
-                runtime[id].phase = PointPhase::kDone;
-                return;
-            }
-            // Exit 0 without a result file: the worker lied, or the file
-            // vanished. Infrastructure trouble either way.
-            cls = FailureClass::kInfra;
-        }
-
-        const bool counted = failureCountsTowardQuarantine(cls);
-        const std::string tail = stderrTail(paths.stderrLog);
-        const std::string ckpt =
-            fileExists(paths.checkpoint) ? paths.checkpoint : "";
-        journal.appendFail(id, cls, exited ? exitCode : 0, sig, counted,
-                           tail, ckpt);
-        ReplayPoint &p = state.perPoint[id];
-        if (counted)
-            p.countedFailures += 1;
-
-        if (isDeterministicFailure(cls) ||
-            (counted && p.countedFailures >= maxFailures)) {
-            QuarantineRecord rec;
-            rec.cls = cls;
-            rec.exitCode = exited ? exitCode : 0;
-            rec.signal = sig;
-            rec.stderrTail = tail;
-            rec.ckptPath = ckpt;
-            journal.appendQuarantine(id, rec);
-            p.quarantined = true;
-            p.quarantine = rec;
-            runtime[id].phase = PointPhase::kQuarantined;
-            std::fprintf(diagStream(),
-                         "[campaign] point %llu quarantined (%s) after "
-                         "%d counted failure(s)\n",
-                         static_cast<unsigned long long>(id),
-                         failureClassName(cls), p.countedFailures);
-            return;
-        }
-
-        const int attempt = counted ? std::max(1, p.countedFailures) : 1;
-        const std::uint64_t noise =
-            gridFp ^ (id * 0x9e3779b97f4a7c15ULL);
-        runtime[id].phase = PointPhase::kWaiting;
-        runtime[id].readyAt =
-            monotonicSec() + backoffDelaySec(opts.backoff, attempt, noise);
-    };
-
-    auto spawn = [&](std::uint64_t id) -> bool {
-        const PointPaths paths = pointPaths(opts.outDir, id);
-        ReplayPoint &p = state.perPoint[id];
-        // Journal the attempt BEFORE forking: whatever the journal says
-        // happened, happened -- an attempt that was never journaled must
-        // never run.
-        if (!journal.appendAttempt(id, p.launches + 1))
-            return false;
-        p.launches += 1;
-        const long pid = spawnPointWorker(specs[id], paths, opts.worker);
-        if (pid < 0)
-            return false;  // transient: try again next tick
-        WorkerSlot slot;
-        slot.pid = pid;
-        slot.point = id;
-        slot.lastProgress = monotonicSec();
-        slot.haveMtime = fileMtimeNs(paths.checkpoint, &slot.lastMtimeNs);
-        fleet.push_back(slot);
-        runtime[id].phase = PointPhase::kRunning;
-        outcome.launches += 1;
-        return true;
-    };
-
-    while (true) {
-        if (g_drainRequested) {
-            outcome.interrupted = true;
-            break;
-        }
-        if (!journal.ok()) {
-            orchestrationFailed = true;
-            if (err)
-                *err = journal.error();
-            break;
-        }
-
-        // Reap.
-        for (std::size_t i = 0; i < fleet.size();) {
-            int wstatus = 0;
-            const pid_t r = waitpid(static_cast<pid_t>(fleet[i].pid),
-                                    &wstatus, WNOHANG);
-            if (r == static_cast<pid_t>(fleet[i].pid)) {
-                const WorkerSlot slot = fleet[i];
-                fleet.erase(fleet.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-                handleExit(slot, wstatus);
-            } else {
-                ++i;
-            }
-        }
-
-        const double now = monotonicSec();
-
-        // Heartbeats: a checkpoint mtime change is progress.
-        for (WorkerSlot &slot : fleet) {
-            const PointPaths paths = pointPaths(opts.outDir, slot.point);
-            std::uint64_t mt = 0;
-            if (fileMtimeNs(paths.checkpoint, &mt) &&
-                (!slot.haveMtime || mt != slot.lastMtimeNs)) {
-                slot.haveMtime = true;
-                slot.lastMtimeNs = mt;
-                slot.lastProgress = now;
-            }
-            if (!slot.killedForHang && !slot.killedForChaos &&
-                now - slot.lastProgress > opts.hangTimeoutSec) {
-                slot.killedForHang = true;
-                killWorkerGroup(slot.pid);
-                std::fprintf(diagStream(),
-                             "[campaign] point %llu hung (no heartbeat "
-                             "for %.1fs), killed worker %ld\n",
-                             static_cast<unsigned long long>(slot.point),
-                             opts.hangTimeoutSec, slot.pid);
-            }
-        }
-
-        // Chaos: kill a random live worker on the seeded schedule.
-        if (opts.chaos.enabled && now >= nextChaosAt &&
-            (opts.chaos.maxKills <= 0 ||
-             outcome.chaosKills <
-                 static_cast<std::uint64_t>(opts.chaos.maxKills))) {
-            nextChaosAt = now + opts.chaos.meanIntervalSec *
-                                    (0.5 + chaosRng.uniform());
-            std::vector<std::size_t> victims;
-            for (std::size_t i = 0; i < fleet.size(); ++i) {
-                if (!fleet[i].killedForHang && !fleet[i].killedForChaos)
-                    victims.push_back(i);
-            }
-            if (!victims.empty()) {
-                WorkerSlot &slot =
-                    fleet[victims[chaosRng.uniformInt(victims.size())]];
-                slot.killedForChaos = true;
-                killWorkerGroup(slot.pid);
-                outcome.chaosKills += 1;
-                std::fprintf(diagStream(),
-                             "[campaign] chaos: killed worker %ld "
-                             "(point %llu)\n",
-                             slot.pid,
-                             static_cast<unsigned long long>(slot.point));
-            }
-        }
-
-        // Launch, id order, while slots are free.
-        bool allTerminal = true;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            PointRuntime &rt = runtime[i];
-            if (rt.phase == PointPhase::kDone ||
-                rt.phase == PointPhase::kQuarantined)
-                continue;
-            allTerminal = false;
-            if (static_cast<int>(fleet.size()) >= maxWorkers)
-                continue;
-            if (rt.phase == PointPhase::kPending ||
-                (rt.phase == PointPhase::kWaiting && now >= rt.readyAt)) {
-                if (!spawn(specs[i].id))
-                    break;
-            }
-        }
-        if (allTerminal)
-            break;
-
-        // Journal compaction keeps resume cost bounded on retry-heavy
-        // campaigns.
-        if (opts.rotateEvents > 0 && journal.events() > opts.rotateEvents)
-            journal.rotate(state);
-
-        sleepSec(opts.pollIntervalSec);
-    }
-
-    killFleet(&fleet);
-
-    if (!orchestrationFailed && !journal.ok()) {
-        orchestrationFailed = true;
-        if (err)
-            *err = journal.error();
-    }
-    journal.close();
-
-    for (const PointSpec &spec : specs) {
-        const auto it = state.perPoint.find(spec.id);
-        if (it != state.perPoint.end() && it->second.done)
-            outcome.completed += 1;
-        else if (it != state.perPoint.end() && it->second.quarantined)
-            outcome.quarantined += 1;
-        else
-            outcome.missing += 1;
-    }
-
-    if (!orchestrationFailed) {
-        std::string werr;
-        outcome.reportJson = opts.outDir + "/report.json";
-        outcome.reportCsv = opts.outDir + "/report.csv";
-        outcome.provenance = opts.outDir + "/provenance.json";
-        if (!atomicWriteFile(outcome.reportJson,
-                             renderReportJson(specs, state), &werr) ||
-            !atomicWriteFile(outcome.reportCsv,
-                             renderReportCsv(specs, state), &werr) ||
-            !atomicWriteFile(outcome.provenance,
-                             renderProvenanceJson(specs, state,
-                                                  opts.outDir),
-                             &werr)) {
-            orchestrationFailed = true;
-            if (err)
-                *err = "report write failed: " + werr;
-        }
-    }
-
-    if (out)
-        *out = outcome;
-    return !orchestrationFailed;
-#endif  // NORD_CAMPAIGN_POSIX
 }
 
 }  // namespace campaign

@@ -1,115 +1,29 @@
 /**
  * @file
- * Fault-tolerant campaign orchestrator: crash-resumable work queue,
- * worker fleet supervision, poison-point quarantine.
+ * Campaign reports and the drain latch.
  *
- * The orchestrator generalizes bench_util's single-child runSupervised
- * to a fleet: N forked workers run campaign points concurrently, each
- * heartbeating through its checkpoint file's mtime. The supervision
- * rules per worker:
+ * The report files are a pure function of the grid: any sequence of
+ * crashes, chaos kills, resumes, executor re-execs and fleet membership
+ * changes yields the same report.json / report.csv bytes. Provenance
+ * (attempt counts, checkpoint paths) is deliberately segregated into
+ * provenance.json, which is NOT part of that contract.
  *
- *  - no heartbeat progress for hangTimeoutSec  -> SIGKILL, class "hang";
- *  - nonzero taxonomy exit                     -> classified per
- *    exit_codes.hh (deterministic failures quarantine immediately,
- *    transient ones retry with capped jittered backoff);
- *  - death by signal                           -> class "crash", retried;
- *  - chaos self-test kill (--chaos)            -> class "chaos", retried
- *    and NEVER counted toward the quarantine budget -- the kill was
- *    inflicted by the orchestrator itself and says nothing about the
- *    point. This is what keeps chaos runs' reports byte-identical to
- *    undisturbed runs'.
- *
- * After maxFailures counted failures a point is quarantined as poison
- * with diagnostics (class, exit code/signal, stderr tail, last
- * checkpoint path) instead of wedging the campaign.
- *
- * Every state transition is journaled (journal.hh) before the
- * orchestrator acts on it, so the orchestrator itself is crash-resumable:
- * SIGKILL it mid-campaign, re-exec it, and it resumes from the journal
- * and produces a byte-identical aggregate report. SIGINT/SIGTERM drain
- * the fleet (workers are killed -- their checkpoints ARE the resumable
- * state) and flush the journal; rerunning resumes.
+ * The drain latch is how SIGINT/SIGTERM reach the executor loop
+ * (executor.hh): workers are killed -- their checkpoints ARE the
+ * resumable state -- the journal is flushed, and rerunning resumes.
  */
 
 #ifndef NORD_CAMPAIGN_ORCHESTRATOR_HH
 #define NORD_CAMPAIGN_ORCHESTRATOR_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "campaign/backoff.hh"
 #include "campaign/campaign_point.hh"
 #include "campaign/journal.hh"
 
 namespace nord {
 namespace campaign {
-
-/** Chaos self-test: kill random live workers on a seeded schedule. */
-struct ChaosOptions
-{
-    bool enabled = false;
-    std::uint64_t seed = 1;        ///< schedule + victim selection seed
-    double meanIntervalSec = 0.5;  ///< mean time between kills
-    int maxKills = 0;              ///< stop after this many (0 = no cap)
-
-    // Partition chaos (multi-executor mode only): SIGSTOP the executor
-    // itself for partitionDurationSec on a seeded schedule, simulating
-    // a network partition -- lease expiry, takeover by another
-    // executor, and a stale-writer resume, the full self-fencing path.
-    double partitionMeanSec = 0.0;     ///< mean time between (0 = off)
-    double partitionDurationSec = 0.0; ///< suspension length
-    int maxPartitions = 1;             ///< stop after this many (floored
-                                       ///< to 1; unbounded is never sane)
-};
-
-/** Orchestrator knobs. */
-struct OrchestratorOptions
-{
-    std::string outDir;          ///< journal, checkpoints, reports
-    int workers = 2;             ///< concurrent worker processes
-    int maxFailures = 3;         ///< counted failures before quarantine
-    double hangTimeoutSec = 30.0;
-    double pollIntervalSec = 0.05;
-    std::uint64_t rotateEvents = 4096;  ///< journal compaction threshold
-    BackoffPolicy backoff;
-    WorkerOptions worker;
-    ChaosOptions chaos;
-};
-
-/** Final (or drained) campaign state. */
-struct CampaignOutcome
-{
-    std::uint64_t completed = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t missing = 0;     ///< not terminal (only after a drain)
-    std::uint64_t launches = 0;    ///< worker forks this invocation
-    std::uint64_t chaosKills = 0;  ///< chaos kills this invocation
-    bool interrupted = false;      ///< drained by SIGINT/SIGTERM
-    std::string reportJson;        ///< path, "" until written
-    std::string reportCsv;
-    std::string provenance;
-};
-
-/**
- * Run (or resume) the campaign defined by @p specs. Creates/reopens
- * "<outDir>/journal.jsonl", supervises up to opts.workers concurrent
- * workers until every point is terminal or a drain is requested, then
- * writes report.json / report.csv / provenance.json under outDir.
- *
- * The report files are a pure function of the grid: any sequence of
- * crashes, chaos kills, resumes and orchestrator re-execs yields the
- * same bytes. Provenance (attempt counts, checkpoint paths) is
- * deliberately segregated into provenance.json, which is NOT part of
- * that contract.
- *
- * Returns false (with @p err) only on orchestration failure -- journal
- * I/O trouble, fork exhaustion, a held journal lock. Quarantined points
- * and drains are reported through @p out, not as errors.
- */
-bool runCampaign(const std::vector<PointSpec> &specs,
-                 const OrchestratorOptions &opts, CampaignOutcome *out,
-                 std::string *err);
 
 /**
  * Ask a running campaign to drain: stop launching, kill and reap the
@@ -121,10 +35,10 @@ void requestCampaignDrain();
 /** Reset the drain latch (tests run several campaigns per process). */
 void clearCampaignDrain();
 
-/** Poll the drain latch (the multi-executor loop shares it). */
+/** Poll the drain latch. */
 bool campaignDrainRequested();
 
-// --- Report rendering (exposed for tests) -------------------------------
+// --- Report rendering ---------------------------------------------------
 
 /**
  * Render the aggregate JSON report for @p specs from replayed journal

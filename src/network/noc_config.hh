@@ -92,7 +92,7 @@ struct VerifyConfig
 };
 
 /**
- * Performance knobs (see bench/perf_* and DESIGN.md section 5.11).
+ * Performance knobs (see bench/nordbench and DESIGN.md section 5.10).
  *
  * Both are semantics-preserving: tests/test_perf_invariance.cc proves
  * per-cycle stateHash() bit-identity across every setting, and neither

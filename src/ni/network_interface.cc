@@ -442,6 +442,7 @@ NetworkInterface::serveLocalBypass(Cycle now)
         if (!router_->bypassCreditAvailable(localBypassVc_))
             return false;
         router_->bypassReserveCredit(localBypassVc_);
+        flit.injectedAt = now;
         stage3_.push_back({flit, localBypassVc_, now + 1});
         tracePacket(flit.packet, now, "local bypass body seq %d at NI %d",
                     flit.seq, id_);

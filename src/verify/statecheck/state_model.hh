@@ -25,7 +25,7 @@
  * nord dependencies): the CLI builds standalone and the model can be
  * extracted from a tree that does not compile. It is a heuristic
  * declaration scanner, not a full C++ parser -- the accepted shapes and
- * known limits are documented in DESIGN.md section 5.12; the annotation-
+ * known limits are documented in DESIGN.md section 5.11; the annotation-
  * truthing tests keep the model honest at runtime.
  */
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Campaign orchestrator tests: the crash-resumable work queue.
+ * Campaign tests: the crash-resumable work queue.
  *
  * The contract under test mirrors the checkpoint suite's, one level up:
  * the aggregate report is a pure function of the grid. Any sequence of
- * worker crashes, chaos kills, journal truncations and orchestrator
- * re-execs must yield byte-identical report.json / report.csv. The unit
- * half exercises the pieces (exit taxonomy, backoff determinism, grid
- * expansion, journal replay/rotation); the end-to-end half forks real
- * worker fleets against tiny grids.
+ * worker crashes, chaos kills, journal truncations and executor re-execs
+ * must yield byte-identical report.json / report.csv. The unit half
+ * exercises the pieces (exit taxonomy, backoff determinism, grid
+ * expansion, journal replay/locking); the end-to-end half forks real
+ * worker fleets under an `--out`-style fleet of one against tiny grids.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 
 #include "campaign/backoff.hh"
 #include "campaign/campaign_point.hh"
+#include "campaign/executor.hh"
 #include "campaign/exit_codes.hh"
 #include "campaign/fleet.hh"
 #include "campaign/journal.hh"
@@ -328,48 +329,6 @@ TEST(CampaignJournalTest, TornTailIgnoredAndRepaired)
     std::remove(path.c_str());
 }
 
-TEST(CampaignJournalTest, RotationCompactsPreservingState)
-{
-    const std::string path = tmpPath("journal_rotate.jsonl");
-    std::remove(path.c_str());
-    ReplayState replay;
-    std::string err;
-    CampaignJournal j;
-    ASSERT_TRUE(j.open(path, 2, 0x77, &replay, &err)) << err;
-    // Heavy retry traffic on point 0, then success; quarantine point 1.
-    for (int n = 1; n <= 20; ++n) {
-        ASSERT_TRUE(j.appendAttempt(0, n));
-        ASSERT_TRUE(j.appendFail(0, FailureClass::kCrash, 0, SIGSEGV,
-                                 true, "boom", ""));
-    }
-    ASSERT_TRUE(j.appendAttempt(0, 21));
-    ASSERT_TRUE(j.appendDone(0, "{\"fine\":1}"));
-    QuarantineRecord q;
-    q.cls = FailureClass::kHang;
-    q.signal = SIGKILL;
-    ASSERT_TRUE(j.appendQuarantine(1, q));
-
-    const std::size_t before = slurp(path).size();
-    ReplayState state;
-    ASSERT_TRUE(CampaignJournal::replayContent(slurp(path), 2, 0x77,
-                                               &state, &err))
-        << err;
-    ASSERT_TRUE(j.rotate(state)) << j.error();
-    j.close();
-
-    EXPECT_LT(slurp(path).size(), before);
-    CampaignJournal j2;
-    ASSERT_TRUE(j2.open(path, 2, 0x77, &replay, &err)) << err;
-    EXPECT_TRUE(replay.perPoint[0].done);
-    EXPECT_EQ(replay.perPoint[0].resultLine, "{\"fine\":1}");
-    EXPECT_EQ(replay.perPoint[0].countedFailures, 20)
-        << "counted totals survive compaction";
-    EXPECT_TRUE(replay.perPoint[1].quarantined);
-    EXPECT_EQ(replay.perPoint[1].quarantine.cls, FailureClass::kHang);
-    j2.close();
-    std::remove(path.c_str());
-}
-
 TEST(CampaignJournalTest, LockExcludesSecondOrchestrator)
 {
     const std::string path = tmpPath("journal_lock.jsonl");
@@ -380,7 +339,7 @@ TEST(CampaignJournalTest, LockExcludesSecondOrchestrator)
     ASSERT_TRUE(j1.open(path, 1, 0x1, &replay, &err)) << err;
     CampaignJournal j2;
     EXPECT_FALSE(j2.open(path, 1, 0x1, &replay, &err))
-        << "two live orchestrators would interleave journal writes";
+        << "two live executors would interleave journal writes";
     j1.close();
     CampaignJournal j3;
     EXPECT_TRUE(j3.open(path, 1, 0x1, &replay, &err)) << err;
@@ -440,11 +399,14 @@ TEST(CampaignReport, RenderingIsDeterministic)
 // End-to-end fleets (these fork real workers).
 // ---------------------------------------------------------------------
 
-OrchestratorOptions
+/** What `nord-campaign --out outDir` runs: a fleet of one. */
+ExecutorOptions
 e2eOptions(const std::string &outDir)
 {
-    OrchestratorOptions opts;
+    ExecutorOptions opts;
     opts.outDir = outDir;
+    opts.execId = "local";
+    opts.artifactDir = outDir;
     opts.workers = 2;
     opts.maxFailures = 2;
     opts.hangTimeoutSec = 30.0;
@@ -471,11 +433,11 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     clearCampaignDrain();
     const std::string dir = freshDir("campaign_e2e");
     const std::vector<PointSpec> specs = expandGrid(e2eGrid());
-    const OrchestratorOptions opts = e2eOptions(dir);
+    const ExecutorOptions opts = e2eOptions(dir);
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, opts, &out, &err)) << err;
     EXPECT_EQ(out.completed, specs.size());
     EXPECT_EQ(out.quarantined, 0u);
     EXPECT_FALSE(out.interrupted);
@@ -486,17 +448,17 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
 
     // Resume with everything already terminal: no new launches, same
     // bytes.
-    CampaignOutcome out2;
-    ASSERT_TRUE(runCampaign(specs, opts, &out2, &err)) << err;
+    ExecutorOutcome out2;
+    ASSERT_TRUE(runExecutor(specs, opts, &out2, &err)) << err;
     EXPECT_EQ(out2.launches, 0u);
     EXPECT_EQ(slurp(out2.reportJson), json1);
     EXPECT_EQ(slurp(out2.reportCsv), csv1);
 
-    // Amputate the journal back to its first two lines (the shape an
-    // orchestrator SIGKILL leaves behind): the rerun must redo the lost
-    // work -- resuming workers from leftover checkpoints -- and land on
-    // the same report bytes.
-    const std::string jpath = dir + "/journal.jsonl";
+    // Amputate the executor's journal back to its first two lines (the
+    // shape an executor SIGKILL leaves behind): the rerun must redo the
+    // lost work -- resuming workers from leftover checkpoints -- and
+    // land on the same report bytes.
+    const std::string jpath = dir + "/journal-local.jsonl";
     const std::string full = slurp(jpath);
     std::size_t cut = full.find('\n');
     ASSERT_NE(cut, std::string::npos);
@@ -506,8 +468,8 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     std::remove(out.reportJson.c_str());
     std::remove(out.reportCsv.c_str());
 
-    CampaignOutcome out3;
-    ASSERT_TRUE(runCampaign(specs, opts, &out3, &err)) << err;
+    ExecutorOutcome out3;
+    ASSERT_TRUE(runExecutor(specs, opts, &out3, &err)) << err;
     EXPECT_EQ(out3.completed, specs.size());
     EXPECT_GT(out3.launches, 0u);
     EXPECT_EQ(slurp(out3.reportJson), json1)
@@ -523,9 +485,9 @@ TEST(CampaignEndToEnd, PoisonPointQuarantinedWithDiagnostics)
     ASSERT_GE(specs.size(), 2u);
     specs[1].selfTest = SelfTest::kPoison;
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, e2eOptions(dir), &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(dir), &out, &err)) << err;
     EXPECT_EQ(out.completed, specs.size() - 1);
     EXPECT_EQ(out.quarantined, 1u);
 
@@ -549,13 +511,13 @@ TEST(CampaignEndToEnd, HangPointKilledByHeartbeatAndQuarantined)
     ASSERT_GE(specs.size(), 2u);
     specs[0].selfTest = SelfTest::kHang;
 
-    OrchestratorOptions opts = e2eOptions(dir);
+    ExecutorOptions opts = e2eOptions(dir);
     opts.hangTimeoutSec = 0.5;
     opts.worker.checkpointEvery = 50;
 
-    CampaignOutcome out;
+    ExecutorOutcome out;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
+    ASSERT_TRUE(runExecutor(specs, opts, &out, &err)) << err;
     EXPECT_EQ(out.quarantined, 1u);
     EXPECT_EQ(out.completed, specs.size() - 1);
     const std::string json = slurp(out.reportJson);
@@ -572,22 +534,22 @@ TEST(CampaignEndToEnd, ChaosKillsNeverChangeTheReport)
     // Undisturbed reference run.
     const std::string cleanDir = freshDir("campaign_chaos_clean");
     const std::vector<PointSpec> specs = expandGrid(grid);
-    CampaignOutcome clean;
+    ExecutorOutcome clean;
     std::string err;
-    ASSERT_TRUE(runCampaign(specs, e2eOptions(cleanDir), &clean, &err))
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(cleanDir), &clean, &err))
         << err;
     ASSERT_EQ(clean.completed, specs.size());
 
     // Same grid under chaos: workers are SIGKILLed on a seeded schedule
     // and resume from their checkpoints.
     const std::string chaosDir = freshDir("campaign_chaos");
-    OrchestratorOptions opts = e2eOptions(chaosDir);
+    ExecutorOptions opts = e2eOptions(chaosDir);
     opts.chaos.enabled = true;
     opts.chaos.seed = 7;
     opts.chaos.meanIntervalSec = 0.05;
     opts.chaos.maxKills = 3;
-    CampaignOutcome chaotic;
-    ASSERT_TRUE(runCampaign(specs, opts, &chaotic, &err)) << err;
+    ExecutorOutcome chaotic;
+    ASSERT_TRUE(runExecutor(specs, opts, &chaotic, &err)) << err;
     EXPECT_EQ(chaotic.completed, specs.size());
     EXPECT_GE(chaotic.chaosKills, 1u)
         << "the schedule never fired; the test proved nothing";
@@ -599,31 +561,35 @@ TEST(CampaignEndToEnd, ChaosKillsNeverChangeTheReport)
 }
 
 #ifdef __linux__
-// A SIGKILL'd orchestrator gets no chance to run any cleanup path; only
-// the workers' own PR_SET_PDEATHSIG (fleet.cc) can reap them. Fork an
-// orchestrator, wait until its workers heartbeat, SIGKILL it, and
-// verify every checkpoint mtime freezes -- an orphaned worker would
-// keep heartbeating.
-TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
+/** A grid whose points run effectively forever at test scale. */
+std::vector<PointSpec>
+unboundedSpecs()
 {
-    clearCampaignDrain();
-    const std::string dir = freshDir("campaign_orphan");
     GridSpec grid = e2eGrid();
-    grid.measure = 500000000;  // effectively unbounded at test scale
-    const std::vector<PointSpec> specs = expandGrid(grid);
+    grid.measure = 500000000;
+    return expandGrid(grid);
+}
 
-    const pid_t orch = fork();
-    ASSERT_GE(orch, 0) << "fork failed";
-    if (orch == 0) {
-        OrchestratorOptions opts = e2eOptions(dir);
+/**
+ * Fork a fleet-of-one executor running @p specs in @p dir and wait until
+ * point 0's worker heartbeats (its checkpoint mtime ticks). Returns the
+ * executor's pid, or -1 (after killing it) when no heartbeat appeared.
+ */
+pid_t
+forkLiveCampaign(const std::string &dir, const std::vector<PointSpec> &specs)
+{
+    const pid_t pid = fork();
+    if (pid < 0)
+        return -1;
+    if (pid == 0) {
+        ExecutorOptions opts = e2eOptions(dir);
         opts.worker.checkpointEvery = 50;  // rapid heartbeats
-        CampaignOutcome out;
+        ExecutorOutcome out;
         std::string err;
-        runCampaign(specs, opts, &out, &err);
+        runExecutor(specs, opts, &out, &err);
         _exit(0);
     }
 
-    // Wait for a live heartbeat: point 0's checkpoint mtime must tick.
     const std::string ckpt0 = pointPaths(dir, specs[0].id).checkpoint;
     std::uint64_t last = 0;
     bool beating = false;
@@ -636,7 +602,48 @@ TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
         }
         sleepSec(0.02);
     }
-    ASSERT_TRUE(beating) << "workers never started heartbeating";
+    if (!beating) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+        return -1;
+    }
+    return pid;
+}
+
+// The fleet of one's journal is flock()ed for the executor's lifetime,
+// so a second `--out` on a live campaign directory is refused before it
+// can touch a lease or launch a worker.
+TEST(CampaignEndToEnd, SecondConcurrentOutRunIsRefused)
+{
+    clearCampaignDrain();
+    const std::string dir = freshDir("campaign_second_out");
+    const std::vector<PointSpec> specs = unboundedSpecs();
+    const pid_t first = forkLiveCampaign(dir, specs);
+    ASSERT_GT(first, 0) << "workers never started heartbeating";
+
+    ExecutorOutcome out;
+    std::string err;
+    EXPECT_FALSE(runExecutor(specs, e2eOptions(dir), &out, &err));
+    EXPECT_NE(err.find("locked"), std::string::npos) << err;
+    EXPECT_EQ(out.launches, 0u);
+
+    ASSERT_EQ(kill(first, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(first, &status, 0), first);
+}
+
+// A SIGKILL'd executor gets no chance to run any cleanup path; only the
+// workers' own PR_SET_PDEATHSIG (fleet.cc) can reap them. Fork an
+// executor, wait until its workers heartbeat, SIGKILL it, and verify
+// every checkpoint mtime freezes -- an orphaned worker would keep
+// heartbeating.
+TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
+{
+    clearCampaignDrain();
+    const std::string dir = freshDir("campaign_orphan");
+    const std::vector<PointSpec> specs = unboundedSpecs();
+    const pid_t orch = forkLiveCampaign(dir, specs);
+    ASSERT_GT(orch, 0) << "workers never started heartbeating";
 
     ASSERT_EQ(kill(orch, SIGKILL), 0);
     int status = 0;

@@ -348,7 +348,7 @@ TEST(Checkpoint, AuditorRecoverStateSurvivesRestore)
 // ---------------------------------------------------------------------
 // Container fuzz: truncations and bit flips.
 //
-// The campaign orchestrator restarts workers from whatever checkpoint a
+// The campaign executor restarts workers from whatever checkpoint a
 // SIGKILL left behind, so the loader must survive arbitrary damage: every
 // truncation and every single-bit flip must fail with a diagnostic --
 // never crash, never allocate absurdly (the header digest guards paySize

@@ -3,14 +3,15 @@
  * Multi-executor engine tests: the lease protocol, the deterministic
  * journal merge, and end-to-end executor fleets.
  *
- * The contract under test extends the orchestrator suite's one more
+ * The contract under test extends the campaign suite's one more
  * level: report.json / report.csv are a pure function of the grid
  * REGARDLESS of executor count, kill schedule, partition timing, or the
  * order journals are merged in. The unit half drives LeaseManager with
  * explicit clocks and folds hand-built and fuzzed journal sets in random
- * orders; the end-to-end half joins real executor processes against the
- * same tiny grids the classic tests use and compares report bytes
- * against a classic single-orchestrator golden run.
+ * orders; the end-to-end half joins real executor processes against
+ * tiny grids and compares report bytes against an in-process reference:
+ * every point's worker run directly, its results rendered as a
+ * completed campaign.
  */
 
 #include <gtest/gtest.h>
@@ -176,8 +177,10 @@ TEST(LeaseProtocol, ReleasedLeaseIsImmediatelyStealable)
 
     std::uint64_t token = 0;
     ASSERT_TRUE(a.tryAcquire(0, monotonicSec(), &token));
-    a.releaseAll();
+    ASSERT_TRUE(a.tryAcquire(1, monotonicSec(), &token));
+    a.release(0);
     EXPECT_FALSE(a.holds(0));
+    EXPECT_TRUE(a.holds(1)) << "release() frees only the named shard";
     LeaseInfo file;
     ASSERT_TRUE(readLeaseFile(leasePath(dir, 0), &file));
     EXPECT_EQ(file.owner, "") << "released leases carry an empty owner";
@@ -427,38 +430,6 @@ TEST(JournalMerge, SameTokenDivergentDoneIsAHardErrorEitherOrder)
     EXPECT_EQ(checked, 6);
 }
 
-TEST(JournalMerge, CanonicalJournalMatchesRotationBytes)
-{
-    // renderCanonicalJournal's contract: the canonical journal of a
-    // drained fleet campaign is byte-equal to what classic journal
-    // rotation would write for the same state -- readable by any
-    // classic tool.
-    const std::string dir = freshDir("merge_canonical");
-    const std::string path = dir + "/journal.jsonl";
-    CampaignJournal j;
-    ReplayState replay;
-    std::string err;
-    ASSERT_TRUE(j.open(path, 3, 0xabcdULL, &replay, &err)) << err;
-    ASSERT_TRUE(j.appendFail(0, FailureClass::kInfra, 12, 0, true,
-                             "tail", "ckpt"));
-    ASSERT_TRUE(j.appendDone(0, "{\"v\":1}"));
-    ASSERT_TRUE(j.appendDone(1, "{\"v\":2}"));
-    QuarantineRecord rec;
-    rec.cls = FailureClass::kGate;
-    rec.exitCode = kExitGateFailure;
-    rec.stderrTail = "gate \"fail\"";
-    ASSERT_TRUE(j.appendQuarantine(2, rec));
-
-    ReplayState state;
-    ASSERT_TRUE(CampaignJournal::replayContent(slurp(path), 3, 0xabcdULL,
-                                               &state, &err))
-        << err;
-    ASSERT_TRUE(j.rotate(state));
-    j.close();
-
-    EXPECT_EQ(renderCanonicalJournal(state), slurp(path));
-}
-
 TEST(JournalMerge, FuzzedJournalSetsMergeOrderIndependently)
 {
     // Satellite: merge determinism under fuzz. Random journal sets --
@@ -621,30 +592,42 @@ fleetOptions(const std::string &outDir, const std::string &execId)
     return o;
 }
 
-/** Classic single-orchestrator golden run for @p specs. */
-CampaignOutcome
-goldenRun(const std::vector<PointSpec> &specs, const std::string &dir)
+/** The report bytes every executor schedule must reproduce. */
+struct Reference
 {
-    clearCampaignDrain();
-    OrchestratorOptions opts;
-    opts.outDir = dir;
-    opts.workers = 2;
-    opts.maxFailures = 2;
-    opts.pollIntervalSec = 0.01;
-    opts.worker.checkpointEvery = 100;
-    CampaignOutcome out;
-    std::string err;
-    EXPECT_TRUE(runCampaign(specs, opts, &out, &err)) << err;
-    return out;
+    std::string json;
+    std::string csv;
+};
+
+/**
+ * In-process reference for @p specs: runPointWorker per point (artifacts
+ * under @p dir), then the results rendered as a completed campaign.
+ */
+Reference
+referenceReport(const std::vector<PointSpec> &specs, const std::string &dir)
+{
+    ReplayState state;
+    state.opened = true;
+    state.points = specs.size();
+    state.gridFp = gridFingerprint(specs);
+    WorkerOptions wopts;
+    wopts.checkpointEvery = 100;
+    for (const PointSpec &spec : specs) {
+        const PointPaths paths = pointPaths(dir, spec.id);
+        EXPECT_EQ(runPointWorker(spec, paths, wopts), kExitOk);
+        ReplayPoint &p = state.perPoint[spec.id];
+        p.done = readResultLine(paths.result, &p.resultLine);
+        EXPECT_TRUE(p.done) << "no result for point " << spec.id;
+    }
+    return {renderReportJson(specs, state), renderReportCsv(specs, state)};
 }
 
-TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
+TEST(ExecutorEndToEnd, SingleJoinMatchesReferenceReportBytes)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid());
-    const std::string goldDir = freshDir("exec_single_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference gold =
+        referenceReport(specs, freshDir("exec_single_gold"));
 
     const std::string dir = freshDir("exec_single");
     ExecutorOutcome out;
@@ -656,12 +639,12 @@ TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
     EXPECT_EQ(out.completed, specs.size());
     EXPECT_TRUE(out.wroteReports);
 
-    EXPECT_EQ(slurp(out.reportJson), slurp(gold.reportJson))
-        << "a joined fleet of one must reproduce the classic report "
+    EXPECT_EQ(slurp(out.reportJson), gold.json)
+        << "a joined fleet of one must reproduce the reference report "
            "byte for byte";
-    EXPECT_EQ(slurp(out.reportCsv), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(out.reportCsv), gold.csv);
 
-    // The canonical journal is classic-readable.
+    // The canonical journal replays like any executor journal.
     ReplayState state;
     ASSERT_TRUE(CampaignJournal::replayContent(
         slurp(dir + "/journal.jsonl"), specs.size(),
@@ -677,28 +660,15 @@ TEST(ExecutorEndToEnd, SingleJoinMatchesClassicReportBytes)
                             &err))
         << err;
     EXPECT_EQ(again.launches, 0u);
-    EXPECT_EQ(slurp(again.reportJson), slurp(gold.reportJson));
-
-    // Mode guards, both directions: classic dirs refuse --join, fleet
-    // dirs refuse the classic orchestrator.
-    ExecutorOutcome bad;
-    EXPECT_FALSE(runExecutor(specs, fleetOptions(goldDir, "exec-x"),
-                             &bad, &err));
-    EXPECT_NE(err.find("classic"), std::string::npos) << err;
-    OrchestratorOptions copts;
-    copts.outDir = dir;
-    CampaignOutcome cout;
-    EXPECT_FALSE(runCampaign(specs, copts, &cout, &err));
-    EXPECT_NE(err.find("--join"), std::string::npos) << err;
+    EXPECT_EQ(slurp(again.reportJson), gold.json);
 }
 
 TEST(ExecutorEndToEnd, TwoConcurrentExecutorsProduceIdenticalReports)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid(6));
-    const std::string goldDir = freshDir("exec_pair_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference gold =
+        referenceReport(specs, freshDir("exec_pair_gold"));
 
     const std::string dir = freshDir("exec_pair");
     const pid_t peer = fork();
@@ -721,18 +691,17 @@ TEST(ExecutorEndToEnd, TwoConcurrentExecutorsProduceIdenticalReports)
         << "peer executor failed";
     EXPECT_FALSE(out.fenced) << out.fenceReason;
 
-    EXPECT_EQ(slurp(dir + "/report.json"), slurp(gold.reportJson))
-        << "two cooperating executors must land on the classic bytes";
-    EXPECT_EQ(slurp(dir + "/report.csv"), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(dir + "/report.json"), gold.json)
+        << "two cooperating executors must land on the reference bytes";
+    EXPECT_EQ(slurp(dir + "/report.csv"), gold.csv);
 }
 
 TEST(ExecutorEndToEnd, SequentialHandoverDrainsAndResumes)
 {
     clearCampaignDrain();
     const std::vector<PointSpec> specs = expandGrid(fleetGrid());
-    const std::string goldDir = freshDir("exec_handover_gold");
-    const CampaignOutcome gold = goldenRun(specs, goldDir);
-    ASSERT_EQ(gold.completed, specs.size());
+    const Reference gold =
+        referenceReport(specs, freshDir("exec_handover_gold"));
 
     // Executor 1 drains itself after a single launch (test hook): a
     // deterministic stand-in for an operator Ctrl-C mid-campaign.
@@ -756,8 +725,8 @@ TEST(ExecutorEndToEnd, SequentialHandoverDrainsAndResumes)
         << err;
     EXPECT_TRUE(out2.wroteReports);
     EXPECT_EQ(out2.completed, specs.size());
-    EXPECT_EQ(slurp(out2.reportJson), slurp(gold.reportJson));
-    EXPECT_EQ(slurp(out2.reportCsv), slurp(gold.reportCsv));
+    EXPECT_EQ(slurp(out2.reportJson), gold.json);
+    EXPECT_EQ(slurp(out2.reportCsv), gold.csv);
 }
 
 #endif  // NORD_CAMPAIGN_POSIX

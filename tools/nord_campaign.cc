@@ -6,18 +6,19 @@
  * crash-resumable work queue, supervises a fleet of forked workers
  * (heartbeats, per-point hang kills, capped jittered retry backoff,
  * poison-point quarantine) and aggregates the results into
- * report.json / report.csv / provenance.json. SIGKILL the orchestrator
- * at any moment, rerun the same command line, and it resumes from the
- * journal to a byte-identical report. See DESIGN.md section 5.9.
+ * report.json / report.csv / provenance.json. See DESIGN.md section 5.9.
  *
- * With --join, any number of nord-campaign processes (same host or
- * different machines over a shared filesystem) cooperatively drain the
- * SAME campaign directory: work is claimed through per-shard lease
- * files with monotonic fencing tokens, an executor that loses its
- * lease self-fences and exits kExitLeaseLost, and a deterministic
- * merge of the per-executor journals keeps report.json / report.csv
- * byte-identical regardless of fleet membership history. See DESIGN.md
- * section 5.10.
+ * There is one supervision loop, campaign::runExecutor. --out DIR runs
+ * it as a fleet of one: executor id "local", worker artifacts directly
+ * in DIR. SIGKILL it at any moment, rerun the same command line, and it
+ * resumes from its journal to a byte-identical report. With --join, any
+ * number of nord-campaign processes (same host or different machines
+ * over a shared filesystem) cooperatively drain the SAME campaign
+ * directory: work is claimed through per-shard lease files with
+ * monotonic fencing tokens, an executor that loses its lease self-fences
+ * and exits kExitLeaseLost, and a deterministic merge of the
+ * per-executor journals keeps report.json / report.csv byte-identical
+ * regardless of fleet membership history.
  *
  * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh):
  * 0 when every point completed, 10 when any point was quarantined, 12
@@ -47,8 +48,8 @@ void
 usage()
 {
     std::printf(
-        "usage: nord-campaign --out DIR [grid options] [supervision "
-        "options]\n"
+        "usage: nord-campaign (--out DIR | --join DIR) [grid options]\n"
+        "                     [supervision options]\n"
         "\n"
         "Runs (or resumes) a crash-resumable simulation campaign: the\n"
         "grid is expanded into a journaled work queue, each point runs\n"
@@ -76,7 +77,15 @@ usage()
         "                       fails deterministically and quarantines\n"
         "\n"
         "supervision options:\n"
-        "  --out DIR            journal, checkpoints and reports (required)\n"
+        "  --out DIR            run the campaign in DIR as a fleet of one\n"
+        "                       (executor id \"local\"; checkpoints and\n"
+        "                       results go straight into DIR). A second\n"
+        "                       live --out on the same DIR is refused.\n"
+        "                       Rerunning after a SIGKILL may first wait\n"
+        "                       one lease grace for the old leases to\n"
+        "                       expire; a run suspended longer than\n"
+        "                       grace/2 self-fences (exit 14) and a rerun\n"
+        "                       resumes it\n"
         "  --workers N          concurrent workers (default 2)\n"
         "  --max-failures K     counted failures before quarantine\n"
         "                       (default 3)\n"
@@ -85,8 +94,6 @@ usage()
         "                       (default 500)\n"
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
-        "  --rotate-events N    journal compaction threshold (default\n"
-        "                       4096)\n"
         "\n"
         "multi-executor mode:\n"
         "  --join DIR           join (or start) the shared campaign in\n"
@@ -94,12 +101,12 @@ usage()
         "                       lease files with fencing tokens, every\n"
         "                       executor appends to its own journal, and\n"
         "                       a deterministic merge yields the same\n"
-        "                       report bytes as a single-executor run.\n"
-        "                       Run the same command in N terminals (or\n"
-        "                       on N machines over a shared filesystem)\n"
-        "                       to drain the grid cooperatively\n"
-        "  --executor-id ID     stable executor id (default: generated\n"
-        "                       from host/pid)\n"
+        "                       report bytes as an --out run. Run the\n"
+        "                       same command in N terminals (or on N\n"
+        "                       machines over a shared filesystem) to\n"
+        "                       drain the grid cooperatively\n"
+        "  --executor-id ID     (--join only) stable executor id\n"
+        "                       (default: generated from host/pid)\n"
         "  --shards N           shard count, first joiner only (default\n"
         "                       min(points, 8); later joiners adopt the\n"
         "                       manifest's)\n"
@@ -116,10 +123,10 @@ usage()
         "  --chaos-interval S   mean seconds between kills (default 0.5)\n"
         "  --chaos-max-kills N  stop killing after N (default unlimited)\n"
         "  --chaos-partition-mean S\n"
-        "                       (--join only) mean seconds between\n"
-        "                       self-partitions: SIGSTOP this executor,\n"
-        "                       let its leases expire, SIGCONT it and\n"
-        "                       watch it self-fence (default off)\n"
+        "                       mean seconds between self-partitions:\n"
+        "                       SIGSTOP this executor, let its leases\n"
+        "                       expire, SIGCONT it and watch it\n"
+        "                       self-fence (default off)\n"
         "  --chaos-partition-duration S\n"
         "                       suspension length (default 0)\n"
         "  --chaos-max-partitions N\n"
@@ -130,9 +137,9 @@ usage()
         "                       (hang-kill test)\n"
         "\n"
         "  --drain-after-launches N\n"
-        "                       (--join only) drain this executor after\n"
-        "                       N worker launches -- deterministic\n"
-        "                       handover testing (default off)\n"
+        "                       drain this executor after N worker\n"
+        "                       launches -- deterministic handover\n"
+        "                       testing (default off)\n"
         "  --list               print the expanded grid and exit\n"
         "  --help               this text\n");
 }
@@ -196,16 +203,12 @@ int
 main(int argc, char **argv)
 {
     GridSpec grid;
-    OrchestratorOptions opts;
+    ExecutorOptions opts;
     std::vector<std::uint64_t> poisonIds;
     std::vector<std::uint64_t> hangIds;
     bool list = false;
     bool join = false;
     std::string executorId;
-    std::uint64_t shardCount = 0;
-    double leaseGraceSec = 2.0;
-    double leaseRenewSec = 0.0;
-    std::uint64_t drainAfterLaunches = 0;
 
     auto needValue = [&](int i) -> const char * {
         if (i + 1 >= argc) {
@@ -223,6 +226,7 @@ main(int argc, char **argv)
         } else if (a == "--list") {
             list = true;
         } else if (a == "--out") {
+            join = false;
             opts.outDir = needValue(i);
             ++i;
         } else if (a == "--join") {
@@ -233,16 +237,17 @@ main(int argc, char **argv)
             executorId = needValue(i);
             ++i;
         } else if (a == "--shards") {
-            shardCount = std::strtoull(needValue(i), nullptr, 10);
+            opts.shards = std::strtoull(needValue(i), nullptr, 10);
             ++i;
         } else if (a == "--lease-grace") {
-            leaseGraceSec = std::atof(needValue(i));
+            opts.leaseGraceSec = std::atof(needValue(i));
             ++i;
         } else if (a == "--lease-renew") {
-            leaseRenewSec = std::atof(needValue(i));
+            opts.leaseRenewSec = std::atof(needValue(i));
             ++i;
         } else if (a == "--drain-after-launches") {
-            drainAfterLaunches = std::strtoull(needValue(i), nullptr, 10);
+            opts.drainAfterLaunches =
+                std::strtoull(needValue(i), nullptr, 10);
             ++i;
         } else if (a == "--designs") {
             grid.designs.clear();
@@ -329,9 +334,6 @@ main(int argc, char **argv)
         } else if (a == "--backoff-max") {
             opts.backoff.maxSec = std::atof(needValue(i));
             ++i;
-        } else if (a == "--rotate-events") {
-            opts.rotateEvents = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
         } else if (a == "--chaos") {
             opts.chaos.enabled = true;
         } else if (a == "--chaos-seed") {
@@ -411,86 +413,47 @@ main(int argc, char **argv)
                      opts.chaos.meanIntervalSec, opts.hangTimeoutSec);
     }
 
+    // --out is a fleet of one whose worker artifacts live in DIR itself.
+    if (join) {
+        opts.execId = executorId;
+    } else {
+        opts.execId = "local";
+        opts.artifactDir = opts.outDir;
+    }
+
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
-    if (join) {
-        ExecutorOptions eopts;
-        eopts.outDir = opts.outDir;
-        eopts.execId = executorId;
-        eopts.shards = shardCount;
-        eopts.leaseGraceSec = leaseGraceSec;
-        eopts.leaseRenewSec = leaseRenewSec;
-        eopts.workers = opts.workers;
-        eopts.maxFailures = opts.maxFailures;
-        eopts.hangTimeoutSec = opts.hangTimeoutSec;
-        eopts.pollIntervalSec = opts.pollIntervalSec;
-        eopts.backoff = opts.backoff;
-        eopts.worker = opts.worker;
-        eopts.chaos = opts.chaos;
-        eopts.drainAfterLaunches = drainAfterLaunches;
-
-        ExecutorOutcome eout;
-        std::string eerr;
-        if (!runExecutor(specs, eopts, &eout, &eerr)) {
-            std::fprintf(stderr, "campaign executor failed: %s\n",
-                         eerr.c_str());
-            return kExitInfraFailure;
-        }
-        std::printf("nord-campaign[%s]: completed %llu, quarantined "
-                    "%llu, missing %llu (launched %llu, %llu chaos "
-                    "kill(s), %llu partition(s), %llu stale commit(s) "
-                    "dropped)\n",
-                    eout.execId.c_str(),
-                    static_cast<unsigned long long>(eout.completed),
-                    static_cast<unsigned long long>(eout.quarantined),
-                    static_cast<unsigned long long>(eout.missing),
-                    static_cast<unsigned long long>(eout.launches),
-                    static_cast<unsigned long long>(eout.chaosKills),
-                    static_cast<unsigned long long>(eout.partitions),
-                    static_cast<unsigned long long>(eout.staleDropped));
-        if (eout.fenced) {
-            std::fprintf(stderr,
-                         "nord-campaign[%s]: lease lost (%s); the shard "
-                         "is retried by its new owner\n",
-                         eout.execId.c_str(), eout.fenceReason.c_str());
-            return kExitLeaseLost;
-        }
-        if (eout.interrupted) {
-            std::printf("nord-campaign: drained by signal; rerun the "
-                        "same command to resume\n");
-            return kExitInterrupted;
-        }
-        if (eout.wroteReports)
-            std::printf("nord-campaign: report %s\n",
-                        eout.reportJson.c_str());
-        return eout.quarantined > 0 ? kExitGateFailure : kExitOk;
-    }
-
-    std::printf("nord-campaign: %zu points, %d workers, journal %s\n",
-                specs.size(), opts.workers,
-                (opts.outDir + "/journal.jsonl").c_str());
-
-    CampaignOutcome outcome;
+    ExecutorOutcome out;
     std::string err;
-    if (!runCampaign(specs, opts, &outcome, &err)) {
+    if (!runExecutor(specs, opts, &out, &err)) {
         std::fprintf(stderr, "campaign failed: %s\n", err.c_str());
         return kExitInfraFailure;
     }
-
-    std::printf("nord-campaign: completed %llu, quarantined %llu, "
-                "missing %llu (launched %llu worker(s), %llu chaos "
-                "kill(s))\n",
-                static_cast<unsigned long long>(outcome.completed),
-                static_cast<unsigned long long>(outcome.quarantined),
-                static_cast<unsigned long long>(outcome.missing),
-                static_cast<unsigned long long>(outcome.launches),
-                static_cast<unsigned long long>(outcome.chaosKills));
-    if (outcome.interrupted) {
+    std::printf("nord-campaign[%s]: completed %llu, quarantined %llu, "
+                "missing %llu (launched %llu, %llu chaos kill(s), %llu "
+                "partition(s), %llu stale commit(s) dropped)\n",
+                out.execId.c_str(),
+                static_cast<unsigned long long>(out.completed),
+                static_cast<unsigned long long>(out.quarantined),
+                static_cast<unsigned long long>(out.missing),
+                static_cast<unsigned long long>(out.launches),
+                static_cast<unsigned long long>(out.chaosKills),
+                static_cast<unsigned long long>(out.partitions),
+                static_cast<unsigned long long>(out.staleDropped));
+    if (out.fenced) {
+        std::fprintf(stderr,
+                     "nord-campaign[%s]: lease lost (%s); rerun to resume, "
+                     "or let another executor retry the shard\n",
+                     out.execId.c_str(), out.fenceReason.c_str());
+        return kExitLeaseLost;
+    }
+    if (out.interrupted) {
         std::printf("nord-campaign: drained by signal; rerun the same "
                     "command to resume\n");
         return kExitInterrupted;
     }
-    std::printf("nord-campaign: report %s\n", outcome.reportJson.c_str());
-    return outcome.quarantined > 0 ? kExitGateFailure : kExitOk;
+    if (out.wroteReports)
+        std::printf("nord-campaign: report %s\n", out.reportJson.c_str());
+    return out.quarantined > 0 ? kExitGateFailure : kExitOk;
 }
