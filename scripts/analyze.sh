@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Run the whole static-analysis battery -- nord-lint (hidden state and
-# side channels), nord-statecheck (state-coverage: serialize walks,
-# NORD_STATE_EXCLUDE legality, ownership declarations),
-# nord-access-graph --check (runtime ownership contracts) and clang-tidy
-# -- and print one summary table. This is the CI static-analysis job;
+# Run the whole static-analysis battery -- three analyzers: nord-lint
+# (hidden state and side channels), nord-statecheck (state-coverage:
+# serialize walks and NORD_STATE_EXCLUDE legality) and clang-tidy -- and
+# print one summary table. This is the CI static-analysis job;
 # `ctest -L static` runs the same gates through ctest.
 #
 # Usage: scripts/analyze.sh [build_dir [root]]
@@ -50,8 +49,6 @@ run_tool() {
 run_tool nord-lint nord-lint "$build/tools/nord-lint" "$root"
 run_tool nord-statecheck nord-statecheck \
     "$build/tools/nord-statecheck" "$root"
-run_tool nord-access-graph nord-access-graph \
-    "$build/tools/nord-access-graph" --design all --faults --check --quiet
 
 echo
 echo "== clang-tidy =="

@@ -10,7 +10,6 @@
 #include "ckpt/state_serializer.hh"
 #include "ni/network_interface.hh"
 #include "router/router.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -29,17 +28,9 @@ NordController::NordController(Router &router, const NocConfig &config,
 void
 NordController::requestWakeup(Cycle)
 {
-    // Decoupling bypass transports the packet instead; no wakeup needed,
-    // but the requester still touched the WU wire.
-    access::onWrite(this, ChannelKind::kWakeup);
+    // Decoupling bypass transports the packet instead; no wakeup needed.
 }
 
-void
-NordController::declareOwnership(OwnershipDeclarator &d) const
-{
-    PgController::declareOwnership(d);
-    d.reads(&ni_, ChannelKind::kNiObserve);
-}
 
 int
 NordController::windowSum() const
@@ -65,7 +56,6 @@ NordController::policy(Cycle now)
         // flows are still live there. The sleep guard is asymmetric like
         // the wakeup threshold: power-centric routers gate almost
         // immediately, performance-centric routers linger.
-        access::onRead(&ni_, ChannelKind::kNiObserve);
         if (sleepAllowed(now) && ni_.bypassQuiescent() && wasEmpty_ &&
             now - emptySince_ >= static_cast<Cycle>(sleepGuard_)) {
             beginSleep(now);
@@ -75,7 +65,6 @@ NordController::policy(Cycle now)
         }
         break;
       case PowerState::kOff:
-        access::onRead(&ni_, ChannelKind::kNiObserve);
         pushSample(ni_.vcRequestsThisCycle());
         if (windowSum_ >= threshold_)
             tryBeginWakeup(now);
@@ -102,7 +91,6 @@ NordController::deadPolicy(Cycle now)
 {
     // Gate off as soon as the datapath and bypass have drained; once off,
     // never wake again. The bypass ring keeps the node reachable.
-    access::onRead(&ni_, ChannelKind::kNiObserve);
     if (state_ == PowerState::kOn && sleepAllowed(now) &&
         ni_.bypassQuiescent()) {
         beginSleep(now);

@@ -55,9 +55,6 @@ class NordController : public PgController
     /** Checkpoint hook: base FSM plus the sliding VC-request window. */
     void serializeState(StateSerializer &s) override;
 
-    /** Shard-safety contract: base plus the NI wakeup-metric reads. */
-    void declareOwnership(OwnershipDeclarator &d) const override;
-
   protected:
     void policy(Cycle now) override;
 

@@ -10,7 +10,6 @@
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 #include "network/noc_system.hh"
-#include "verify/access/access_tracker.hh"
 #include "verify/invariant_auditor.hh"
 
 namespace nord {
@@ -133,12 +132,5 @@ FaultInjector::serializeState(StateSerializer &s)
     s.io(counts_.dead);
 }
 
-void
-FaultInjector::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("fault schedule cursor, transient RNG stream, tallies");
-    d.writesAny();
-    d.readsAny();
-}
 
 }  // namespace nord

@@ -79,14 +79,6 @@ class FaultInjector : public Clocked
      */
     void serializeState(StateSerializer &s);
 
-    /**
-     * Shard-safety contract: fault injection deliberately reaches into any
-     * component ("a glitch on the wire"), so the injector is a declared
-     * wildcard writer -- the one component a per-shard kernel would have
-     * to serialize against everything else.
-     */
-    void declareOwnership(OwnershipDeclarator &d) const override;
-
   private:
     void dispatchScheduled(Cycle now);
     void injectTransients(Cycle now);

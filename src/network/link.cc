@@ -8,7 +8,6 @@
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 #include "router/router.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -21,7 +20,6 @@ FlitLink::FlitLink(Router *dst, Direction inPort, PoolArena *arena)
 void
 FlitLink::push(const Flit &flit, Cycle due)
 {
-    access::onWrite(this, ChannelKind::kFlitPush);
     // A link is one flit wide: serialize in push order. This also keeps
     // FIFO when a fast bypass re-injection follows a slower pipeline
     // traversal onto the same wire around a power-state transition.
@@ -62,7 +60,6 @@ FlitLink::forEachInFlight(const std::function<void(const Flit &)> &fn) const
 bool
 FlitLink::injectFlitDrop()
 {
-    access::onWrite(this, ChannelKind::kFault);
     if (queue_.empty())
         return false;
     queue_.pop_front();
@@ -72,7 +69,6 @@ FlitLink::injectFlitDrop()
 bool
 FlitLink::injectTransientFault(bool destroyFraming, std::uint64_t xorMask)
 {
-    access::onWrite(this, ChannelKind::kFault);
     if (queue_.empty())
         return false;
     Flit &f = queue_.front().flit;
@@ -97,12 +93,6 @@ FlitLink::serializeState(StateSerializer &s)
     s.io(traversals_);
 }
 
-void
-FlitLink::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("in-flight flit delay line");
-    d.writes(dst_, ChannelKind::kFlitDeliver, Visibility::kSameCycle);
-}
 
 std::string
 FlitLink::name() const
@@ -119,7 +109,6 @@ CreditLink::CreditLink(Router *dst, Direction outPort, PoolArena *arena)
 void
 CreditLink::push(VcId vc, Cycle due)
 {
-    access::onWrite(this, ChannelKind::kCreditPush);
     NORD_ASSERT(queue_.empty() || queue_.back().due <= due,
                 "credit link reordering");
     queue_.push_back({vc, due});
@@ -156,12 +145,6 @@ CreditLink::serializeState(StateSerializer &s)
     });
 }
 
-void
-CreditLink::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("in-flight credit delay line");
-    d.writes(dst_, ChannelKind::kCreditDeliver, Visibility::kSameCycle);
-}
 
 std::string
 CreditLink::name() const

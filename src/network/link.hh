@@ -49,8 +49,6 @@ class FlitLink : public Clocked
     /** An empty delay line has nothing to deliver. */
     bool quiescent() const override { return queue_.empty(); }
 
-    const char *kindName() const override { return "link"; }
-
     /** True when no flit is in flight. */
     bool empty() const { return queue_.empty(); }
 
@@ -98,9 +96,6 @@ class FlitLink : public Clocked
     /** Checkpoint hook: in-flight flits and the traversal counter. */
     void serializeState(StateSerializer &s);
 
-    /** Shard-safety contract: delay line feeding one router input port. */
-    void declareOwnership(OwnershipDeclarator &d) const override;
-
     std::string name() const override;
 
   private:
@@ -141,8 +136,6 @@ class CreditLink : public Clocked
     /** An empty delay line has nothing to deliver. */
     bool quiescent() const override { return queue_.empty(); }
 
-    const char *kindName() const override { return "link"; }
-
     /** True when no credit is in flight. */
     bool empty() const { return queue_.empty(); }
 
@@ -158,9 +151,6 @@ class CreditLink : public Clocked
 
     /** Checkpoint hook: in-flight credits. */
     void serializeState(StateSerializer &s);
-
-    /** Shard-safety contract: delay line feeding one output port. */
-    void declareOwnership(OwnershipDeclarator &d) const override;
 
     std::string name() const override;
 

@@ -79,16 +79,6 @@ struct VerifyConfig
      * moving without delivering, e.g. lapping the bypass ring forever.
      */
     Cycle maxFlitAge = 50000;
-
-    /**
-     * Record every cross-component access into an AccessTracker (see
-     * verify/access/): the shard-safety analysis behind the planned
-     * parallel kernel. Observational only -- the tracker never perturbs
-     * simulation state and is excluded from checkpoints and the config
-     * fingerprint, so tracked and untracked runs are bit-identical and
-     * checkpoint-compatible.
-     */
-    bool trackAccess = false;
 };
 
 /**
@@ -104,8 +94,7 @@ struct PerfConfig
     /**
      * Idle-component event skipping: quiescent routers/links drop off the
      * kernel's active list and advance in O(1) until a producer wakes
-     * them (Clocked::kernelWake). Ignored while an AccessTracker is
-     * attached.
+     * them (Clocked::kernelWake).
      */
     bool skipIdle = true;
 

@@ -12,7 +12,6 @@
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 #include "core/nord_controller.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -50,58 +49,15 @@ NocSystem::NocSystem(const NocConfig &config)
                     if (nb != kInvalidNode)
                         routers_[nb]->kernelWake();
                 }
-                if (sweep) {
-                    // A transition-triggered sweep reads (and under
-                    // kRecover repairs) arbitrary components; attribute
-                    // those accesses to the wildcard auditor, not to the
-                    // controller whose transition fired the sweep.
-                    access::onWrite(auditor_.get(), ChannelKind::kAudit);
-                    access::Handoff handoff(auditor_.get());
+                if (sweep)
                     auditor_->onPowerTransition(now, from, to);
-                }
             });
     }
     kernel_.setSkipEnabled(config_.perf.skipIdle);
-    if (config_.verify.trackAccess) {
-        accessTracker_ = std::make_unique<AccessTracker>();
-        kernel_.setAccessTracker(accessTracker_.get());
-    }
     registerAll();
-    if (accessTracker_) {
-        accessTracker_->collectDeclarations();
-        // System-level channels the components cannot name themselves:
-        // the workload ticker injects into any NI (delivery-triggered
-        // injections make the ordering root-dependent, hence kAny), NIs
-        // report deliveries back to the ticker's workload, and any
-        // controller transition may fire an auditor sweep.
-        for (auto &ni : nis_) {
-            accessTracker_->declareChannel(&ticker_, ni.get(),
-                                           ChannelKind::kInjection,
-                                           AccessMode::kWrite,
-                                           Visibility::kAny);
-            accessTracker_->declareChannel(ni.get(), &ticker_,
-                                           ChannelKind::kDelivery,
-                                           AccessMode::kWrite,
-                                           Visibility::kNextCycle);
-        }
-        for (auto &c : controllers_) {
-            accessTracker_->declareChannel(c.get(), auditor_.get(),
-                                           ChannelKind::kAudit,
-                                           AccessMode::kWrite,
-                                           Visibility::kAny);
-        }
-    }
 }
 
 NocSystem::~NocSystem() = default;
-
-void
-NocSystem::WorkloadTicker::declareOwnership(OwnershipDeclarator &d) const
-{
-    // Injection into NIs and the delivery channel back are declared by
-    // NocSystem via declareChannel (the ticker cannot name the NIs here).
-    d.owns("attached workload state and cursor");
-}
 
 void
 NocSystem::buildRouters()
@@ -122,15 +78,8 @@ NocSystem::buildRouters()
         nis_[id]->setPolicy(&policy_);
         nis_[id]->setDeliveryCallback(
             [this](const Flit &tail, Cycle now) {
-                if (workload_) {
-                    // The workload runs in the ticker's domain; a
-                    // closed-loop reaction (e.g. an immediate reply
-                    // injection) must not be attributed to the
-                    // delivering NI.
-                    access::onWrite(&ticker_, ChannelKind::kDelivery);
-                    access::Handoff handoff(&ticker_);
+                if (workload_)
                     workload_->onDelivery(tail, now);
-                }
             });
     }
 }

@@ -47,7 +47,6 @@
 
 namespace nord {
 
-class AccessTracker;
 class StateSerializer;
 
 /**
@@ -129,19 +128,6 @@ class NocSystem
 
     /** Fault-campaign engine (null unless config.fault.enabled). */
     const FaultInjector *injector() const { return injector_.get(); }
-
-    /**
-     * Cross-component access tracker (null unless
-     * config.verify.trackAccess). Records every component-boundary
-     * read/write per cycle; AccessTracker::verify() then proves the
-     * observed dataflow against the declared ownership contracts -- the
-     * shard-safety analysis for the planned parallel kernel.
-     */
-    AccessTracker *accessTracker() { return accessTracker_.get(); }
-    const AccessTracker *accessTracker() const
-    {
-        return accessTracker_.get();
-    }
 
     /**
      * Permanently fail router @p id right now (same effect as a scheduled
@@ -239,7 +225,6 @@ class NocSystem
                 sys_.workload_->tick(now);
         }
         std::string name() const override { return "workload"; }
-        void declareOwnership(OwnershipDeclarator &d) const override;
 
       private:
         NocSystem &sys_;
@@ -280,9 +265,6 @@ class NocSystem
     std::vector<std::unique_ptr<CreditLink>> creditLinks_;
     std::unique_ptr<InvariantAuditor> auditor_;
     std::unique_ptr<FaultInjector> injector_;
-    NORD_STATE_EXCLUDE(config,
-        "shard-safety instrumentation attached between runs")
-    std::unique_ptr<AccessTracker> accessTracker_;
     NORD_STATE_EXCLUDE(config, "perf-centric node set derived from config")
     std::vector<NodeId> perfCentric_;
     NORD_STATE_EXCLUDE(config,

@@ -10,7 +10,6 @@
 #include "common/trace.hh"
 #include "router/router.hh"
 #include "routing/routing_policy.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -35,20 +34,6 @@ NetworkInterface::name() const
     return "ni" + std::to_string(id_);
 }
 
-void
-NetworkInterface::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("injection/ejection queues, local-port credits, bypass latch "
-           "and stage-2/3 datapath, claimed bypass flows, E2E endpoint");
-    d.writes(router_, ChannelKind::kLocalInject, Visibility::kNextCycle);
-    d.writes(&router_->controller(), ChannelKind::kWakeup,
-             Visibility::kSameCycle);
-    d.reads(router_, ChannelKind::kRouterObserve);
-    d.reads(&router_->controller(), ChannelKind::kPowerObserve);
-    if (isNord())
-        d.writes(router_, ChannelKind::kBypassDrive,
-                 Visibility::kNextCycle);
-}
 
 void
 NetworkInterface::packetize(const PacketDescriptor &desc,
@@ -90,8 +75,6 @@ NetworkInterface::packetize(const PacketDescriptor &desc,
 void
 NetworkInterface::enqueuePacket(const PacketDescriptor &desc)
 {
-    access::onWrite(this, ChannelKind::kInjection);
-    access::Handoff handoff(this);
     NORD_ASSERT(desc.length >= 1, "packet with %d flits", desc.length);
     NORD_ASSERT(desc.src == id_, "packet source %d enqueued at NI %d",
                 desc.src, id_);
@@ -105,14 +88,12 @@ NetworkInterface::enqueuePacket(const PacketDescriptor &desc)
 void
 NetworkInterface::acceptEjection(const Flit &flit, Cycle due)
 {
-    access::onWrite(this, ChannelKind::kEjection);
     ejectQ_.emplace_back(flit, due);
 }
 
 void
 NetworkInterface::localCreditReturn(VcId vc)
 {
-    access::onWrite(this, ChannelKind::kLocalCredit);
     ++localCredits_[vc];
     NORD_DCHECK(localCredits_[vc] <= config_.bufferDepth,
                 "local credit overflow at NI %d vc %d", id_, vc);
@@ -186,16 +167,12 @@ NetworkInterface::claimForBypass(const Flit &flit)
 {
     if (!isNord())
         return false;
-    access::onWrite(this, ChannelKind::kBypassLatch);
-    access::Handoff handoff(this);
     // A bypass flow is one packet traversal on one input VC: a misrouted
     // packet may lap the ring and revisit this router on another VC while
     // flits of the earlier visit are still draining, so the packet id
     // alone would be ambiguous.
     const std::uint64_t key = flowKey(flit);
     if (flitIsHead(flit)) {
-        access::onRead(&router_->controller(),
-                       ChannelKind::kPowerObserve);
         const bool claim = router_->powerState() != PowerState::kOn;
         if (claim && !flitIsTail(flit))
             claimed_.insert(key);
@@ -214,8 +191,6 @@ NetworkInterface::claimForBypass(const Flit &flit)
 void
 NetworkInterface::bypassLatchWrite(const Flit &flit, Cycle now)
 {
-    access::onWrite(this, ChannelKind::kBypassLatch);
-    access::Handoff handoff(this);
     const int slot = flit.vc;
     NORD_DCHECK(slot >= 0 && slot < config_.numVcs, "bad latch slot %d",
                 slot);
@@ -230,7 +205,6 @@ NetworkInterface::bypassLatchWrite(const Flit &flit, Cycle now)
     // Aggressive bypass (Section 6.8): with an empty datapath the flit
     // may be served in the same cycle it is latched (the NI evaluates
     // after link delivery), cutting the bypass to a single cycle.
-    access::onRead(&router_->controller(), ChannelKind::kPowerObserve);
     const bool aggressive = config_.nordAggressiveBypass &&
         latchOccupancy_ == 0 && stage3_.empty() && injectQ_.empty() &&
         router_->powerState() != PowerState::kOn;
@@ -242,7 +216,6 @@ NetworkInterface::bypassLatchWrite(const Flit &flit, Cycle now)
 void
 NetworkInterface::enableBypass(Cycle)
 {
-    access::onWrite(this, ChannelKind::kBypassControl);
     NORD_ASSERT(bypassQuiescent(),
                 "NI %d: bypass enabled while previous flows live", id_);
 }
@@ -250,7 +223,6 @@ NetworkInterface::enableBypass(Cycle)
 void
 NetworkInterface::beginBypassDrain(Cycle)
 {
-    access::onWrite(this, ChannelKind::kBypassControl);
     // Remaining bypass flows finish through the bypass datapath; the
     // router pipeline stays off the Bypass Outport until quiescent.
 }
@@ -304,7 +276,6 @@ NetworkInterface::forEachPendingFlit(
 bool
 NetworkInterface::stage3Pending(Cycle now) const
 {
-    access::onRead(this, ChannelKind::kNiObserve);
     // Credits were reserved in stage 2, so a staged flit always sends.
     return !stage3_.empty() && stage3_.front().forwardReady <= now;
 }
@@ -453,7 +424,6 @@ NetworkInterface::serveLocalBypass(Cycle now)
         return true;
     }
 
-    access::onRead(&router_->controller(), ChannelKind::kPowerObserve);
     if (router_->powerState() == PowerState::kOn)
         return false;  // use the normal injection path
 
@@ -527,9 +497,6 @@ NetworkInterface::bypassStage2(Cycle now)
         if (!sinks)
             ++vcRequests_;
     }
-    if (!injectQ_.empty())
-        access::onRead(&router_->controller(),
-                       ChannelKind::kPowerObserve);
     const bool localWants = !injectQ_.empty() &&
         (localBypassActive_ || router_->powerState() != PowerState::kOn);
     if (localWants && injectQ_.front().dst != id_)
@@ -568,7 +535,6 @@ NetworkInterface::normalInjection(Cycle now)
 {
     if (injectQ_.empty())
         return;
-    access::onRead(&router_->controller(), ChannelKind::kPowerObserve);
     if (isNord()) {
         if (router_->powerState() != PowerState::kOn || localBypassActive_)
             return;  // handled by the bypass datapath

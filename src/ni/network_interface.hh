@@ -68,13 +68,9 @@ class NetworkInterface : public Clocked
 
     void tick(Cycle now) override;
 
-    /**
-     * NIs are never skipped: vcRequestsThisCycle() is a per-cycle signal
-     * the NordController samples, and the E2E endpoint runs retransmit
-     * timers. Clocked's default (never quiescent) stands; this kindName
-     * is for perf attribution only.
-     */
-    const char *kindName() const override { return "ni"; }
+    // NIs are never skipped: vcRequestsThisCycle() is a per-cycle signal
+    // the NordController samples, and the E2E endpoint runs retransmit
+    // timers. Clocked's default (never quiescent) stands.
 
     // --- Node-facing interface --------------------------------------------
     /** Packetize and queue a new packet for injection. */
@@ -183,12 +179,6 @@ class NetworkInterface : public Clocked
      * and the E2E protocol endpoint when present.
      */
     void serializeState(StateSerializer &s);
-
-    /**
-     * Shard-safety contract: local injection, wakeup requests and the
-     * bypass drive into the attached router (see verify/access/).
-     */
-    void declareOwnership(OwnershipDeclarator &d) const override;
 
   private:
     struct LatchEntry

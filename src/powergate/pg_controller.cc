@@ -9,7 +9,6 @@
 #include "common/log.hh"
 #include "router/router.hh"
 #include "stats/network_stats.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -25,18 +24,10 @@ PgController::name() const
     return "pg" + std::to_string(router_.id());
 }
 
-void
-PgController::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("power-state FSM, residency counters, wakeup bookkeeping");
-    d.writes(&router_, ChannelKind::kPowerSignal, Visibility::kNextCycle);
-    d.reads(&router_, ChannelKind::kRouterObserve);
-}
 
 void
 PgController::requestWakeup(Cycle now)
 {
-    access::onWrite(this, ChannelKind::kWakeup);
     if (state_ != PowerState::kOn) {
         if (!wakeRequested_)
             wakePendingSince_ = now;
@@ -47,8 +38,6 @@ PgController::requestWakeup(Cycle now)
 void
 PgController::injectForcedOff(Cycle now)
 {
-    access::onWrite(this, ChannelKind::kFault);
-    access::Handoff handoff(this);
     if (state_ == PowerState::kOff)
         return;
     const PowerState from = state_;
@@ -138,7 +127,6 @@ void
 PgController::tick(Cycle now)
 {
     // Track the length of the current empty run for sleep-guard policies.
-    access::onRead(&router_, ChannelKind::kRouterObserve);
     bool empty = router_.datapathEmpty();
     if (empty && !wasEmpty_)
         emptySince_ = now;
@@ -206,7 +194,6 @@ void
 NoPgController::requestWakeup(Cycle)
 {
     // Requesters still drive the WU wire; it just has no effect here.
-    access::onWrite(this, ChannelKind::kWakeup);
 }
 
 ConvPgController::ConvPgController(Router &router, const NocConfig &config,

@@ -113,20 +113,14 @@ class PgController : public Clocked
 
     std::string name() const override;
 
-    /** Controllers are always-on hardware: never skipped. */
-    const char *kindName() const override { return "controller"; }
+    // Controllers are always-on hardware: never skipped, so Clocked's
+    // default (never quiescent) stands.
 
     /**
      * Checkpoint hook: the power FSM and wakeup bookkeeping. Subclasses
      * with policy state (NordController's sliding window) extend it.
      */
     virtual void serializeState(StateSerializer &s);
-
-    /**
-     * Shard-safety contract: the sleep signal into the router plus the
-     * emptiness observation it is derived from (see verify/access/).
-     */
-    void declareOwnership(OwnershipDeclarator &d) const override;
 
   protected:
     /** Policy hook, called once per cycle after residency accounting. */

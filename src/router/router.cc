@@ -11,7 +11,6 @@
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "ni/network_interface.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -41,39 +40,6 @@ Router::name() const
     return "router" + std::to_string(id_);
 }
 
-void
-Router::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("input VC buffers and FSMs, output credits and VC holds, "
-           "allocator round-robin pointers, cached neighbor power views");
-    for (int i = 0; i < kNumMeshDirs; ++i) {
-        const OutputPort &op = outputs_[i];
-        if (op.link != nullptr)
-            d.writes(op.link, ChannelKind::kFlitPush, Visibility::kAny);
-        if (op.neighbor != nullptr) {
-            d.writes(&op.neighbor->controller(), ChannelKind::kWakeup,
-                     Visibility::kSameCycle);
-            d.reads(&op.neighbor->controller(), ChannelKind::kPowerObserve);
-            d.reads(op.neighbor, ChannelKind::kRouterObserve);
-        }
-        const InputPort &ip = inputs_[i];
-        if (ip.creditReturn != nullptr)
-            d.writes(ip.creditReturn, ChannelKind::kCreditPush,
-                     Visibility::kAny);
-        if (ip.inLink != nullptr)
-            d.reads(ip.inLink, ChannelKind::kRouterObserve);
-    }
-    d.writes(ni_, ChannelKind::kEjection, Visibility::kAny);
-    d.writes(ni_, ChannelKind::kLocalCredit, Visibility::kSameCycle);
-    d.reads(ni_, ChannelKind::kNiObserve);
-    d.reads(controller_, ChannelKind::kPowerObserve);
-    if (config_.design == PgDesign::kNord) {
-        // Gated-off redirect into the NI latch (the flit never enters the
-        // pipeline) and the sleep/wake-driven bypass enable/drain.
-        d.writes(ni_, ChannelKind::kBypassLatch, Visibility::kSameCycle);
-        d.writes(ni_, ChannelKind::kBypassControl, Visibility::kNextCycle);
-    }
-}
 
 void
 Router::connectOutput(Direction d, Router *neighbor, FlitLink *link)
@@ -131,13 +97,9 @@ Router::allCreditsHome(Direction d) const
 bool
 Router::icIncoming(Cycle now) const
 {
-    access::onRead(this, ChannelKind::kRouterObserve);
-    access::Handoff handoff(this);
     for (int d = 0; d < kNumMeshDirs; ++d) {
         const Direction dir = indexDir(d);
         const Router *nb = outputs_[d].neighbor;
-        if (nb)
-            access::onRead(nb, ChannelKind::kRouterObserve);
         if (nb && nb->icUntil(opposite(dir)) >= now)
             return true;
         // A neighbor holding any credit of ours has committed (or may
@@ -145,8 +107,6 @@ Router::icIncoming(Cycle now) const
         if (nb && !nb->allCreditsHome(opposite(dir)))
             return true;
         const FlitLink *inLink = inputs_[d].inLink;
-        if (inLink)
-            access::onRead(inLink, ChannelKind::kRouterObserve);
         if (inLink && !inLink->empty())
             return true;
     }
@@ -193,14 +153,12 @@ Router::forEachBufferedFlit(
 void
 Router::injectCreditLeak(Direction outPort, VcId vc)
 {
-    access::onWrite(this, ChannelKind::kFault);
     --outputs_[dirIndex(outPort)].credits[vc];
 }
 
 void
 Router::repairCredits(Direction outPort, VcId vc, int count)
 {
-    access::onWrite(this, ChannelKind::kRepair);
     OutputPort &op = outputs_[dirIndex(outPort)];
     op.credits[vc] += count;
     NORD_ASSERT(op.credits[vc] <= config_.bufferDepth,
@@ -235,8 +193,6 @@ Router::eatFlit(Direction inPort, const Flit &flit, Cycle now)
 void
 Router::acceptFlit(Direction inPort, const Flit &arrived, Cycle now)
 {
-    access::onWrite(this, ChannelKind::kFlitDeliver);
-    access::Handoff handoff(this);
     kernelWake();
     emptyAfterTick_ = false;
     Flit flit = arrived;
@@ -288,7 +244,6 @@ Router::acceptFlit(Direction inPort, const Flit &arrived, Cycle now)
 void
 Router::acceptCredit(Direction outPort, VcId vc, Cycle)
 {
-    access::onWrite(this, ChannelKind::kCreditDeliver);
     OutputPort &op = outputs_[dirIndex(outPort)];
     ++op.credits[vc];
     NORD_DCHECK(op.credits[vc] <= config_.bufferDepth,
@@ -299,8 +254,6 @@ Router::acceptCredit(Direction outPort, VcId vc, Cycle)
 void
 Router::enqueueLocal(const Flit &flit, Cycle)
 {
-    access::onWrite(this, ChannelKind::kLocalInject);
-    access::Handoff handoff(this);
     kernelWake();
     emptyAfterTick_ = false;
     NORD_ASSERT(powerState() == PowerState::kOn,
@@ -316,7 +269,6 @@ Router::enqueueLocal(const Flit &flit, Cycle)
 bool
 Router::localVcIdle(VcId vc) const
 {
-    access::onRead(this, ChannelKind::kRouterObserve);
     const auto &v = inputs_[dirIndex(Direction::kLocal)].vcs[vc];
     return v.state == VcState::kIdle && v.buffer.empty();
 }
@@ -324,8 +276,6 @@ Router::localVcIdle(VcId vc) const
 void
 Router::onSleep(Cycle now)
 {
-    access::onWrite(this, ChannelKind::kPowerSignal);
-    access::Handoff handoff(this);
     NORD_ASSERT(datapathEmpty(), "router %d gated off while non-empty",
                 id_);
     if (config_.design == PgDesign::kNord)
@@ -335,8 +285,6 @@ Router::onSleep(Cycle now)
 void
 Router::onWake(Cycle now)
 {
-    access::onWrite(this, ChannelKind::kPowerSignal);
-    access::Handoff handoff(this);
     if (config_.design == PgDesign::kNord)
         ni_->beginBypassDrain(now);
 }
@@ -349,8 +297,6 @@ Router::observeNeighborPower(Cycle)
         OutputPort &op = outputs_[d];
         if (!op.neighbor)
             continue;
-        access::onRead(&op.neighbor->controller(),
-                       ChannelKind::kPowerObserve);
         const bool pg = op.neighbor->pgAsserted();
         if (pg == op.gatedView)
             continue;
@@ -430,7 +376,6 @@ Router::outputAllocatable(Direction) const
 VcId
 Router::bypassAllocOutVc(VcClass cls, int escLevel)
 {
-    access::onWrite(this, ChannelKind::kBypassDrive);
     OutputPort &op = outputs_[dirIndex(ring_.bypassOutport(id_))];
     VcId first;
     VcId last;
@@ -457,7 +402,6 @@ Router::bypassAllocOutVc(VcClass cls, int escLevel)
 bool
 Router::bypassCreditAvailable(VcId outVc) const
 {
-    access::onRead(this, ChannelKind::kRouterObserve);
     const OutputPort &op = outputs_[dirIndex(ring_.bypassOutport(id_))];
     return op.credits[outVc] > 0;
 }
@@ -465,7 +409,6 @@ Router::bypassCreditAvailable(VcId outVc) const
 void
 Router::bypassReserveCredit(VcId outVc)
 {
-    access::onWrite(this, ChannelKind::kBypassDrive);
     OutputPort &op = outputs_[dirIndex(ring_.bypassOutport(id_))];
     --op.credits[outVc];
     NORD_DCHECK(op.credits[outVc] >= 0, "negative bypass credits at %d",
@@ -475,8 +418,6 @@ Router::bypassReserveCredit(VcId outVc)
 void
 Router::bypassSendFlit(Flit flit, VcId outVc, Cycle now)
 {
-    access::onWrite(this, ChannelKind::kBypassDrive);
-    access::Handoff handoff(this);
     OutputPort &op = outputs_[dirIndex(ring_.bypassOutport(id_))];
     // The credit was reserved in stage 2.
     flit.vc = outVc;
@@ -494,8 +435,6 @@ Router::bypassSendFlit(Flit flit, VcId outVc, Cycle now)
 void
 Router::bypassCreditReturn(VcId slot, Cycle now)
 {
-    access::onWrite(this, ChannelKind::kBypassDrive);
-    access::Handoff handoff(this);
     CreditLink *cl =
         inputs_[dirIndex(ring_.bypassInport(id_))].creditReturn;
     NORD_ASSERT(cl != nullptr, "no credit return on bypass inport of %d",
@@ -751,9 +690,6 @@ Router::routeNewHeads(Cycle now)
                     Direction target = req.adaptive.empty()
                         ? req.escapeDir : req.adaptive.front().dir;
                     Router *nb = outputs_[dirIndex(target)].neighbor;
-                    if (nb)
-                        access::onRead(&nb->controller(),
-                                       ChannelKind::kPowerObserve);
                     if (nb && nb->pgAsserted())
                         nb->controller().requestWakeup(now);
                 }

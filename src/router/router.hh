@@ -121,8 +121,6 @@ class Router : public Clocked
      */
     bool quiescent() const override;
 
-    const char *kindName() const override { return "router"; }
-
     // --- Link-facing interface ----------------------------------------------
     /**
      * A flit finished LT into @p inPort. When the router is bypassing
@@ -301,12 +299,6 @@ class Router : public Clocked
      * pointers, output credit counters / VC holds / cached neighbor views.
      */
     void serializeState(StateSerializer &s);
-
-    /**
-     * Shard-safety contract: the channels this router writes/reads on its
-     * links, neighbors, NI and power controller (see verify/access/).
-     */
-    void declareOwnership(OwnershipDeclarator &d) const override;
 
     /**
      * Verify resource-conservation invariants for a drained network:

@@ -14,7 +14,6 @@
 
 namespace nord {
 
-class OwnershipDeclarator;
 class SimKernel;
 
 /**
@@ -37,16 +36,6 @@ class Clocked
     virtual std::string name() const = 0;
 
     /**
-     * Declare the state domain this component owns and the channels it
-     * uses to touch other components (see verify/access/). The default
-     * declares nothing: fine for self-contained components (test probes),
-     * required reading for anything that participates in the network
-     * dataflow -- undeclared cross-component writes fail the shard-safety
-     * audit.
-     */
-    virtual void declareOwnership(OwnershipDeclarator &) const {}
-
-    /**
      * True when ticking this component right now would be a provable
      * no-op: no buffered work, no pending protocol obligations, nothing
      * that advances on an empty cycle. A quiescent component may be
@@ -58,12 +47,6 @@ class Clocked
      * skip list keep their per-cycle tick unchanged.
      */
     virtual bool quiescent() const { return false; }
-
-    /**
-     * Coarse component kind for per-subsystem perf attribution
-     * ("router", "ni", "link", "controller", "other").
-     */
-    virtual const char *kindName() const { return "other"; }
 
     /**
      * Re-arm this component in its kernel's active list. Safe to call at

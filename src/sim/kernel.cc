@@ -9,7 +9,6 @@
 
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -30,21 +29,6 @@ SimKernel::add(Clocked *obj)
     objects_.push_back(obj);
     active_.push_back(1);
     activeIdx_.push_back(objects_.size() - 1);
-    if (tracker_ != nullptr)
-        tracker_->registerComponent(obj);
-}
-
-void
-SimKernel::setAccessTracker(AccessTracker *tracker)
-{
-    tracker_ = tracker;
-    if (tracker_ != nullptr) {
-        for (Clocked *obj : objects_)
-            tracker_->registerComponent(obj);
-    }
-    // Attachment toggles effective skipping either way; make sure no
-    // component is stranded off the list with pending work.
-    wakeAll();
 }
 
 void
@@ -95,17 +79,7 @@ SimKernel::isActive(const Clocked *obj) const
 void
 SimKernel::stepOne()
 {
-    if (tracker_ != nullptr) {
-        // Audited walk: full pass, no skipping, bracketed per component.
-        for (Clocked *obj : objects_) {
-            tracker_->beginTick(obj, now_);
-            obj->tick(now_);
-            tracker_->endTick();
-        }
-        tickedLast_ = objects_.size();
-        skippedLast_ = 0;
-        tickedTotal_ += tickedLast_;
-    } else if (!skipEnabled_) {
+    if (!skipEnabled_) {
         for (Clocked *obj : objects_)
             obj->tick(now_);
         tickedLast_ = objects_.size();

@@ -16,7 +16,6 @@
 
 namespace nord {
 
-class AccessTracker;
 class StateSerializer;
 
 /**
@@ -31,8 +30,7 @@ class StateSerializer;
  * cursor lands next cycle (a serial tick this cycle would have been a
  * no-op -- the component was quiescent before the event), a wake for a
  * later slot is ticked this same cycle, exactly as the serial kernel
- * would. Skipping is disabled while an AccessTracker is attached so the
- * ownership audit always sees the full per-cycle walk.
+ * would.
  */
 class SimKernel
 {
@@ -44,14 +42,6 @@ class SimKernel
 
     /** Register a component; evaluation follows registration order. */
     void add(Clocked *obj);
-
-    /**
-     * Attach a cross-component access tracker (verify/access/). Must be
-     * set before components are registered so the tracker sees them in
-     * kernel order; pass nullptr to detach. The tracker is observational:
-     * it never changes evaluation order or timing.
-     */
-    void setAccessTracker(AccessTracker *tracker);
 
     /** Current cycle (the cycle being, or about to be, evaluated). */
     Cycle now() const { return now_; }
@@ -72,8 +62,7 @@ class SimKernel
 
     /**
      * Enable/disable idle-component skipping. Disabling (or enabling)
-     * re-activates everything so no pending work is stranded. Skipping
-     * is further suppressed while an AccessTracker is attached.
+     * re-activates everything so no pending work is stranded.
      */
     void setSkipEnabled(bool enabled);
     bool skipEnabled() const { return skipEnabled_; }
@@ -99,14 +88,10 @@ class SimKernel
 
     void stepOne();
     void wake(std::size_t slot);
-    bool skippingNow() const { return skipEnabled_ && tracker_ == nullptr; }
 
     NORD_STATE_EXCLUDE(config,
         "component registry; rebuilt by NocSystem::registerAll")
     std::vector<Clocked *> objects_;
-    NORD_STATE_EXCLUDE(config,
-        "shard-safety instrumentation wired in between runs")
-    AccessTracker *tracker_ = nullptr;
     Cycle now_ = 0;
 
     // Active list: sorted slot indices + per-slot flags. cursor_ indexes

@@ -10,7 +10,6 @@
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 #include "network/noc_system.hh"
-#include "verify/access/access_tracker.hh"
 
 namespace nord {
 
@@ -673,12 +672,5 @@ InvariantAuditor::serializeState(StateSerializer &s)
     s.io(stallReported_);
 }
 
-void
-InvariantAuditor::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("recorded violations, leak expectations, watchdog state");
-    d.readsAny();
-    d.writesAny();  // kRecover repairs credits in place
-}
 
 }  // namespace nord

@@ -151,14 +151,6 @@ class InvariantAuditor : public Clocked
      */
     void serializeState(StateSerializer &s);
 
-    /**
-     * Shard-safety contract: sweeps read every component (wildcard
-     * reader), and the kRecover policy may repair credits in any router
-     * (wildcard writer). Like the FaultInjector, the auditor is a
-     * barrier component under a per-shard kernel.
-     */
-    void declareOwnership(OwnershipDeclarator &d) const override;
-
   private:
     // Individual invariant families.
     void checkFlitConservation(Cycle now);

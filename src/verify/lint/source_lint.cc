@@ -582,14 +582,6 @@ checkClockedContract(const std::string &path, const std::string &original,
                                " has no serializeState: its state would "
                                "silently vanish from checkpoints"});
         }
-        if (body.find("declareOwnership") == std::string::npos &&
-            !allowedAt(original, line, "clocked-ownership",
-                       "clocked-contract", 4)) {
-            out.push_back({path, line, "clocked-ownership",
-                           "Clocked subclass " + name +
-                               " has no declareOwnership: it is invisible "
-                               "to the shard-safety access analysis"});
-        }
     }
 }
 

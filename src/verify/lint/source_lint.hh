@@ -1,11 +1,10 @@
 /**
  * @file
- * nord-lint: the static source pass behind the shard-safety analysis.
+ * nord-lint: a static source pass against hidden state.
  *
- * The runtime AccessTracker (verify/access/) proves that *component*
- * state only crosses shard boundaries through declared channels. This
- * pass closes the remaining hole: *hidden* process-global state that no
- * component owns. It scans the C++ sources themselves and bans
+ * Component state is checkpointed and hashed; this pass guards what no
+ * component owns: *hidden* process-global state and nondeterminism. It
+ * scans the C++ sources themselves and bans
  *
  *  - mutable-static: non-const, non-thread_local function-local or
  *    namespace-scope `static` variables in src/ (each one is a data race
@@ -21,8 +20,7 @@
  *    channel is enumerable);
  *  - determinism: libc rand()/srand(), std::random_device and wall-clock
  *    time() anywhere in src/tools/bench/examples/tests except the
- *    seeded generator src/common/rng.* (absorbed from the retired
- *    scripts/determinism_lint.sh);
+ *    seeded generator src/common/rng.*;
  *  - flit-heap: a direct new-expression of Flit or PacketDescriptor in
  *    src/ outside the arena itself (src/common/arena.*) -- flit/packet
  *    storage goes through arena-backed containers so the hot path never
@@ -32,8 +30,8 @@
  *    src/campaign/ -- an ignored I/O result there is how a "durable"
  *    journal silently loses its tail on a full disk;
  *  - clocked-contract: every class deriving directly from Clocked in a
- *    src/ header must declare both serializeState (checkpointable) and
- *    declareOwnership (shard-safety contract).
+ *    src/ header must declare serializeState (checkpointable); a
+ *    missing one is reported as clocked-serialize.
  *
  * A finding on line N is suppressed by `// nord-lint-allow(<check>)` on
  * line N or one of the two lines above it. The engine is std-only so the

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,6 @@ const char kRuleExcludeButSerialized[] = "exclude-but-serialized";
 const char kRuleBadExcludeCategory[] = "bad-exclude-category";
 const char kRuleDanglingExclude[] = "dangling-exclude";
 const char kRuleMissingSerializeBody[] = "missing-serialize-body";
-const char kRuleUndeclaredTickMutation[] = "undeclared-tick-mutation";
-const char kRuleUndeclaredChannelUse[] = "undeclared-channel-use";
 
 namespace {
 
@@ -71,49 +68,6 @@ writtenAnywhere(const TreeModel &model,
     for (const MethodBody &mb : model.methods) {
         for (const std::string &cls : chain) {
             if (mb.cls == cls && mutatesMember(mb.text, member))
-                return true;
-        }
-    }
-    return false;
-}
-
-/** True when @p body reaches through pointer member @p name ("name->"). */
-bool
-usesPointerMember(const std::string &body, const std::string &name)
-{
-    for (size_t i = body.find(name); i != std::string::npos;
-         i = body.find(name, i + 1)) {
-        if (i > 0 && (std::isalnum(static_cast<unsigned char>(
-                          body[i - 1])) ||
-                      body[i - 1] == '_'))
-            continue;
-        size_t a = i + name.size();
-        if (a < body.size() && (std::isalnum(static_cast<unsigned char>(
-                                    body[a])) ||
-                                body[a] == '_'))
-            continue;
-        while (a < body.size() &&
-               std::isspace(static_cast<unsigned char>(body[a])))
-            ++a;
-        if (a + 1 < body.size() && body[a] == '-' && body[a + 1] == '>')
-            return true;
-        // Array of pointers: name[i]->...
-        if (a < body.size() && body[a] == '[') {
-            int depth = 0;
-            while (a < body.size()) {
-                if (body[a] == '[')
-                    ++depth;
-                else if (body[a] == ']' && --depth == 0) {
-                    ++a;
-                    break;
-                }
-                ++a;
-            }
-            while (a < body.size() &&
-                   std::isspace(static_cast<unsigned char>(body[a])))
-                ++a;
-            if (a + 1 < body.size() && body[a] == '-' &&
-                body[a + 1] == '>')
                 return true;
         }
     }
@@ -361,49 +315,6 @@ checkTree(const TreeModel &model)
                          cls.qualified + "::" + m.name +
                              ": 'config' member is mutated on the tick "
                              "path");
-                }
-            }
-        }
-
-        // Ownership-coverage for Clocked classes.
-        if (cls.clocked) {
-            const std::string ownBody =
-                methodClosure(model, cls.name, {"declareOwnership"});
-            bool tickMutates = false;
-            int mutLine = cls.line;
-            for (const MemberModel &m : cls.members) {
-                if (m.isStatic || m.isConst)
-                    continue;
-                if (!tickClosure.empty() &&
-                    mutatesMember(tickClosure, m.name)) {
-                    tickMutates = true;
-                    mutLine = m.line;
-                    break;
-                }
-            }
-            if (tickMutates && !containsWord(ownBody, "owns")) {
-                emit(out, cls.file, mutLine, kRuleUndeclaredTickMutation,
-                     cls.qualified +
-                         " mutates member state on the tick path but "
-                         "declareOwnership claims no ownership domain");
-            }
-            const bool declaresChannels =
-                containsWord(ownBody, "writes") ||
-                containsWord(ownBody, "writesAny") ||
-                containsWord(ownBody, "reads") ||
-                containsWord(ownBody, "readsAny");
-            for (const MemberModel &m : cls.members) {
-                if (!m.isPointer || m.isStatic)
-                    continue;
-                if (!tickClosure.empty() &&
-                    usesPointerMember(tickClosure, m.name) &&
-                    !declaresChannels) {
-                    emit(out, cls.file, m.line, kRuleUndeclaredChannelUse,
-                         cls.qualified + " reaches through pointer " +
-                             m.name +
-                             " on the tick path but declareOwnership "
-                             "declares no channel access");
-                    break;
                 }
             }
         }

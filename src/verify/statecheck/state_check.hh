@@ -1,16 +1,12 @@
 /**
  * @file
  * nord-statecheck rule layer: cross-check the parsed state model
- * (state_model.hh) against three ground truths.
+ * (state_model.hh) against two ground truths.
  *
  *  1. serialize-coverage: every non-static, non-const, non-reference data
  *     member of an in-scope class must appear in that class's
  *     serializeState() walk closure or carry NORD_STATE_EXCLUDE.
- *  2. ownership-coverage: a Clocked class whose tick()/commit closure
- *     mutates member state must claim an ownership domain (owns(...)),
- *     and one that reaches through component pointers on the tick path
- *     must declare channel access (writes/reads/writesAny/readsAny).
- *  3. annotation legality: each NORD_STATE_EXCLUDE category obeys its
+ *  2. annotation legality: each NORD_STATE_EXCLUDE category obeys its
  *     rule (see common/state_annotations.hh); annotations that bind to
  *     no member or name an unknown category are findings themselves.
  *
@@ -47,8 +43,6 @@ extern const char kRuleExcludeButSerialized[];
 extern const char kRuleBadExcludeCategory[];
 extern const char kRuleDanglingExclude[];
 extern const char kRuleMissingSerializeBody[];
-extern const char kRuleUndeclaredTickMutation[];
-extern const char kRuleUndeclaredChannelUse[];
 
 /** Run every rule over @p model; findings sorted by file/line. */
 std::vector<CheckFinding> checkTree(const TreeModel &model);

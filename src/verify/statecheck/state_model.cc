@@ -651,7 +651,6 @@ parseHeader(const std::string &path, const std::string &content,
             a.line = lineBase + a.line - 1;
 
         cm.declaresSerialize = containsWord(body, "serializeState");
-        cm.declaresOwnership = containsWord(body, "declareOwnership");
 
         std::vector<ParsedMember> members;
         scanClassBody(body, lineBase, rc.name, path, members, model);

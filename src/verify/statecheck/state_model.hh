@@ -3,9 +3,9 @@
  * nord-statecheck declaration parser: the per-class member model.
  *
  * NoRD's correctness stack -- bit-exact checkpoint/restore, stateHash()
- * lockstep tests, crash-resumable campaigns and the shard-safety layer --
- * silently breaks the moment a data member is added to a component and
- * forgotten in serializeState() or declareOwnership(). This parser makes
+ * lockstep tests and crash-resumable campaigns -- silently breaks the
+ * moment a data member is added to a component and forgotten in
+ * serializeState(). This parser makes
  * the state model *machine-readable*: it extracts, from the C++ headers
  * and sources themselves, for every Clocked / serializable class in src/:
  *
@@ -16,8 +16,8 @@
  *    (e.g. Router::VirtualChannel inside the VC buffer array), whose
  *    fields are checkpoint state exactly like direct members;
  *  - every out-of-line and inline member-function body, so the rule layer
- *    (state_check.hh) can compute the serializeState() walk closure, the
- *    tick()-path mutation set and the declareOwnership() contract;
+ *    (state_check.hh) can compute the serializeState() walk closure and
+ *    the tick()-path mutation set;
  *  - the external serializer walks StateSerializer::io(T&) provides for
  *    plain structs like Flit and PacketDescriptor.
  *
@@ -64,7 +64,6 @@ struct ClassModel
     int line = 0;           ///< 1-based line of the class keyword
     bool clocked = false;            ///< base clause names Clocked
     bool declaresSerialize = false;  ///< body declares serializeState
-    bool declaresOwnership = false;  ///< body declares declareOwnership
     bool nested = false;             ///< defined inside another class
     bool usedAsMemberType = false;   ///< nested + named by a member's type
     std::string outer;               ///< innermost enclosing class name

@@ -14,9 +14,3 @@ Sensor::serializeState(StateSerializer &s)
 {
     s.io(level_);
 }
-
-void
-Sensor::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("sensor");
-}

@@ -12,7 +12,6 @@ class Sensor : public Clocked
   public:
     void tick(Cycle now) override;
     void serializeState(StateSerializer &s);
-    void declareOwnership(OwnershipDeclarator &d) const;
 
   private:
     int level_ = 0;

@@ -18,10 +18,3 @@ Model::serializeState(StateSerializer &s)
         s.io(slot.age);
     }
 }
-
-void
-Model::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("model");
-    d.writes("peer", "poke");
-}

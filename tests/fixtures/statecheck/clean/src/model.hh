@@ -8,7 +8,6 @@ class Model : public Clocked
   public:
     void tick(Cycle now) override;
     void serializeState(StateSerializer &s);
-    void declareOwnership(OwnershipDeclarator &d) const;
 
   private:
     struct Slot

@@ -11,9 +11,3 @@ Stale::serializeState(StateSerializer &s)
 {
     s.io(value_);
 }
-
-void
-Stale::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("stale");
-}

@@ -9,7 +9,6 @@ class Stale : public Clocked
   public:
     void tick(Cycle now) override;
     void serializeState(StateSerializer &s);
-    void declareOwnership(OwnershipDeclarator &d) const;
 
   private:
     int value_ = 0;

@@ -11,9 +11,3 @@ Gadget::serializeState(StateSerializer &s)
 {
     s.io(credits_);
 }
-
-void
-Gadget::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("gadget");
-}

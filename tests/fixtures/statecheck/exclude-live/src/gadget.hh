@@ -9,7 +9,6 @@ class Gadget : public Clocked
   public:
     void tick(Cycle now) override;
     void serializeState(StateSerializer &s);
-    void declareOwnership(OwnershipDeclarator &d) const;
 
   private:
     NORD_STATE_EXCLUDE(stat, "claims to be a counter, but it is serialized")

@@ -7,9 +7,3 @@ Ghost::tick(Cycle now)
 }
 
 // serializeState deliberately left undefined.
-
-void
-Ghost::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("ghost");
-}

@@ -12,9 +12,3 @@ Widget::serializeState(StateSerializer &s)
 {
     s.io(count_);
 }
-
-void
-Widget::declareOwnership(OwnershipDeclarator &d) const
-{
-    d.owns("widget");
-}

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shard-safety stress tests: two NocSystems on two threads.
+ * Hidden-state stress tests: two NocSystems on two threads.
  *
  * The library's contract after the hidden-static purge: independent
  * NocSystems share NO mutable state except the mutex-guarded

@@ -456,8 +456,6 @@ TEST(StateCheckFixtures, EachPlantedViolationFiresItsRule)
           kRuleBadExcludeCategory, kRuleBadExcludeCategory}},
         {"dangling", {kRuleDanglingExclude}},
         {"missing-body", {kRuleMissingSerializeBody}},
-        {"ownership-escape",
-         {kRuleUndeclaredTickMutation, kRuleUndeclaredChannelUse}},
     };
     for (const auto &tc : kCases) {
         const std::vector<CheckFinding> fs = checkFixture(tc.dir);
@@ -642,7 +640,6 @@ exclusionRegistry()
         {"NetworkInterface::resendBuf_", Proof::kFreshRestore},
         {"NetworkInterface::router_", Proof::kTwinConstruction},
         {"NetworkStats::warmup_", Proof::kTwinConstruction},
-        {"NocSystem::accessTracker_", Proof::kTwinConstruction},
         {"NocSystem::arena_", Proof::kFreshRestore},
         {"NocSystem::config_", Proof::kTwinConstruction},
         {"NocSystem::mesh_", Proof::kTwinConstruction},
@@ -678,7 +675,6 @@ exclusionRegistry()
         {"SimKernel::skippedTotal_", Proof::kSkipToggle},
         {"SimKernel::tickedLast_", Proof::kSkipToggle},
         {"SimKernel::tickedTotal_", Proof::kSkipToggle},
-        {"SimKernel::tracker_", Proof::kTwinConstruction},
         {"SyntheticTraffic::longFraction_", Proof::kTwinConstruction},
         {"SyntheticTraffic::longLen_", Proof::kTwinConstruction},
         {"SyntheticTraffic::numNodes_", Proof::kTwinConstruction},

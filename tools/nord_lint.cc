@@ -1,6 +1,6 @@
 /**
  * @file
- * nord-lint CLI: static shard-safety / determinism lint over the source
+ * nord-lint CLI: static hidden-state / determinism lint over the source
  * tree (see src/verify/lint/source_lint.hh for the checks).
  *
  * Usage:

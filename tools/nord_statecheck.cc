@@ -7,8 +7,7 @@
  *
  * Parses every Clocked / serializable class under root/src (default: the
  * current directory) into a member model (src/verify/statecheck/) and
- * cross-checks serialize-coverage, ownership-coverage and annotation
- * legality. Prints one `file:line: [rule] message` per finding, or JSON
+ * cross-checks serialize-coverage and annotation legality. Prints one `file:line: [rule] message` per finding, or JSON
  * Lines with --json. --model dumps the parsed member model instead of
  * checking (debugging aid). Exit status: 0 clean, 1 findings, 2 usage or
  * I/O error. --check is accepted for symmetry with the other analyzers;
@@ -32,8 +31,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--check] [--json] [--model] [root]\n"
                  "  statically proves every member of a Clocked /\n"
-                 "  serializable class under root/src is serialized,\n"
-                 "  ownership-declared, or NORD_STATE_EXCLUDE-annotated\n"
+                 "  serializable class under root/src is serialized or\n"
+                 "  NORD_STATE_EXCLUDE-annotated\n"
                  "  --json   one JSON object per finding (JSON Lines)\n"
                  "  --model  dump the parsed member model and exit\n",
                  argv0);
@@ -44,10 +43,9 @@ void
 dumpModel(const nord::statecheck::TreeModel &model)
 {
     for (const nord::statecheck::ClassModel &c : model.classes) {
-        std::printf("%s:%d: %s%s%s%s%s\n", c.file.c_str(), c.line,
+        std::printf("%s:%d: %s%s%s%s\n", c.file.c_str(), c.line,
                     c.qualified.c_str(), c.clocked ? " [clocked]" : "",
                     c.declaresSerialize ? " [serialize]" : "",
-                    c.declaresOwnership ? " [ownership]" : "",
                     c.nested ? (c.usedAsMemberType ? " [member-storage]"
                                                    : " [nested]")
                              : "");
@@ -118,8 +116,8 @@ main(int argc, char **argv)
     }
     if (findings.empty()) {
         if (!json)
-            std::printf("nord-statecheck: clean (every member serialized, "
-                        "annotated, and ownership-declared)\n");
+            std::printf("nord-statecheck: clean (every member serialized "
+                        "or annotated)\n");
         return 0;
     }
     if (!json)
