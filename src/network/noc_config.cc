@@ -59,6 +59,10 @@ NocConfig::validate() const
         NORD_FATAL("wakeup thresholds must be >= 1");
     if (nordMisrouteCap < 0)
         NORD_FATAL("nordMisrouteCap must be >= 0");
+    if (nordPerfCentricCount > numNodes()) {
+        NORD_FATAL("nordPerfCentricCount (%d) exceeds the node count",
+                   nordPerfCentricCount);
+    }
     if (verify.interval > 0) {
         if (verify.stallThreshold < 1)
             NORD_FATAL("verify.stallThreshold must be >= 1");

@@ -116,7 +116,8 @@ NocSystem::buildControllers()
     const int n = config_.numNodes();
     if (config_.design == PgDesign::kNord) {
         // The greedy Floyd-Warshall sweep is deterministic per mesh
-        // shape; the process-wide CriticalityCache shares it across
+        // shape; the process-wide CriticalityCache runs it once per
+        // shape for both the knee and the set, and shares it across
         // NocSystem instances (benches construct many networks).
         CriticalityCache &cache = CriticalityCache::instance();
         int count = config_.nordPerfCentricCount;

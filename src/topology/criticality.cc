@@ -6,6 +6,7 @@
 #include "topology/criticality.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "common/log.hh"
@@ -13,8 +14,81 @@
 namespace nord {
 
 namespace {
+
+/** Path length type of the all-pairs matrices (hops and cycles). */
+using Dist = std::int16_t;
+
+/**
+ * "No path yet". Half of INT16_MAX, so the sum of two entries -- the
+ * candidate of one relaxation -- never overflows, and any finite path
+ * (at most n-1 hops; the constructor's range guard) stays below it.
+ */
+constexpr Dist kUnreachable = std::numeric_limits<Dist>::max() / 2;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * Hop and cycle totals over every ordered pair i != j of one all-pairs
+ * solution. Integer sums of integers: the averages below divide them
+ * exactly as the old double accumulators did.
+ */
+struct PairSums
+{
+    std::int64_t hops = 0;
+    std::int64_t cycles = 0;
+
+    double avgDistanceHops(int n) const
+    {
+        return static_cast<double>(hops) / (n * (n - 1));
+    }
+    double avgPerHopLatency() const
+    {
+        return static_cast<double>(cycles) / static_cast<double>(hops);
+    }
+};
+
+PairSums
+pairSums(int n, const std::vector<Dist> &hops,
+         const std::vector<Dist> &cycles)
+{
+    // The diagonal stays 0 (no self edges, no negative costs), so whole
+    // row-major sums are the off-diagonal sums.
+    PairSums sums;
+    Dist worst = 0;
+    for (std::size_t ij = 0; ij < cycles.size(); ++ij) {
+        sums.hops += hops[ij];
+        sums.cycles += cycles[ij];
+        worst = std::max(worst, cycles[ij]);
+    }
+    if (worst == kUnreachable) {
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < n; ++j) {
+                NORD_ASSERT(cycles[static_cast<std::size_t>(i) * n + j] !=
+                                kUnreachable,
+                            "network disconnected between %d and %d", i, j);
+            }
+        }
+    }
+    return sums;
 }
+
+CriticalityPoint
+makePoint(const std::vector<bool> &poweredOn, const PairSums &sums)
+{
+    const int n = static_cast<int>(poweredOn.size());
+    CriticalityPoint pt;
+    pt.numPoweredOn = static_cast<int>(
+        std::count(poweredOn.begin(), poweredOn.end(), true));
+    pt.avgDistanceHops = sums.avgDistanceHops(n);
+    pt.avgPerHopLatency = sums.avgPerHopLatency();
+    for (NodeId x = 0; x < n; ++x) {
+        if (poweredOn[x])
+            pt.poweredOn.push_back(x);
+    }
+    return pt;
+}
+
+}  // namespace
 
 CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
                                          const BypassRing &ring,
@@ -24,30 +98,41 @@ CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
       onHopCycles_(onRouterHopCycles),
       offHopCycles_(offRouterHopCycles)
 {
+    const std::int64_t longest =
+        static_cast<std::int64_t>(mesh_.numNodes() - 1) *
+        std::max(onHopCycles_, offHopCycles_);
+    if (std::min(onHopCycles_, offHopCycles_) < 0 || longest >= kUnreachable) {
+        NORD_FATAL("criticality analysis of a %dx%d mesh with hop costs "
+                   "%d/%d cycles: a path of up to %lld cycles must be "
+                   "non-negative and below %d",
+                   mesh_.rows(), mesh_.cols(), onHopCycles_, offHopCycles_,
+                   static_cast<long long>(longest), kUnreachable);
+    }
 }
 
 void
 CriticalityAnalyzer::shortestPaths(const std::vector<bool> &poweredOn,
-                                   std::vector<double> &distHops,
-                                   std::vector<double> &distCycles) const
+                                   std::vector<std::int16_t> &distHops,
+                                   std::vector<std::int16_t> &distCycles) const
 {
     const int n = mesh_.numNodes();
     NORD_ASSERT(static_cast<int>(poweredOn.size()) == n,
                 "poweredOn size %zu != %d", poweredOn.size(), n);
-    distHops.assign(static_cast<size_t>(n) * n, kInf);
-    distCycles.assign(static_cast<size_t>(n) * n, kInf);
+    distHops.assign(static_cast<size_t>(n) * n, kUnreachable);
+    distCycles.assign(static_cast<size_t>(n) * n, kUnreachable);
     for (int i = 0; i < n; ++i) {
-        distHops[static_cast<size_t>(i) * n + i] = 0.0;
-        distCycles[static_cast<size_t>(i) * n + i] = 0.0;
+        distHops[static_cast<size_t>(i) * n + i] = 0;
+        distCycles[static_cast<size_t>(i) * n + i] = 0;
     }
 
     // Edge x -> y exists when x can hand a flit to y. Cost is charged for
     // traversing y (the hop's pipeline) -- consistent for whole paths since
     // the source NI injects directly into x's pipeline.
     auto addEdge = [&](NodeId x, NodeId y) {
-        double hopCost = poweredOn[y] ? onHopCycles_ : offHopCycles_;
-        distHops[static_cast<size_t>(x) * n + y] = 1.0;
-        distCycles[static_cast<size_t>(x) * n + y] = hopCost;
+        const int hopCost = poweredOn[y] ? onHopCycles_ : offHopCycles_;
+        distHops[static_cast<size_t>(x) * n + y] = 1;
+        distCycles[static_cast<size_t>(x) * n + y] =
+            static_cast<Dist>(hopCost);
     };
 
     for (NodeId x = 0; x < n; ++x) {
@@ -69,20 +154,32 @@ CriticalityAnalyzer::shortestPaths(const std::vector<bool> &poweredOn,
         }
     }
 
-    // Floyd-Warshall on cycles; hops follow the same relaxations.
+    // Floyd-Warshall on cycles; hops follow the same relaxations (strict
+    // <, so ties keep the earlier path). Pass k never changes row k or
+    // column k (D[k][k] = 0), so row k is skipped, never aliases row i,
+    // and the branchless inner loop vectorizes.
     for (int k = 0; k < n; ++k) {
+        const size_t rowK = static_cast<size_t>(k) * n;
+        const Dist *__restrict cyclesK = &distCycles[rowK];
+        const Dist *__restrict hopsK = &distHops[rowK];
         for (int i = 0; i < n; ++i) {
-            const size_t ik = static_cast<size_t>(i) * n + k;
-            if (distCycles[ik] == kInf)
+            if (i == k)
                 continue;
+            const size_t rowI = static_cast<size_t>(i) * n;
+            Dist *__restrict cyclesI = &distCycles[rowI];
+            Dist *__restrict hopsI = &distHops[rowI];
+            const Dist cyclesIK = cyclesI[k];
+            if (cyclesIK == kUnreachable)
+                continue;
+            const Dist hopsIK = hopsI[k];
             for (int j = 0; j < n; ++j) {
-                const size_t kj = static_cast<size_t>(k) * n + j;
-                const size_t ij = static_cast<size_t>(i) * n + j;
-                double cand = distCycles[ik] + distCycles[kj];
-                if (cand < distCycles[ij]) {
-                    distCycles[ij] = cand;
-                    distHops[ij] = distHops[ik] + distHops[kj];
-                }
+                const Dist cand = static_cast<Dist>(cyclesIK + cyclesK[j]);
+                const Dist candHops = static_cast<Dist>(hopsIK + hopsK[j]);
+                const Dist oldCycles = cyclesI[j];
+                const Dist oldHops = hopsI[j];
+                const bool better = cand < oldCycles;
+                hopsI[j] = better ? candHops : oldHops;
+                cyclesI[j] = better ? cand : oldCycles;
             }
         }
     }
@@ -92,46 +189,23 @@ std::vector<double>
 CriticalityAnalyzer::distanceMatrixCycles(
     const std::vector<bool> &poweredOn) const
 {
-    std::vector<double> hops;
-    std::vector<double> cycles;
+    std::vector<Dist> hops;
+    std::vector<Dist> cycles;
     shortestPaths(poweredOn, hops, cycles);
-    return cycles;
+    std::vector<double> out(cycles.size());
+    std::transform(cycles.begin(), cycles.end(), out.begin(), [](Dist c) {
+        return c == kUnreachable ? kInf : static_cast<double>(c);
+    });
+    return out;
 }
 
 CriticalityPoint
 CriticalityAnalyzer::analyze(const std::vector<bool> &poweredOn) const
 {
-    const int n = mesh_.numNodes();
-    std::vector<double> hops;
-    std::vector<double> cycles;
+    std::vector<Dist> hops;
+    std::vector<Dist> cycles;
     shortestPaths(poweredOn, hops, cycles);
-
-    double sumHops = 0.0;
-    double sumCycles = 0.0;
-    int pairs = 0;
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-            if (i == j)
-                continue;
-            const size_t ij = static_cast<size_t>(i) * n + j;
-            NORD_ASSERT(cycles[ij] != kInf,
-                        "network disconnected between %d and %d", i, j);
-            sumHops += hops[ij];
-            sumCycles += cycles[ij];
-            ++pairs;
-        }
-    }
-
-    CriticalityPoint pt;
-    pt.numPoweredOn = static_cast<int>(
-        std::count(poweredOn.begin(), poweredOn.end(), true));
-    pt.avgDistanceHops = sumHops / pairs;
-    pt.avgPerHopLatency = sumCycles / sumHops;
-    for (NodeId x = 0; x < n; ++x) {
-        if (poweredOn[x])
-            pt.poweredOn.push_back(x);
-    }
-    return pt;
+    return makePoint(poweredOn, pairSums(mesh_.numNodes(), hops, cycles));
 }
 
 std::vector<CriticalityPoint>
@@ -139,6 +213,9 @@ CriticalityAnalyzer::greedySweep() const
 {
     const int n = mesh_.numNodes();
     std::vector<bool> on(n, false);
+    // One pair of matrices serves every candidate of every step.
+    std::vector<Dist> hops;
+    std::vector<Dist> cycles;
     std::vector<CriticalityPoint> sweep;
     sweep.push_back(analyze(on));
 
@@ -146,23 +223,26 @@ CriticalityAnalyzer::greedySweep() const
         int best = -1;
         double bestDist = kInf;
         double bestLat = kInf;
+        PairSums bestSums;
         for (NodeId cand = 0; cand < n; ++cand) {
             if (on[cand])
                 continue;
             on[cand] = true;
-            CriticalityPoint pt = analyze(on);
+            shortestPaths(on, hops, cycles);
             on[cand] = false;
-            if (pt.avgDistanceHops < bestDist ||
-                (pt.avgDistanceHops == bestDist &&
-                 pt.avgPerHopLatency < bestLat)) {
+            const PairSums sums = pairSums(n, hops, cycles);
+            const double dist = sums.avgDistanceHops(n);
+            const double lat = sums.avgPerHopLatency();
+            if (dist < bestDist || (dist == bestDist && lat < bestLat)) {
                 best = cand;
-                bestDist = pt.avgDistanceHops;
-                bestLat = pt.avgPerHopLatency;
+                bestDist = dist;
+                bestLat = lat;
+                bestSums = sums;
             }
         }
         NORD_ASSERT(best >= 0, "greedy sweep found no candidate at k=%d", k);
         on[best] = true;
-        sweep.push_back(analyze(on));
+        sweep.push_back(makePoint(on, bestSums));
     }
     return sweep;
 }
@@ -210,35 +290,36 @@ CriticalityCache::instance()
     return cache;
 }
 
+const std::vector<CriticalityPoint> &
+CriticalityCache::sweepLocked(const MeshTopology &mesh,
+                              const BypassRing &ring)
+{
+    auto key = std::make_pair(mesh.rows(), mesh.cols());
+    auto it = sweep_.find(key);
+    if (it == sweep_.end())
+        it = sweep_.emplace(key,
+                            CriticalityAnalyzer(mesh, ring).greedySweep())
+                 .first;
+    return it->second;
+}
+
 int
 CriticalityCache::knee(const MeshTopology &mesh, const BypassRing &ring)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto key = std::make_pair(mesh.rows(), mesh.cols());
-    auto it = knee_.find(key);
-    if (it == knee_.end()) {
-        CriticalityAnalyzer analyzer(mesh, ring);
-        int knee = CriticalityAnalyzer::kneePoint(analyzer.greedySweep());
-        it = knee_.emplace(key, knee).first;
-    }
-    return it->second;
+    return CriticalityAnalyzer::kneePoint(sweepLocked(mesh, ring));
 }
 
 const std::vector<NodeId> &
 CriticalityCache::perfSet(const MeshTopology &mesh, const BypassRing &ring,
                           int count)
 {
+    NORD_ASSERT(count >= 0 && count <= mesh.numNodes(),
+                "bad performance-centric count %d", count);
     std::lock_guard<std::mutex> lock(mu_);
-    auto key = std::make_tuple(mesh.rows(), mesh.cols(), count);
-    auto it = perfSet_.find(key);
-    if (it == perfSet_.end()) {
-        CriticalityAnalyzer analyzer(mesh, ring);
-        it = perfSet_.emplace(key,
-                              analyzer.performanceCentricSet(count)).first;
-    }
-    return it->second;
+    // sweep[count].poweredOn is the sorted first @p count of the order.
+    return sweepLocked(mesh, ring)[count].poweredOn;
 }
-
 const std::vector<double> &
 CriticalityCache::steering(const MeshTopology &mesh, const BypassRing &ring,
                            const std::vector<NodeId> &perf)
@@ -262,8 +343,7 @@ void
 CriticalityCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    knee_.clear();
-    perfSet_.clear();
+    sweep_.clear();
     steering_.clear();
 }
 
@@ -271,7 +351,7 @@ std::size_t
 CriticalityCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return knee_.size() + perfSet_.size() + steering_.size();
+    return sweep_.size() + steering_.size();
 }
 
 }  // namespace nord

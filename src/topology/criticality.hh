@@ -21,6 +21,7 @@
 #define NORD_TOPOLOGY_CRITICALITY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -56,6 +57,10 @@ class CriticalityAnalyzer
      *        (default 5: 4-stage pipeline + LT)
      * @param offRouterHopCycles per-hop latency through a bypassed router
      *        (default 3: 2-cycle bypass + LT)
+     *
+     * Fatal when a path of numNodes()-1 of the costlier hop does not fit
+     * the 16-bit distance matrices (meshes past about 57x57), or when a
+     * hop cost is negative.
      */
     CriticalityAnalyzer(const MeshTopology &mesh, const BypassRing &ring,
                         int onRouterHopCycles = 5,
@@ -100,12 +105,13 @@ class CriticalityAnalyzer
 
   private:
     /**
-     * All-pairs shortest distances in hops and in cycles.
-     * dist[i*n+j] is hops, lat[i*n+j] is cycles.
+     * All-pairs shortest distances (row-major n*n) in hops and in
+     * cycles, overwriting both matrices. Unreachable pairs hold
+     * INT16_MAX/2; the constructor guarantees every path is shorter.
      */
     void shortestPaths(const std::vector<bool> &poweredOn,
-                       std::vector<double> &distHops,
-                       std::vector<double> &distCycles) const;
+                       std::vector<std::int16_t> &distHops,
+                       std::vector<std::int16_t> &distCycles) const;
 
     const MeshTopology &mesh_;
     const BypassRing &ring_;
@@ -116,7 +122,9 @@ class CriticalityAnalyzer
 /**
  * Process-wide cache of criticality-analysis results, keyed by mesh
  * shape. The greedy Floyd-Warshall sweep is deterministic per shape, so
- * benches and tests that construct many NocSystems share one computation.
+ * it runs once per (rows, cols): knee() and every perfSet() read that one
+ * sweep, and benches and tests that construct many NocSystems share it.
+ * steering() adds one Floyd-Warshall pass per performance-centric set.
  *
  * This replaces the anonymous function-local `static std::map` caches
  * that used to live in noc_system.cc and cdg.cc: those were unsynchronized
@@ -138,7 +146,11 @@ class CriticalityCache
     /** Knee point of the greedy sweep for @p mesh's shape. */
     int knee(const MeshTopology &mesh, const BypassRing &ring);
 
-    /** Performance-centric router set of size @p count. */
+    /**
+     * Performance-centric router set of size @p count: the first @p count
+     * routers of the shape's greedy sweep, sorted. Panics unless
+     * 0 <= count <= numNodes().
+     */
     const std::vector<NodeId> &perfSet(const MeshTopology &mesh,
                                        const BypassRing &ring, int count);
 
@@ -156,12 +168,14 @@ class CriticalityCache
   private:
     CriticalityCache() = default;
 
+    /** The greedy sweep for @p mesh's shape; the caller holds mu_. */
+    const std::vector<CriticalityPoint> &sweepLocked(const MeshTopology &mesh,
+                                                     const BypassRing &ring);
+
     NORD_STATE_EXCLUDE(config, "synchronization primitive, not state")
     mutable std::mutex mu_;
-    NORD_STATE_EXCLUDE(cache, "memoized knee search; recomputed on miss")
-    std::map<std::pair<int, int>, int> knee_;
-    NORD_STATE_EXCLUDE(cache, "memoized perf-centric sets; recomputed on miss")
-    std::map<std::tuple<int, int, int>, std::vector<NodeId>> perfSet_;
+    NORD_STATE_EXCLUDE(cache, "memoized greedy sweeps; recomputed on miss")
+    std::map<std::pair<int, int>, std::vector<CriticalityPoint>> sweep_;
     NORD_STATE_EXCLUDE(cache, "memoized steering weights; recomputed on miss")
     std::map<std::tuple<int, int, int>, std::vector<double>> steering_;
 };

@@ -28,8 +28,8 @@ constexpr std::size_t kMaxProblems = 32;
 /**
  * The worst-case steering table is deterministic per mesh shape and
  * perf-set size; share the process-wide CriticalityCache with NocSystem
- * (the verify matrix analyzes the same shapes repeatedly, and the 8x8
- * greedy sweep is the single most expensive step of the whole pass).
+ * (the verify matrix analyzes the same shapes repeatedly, and each
+ * shape's greedy sweep -- the costliest set-up step -- runs once).
  */
 const std::vector<double> &
 cachedSteeringTable(const MeshTopology &mesh, const BypassRing &ring,

@@ -5,10 +5,183 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "common/log.hh"
 #include "topology/criticality.hh"
 
 namespace nord {
 namespace {
+
+/**
+ * Test oracle: the original double-precision Floyd-Warshall analysis and
+ * greedy sweep, kept verbatim apart from living outside the library.
+ * The library's 16-bit integer version must reproduce it bit for bit.
+ */
+class ReferenceAnalyzer
+{
+  public:
+    ReferenceAnalyzer(const MeshTopology &mesh, const BypassRing &ring)
+        : mesh_(mesh), ring_(ring)
+    {
+    }
+
+    std::vector<double>
+    distanceMatrixCycles(const std::vector<bool> &poweredOn) const
+    {
+        std::vector<double> hops;
+        std::vector<double> cycles;
+        shortestPaths(poweredOn, hops, cycles);
+        return cycles;
+    }
+
+    CriticalityPoint
+    analyze(const std::vector<bool> &poweredOn) const
+    {
+        const int n = mesh_.numNodes();
+        std::vector<double> hops;
+        std::vector<double> cycles;
+        shortestPaths(poweredOn, hops, cycles);
+
+        double sumHops = 0.0;
+        double sumCycles = 0.0;
+        int pairs = 0;
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < n; ++j) {
+                if (i == j)
+                    continue;
+                const size_t ij = static_cast<size_t>(i) * n + j;
+                NORD_ASSERT(cycles[ij] != kInf,
+                            "network disconnected between %d and %d", i, j);
+                sumHops += hops[ij];
+                sumCycles += cycles[ij];
+                ++pairs;
+            }
+        }
+
+        CriticalityPoint pt;
+        pt.numPoweredOn = static_cast<int>(
+            std::count(poweredOn.begin(), poweredOn.end(), true));
+        pt.avgDistanceHops = sumHops / pairs;
+        pt.avgPerHopLatency = sumCycles / sumHops;
+        for (NodeId x = 0; x < n; ++x) {
+            if (poweredOn[x])
+                pt.poweredOn.push_back(x);
+        }
+        return pt;
+    }
+
+    std::vector<CriticalityPoint>
+    greedySweep() const
+    {
+        const int n = mesh_.numNodes();
+        std::vector<bool> on(n, false);
+        std::vector<CriticalityPoint> sweep;
+        sweep.push_back(analyze(on));
+
+        for (int k = 1; k <= n; ++k) {
+            int best = -1;
+            double bestDist = kInf;
+            double bestLat = kInf;
+            for (NodeId cand = 0; cand < n; ++cand) {
+                if (on[cand])
+                    continue;
+                on[cand] = true;
+                CriticalityPoint pt = analyze(on);
+                on[cand] = false;
+                if (pt.avgDistanceHops < bestDist ||
+                    (pt.avgDistanceHops == bestDist &&
+                     pt.avgPerHopLatency < bestLat)) {
+                    best = cand;
+                    bestDist = pt.avgDistanceHops;
+                    bestLat = pt.avgPerHopLatency;
+                }
+            }
+            NORD_ASSERT(best >= 0, "greedy sweep found no candidate at k=%d",
+                        k);
+            on[best] = true;
+            sweep.push_back(analyze(on));
+        }
+        return sweep;
+    }
+
+  private:
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    void
+    shortestPaths(const std::vector<bool> &poweredOn,
+                  std::vector<double> &distHops,
+                  std::vector<double> &distCycles) const
+    {
+        const int n = mesh_.numNodes();
+        NORD_ASSERT(static_cast<int>(poweredOn.size()) == n,
+                    "poweredOn size %zu != %d", poweredOn.size(), n);
+        distHops.assign(static_cast<size_t>(n) * n, kInf);
+        distCycles.assign(static_cast<size_t>(n) * n, kInf);
+        for (int i = 0; i < n; ++i) {
+            distHops[static_cast<size_t>(i) * n + i] = 0.0;
+            distCycles[static_cast<size_t>(i) * n + i] = 0.0;
+        }
+
+        auto addEdge = [&](NodeId x, NodeId y) {
+            double hopCost = poweredOn[y] ? onHopCycles_ : offHopCycles_;
+            distHops[static_cast<size_t>(x) * n + y] = 1.0;
+            distCycles[static_cast<size_t>(x) * n + y] = hopCost;
+        };
+
+        for (NodeId x = 0; x < n; ++x) {
+            if (!poweredOn[x]) {
+                addEdge(x, ring_.successor(x));
+                continue;
+            }
+            for (int d = 0; d < kNumMeshDirs; ++d) {
+                NodeId y = mesh_.neighbor(x, indexDir(d));
+                if (y == kInvalidNode)
+                    continue;
+                if (poweredOn[y] || ring_.predecessor(y) == x)
+                    addEdge(x, y);
+            }
+        }
+
+        for (int k = 0; k < n; ++k) {
+            for (int i = 0; i < n; ++i) {
+                const size_t ik = static_cast<size_t>(i) * n + k;
+                if (distCycles[ik] == kInf)
+                    continue;
+                for (int j = 0; j < n; ++j) {
+                    const size_t kj = static_cast<size_t>(k) * n + j;
+                    const size_t ij = static_cast<size_t>(i) * n + j;
+                    double cand = distCycles[ik] + distCycles[kj];
+                    if (cand < distCycles[ij]) {
+                        distCycles[ij] = cand;
+                        distHops[ij] = distHops[ik] + distHops[kj];
+                    }
+                }
+            }
+        }
+    }
+
+    const MeshTopology &mesh_;
+    const BypassRing &ring_;
+    int onHopCycles_ = 5;
+    int offHopCycles_ = 3;
+};
+
+/** The order in which a greedy sweep powers routers on. */
+std::vector<NodeId>
+sweepOrder(const std::vector<CriticalityPoint> &sweep)
+{
+    std::vector<NodeId> order;
+    for (size_t k = 1; k < sweep.size(); ++k) {
+        const auto &prev = sweep[k - 1].poweredOn;
+        for (NodeId r : sweep[k].poweredOn) {
+            if (std::find(prev.begin(), prev.end(), r) == prev.end())
+                order.push_back(r);
+        }
+    }
+    return order;
+}
 
 class CriticalityTest : public ::testing::Test
 {
@@ -197,6 +370,108 @@ TEST(CriticalityEdge, BrokenRingOrdersRejected)
     // Too short.
     EXPECT_EXIT({ BypassRing ring(mesh, {0, 1, 2}); },
                 ::testing::ExitedWithCode(1), "");
+}
+
+TEST(CriticalityOracle, IntegerSweepMatchesDoubleReference)
+{
+    for (auto [rows, cols] : {std::pair{2, 2}, {2, 5}, {4, 4}, {4, 6},
+                              {6, 4}, {6, 6}, {8, 8}}) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        MeshTopology mesh(rows, cols);
+        BypassRing ring(mesh);
+        CriticalityAnalyzer analyzer(mesh, ring);
+        ReferenceAnalyzer reference(mesh, ring);
+        const int n = mesh.numNodes();
+
+        const auto sweep = analyzer.greedySweep();
+        const auto expected = reference.greedySweep();
+        ASSERT_EQ(sweep.size(), expected.size());
+        for (size_t k = 0; k < sweep.size(); ++k) {
+            SCOPED_TRACE("k=" + std::to_string(k));
+            EXPECT_EQ(sweep[k].numPoweredOn, expected[k].numPoweredOn);
+            EXPECT_EQ(sweep[k].poweredOn, expected[k].poweredOn);
+            EXPECT_EQ(sweep[k].avgDistanceHops, expected[k].avgDistanceHops);
+            EXPECT_EQ(sweep[k].avgPerHopLatency,
+                      expected[k].avgPerHopLatency);
+
+            // Every prefix's steering table, and analyze() on its own.
+            std::vector<bool> on(n, false);
+            for (NodeId r : expected[k].poweredOn)
+                on[r] = true;
+            EXPECT_EQ(analyzer.distanceMatrixCycles(on),
+                      reference.distanceMatrixCycles(on));
+            const CriticalityPoint pt = analyzer.analyze(on);
+            EXPECT_EQ(pt.avgDistanceHops, expected[k].avgDistanceHops);
+            EXPECT_EQ(pt.avgPerHopLatency, expected[k].avgPerHopLatency);
+        }
+    }
+}
+
+TEST(CriticalityCacheTest, EightByEightKneeAndSetArePinned)
+{
+    // The values the double-precision analysis produced for 8x8.
+    CriticalityCache &cache = CriticalityCache::instance();
+    cache.clear();
+    MeshTopology mesh(8, 8);
+    BypassRing ring(mesh);
+    const int knee = cache.knee(mesh, ring);
+    EXPECT_EQ(knee, 12);
+    EXPECT_EQ(cache.perfSet(mesh, ring, knee),
+              (std::vector<NodeId>{0, 1, 8, 9, 17, 24, 25, 33, 40, 41, 49,
+                                   57}));
+}
+
+TEST(CriticalityCacheTest, PerfSetIsSortedPrefixOfOneSweep)
+{
+    CriticalityCache &cache = CriticalityCache::instance();
+    for (auto [rows, cols] : {std::pair{4, 4}, {4, 6}}) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        MeshTopology mesh(rows, cols);
+        BypassRing ring(mesh);
+        const int n = mesh.numNodes();
+        const std::vector<NodeId> order =
+            sweepOrder(CriticalityAnalyzer(mesh, ring).greedySweep());
+        ASSERT_EQ(static_cast<int>(order.size()), n);
+
+        cache.clear();
+        const int knee = cache.knee(mesh, ring);
+        for (int count : {0, knee, n}) {
+            std::vector<NodeId> prefix(order.begin(), order.begin() + count);
+            std::sort(prefix.begin(), prefix.end());
+            EXPECT_EQ(cache.perfSet(mesh, ring, count), prefix)
+                << "count " << count;
+        }
+        // knee() and every perfSet() share the shape's single sweep.
+        EXPECT_EQ(cache.entries(), 1u);
+    }
+}
+
+TEST(CriticalityCacheTest, OutOfRangeCountDies)
+{
+    MeshTopology mesh(4, 4);
+    BypassRing ring(mesh);
+    CriticalityCache &cache = CriticalityCache::instance();
+    EXPECT_DEATH(cache.perfSet(mesh, ring, 17),
+                 "bad performance-centric count 17");
+    EXPECT_DEATH(cache.perfSet(mesh, ring, -1),
+                 "bad performance-centric count -1");
+}
+
+TEST(CriticalityEdge, SixteenBitRangeGuard)
+{
+    // 56x56: a 3135-hop path of 5-cycle hops fits below INT16_MAX/2.
+    MeshTopology fits(56, 56);
+    BypassRing fitsRing(fits);
+    CriticalityAnalyzer analyzer(fits, fitsRing);
+
+    // 58x58: 3363 hops x 5 cycles does not.
+    EXPECT_EXIT(
+        {
+            MeshTopology mesh(58, 58);
+            BypassRing ring(mesh);
+            CriticalityAnalyzer tooBig(mesh, ring);
+        },
+        ::testing::ExitedWithCode(1), "criticality analysis of a 58x58");
 }
 
 }  // namespace

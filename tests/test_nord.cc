@@ -34,6 +34,16 @@ TEST(Nord, AllRoutersSleepWithoutTraffic)
     EXPECT_EQ(sys.countInState(PowerState::kOff), 16);
 }
 
+TEST(Nord, PerfCentricCountAboveNodeCountIsFatal)
+{
+    // A configuration error, not a panic inside the criticality cache.
+    NocConfig cfg;
+    cfg.design = PgDesign::kNord;
+    cfg.nordPerfCentricCount = cfg.numNodes() + 1;
+    EXPECT_EXIT({ NocSystem sys(cfg); }, ::testing::ExitedWithCode(1),
+                "nordPerfCentricCount \\(17\\) exceeds the node count");
+}
+
 TEST(Nord, DeliversThroughFullyGatedNetwork)
 {
     // The decoupling bypass keeps all NIs connected even when every

@@ -623,10 +623,9 @@ exclusionRegistry()
         {"Clocked::kernelSlot_", Proof::kTwinConstruction},
         {"CreditLink::dst_", Proof::kTwinConstruction},
         {"CreditLink::outPort_", Proof::kTwinConstruction},
-        {"CriticalityCache::knee_", Proof::kCacheClear},
         {"CriticalityCache::mu_", Proof::kTwinConstruction},
-        {"CriticalityCache::perfSet_", Proof::kCacheClear},
         {"CriticalityCache::steering_", Proof::kCacheClear},
+        {"CriticalityCache::sweep_", Proof::kCacheClear},
         {"E2eEndpoint::id_", Proof::kTwinConstruction},
         {"FaultInjector::auditor_", Proof::kTwinConstruction},
         {"FaultInjector::schedule_", Proof::kTwinConstruction},
