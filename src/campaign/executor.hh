@@ -20,47 +20,18 @@
  * with diagnostics (class, exit code/signal, stderr tail, last
  * checkpoint path) instead of wedging the campaign.
  *
- * Any number of executors cooperatively drain one grid over a shared
- * filesystem; `nord-campaign --out DIR` is simply a fleet of one (fixed
- * executor id "local", worker artifacts directly in DIR), and
- * `--join DIR` adds executors. Joining a campaign directory:
+ * Everything lives in one campaign directory:
  *
- *  1. MANIFEST -- the first joiner link(2)s "<outDir>/campaign.json"
- *     into existence, freezing the grid (points, fingerprint), the
- *     shard count and the lease grace period. Later joiners validate
- *     the grid against the manifest and ADOPT its shards and grace --
- *     the self-fencing soundness argument (lease.hh) requires every
- *     executor to use the same grace.
- *  2. SHARDS -- point ids are partitioned statically: shard(id) =
- *     id % shards. An executor may only launch and commit points of
- *     shards whose lease it currently holds (lease.hh), and it stamps
- *     every journal event with the shard's fencing token. A shard's
- *     lease is released as soon as every point in it is terminal.
- *  3. JOURNALS -- each executor appends to its own flock()ed
- *     "<outDir>/journal-<execId>.jsonl" (so a second live executor with
- *     the same id is refused). Nobody ever writes another executor's
- *     journal; the canonical view is the deterministic merge (merge.hh)
- *     of all of them, re-read every scheduling tick. Every event is
- *     journaled before the executor acts on it: SIGKILL it, rerun it,
- *     and it resumes -- after one lease grace, since its old leases
- *     must expire first.
- *  4. SELF-FENCE -- when the lease layer cannot prove ownership
- *     (partition, suspension longer than grace/2, steal), the executor
- *     kills its worker fleet and exits kExitLeaseLost WITHOUT
- *     journaling anything further -- completed workers it had not yet
- *     committed are simply abandoned; the shard's next owner (or the
- *     rerun) re-runs those points under a higher token, and the merge's
- *     token rule rejects any stale commit that did land.
- *  5. COMPLETION -- the executor that observes every point terminal in
- *     the merged view writes the canonical journal "<outDir>/journal.jsonl"
- *     and the reports (byte-identical regardless of which executor
- *     writes them, or how many do).
- *
- * Worker artifacts (checkpoints, result files, stderr logs) live under
- * ExecutorOptions::artifactDir; joined executors default to
- * "<outDir>/<execId>/" so two executors' workers can never collide on a
- * temp file. Results travel between executors through journal "done"
- * events, not artifact files.
+ *  - "<outDir>/journal.jsonl" -- the flock()ed, fsync'd journal
+ *    (journal.hh). Every event is journaled before the executor acts on
+ *    it, so SIGKILL the executor at any moment, rerun it, and it replays
+ *    the journal and resumes; a second live executor on the same
+ *    directory is refused by the lock.
+ *  - worker artifacts (pointPaths(outDir, id): checkpoint, result,
+ *    stderr log) -- a killed worker's checkpoint is where its next
+ *    attempt resumes from.
+ *  - "report.json", "report.csv", "provenance.json" -- rendered from the
+ *    replayed journal state once every point is terminal.
  */
 
 #ifndef NORD_CAMPAIGN_EXECUTOR_HH
@@ -83,28 +54,12 @@ struct ChaosOptions
     std::uint64_t seed = 1;        ///< schedule + victim selection seed
     double meanIntervalSec = 0.5;  ///< mean time between kills
     int maxKills = 0;              ///< stop after this many (0 = no cap)
-
-    // Partition chaos: SIGSTOP the executor itself for
-    // partitionDurationSec on a seeded schedule, simulating a network
-    // partition -- lease expiry, takeover by another executor, and a
-    // stale-writer resume, the full self-fencing path.
-    double partitionMeanSec = 0.0;     ///< mean time between (0 = off)
-    double partitionDurationSec = 0.0; ///< suspension length
-    int maxPartitions = 1;             ///< stop after this many (floored
-                                       ///< to 1; unbounded is never sane)
 };
 
 /** Executor knobs. */
 struct ExecutorOptions
 {
-    std::string outDir;    ///< shared campaign directory
-    std::string execId;    ///< unique executor id ("" = auto-generate)
-    /** Worker checkpoints, results and stderr logs
-     *  ("" = "<outDir>/<execId>"). */
-    std::string artifactDir;
-    std::uint64_t shards = 0;    ///< 0 = auto (first joiner decides)
-    double leaseGraceSec = 2.0;  ///< first joiner freezes this
-    double leaseRenewSec = 0.0;  ///< 0 = grace/8
+    std::string outDir;    ///< campaign directory
     int workers = 2;
     int maxFailures = 3;
     double hangTimeoutSec = 30.0;
@@ -112,42 +67,33 @@ struct ExecutorOptions
     BackoffPolicy backoff;
     WorkerOptions worker;
     ChaosOptions chaos;
-    /** Test hook: request a drain after this many local launches
-     *  (0 = off). Lets tests hand a campaign from one executor to the
-     *  next deterministically. */
+    /** Test hook: request a drain after this many launches (0 = off).
+     *  Lets tests interrupt a campaign deterministically. */
     std::uint64_t drainAfterLaunches = 0;
 };
 
-/** Final (or fenced / drained) executor state. */
+/** Final (or drained) executor state. */
 struct ExecutorOutcome
 {
-    std::string execId;            ///< resolved id (after auto-generate)
-    std::uint64_t completed = 0;   ///< merged-view terminal counts
+    std::uint64_t completed = 0;   ///< terminal counts over the grid
     std::uint64_t quarantined = 0;
     std::uint64_t missing = 0;
-    std::uint64_t launches = 0;    ///< this executor's forks
+    std::uint64_t launches = 0;    ///< forks by this run
     std::uint64_t chaosKills = 0;
-    std::uint64_t partitions = 0;  ///< self-inflicted SIGSTOPs
-    std::uint64_t staleDropped = 0;///< stale commits the merge rejected
     bool interrupted = false;      ///< drained by SIGINT/SIGTERM
-    bool fenced = false;           ///< lost a lease; exit kExitLeaseLost
-    std::string fenceReason;
-    bool wroteReports = false;     ///< this executor wrote the reports
+    bool wroteReports = false;     ///< every point terminal, reports out
     std::string reportJson;
     std::string reportCsv;
     std::string provenance;
 };
 
 /**
- * Join (or start) the campaign for @p specs under opts.outDir and work
- * it until every point is terminal in the merged view, a drain is
- * requested, or this executor fences.
+ * Run (or resume) the campaign for @p specs in opts.outDir until every
+ * point is terminal or a drain is requested.
  *
  * Returns false with @p err only on orchestration failure (I/O, a held
- * journal lock, a grid mismatch against the manifest, a merge
- * conflict). Quarantined points and drains are reported through
- * @p out. Fencing is NOT an error either: the function returns true
- * with outcome.fenced set and the caller exits kExitLeaseLost.
+ * journal lock, a journal that belongs to a different grid).
+ * Quarantined points and drains are reported through @p out.
  */
 bool runExecutor(const std::vector<PointSpec> &specs,
                  const ExecutorOptions &opts, ExecutorOutcome *out,

@@ -16,12 +16,8 @@
  *                     mismatch): deterministic, quarantine
  *   kExitInfraFailure infrastructure trouble (ENOSPC on a checkpoint,
  *                     unreadable journal, fork failure): transient, retry
- *   kExitLeaseLost    the executor lost its shard lease (partition,
- *                     suspension, stolen after heartbeat starvation) and
- *                     self-fenced: the work is retried ELSEWHERE by the
- *                     lease's new owner and never counted against any
- *                     point -- lease loss describes the fleet, not the
- *                     simulation
+ *   kExitInterrupted  the campaign was drained by SIGINT/SIGTERM with
+ *                     its state flushed: rerun to resume
  *
  * Codes start at 10 so they can never collide with the conventional 0/1/2
  * of asserts, sanitizers and argument parsers; anything outside the
@@ -43,7 +39,6 @@ enum ExitCode : int
     kExitBadConfig = 11,     ///< deterministic: configuration invalid
     kExitInfraFailure = 12,  ///< transient: I/O / fork / disk trouble
     kExitInterrupted = 13,   ///< drained by SIGINT/SIGTERM, state flushed
-    kExitLeaseLost = 14,     ///< executor self-fenced: lease stolen/expired
 };
 
 /** Why one worker attempt ended, as the supervisor classified it. */
@@ -56,8 +51,7 @@ enum class FailureClass : int
     kCrash = 4,      ///< died on a signal (not the supervisor's): retry
     kHang = 5,       ///< no heartbeat progress, supervisor SIGKILLed it
     kChaos = 6,      ///< chaos self-test kill: retry, never counted
-    kLeaseLost = 7,  ///< kExitLeaseLost: retried elsewhere, never counted
-    kUnknown = 8,    ///< unrecognized nonzero exit code: retry
+    kUnknown = 7,    ///< unrecognized nonzero exit code: retry
 };
 
 /** Stable name for journal/report serialization. */
@@ -72,7 +66,6 @@ failureClassName(FailureClass c)
       case FailureClass::kCrash: return "crash";
       case FailureClass::kHang: return "hang";
       case FailureClass::kChaos: return "chaos";
-      case FailureClass::kLeaseLost: return "lease-lost";
       case FailureClass::kUnknown: return "unknown";
     }
     return "?";
@@ -118,7 +111,6 @@ classifyExit(bool exited, int exitCode, bool signaled, int signal,
           case kExitGateFailure: return FailureClass::kGate;
           case kExitBadConfig: return FailureClass::kBadConfig;
           case kExitInfraFailure: return FailureClass::kInfra;
-          case kExitLeaseLost: return FailureClass::kLeaseLost;
           default: return FailureClass::kUnknown;
         }
     }
@@ -140,16 +132,12 @@ isDeterministicFailure(FailureClass c)
 
 /**
  * True when the attempt consumes retry budget. Chaos kills are inflicted
- * by the supervisor's own self-test and say nothing about the point;
- * lease loss is an infrastructure event of the FLEET (a partitioned or
- * suspended executor self-fenced) -- the point is retried by the lease's
- * next owner and must never be charged for its old owner's misfortune.
+ * by the supervisor's own self-test and say nothing about the point.
  */
 inline bool
 failureCountsTowardQuarantine(FailureClass c)
 {
-    return c != FailureClass::kNone && c != FailureClass::kChaos &&
-           c != FailureClass::kLeaseLost;
+    return c != FailureClass::kNone && c != FailureClass::kChaos;
 }
 
 }  // namespace campaign

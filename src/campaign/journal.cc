@@ -63,6 +63,8 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+namespace {
+
 std::string
 jsonUnescape(const std::string &s)
 {
@@ -111,8 +113,6 @@ jsonUnescape(const std::string &s)
     }
     return out;
 }
-
-namespace {
 
 /**
  * Offset of the value for "key": in @p line, or npos. Searching for the
@@ -189,6 +189,8 @@ jsonFieldRaw(const std::string &line, const std::string &key,
     return true;
 }
 
+namespace {
+
 bool
 jsonFieldString(const std::string &line, const std::string &key,
                 std::string *out)
@@ -236,13 +238,15 @@ jsonFieldBool(const std::string &line, const std::string &key,
     return false;
 }
 
+}  // namespace
+
 // --- Atomic file replacement --------------------------------------------
 
 bool
 atomicWriteFile(const std::string &path, const std::string &bytes,
-                std::string *err, const std::string &tmpSuffix)
+                std::string *err)
 {
-    const std::string tmp = path + tmpSuffix;
+    const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         setErr(err, detail::formatString("cannot open %s: %s", tmp.c_str(),
@@ -287,8 +291,11 @@ CampaignJournal::~CampaignJournal()
     close();
 }
 
+namespace {
+
+/** The "open" header line (without trailing newline). */
 std::string
-CampaignJournal::openLine(std::uint64_t points, std::uint64_t gridFp)
+openLine(std::uint64_t points, std::uint64_t gridFp)
 {
     return detail::formatString(
         "{\"event\":\"open\",\"format\":%d,\"points\":%llu,"
@@ -297,13 +304,16 @@ CampaignJournal::openLine(std::uint64_t points, std::uint64_t gridFp)
         static_cast<unsigned long long>(gridFp));
 }
 
+/**
+ * Parse the complete lines of @p content into @p replay. Returns false
+ * when the first line is not a matching "open" header for (@p points,
+ * @p gridFp).
+ */
 bool
-CampaignJournal::replayContent(const std::string &content,
-                               std::uint64_t points, std::uint64_t gridFp,
-                               ReplayState *replay, std::string *err)
+replayContent(const std::string &content, std::uint64_t points,
+              std::uint64_t gridFp, ReplayState *replay, std::string *err)
 {
     replay->perPoint.clear();
-    replay->shardTokens.clear();
     replay->opened = false;
     replay->events = 0;
     replay->tornTail = false;
@@ -388,9 +398,6 @@ CampaignJournal::replayContent(const std::string &content,
             }
             p.done = true;
             p.resultLine = std::move(result);
-            std::uint64_t tok = 0;
-            if (jsonFieldU64(line, "token", &tok))
-                p.token = std::max(p.token, tok);
         } else if (event == "fail" && hasPoint) {
             ReplayPoint &p = replay->perPoint[point];
             bool counted = true;
@@ -399,11 +406,6 @@ CampaignJournal::replayContent(const std::string &content,
             } else {
                 p.countedFailures += 1;
             }
-        } else if (event == "fails" && hasPoint) {
-            std::uint64_t n = 0;
-            if (jsonFieldU64(line, "counted", &n))
-                replay->perPoint[point].countedFailures +=
-                    static_cast<int>(n);
         } else if (event == "quarantine" && hasPoint) {
             ReplayPoint &p = replay->perPoint[point];
             p.quarantined = true;
@@ -421,16 +423,6 @@ CampaignJournal::replayContent(const std::string &content,
                 q.stderrTail = std::move(s);
             if (jsonFieldString(line, "ckpt", &s))
                 q.ckptPath = std::move(s);
-            if (jsonFieldU64(line, "token", &v))
-                p.token = std::max(p.token, v);
-        } else if (event == "claim") {
-            std::uint64_t shard = 0;
-            std::uint64_t tok = 0;
-            if (jsonFieldU64(line, "shard", &shard) &&
-                jsonFieldU64(line, "token", &tok)) {
-                std::uint64_t &best = replay->shardTokens[shard];
-                best = std::max(best, tok);
-            }
         }
         // Unknown events are skipped: newer writers stay replayable.
         replay->events += 1;
@@ -441,6 +433,8 @@ CampaignJournal::replayContent(const std::string &content,
     }
     return true;
 }
+
+}  // namespace
 
 bool
 CampaignJournal::fail(const std::string &what)
@@ -490,8 +484,8 @@ CampaignJournal::open(const std::string &path, std::uint64_t points,
     }
     if (flock(lockFd_, LOCK_EX | LOCK_NB) != 0) {
         setErr(err, detail::formatString(
-                        "journal %s is locked (another executor with this "
-                        "id is running this campaign)",
+                        "journal %s is locked (another executor is running "
+                        "this campaign)",
                         path.c_str()));
         ::close(lockFd_);
         lockFd_ = -1;
@@ -560,59 +554,36 @@ CampaignJournal::open(const std::string &path, std::uint64_t points,
     return true;
 }
 
-namespace {
-
-/** Render the ",\"shard\":K,\"token\":T" stamp ("" when unstamped). */
-std::string
-stampFields(const ShardStamp &stamp)
-{
-    if (!stamp.stamped())
-        return std::string();
-    return detail::formatString(
-        ",\"shard\":%llu,\"token\":%llu",
-        static_cast<unsigned long long>(stamp.shard),
-        static_cast<unsigned long long>(stamp.token));
-}
-
-}  // namespace
-
 bool
-CampaignJournal::appendAttempt(std::uint64_t point, int launch,
-                               const ShardStamp &stamp)
+CampaignJournal::appendAttempt(std::uint64_t point, int launch)
 {
     return appendLine(detail::formatString(
-                          "{\"event\":\"attempt\",\"point\":%llu",
-                          static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) +
-                      detail::formatString(",\"launch\":%d}", launch));
+        "{\"event\":\"attempt\",\"point\":%llu,\"launch\":%d}",
+        static_cast<unsigned long long>(point), launch));
 }
 
 bool
 CampaignJournal::appendDone(std::uint64_t point,
-                            const std::string &resultLine,
-                            const ShardStamp &stamp)
+                            const std::string &resultLine)
 {
     return appendLine(detail::formatString(
-                          "{\"event\":\"done\",\"point\":%llu",
+                          "{\"event\":\"done\",\"point\":%llu,"
+                          "\"result\":",
                           static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) + ",\"result\":" + resultLine +
-                      "}");
+                      resultLine + "}");
 }
 
 bool
 CampaignJournal::appendFail(std::uint64_t point, FailureClass cls,
                             int exitCode, int signal, bool counted,
                             const std::string &stderrTail,
-                            const std::string &ckptPath,
-                            const ShardStamp &stamp)
+                            const std::string &ckptPath)
 {
     return appendLine(detail::formatString(
-                          "{\"event\":\"fail\",\"point\":%llu",
-                          static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) +
-                      detail::formatString(
-                          ",\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
+                          "{\"event\":\"fail\",\"point\":%llu,"
+                          "\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
                           "\"counted\":%s,\"ckpt\":\"",
+                          static_cast<unsigned long long>(point),
                           failureClassName(cls), exitCode, signal,
                           counted ? "true" : "false") +
                       jsonEscape(ckptPath) + "\",\"stderrTail\":\"" +
@@ -621,29 +592,17 @@ CampaignJournal::appendFail(std::uint64_t point, FailureClass cls,
 
 bool
 CampaignJournal::appendQuarantine(std::uint64_t point,
-                                  const QuarantineRecord &rec,
-                                  const ShardStamp &stamp)
+                                  const QuarantineRecord &rec)
 {
     return appendLine(detail::formatString(
-                          "{\"event\":\"quarantine\",\"point\":%llu",
-                          static_cast<unsigned long long>(point)) +
-                      stampFields(stamp) +
-                      detail::formatString(
-                          ",\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
+                          "{\"event\":\"quarantine\",\"point\":%llu,"
+                          "\"class\":\"%s\",\"exit\":%d,\"signal\":%d,"
                           "\"ckpt\":\"",
+                          static_cast<unsigned long long>(point),
                           failureClassName(rec.cls), rec.exitCode,
                           rec.signal) +
                       jsonEscape(rec.ckptPath) + "\",\"stderrTail\":\"" +
                       jsonEscape(rec.stderrTail) + "\"}");
-}
-
-bool
-CampaignJournal::appendClaim(std::uint64_t shard, std::uint64_t token)
-{
-    return appendLine(detail::formatString(
-        "{\"event\":\"claim\",\"shard\":%llu,\"token\":%llu}",
-        static_cast<unsigned long long>(shard),
-        static_cast<unsigned long long>(token)));
 }
 
 void

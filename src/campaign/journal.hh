@@ -14,26 +14,14 @@
  *   fail       {"event":"fail","point":i,"class":"infra","exit":12,
  *              "signal":0,"counted":true,"ckpt":"...","stderrTail":"..."}
  *   quarantine {"event":"quarantine","point":i,"class":"gate",...}
- *   fails      {"event":"fails","point":i,"counted":n}   (canonical
- *              journal's summary of prior counted failures)
- *   claim      {"event":"claim","shard":k,"token":T}     (multi-executor
- *              mode: this journal's executor acquired shard k's lease
- *              with fencing token T)
- *
- * Each executor (lease.hh, executor.hh) appends to its OWN journal and
- * stamps point events with the shard and fencing token they were
- * committed under ("shard":k,"token":T after the point field). The
- * canonical journal a finished campaign leaves behind omits the stamp
- * (token 0); replayers ignore unknown fields, so the two dialects
- * interread freely. The deterministic fold of N per-executor journals
- * into one canonical journal lives in merge.hh.
  *
  * Crash-safety rules:
  *  - appends go to the end of the file; a torn final line (crash or
  *    ENOSPC mid-append) is detected on replay by the missing newline and
  *    ignored -- the event simply never happened;
  *  - the journal is exclusively flock()ed for its executor's lifetime,
- *    so two executors can never interleave writes;
+ *    so two executors can never interleave writes (a second executor
+ *    on the same campaign directory is refused);
  *  - every fwrite/fflush/fsync/rename is checked (nord-lint's
  *    unchecked-io rule enforces this for src/campaign/ and src/ckpt/):
  *    an I/O error makes the journal sticky-failed rather than silently
@@ -65,25 +53,11 @@ inline constexpr int kJournalFormat = 1;
 // --- Minimal JSON helpers ----------------------------------------------
 // The journal both writes and replays its own lines, so the parser only
 // has to understand the writer's flat, known-key output -- but it must
-// never crash on a torn or hand-edited line.
+// never crash on a torn or hand-edited line. The typed field readers
+// are private to journal.cc.
 
 /** Escape a string for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
-
-/** Undo jsonEscape (tolerant: bad escapes pass through verbatim). */
-std::string jsonUnescape(const std::string &s);
-
-/** Extract "key":"string" (unescaped). False when absent/malformed. */
-bool jsonFieldString(const std::string &line, const std::string &key,
-                     std::string *out);
-
-/** Extract an unsigned integer field. False when absent/malformed. */
-bool jsonFieldU64(const std::string &line, const std::string &key,
-                  std::uint64_t *out);
-
-/** Extract a boolean field. False when absent/malformed. */
-bool jsonFieldBool(const std::string &line, const std::string &key,
-                   bool *out);
 
 /**
  * Extract the raw text of "key":<value> where value is an object (brace
@@ -94,34 +68,15 @@ bool jsonFieldRaw(const std::string &line, const std::string &key,
                   std::string *out);
 
 /**
- * Atomically replace @p path with @p bytes: write "<path><tmpSuffix>",
- * fsync, rename, then fsync the parent directory so the rename itself is
+ * Atomically replace @p path with @p bytes: write "<path>.tmp", fsync,
+ * rename, then fsync the parent directory so the rename itself is
  * durable. Returns false and sets @p err on any I/O failure; the previous
- * file, if any, is untouched in that case. Concurrent writers of the SAME
- * target (e.g. two executors both rendering the merged report) must pass
- * distinct @p tmpSuffix values so their temp files cannot collide.
+ * file, if any, is untouched in that case.
  */
 bool atomicWriteFile(const std::string &path, const std::string &bytes,
-                     std::string *err,
-                     const std::string &tmpSuffix = ".tmp");
+                     std::string *err);
 
 // --- Replayed state -----------------------------------------------------
-
-/**
- * Fencing stamp carried by point events in executor journals: the shard
- * the point belongs to and the fencing token the writing executor held
- * when it committed the event. token 0 means "unstamped" -- the
- * canonical-journal dialect -- and is what the default-constructed stamp
- * encodes; stamped events always carry token >= 1 (the lease layer hands
- * out tokens starting at 1).
- */
-struct ShardStamp
-{
-    std::uint64_t shard = 0;
-    std::uint64_t token = 0;  ///< 0 = unstamped
-
-    bool stamped() const { return token != 0; }
-};
 
 /** One quarantine record (diagnostics attached to a poison point). */
 struct QuarantineRecord
@@ -142,8 +97,6 @@ struct ReplayPoint
     bool quarantined = false;
     std::string resultLine;   ///< verbatim worker result object when done
     QuarantineRecord quarantine;
-    std::uint64_t token = 0;  ///< fencing token of the terminal event
-                              ///< (0 = unstamped)
 };
 
 /** Journal replay result. */
@@ -156,8 +109,6 @@ struct ReplayState
     bool tornTail = false;        ///< file ended mid-line (crash artifact)
     std::size_t completeBytes = 0;///< prefix covered by complete lines
     std::map<std::uint64_t, ReplayPoint> perPoint;
-    /** Highest fencing token this journal claimed per shard. */
-    std::map<std::uint64_t, std::uint64_t> shardTokens;
 };
 
 // --- The journal --------------------------------------------------------
@@ -194,39 +145,18 @@ class CampaignJournal
     const std::string &error() const { return error_; }
     const std::string &path() const { return path_; }
 
-    // Point events. @p stamp carries the (shard, fencing-token) pair the
-    // executor holds; the default (token 0) emits the unstamped dialect.
-    bool appendAttempt(std::uint64_t point, int launch,
-                       const ShardStamp &stamp = ShardStamp());
-    bool appendDone(std::uint64_t point, const std::string &resultLine,
-                    const ShardStamp &stamp = ShardStamp());
+    // Point events.
+    bool appendAttempt(std::uint64_t point, int launch);
+    bool appendDone(std::uint64_t point, const std::string &resultLine);
     bool appendFail(std::uint64_t point, FailureClass cls, int exitCode,
                     int signal, bool counted,
                     const std::string &stderrTail,
-                    const std::string &ckptPath,
-                    const ShardStamp &stamp = ShardStamp());
+                    const std::string &ckptPath);
     bool appendQuarantine(std::uint64_t point,
-                          const QuarantineRecord &rec,
-                          const ShardStamp &stamp = ShardStamp());
-
-    /** Record a shard-lease acquisition. */
-    bool appendClaim(std::uint64_t shard, std::uint64_t token);
+                          const QuarantineRecord &rec);
 
     /** Close (drops the flock). Safe to call twice. */
     void close();
-
-    /**
-     * Parse the complete lines of @p content into @p replay. Exposed for
-     * tests; open() uses it internally. Returns false when the first
-     * line is not a matching "open" header for (@p points, @p gridFp).
-     */
-    static bool replayContent(const std::string &content,
-                              std::uint64_t points, std::uint64_t gridFp,
-                              ReplayState *replay, std::string *err);
-
-    /** Render the "open" header line (without trailing newline). */
-    static std::string openLine(std::uint64_t points,
-                                std::uint64_t gridFp);
 
   private:
     bool fail(const std::string &what);

@@ -3,8 +3,8 @@
  * Campaign reports and the drain latch.
  *
  * The report files are a pure function of the grid: any sequence of
- * crashes, chaos kills, resumes, executor re-execs and fleet membership
- * changes yields the same report.json / report.csv bytes. Provenance
+ * crashes, chaos kills, resumes and executor re-execs yields the same
+ * report.json / report.csv bytes. Provenance
  * (attempt counts, checkpoint paths) is deliberately segregated into
  * provenance.json, which is NOT part of that contract.
  *

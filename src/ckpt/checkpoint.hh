@@ -79,8 +79,8 @@ bool readCheckpointFile(const std::string &path, CheckpointMeta *meta,
  * the file's fsync persists the bytes, but the rename lives in the parent
  * directory's data, and a power loss right after rename() can otherwise
  * resurface the old name (or no name at all) on the next mount. Every
- * rename in the durability layers (checkpoints, campaign journals, lease
- * files) must be followed by this call; nord-lint's unchecked-io rule
+ * rename in the durability layers (checkpoints, campaign reports) must
+ * be followed by this call; nord-lint's unchecked-io rule
  * enforces it for src/ckpt/ and src/campaign/.
  *
  * Returns false and sets @p err when the directory cannot be opened or

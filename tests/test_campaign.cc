@@ -7,8 +7,11 @@
  * worker crashes, chaos kills, journal truncations and executor re-execs
  * must yield byte-identical report.json / report.csv. The unit half
  * exercises the pieces (exit taxonomy, backoff determinism, grid
- * expansion, journal replay/locking); the end-to-end half forks real
- * worker fleets under an `--out`-style fleet of one against tiny grids.
+ * expansion, journal replay/locking); the end-to-end half runs the
+ * executor behind `nord-campaign --out` against tiny grids, forking real
+ * workers, and compares report bytes against an in-process reference:
+ * every point's worker run directly, its results rendered as a
+ * completed campaign.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/backoff.hh"
@@ -89,8 +93,6 @@ TEST(CampaignExitCodes, ClassificationTable)
               FailureClass::kBadConfig);
     EXPECT_EQ(classifyExit(true, kExitInfraFailure, false, 0),
               FailureClass::kInfra);
-    EXPECT_EQ(classifyExit(true, kExitLeaseLost, false, 0),
-              FailureClass::kLeaseLost);
     // Outside the taxonomy: asserts (134 via abort is a signal, but a
     // plain exit(1)) and sanitizer exits classify as unknown -> retried.
     EXPECT_EQ(classifyExit(true, 1, false, 0), FailureClass::kUnknown);
@@ -115,16 +117,12 @@ TEST(CampaignExitCodes, RetryAndQuarantineSemantics)
     EXPECT_FALSE(isDeterministicFailure(FailureClass::kCrash));
     EXPECT_FALSE(isDeterministicFailure(FailureClass::kHang));
     EXPECT_FALSE(isDeterministicFailure(FailureClass::kChaos));
-    EXPECT_FALSE(isDeterministicFailure(FailureClass::kLeaseLost));
     EXPECT_FALSE(isDeterministicFailure(FailureClass::kUnknown));
 
     EXPECT_FALSE(failureCountsTowardQuarantine(FailureClass::kNone));
     EXPECT_FALSE(failureCountsTowardQuarantine(FailureClass::kChaos))
         << "chaos kills are the supervisor's own doing and must never "
            "charge the point's budget";
-    EXPECT_FALSE(failureCountsTowardQuarantine(FailureClass::kLeaseLost))
-        << "lease loss is a fleet event: the shard's next owner retries "
-           "the point, which must never be charged for it";
     EXPECT_TRUE(failureCountsTowardQuarantine(FailureClass::kInfra));
     EXPECT_TRUE(failureCountsTowardQuarantine(FailureClass::kHang));
     EXPECT_TRUE(failureCountsTowardQuarantine(FailureClass::kCrash));
@@ -396,17 +394,15 @@ TEST(CampaignReport, RenderingIsDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end fleets (these fork real workers).
+// End-to-end campaigns (these fork real workers).
 // ---------------------------------------------------------------------
 
-/** What `nord-campaign --out outDir` runs: a fleet of one. */
+/** What `nord-campaign --out outDir` runs, tuned for test speed. */
 ExecutorOptions
 e2eOptions(const std::string &outDir)
 {
     ExecutorOptions opts;
     opts.outDir = outDir;
-    opts.execId = "local";
-    opts.artifactDir = outDir;
     opts.workers = 2;
     opts.maxFailures = 2;
     opts.hangTimeoutSec = 30.0;
@@ -428,6 +424,31 @@ e2eGrid()
     return grid;
 }
 
+/**
+ * In-process reference report for @p specs: runPointWorker per point
+ * (artifacts under @p dir), then the results rendered as a completed
+ * campaign. Returns {report.json, report.csv} bytes.
+ */
+std::pair<std::string, std::string>
+referenceReport(const std::vector<PointSpec> &specs, const std::string &dir,
+                const WorkerOptions &wopts)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    ReplayState state;
+    state.opened = true;
+    state.points = specs.size();
+    state.gridFp = gridFingerprint(specs);
+    for (const PointSpec &spec : specs) {
+        const PointPaths paths = pointPaths(dir, spec.id);
+        EXPECT_EQ(runPointWorker(spec, paths, wopts), kExitOk);
+        ReplayPoint &p = state.perPoint[spec.id];
+        p.done = readResultLine(paths.result, &p.resultLine);
+        EXPECT_TRUE(p.done) << "no result for point " << spec.id;
+    }
+    return {renderReportJson(specs, state), renderReportCsv(specs, state)};
+}
+
 TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
 {
     clearCampaignDrain();
@@ -445,6 +466,12 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     const std::string csv1 = slurp(out.reportCsv);
     ASSERT_FALSE(json1.empty());
     ASSERT_FALSE(csv1.empty());
+    const auto gold =
+        referenceReport(specs, freshDir("campaign_e2e_gold"), opts.worker);
+    EXPECT_EQ(json1, gold.first)
+        << "the executor must reproduce the in-process reference report "
+           "byte for byte";
+    EXPECT_EQ(csv1, gold.second);
 
     // Resume with everything already terminal: no new launches, same
     // bytes.
@@ -454,11 +481,11 @@ TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
     EXPECT_EQ(slurp(out2.reportJson), json1);
     EXPECT_EQ(slurp(out2.reportCsv), csv1);
 
-    // Amputate the executor's journal back to its first two lines (the
-    // shape an executor SIGKILL leaves behind): the rerun must redo the
-    // lost work -- resuming workers from leftover checkpoints -- and
-    // land on the same report bytes.
-    const std::string jpath = dir + "/journal-local.jsonl";
+    // Amputate the journal back to its first two lines (the shape an
+    // executor SIGKILL leaves behind): the rerun must redo the lost work
+    // -- resuming workers from leftover checkpoints -- and land on the
+    // same report bytes.
+    const std::string jpath = dir + "/journal.jsonl";
     const std::string full = slurp(jpath);
     std::size_t cut = full.find('\n');
     ASSERT_NE(cut, std::string::npos);
@@ -560,6 +587,35 @@ TEST(CampaignEndToEnd, ChaosKillsNeverChangeTheReport)
     EXPECT_EQ(slurp(chaotic.reportCsv), slurp(clean.reportCsv));
 }
 
+TEST(CampaignEndToEnd, DrainAfterOneLaunchThenRerunCompletes)
+{
+    // The first run drains itself after a single launch (test hook): a
+    // deterministic stand-in for an operator Ctrl-C mid-campaign. The
+    // rerun resumes from the journal and finishes the campaign.
+    clearCampaignDrain();
+    const std::string dir = freshDir("campaign_drain");
+    const std::vector<PointSpec> specs = expandGrid(e2eGrid());
+    ExecutorOptions first = e2eOptions(dir);
+    first.drainAfterLaunches = 1;
+    ExecutorOutcome out1;
+    std::string err;
+    ASSERT_TRUE(runExecutor(specs, first, &out1, &err)) << err;
+    EXPECT_TRUE(out1.interrupted);
+    EXPECT_EQ(out1.launches, 1u);
+    EXPECT_FALSE(out1.wroteReports);
+    EXPECT_FALSE(fileExists(dir + "/report.json"));
+
+    ExecutorOutcome out2;
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(dir), &out2, &err)) << err;
+    EXPECT_FALSE(out2.interrupted);
+    EXPECT_TRUE(out2.wroteReports);
+    EXPECT_EQ(out2.completed, specs.size());
+    const auto gold = referenceReport(specs, freshDir("campaign_drain_gold"),
+                                      first.worker);
+    EXPECT_EQ(slurp(out2.reportJson), gold.first);
+    EXPECT_EQ(slurp(out2.reportCsv), gold.second);
+}
+
 #ifdef __linux__
 /** A grid whose points run effectively forever at test scale. */
 std::vector<PointSpec>
@@ -571,9 +627,10 @@ unboundedSpecs()
 }
 
 /**
- * Fork a fleet-of-one executor running @p specs in @p dir and wait until
- * point 0's worker heartbeats (its checkpoint mtime ticks). Returns the
- * executor's pid, or -1 (after killing it) when no heartbeat appeared.
+ * Fork an executor running @p specs in @p dir and wait until point 0's
+ * worker heartbeats (its checkpoint mtime ticks). Returns the executor's
+ * pid, or -1 (after killing it) when no heartbeat appeared. The child
+ * exits 0 only when every point completed and the reports were written.
  */
 pid_t
 forkLiveCampaign(const std::string &dir, const std::vector<PointSpec> &specs)
@@ -586,8 +643,11 @@ forkLiveCampaign(const std::string &dir, const std::vector<PointSpec> &specs)
         opts.worker.checkpointEvery = 50;  // rapid heartbeats
         ExecutorOutcome out;
         std::string err;
-        runExecutor(specs, opts, &out, &err);
-        _exit(0);
+        const bool ok = runExecutor(specs, opts, &out, &err);
+        _exit(ok && !out.interrupted && out.wroteReports &&
+                      out.completed == specs.size()
+                  ? 0
+                  : 1);
     }
 
     const std::string ckpt0 = pointPaths(dir, specs[0].id).checkpoint;
@@ -610,9 +670,9 @@ forkLiveCampaign(const std::string &dir, const std::vector<PointSpec> &specs)
     return pid;
 }
 
-// The fleet of one's journal is flock()ed for the executor's lifetime,
-// so a second `--out` on a live campaign directory is refused before it
-// can touch a lease or launch a worker.
+// The journal is flock()ed for the executor's lifetime, so a second
+// `--out` on a live campaign directory is refused before it can launch a
+// worker.
 TEST(CampaignEndToEnd, SecondConcurrentOutRunIsRefused)
 {
     clearCampaignDrain();
@@ -663,6 +723,38 @@ TEST(CampaignEndToEnd, SigkilledOrchestratorLeavesNoOrphanWorkers)
         EXPECT_EQ(after, before)
             << "an orphaned worker is still heartbeating " << ckpt;
     }
+}
+// Suspending the executor (Ctrl-Z, laptop sleep) must cost the campaign
+// nothing: SIGSTOP it mid-run for 1.5 s while its workers keep going,
+// SIGCONT it, and it must finish cleanly with an undisturbed run's
+// report bytes.
+TEST(CampaignEndToEnd, SuspendedExecutorFinishesCleanly)
+{
+    clearCampaignDrain();
+    GridSpec grid = e2eGrid();
+    grid.measure = 20000;  // the stop must land while workers run
+    const std::vector<PointSpec> specs = expandGrid(grid);
+
+    const std::string cleanDir = freshDir("campaign_sigstop_clean");
+    ExecutorOutcome clean;
+    std::string err;
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(cleanDir), &clean, &err))
+        << err;
+    ASSERT_EQ(clean.completed, specs.size());
+
+    const std::string dir = freshDir("campaign_sigstop");
+    const pid_t pid = forkLiveCampaign(dir, specs);
+    ASSERT_GT(pid, 0) << "workers never started heartbeating";
+    ASSERT_EQ(kill(pid, SIGSTOP), 0);
+    sleepSec(1.5);
+    ASSERT_EQ(kill(pid, SIGCONT), 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "the resumed executor did not complete the campaign";
+    EXPECT_EQ(slurp(dir + "/report.json"), slurp(clean.reportJson));
+    EXPECT_EQ(slurp(dir + "/report.csv"), slurp(clean.reportCsv));
 }
 #endif  // __linux__
 

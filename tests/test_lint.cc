@@ -458,7 +458,7 @@ publish(const char *tmp, const char *path)
 }
 )cc";
     const std::vector<LintFinding> fs =
-        lint("src/campaign/lease.cc", noDirSync);
+        lint("src/campaign/journal.cc", noDirSync);
     ASSERT_EQ(fs.size(), 1u);
     EXPECT_EQ(fs[0].check, "unchecked-io");
     EXPECT_NE(fs[0].message.find("fsyncParentDir"), std::string::npos);
@@ -518,7 +518,7 @@ publish(const char *tmp, const char *path)
     return true;
 }
 )cc";
-    EXPECT_TRUE(lint("src/campaign/lease.cc", annotated).empty());
+    EXPECT_TRUE(lint("src/campaign/journal.cc", annotated).empty());
 
     // Out of durability scope the rule does not apply.
     EXPECT_TRUE(lint("src/router/router.cc", noDirSync).empty());

@@ -8,24 +8,21 @@
  * poison-point quarantine) and aggregates the results into
  * report.json / report.csv / provenance.json. See DESIGN.md section 5.9.
  *
- * There is one supervision loop, campaign::runExecutor. --out DIR runs
- * it as a fleet of one: executor id "local", worker artifacts directly
- * in DIR. SIGKILL it at any moment, rerun the same command line, and it
- * resumes from its journal to a byte-identical report. With --join, any
- * number of nord-campaign processes (same host or different machines
- * over a shared filesystem) cooperatively drain the SAME campaign
- * directory: work is claimed through per-shard lease files with
- * monotonic fencing tokens, an executor that loses its lease self-fences
- * and exits kExitLeaseLost, and a deterministic merge of the
- * per-executor journals keeps report.json / report.csv byte-identical
- * regardless of fleet membership history.
+ * There is one supervision loop, campaign::runExecutor, over one
+ * campaign directory: the flock()ed journal DIR/journal.jsonl, the
+ * worker artifacts and the reports all live in DIR. SIGKILL it at any
+ * moment, rerun the same command line, and it resumes from its journal
+ * to a byte-identical report; a second live run on the same DIR is
+ * refused.
  *
  * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh):
- * 0 when every point completed, 10 when any point was quarantined, 12
- * on orchestration failure, 13 when drained by SIGINT/SIGTERM, 14 when
- * this executor lost a shard lease and self-fenced.
+ * 0 when every point completed, 10 when any point was quarantined, 11
+ * on a bad command line, 12 on orchestration failure, 13 when drained
+ * by SIGINT/SIGTERM.
  */
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +45,7 @@ void
 usage()
 {
     std::printf(
-        "usage: nord-campaign (--out DIR | --join DIR) [grid options]\n"
+        "usage: nord-campaign --out DIR [grid options]\n"
         "                     [supervision options]\n"
         "\n"
         "Runs (or resumes) a crash-resumable simulation campaign: the\n"
@@ -77,15 +74,10 @@ usage()
         "                       fails deterministically and quarantines\n"
         "\n"
         "supervision options:\n"
-        "  --out DIR            run the campaign in DIR as a fleet of one\n"
-        "                       (executor id \"local\"; checkpoints and\n"
-        "                       results go straight into DIR). A second\n"
-        "                       live --out on the same DIR is refused.\n"
-        "                       Rerunning after a SIGKILL may first wait\n"
-        "                       one lease grace for the old leases to\n"
-        "                       expire; a run suspended longer than\n"
-        "                       grace/2 self-fences (exit 14) and a rerun\n"
-        "                       resumes it\n"
+        "  --out DIR            campaign directory: journal, worker\n"
+        "                       checkpoints/results and reports. A\n"
+        "                       second live run on the same DIR is\n"
+        "                       refused\n"
         "  --workers N          concurrent workers (default 2)\n"
         "  --max-failures K     counted failures before quarantine\n"
         "                       (default 3)\n"
@@ -95,25 +87,6 @@ usage()
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
         "\n"
-        "multi-executor mode:\n"
-        "  --join DIR           join (or start) the shared campaign in\n"
-        "                       DIR: work is claimed shard-by-shard via\n"
-        "                       lease files with fencing tokens, every\n"
-        "                       executor appends to its own journal, and\n"
-        "                       a deterministic merge yields the same\n"
-        "                       report bytes as an --out run. Run the\n"
-        "                       same command in N terminals (or on N\n"
-        "                       machines over a shared filesystem) to\n"
-        "                       drain the grid cooperatively\n"
-        "  --executor-id ID     (--join only) stable executor id\n"
-        "                       (default: generated from host/pid)\n"
-        "  --shards N           shard count, first joiner only (default\n"
-        "                       min(points, 8); later joiners adopt the\n"
-        "                       manifest's)\n"
-        "  --lease-grace SEC    observed silence before a lease steal,\n"
-        "                       first joiner only (default 2)\n"
-        "  --lease-renew SEC    heartbeat period (default grace/8)\n"
-        "\n"
         "chaos self-test:\n"
         "  --chaos              kill random workers on a seeded schedule;\n"
         "                       kills are never counted against points,\n"
@@ -122,24 +95,11 @@ usage()
         "  --chaos-seed N       schedule seed (default 1)\n"
         "  --chaos-interval S   mean seconds between kills (default 0.5)\n"
         "  --chaos-max-kills N  stop killing after N (default unlimited)\n"
-        "  --chaos-partition-mean S\n"
-        "                       mean seconds between self-partitions:\n"
-        "                       SIGSTOP this executor, let its leases\n"
-        "                       expire, SIGCONT it and watch it\n"
-        "                       self-fence (default off)\n"
-        "  --chaos-partition-duration S\n"
-        "                       suspension length (default 0)\n"
-        "  --chaos-max-partitions N\n"
-        "                       stop after N partitions (default 1)\n"
         "  --poison-points LIST point ids forced to fail their gate\n"
         "                       deterministically (quarantine test)\n"
         "  --hang-points LIST   point ids forced to stop heartbeating\n"
         "                       (hang-kill test)\n"
         "\n"
-        "  --drain-after-launches N\n"
-        "                       drain this executor after N worker\n"
-        "                       launches -- deterministic handover\n"
-        "                       testing (default off)\n"
         "  --list               print the expanded grid and exit\n"
         "  --help               this text\n");
 }
@@ -163,14 +123,53 @@ splitList(const std::string &arg)
     return out;
 }
 
+// Scalar parsers: the whole string must be the number (no trailing
+// junk, no empty string, no out-of-range value).
+
+bool
+parseU64(const std::string &s, std::uint64_t *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (s.empty() || s[0] == '-' || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = v;
+    return true;
+}
+
+bool
+parseInt(const std::string &s, int *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s.c_str(), &end, 10);
+    if (s.empty() || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+        v > INT_MAX)
+        return false;
+    *out = static_cast<int>(v);
+    return true;
+}
+
+bool
+parseDouble(const std::string &s, double *out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = v;
+    return true;
+}
+
 bool
 parseU64List(const std::string &arg, std::vector<std::uint64_t> *out)
 {
     out->clear();
     for (const std::string &s : splitList(arg)) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-        if (!end || *end != '\0')
+        std::uint64_t v = 0;
+        if (!parseU64(s, &v))
             return false;
         out->push_back(v);
     }
@@ -182,9 +181,8 @@ parseDoubleList(const std::string &arg, std::vector<double> *out)
 {
     out->clear();
     for (const std::string &s : splitList(arg)) {
-        char *end = nullptr;
-        const double v = std::strtod(s.c_str(), &end);
-        if (!end || *end != '\0')
+        double v = 0.0;
+        if (!parseDouble(s, &v))
             return false;
         out->push_back(v);
     }
@@ -207,8 +205,6 @@ main(int argc, char **argv)
     std::vector<std::uint64_t> poisonIds;
     std::vector<std::uint64_t> hangIds;
     bool list = false;
-    bool join = false;
-    std::string executorId;
 
     auto needValue = [&](int i) -> const char * {
         if (i + 1 >= argc) {
@@ -216,6 +212,14 @@ main(int argc, char **argv)
             std::exit(kExitBadConfig);
         }
         return argv[i + 1];
+    };
+    // Parse argv[i + 1] as the scalar value of flag argv[i], or exit.
+    auto scalar = [&](int i, auto parse, auto *out) {
+        if (!parse(needValue(i), out)) {
+            std::fprintf(stderr, "bad %s value '%s'\n", argv[i],
+                         argv[i + 1]);
+            std::exit(kExitBadConfig);
+        }
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -226,28 +230,7 @@ main(int argc, char **argv)
         } else if (a == "--list") {
             list = true;
         } else if (a == "--out") {
-            join = false;
             opts.outDir = needValue(i);
-            ++i;
-        } else if (a == "--join") {
-            join = true;
-            opts.outDir = needValue(i);
-            ++i;
-        } else if (a == "--executor-id") {
-            executorId = needValue(i);
-            ++i;
-        } else if (a == "--shards") {
-            opts.shards = std::strtoull(needValue(i), nullptr, 10);
-            ++i;
-        } else if (a == "--lease-grace") {
-            opts.leaseGraceSec = std::atof(needValue(i));
-            ++i;
-        } else if (a == "--lease-renew") {
-            opts.leaseRenewSec = std::atof(needValue(i));
-            ++i;
-        } else if (a == "--drain-after-launches") {
-            opts.drainAfterLaunches =
-                std::strtoull(needValue(i), nullptr, 10);
             ++i;
         } else if (a == "--designs") {
             grid.designs.clear();
@@ -301,58 +284,45 @@ main(int argc, char **argv)
             }
             ++i;
         } else if (a == "--rows") {
-            grid.rows = std::atoi(needValue(i));
+            scalar(i, parseInt, &grid.rows);
             ++i;
         } else if (a == "--cols") {
-            grid.cols = std::atoi(needValue(i));
+            scalar(i, parseInt, &grid.cols);
             ++i;
         } else if (a == "--cycles") {
-            grid.measure =
-                static_cast<Cycle>(std::strtoull(needValue(i), nullptr,
-                                                 10));
+            scalar(i, parseU64, &grid.measure);
             ++i;
         } else if (a == "--min-delivered") {
-            grid.minDelivered = std::atof(needValue(i));
+            scalar(i, parseDouble, &grid.minDelivered);
             ++i;
         } else if (a == "--workers") {
-            opts.workers = std::atoi(needValue(i));
+            scalar(i, parseInt, &opts.workers);
             ++i;
         } else if (a == "--max-failures") {
-            opts.maxFailures = std::atoi(needValue(i));
+            scalar(i, parseInt, &opts.maxFailures);
             ++i;
         } else if (a == "--hang-timeout") {
-            opts.hangTimeoutSec = std::atof(needValue(i));
+            scalar(i, parseDouble, &opts.hangTimeoutSec);
             ++i;
         } else if (a == "--checkpoint-every") {
-            opts.worker.checkpointEvery =
-                static_cast<Cycle>(std::strtoull(needValue(i), nullptr,
-                                                 10));
+            scalar(i, parseU64, &opts.worker.checkpointEvery);
             ++i;
         } else if (a == "--backoff-initial") {
-            opts.backoff.initialSec = std::atof(needValue(i));
+            scalar(i, parseDouble, &opts.backoff.initialSec);
             ++i;
         } else if (a == "--backoff-max") {
-            opts.backoff.maxSec = std::atof(needValue(i));
+            scalar(i, parseDouble, &opts.backoff.maxSec);
             ++i;
         } else if (a == "--chaos") {
             opts.chaos.enabled = true;
         } else if (a == "--chaos-seed") {
-            opts.chaos.seed = std::strtoull(needValue(i), nullptr, 10);
+            scalar(i, parseU64, &opts.chaos.seed);
             ++i;
         } else if (a == "--chaos-interval") {
-            opts.chaos.meanIntervalSec = std::atof(needValue(i));
+            scalar(i, parseDouble, &opts.chaos.meanIntervalSec);
             ++i;
         } else if (a == "--chaos-max-kills") {
-            opts.chaos.maxKills = std::atoi(needValue(i));
-            ++i;
-        } else if (a == "--chaos-partition-mean") {
-            opts.chaos.partitionMeanSec = std::atof(needValue(i));
-            ++i;
-        } else if (a == "--chaos-partition-duration") {
-            opts.chaos.partitionDurationSec = std::atof(needValue(i));
-            ++i;
-        } else if (a == "--chaos-max-partitions") {
-            opts.chaos.maxPartitions = std::atoi(needValue(i));
+            scalar(i, parseInt, &opts.chaos.maxKills);
             ++i;
         } else if (a == "--poison-points") {
             if (!parseU64List(needValue(i), &poisonIds)) {
@@ -389,8 +359,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (opts.outDir.empty()) {
-        std::fprintf(stderr, "--out DIR or --join DIR is required "
-                             "(--help)\n");
+        std::fprintf(stderr, "--out DIR is required (--help)\n");
         return kExitBadConfig;
     }
     if (specs.empty()) {
@@ -413,14 +382,6 @@ main(int argc, char **argv)
                      opts.chaos.meanIntervalSec, opts.hangTimeoutSec);
     }
 
-    // --out is a fleet of one whose worker artifacts live in DIR itself.
-    if (join) {
-        opts.execId = executorId;
-    } else {
-        opts.execId = "local";
-        opts.artifactDir = opts.outDir;
-    }
-
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
@@ -430,24 +391,13 @@ main(int argc, char **argv)
         std::fprintf(stderr, "campaign failed: %s\n", err.c_str());
         return kExitInfraFailure;
     }
-    std::printf("nord-campaign[%s]: completed %llu, quarantined %llu, "
-                "missing %llu (launched %llu, %llu chaos kill(s), %llu "
-                "partition(s), %llu stale commit(s) dropped)\n",
-                out.execId.c_str(),
+    std::printf("nord-campaign: completed %llu, quarantined %llu, "
+                "missing %llu (launched %llu, %llu chaos kill(s))\n",
                 static_cast<unsigned long long>(out.completed),
                 static_cast<unsigned long long>(out.quarantined),
                 static_cast<unsigned long long>(out.missing),
                 static_cast<unsigned long long>(out.launches),
-                static_cast<unsigned long long>(out.chaosKills),
-                static_cast<unsigned long long>(out.partitions),
-                static_cast<unsigned long long>(out.staleDropped));
-    if (out.fenced) {
-        std::fprintf(stderr,
-                     "nord-campaign[%s]: lease lost (%s); rerun to resume, "
-                     "or let another executor retry the shard\n",
-                     out.execId.c_str(), out.fenceReason.c_str());
-        return kExitLeaseLost;
-    }
+                static_cast<unsigned long long>(out.chaosKills));
     if (out.interrupted) {
         std::printf("nord-campaign: drained by signal; rerun the same "
                     "command to resume\n");
