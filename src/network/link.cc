@@ -50,13 +50,6 @@ FlitLink::inFlightForVc(VcId vc) const
     return count;
 }
 
-void
-FlitLink::forEachInFlight(const std::function<void(const Flit &)> &fn) const
-{
-    for (const Entry &e : queue_)
-        fn(e.flit);
-}
-
 bool
 FlitLink::injectFlitDrop()
 {

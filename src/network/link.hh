@@ -12,7 +12,6 @@
 #ifndef NORD_NETWORK_LINK_HH
 #define NORD_NETWORK_LINK_HH
 
-#include <functional>
 #include <string>
 
 #include "common/arena.hh"
@@ -69,7 +68,12 @@ class FlitLink : public Clocked
     int inFlightForVc(VcId vc) const;
 
     /** Visit every in-flight flit (oldest first). */
-    void forEachInFlight(const std::function<void(const Flit &)> &fn) const;
+    template <typename Fn>
+    void forEachInFlight(Fn &&fn) const
+    {
+        for (const Entry &e : queue_)
+            fn(e.flit);
+    }
 
     /**
      * Fault injection (testing only): silently drop the oldest in-flight

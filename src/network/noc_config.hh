@@ -44,7 +44,8 @@ const char *auditPolicyName(AuditPolicy p);
  *
  * The InvariantAuditor sweeps the whole network checking flit/credit
  * conservation, VC state-machine legality, power-gating handshake safety
- * and liveness. It is off by default (interval = 0) so benches pay only a
+ * and liveness, and checks the neighbourhood of every router power
+ * transition. It is off by default (interval = 0) so benches pay only a
  * single branch per cycle; tests enable it with interval = 1.
  */
 struct VerifyConfig
@@ -56,7 +57,16 @@ struct VerifyConfig
      */
     Cycle interval = 0;
 
-    /** Also sweep immediately on every router power-state transition. */
+    /**
+     * Also check immediately on every router power-state transition. The
+     * check is scoped to what the transition can break: credit
+     * conservation, VC legality and PG safety of the transitioning
+     * router and its mesh neighbours (their output links, local ports,
+     * VCs and datapaths), plus every link/VC with an announced credit
+     * leak. It records exactly what a full sweep would whenever the rest
+     * of the network is clean; anything found elsewhere waits for the
+     * next periodic sweep, at most `interval` cycles away.
+     */
     bool sweepOnTransition = true;
 
     /**

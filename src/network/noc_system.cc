@@ -36,21 +36,21 @@ NocSystem::NocSystem(const NocConfig &config)
     // Every power transition re-arms the transitioning router and its
     // mesh neighbors in the kernel's active list (their next tick adjusts
     // credit views / restarts heads -- see Router::quiescent), and, when
-    // the auditor sweeps on transitions, fires that sweep.
-    const bool sweep =
+    // the auditor checks on transitions, has it check that same set.
+    const bool check =
         auditor_->enabled() && config_.verify.sweepOnTransition;
     for (NodeId id = 0; id < config_.numNodes(); ++id) {
         Router *r = routers_[id].get();
         controllers_[id]->setTransitionListener(
-            [this, r, sweep](Cycle now, PowerState from, PowerState to) {
+            [this, r, check](Cycle now, PowerState, PowerState) {
                 r->kernelWake();
                 for (int d = 0; d < kNumMeshDirs; ++d) {
                     const NodeId nb = mesh_.neighbor(r->id(), indexDir(d));
                     if (nb != kInvalidNode)
                         routers_[nb]->kernelWake();
                 }
-                if (sweep)
-                    auditor_->onPowerTransition(now, from, to);
+                if (check)
+                    auditor_->onPowerTransition(now, r->id());
             });
     }
     kernel_.setSkipEnabled(config_.perf.skipIdle);

@@ -259,20 +259,6 @@ NetworkInterface::holdsBypassOutVc(VcId outVc) const
     return stage3CountForVc(outVc) > 0;
 }
 
-void
-NetworkInterface::forEachPendingFlit(
-    const std::function<void(const Flit &)> &fn) const
-{
-    for (const auto &entry : ejectQ_)
-        fn(entry.first);
-    for (const auto &slot : latch_) {
-        for (const LatchEntry &e : slot)
-            fn(e.flit);
-    }
-    for (const StagedFlit &s : stage3_)
-        fn(s.flit);
-}
-
 bool
 NetworkInterface::stage3Pending(Cycle now) const
 {

@@ -167,8 +167,18 @@ class NetworkInterface : public Clocked
 
     /** Visit every in-NI flit that counts as in-network (ejection queue,
      *  bypass latch, stage 3) for conservation and age sweeps. */
-    void forEachPendingFlit(
-        const std::function<void(const Flit &)> &fn) const;
+    template <typename Fn>
+    void forEachPendingFlit(Fn &&fn) const
+    {
+        for (const auto &entry : ejectQ_)
+            fn(entry.first);
+        for (const auto &slot : latch_) {
+            for (const LatchEntry &e : slot)
+                fn(e.flit);
+        }
+        for (const StagedFlit &s : stage3_)
+            fn(s.flit);
+    }
 
     /** Dump bypass/injection state to @p out (diagnostics). */
     void dumpState(std::FILE *out) const;

@@ -37,8 +37,9 @@ class PgController : public Clocked
 {
   public:
     /**
-     * Observer of power-state transitions (InvariantAuditor sweeps on
-     * every transition). Arguments: cycle, old state, new state.
+     * Observer of power-state transitions (NocSystem re-arms the router
+     * and its neighbours, and the InvariantAuditor checks them).
+     * Arguments: cycle, old state, new state.
      */
     using TransitionListener =
         std::function<void(Cycle, PowerState, PowerState)>;

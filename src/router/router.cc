@@ -139,18 +139,6 @@ Router::probeVc(Direction inPort, VcId vc) const
 }
 
 void
-Router::forEachBufferedFlit(
-    const std::function<void(Direction, VcId, const Flit &)> &fn) const
-{
-    for (int p = 0; p < kNumPorts; ++p) {
-        for (VcId v = 0; v < config_.numVcs; ++v) {
-            for (const Flit &f : inputs_[p].vcs[v].buffer)
-                fn(indexDir(p), v, f);
-        }
-    }
-}
-
-void
 Router::injectCreditLeak(Direction outPort, VcId vc)
 {
     --outputs_[dirIndex(outPort)].credits[vc];

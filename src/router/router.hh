@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -268,9 +267,21 @@ class Router : public Clocked
         return inputs_[dirIndex(inPort)].creditReturn;
     }
 
-    /** Visit every flit buffered in this router's input VCs. */
-    void forEachBufferedFlit(
-        const std::function<void(Direction, VcId, const Flit &)> &fn) const;
+    /**
+     * Visit every flit buffered in this router's input VCs as
+     * fn(inPort, vc, flit). A template, so the auditor's visitor is
+     * inlined; a capturing visitor costs no allocation.
+     */
+    template <typename Fn>
+    void forEachBufferedFlit(Fn &&fn) const
+    {
+        for (int p = 0; p < kNumPorts; ++p) {
+            for (VcId v = 0; v < config_.numVcs; ++v) {
+                for (const Flit &f : inputs_[p].vcs[v].buffer)
+                    fn(indexDir(p), v, f);
+            }
+        }
+    }
 
     /**
      * Fault injection (testing only): silently lose one credit of

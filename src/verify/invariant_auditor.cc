@@ -62,10 +62,10 @@ InvariantAuditor::expectCreditDeficit(NodeId node, Direction dir, VcId vc)
 }
 
 void
-InvariantAuditor::report(Kind kind, NodeId node, Cycle now,
+InvariantAuditor::report(Pass &p, Kind kind, NodeId node,
                          std::string diagnosis, bool expected)
 {
-    violations_.push_back({kind, node, now, std::move(diagnosis), expected});
+    p.out.push_back({kind, node, p.now, std::move(diagnosis), expected});
 }
 
 std::uint64_t
@@ -90,7 +90,7 @@ InvariantAuditor::progressCounter() const
 // --- Invariant 1: flit conservation ---------------------------------------
 
 void
-InvariantAuditor::checkFlitConservation(Cycle now)
+InvariantAuditor::checkFlitConservation(Pass &p)
 {
     const int n = sys_.config().numNodes();
     std::uint64_t inBuffers = 0;
@@ -115,7 +115,7 @@ InvariantAuditor::checkFlitConservation(Cycle now)
         inBuffers + inLinks + inEjectQs + inLatches + inStage3;
     const std::uint64_t expected = inNetworkFlits();
     if (counted != expected) {
-        report(Kind::kFlitConservation, kInvalidNode, now,
+        report(p, Kind::kFlitConservation, kInvalidNode,
                formatString(
                    "flit conservation broken: %llu flits in network "
                    "(injected %llu - ejected %llu - eaten %llu) but %llu "
@@ -145,110 +145,106 @@ InvariantAuditor::checkFlitConservation(Cycle now)
 // --- Invariant 2: credit conservation -------------------------------------
 
 void
-InvariantAuditor::checkCreditConservation(Cycle now)
+InvariantAuditor::checkLinkCredits(Pass &p, NodeId id, Direction dir,
+                                   VcId onlyVc)
 {
     const NocConfig &cfg = sys_.config();
-    const int n = cfg.numNodes();
-    const bool isNord = cfg.design == PgDesign::kNord;
+    const Router &up = sys_.router(id);
+    const Router *down = up.neighborRouter(dir);
+    if (!down)
+        return;
+    const FlitLink *flink = up.outputLink(dir);
+    const CreditLink *clink = down->creditReturnLink(opposite(dir));
+    const bool ringEdge = cfg.design == PgDesign::kNord &&
+                          dir == sys_.ring().bypassOutport(id);
+    // Section 4.3 credit re-adjustment: while the upstream sees the ring
+    // successor as gated, its credit view shrinks to the single NI bypass
+    // latch slot per VC.
+    const int expected = ringEdge && up.outputGatedView(dir)
+        ? 1 : cfg.bufferDepth;
+    const NetworkInterface &upNi = sys_.ni(id);
+    const NetworkInterface &downNi = sys_.ni(down->id());
 
-    for (NodeId id = 0; id < n; ++id) {
-        const Router &up = sys_.router(id);
-        const NetworkInterface &upNi = sys_.ni(id);
-
-        for (int d = 0; d < kNumMeshDirs; ++d) {
-            const Direction dir = indexDir(d);
-            const Router *down = up.neighborRouter(dir);
-            if (!down)
-                continue;
-            const FlitLink *flink = up.outputLink(dir);
-            const CreditLink *clink =
-                down->creditReturnLink(opposite(dir));
-            const bool ringEdge =
-                isNord && dir == sys_.ring().bypassOutport(id);
-            // Section 4.3 credit re-adjustment: while the upstream sees
-            // the ring successor as gated, its credit view shrinks to the
-            // single NI bypass latch slot per VC.
-            const int expected = ringEdge && up.outputGatedView(dir)
-                ? 1 : cfg.bufferDepth;
-            const NetworkInterface &downNi = sys_.ni(down->id());
-
-            for (VcId v = 0; v < cfg.numVcs; ++v) {
-                int sum = up.creditCount(dir, v);
-                if (clink)
-                    sum += clink->inFlightForVc(v);
-                sum += flink->inFlightForVc(v);
-                sum += down->probeVc(opposite(dir), v).occupancy;
-                if (ringEdge) {
-                    // Flits redirected into the successor's bypass latch,
-                    // plus flits staged in this NI that already reserved
-                    // a credit of this link but have not hit the wire.
-                    sum += static_cast<int>(downNi.latchSlotDepth(v));
-                    sum += upNi.stage3CountForVc(v);
-                }
-                if (sum != expected) {
-                    // A deficit the FaultInjector announced is an expected
-                    // consequence of the campaign, not a bug; the recover
-                    // policy restores the upstream counter in place.
-                    bool announced = false;
-                    bool repaired = false;
-                    if (sum < expected) {
-                        const int deficit = expected - sum;
-                        auto it = expectedLeaks_.find(leakKey(id, dir, v));
-                        if (it != expectedLeaks_.end() &&
-                            it->second >= deficit) {
-                            announced = true;
-                            if (config_.policy == AuditPolicy::kRecover &&
-                                mutableSys_) {
-                                mutableSys_->router(id).repairCredits(
-                                    dir, v, deficit);
-                                it->second -= deficit;
-                                if (it->second == 0)
-                                    expectedLeaks_.erase(it);
-                                recovered_ +=
-                                    static_cast<std::uint64_t>(deficit);
-                                repaired = true;
-                            }
-                        }
-                    }
-                    report(Kind::kCreditConservation, id, now,
-                           formatString(
-                               "credit conservation broken on link %d->%d "
-                               "(%s) vc %d: credits %d + in-flight credits "
-                               "%d + in-flight flits %d + downstream "
-                               "occupancy %d%s = %d, expected %d "
-                               "(gatedView=%d ringEdge=%d)%s",
-                               id, down->id(), dirName(dir), v,
-                               up.creditCount(dir, v),
-                               clink ? clink->inFlightForVc(v) : 0,
-                               flink->inFlightForVc(v),
-                               down->probeVc(opposite(dir), v).occupancy,
-                               ringEdge ? " + latch/stage3" : "",
-                               sum, expected,
-                               up.outputGatedView(dir) ? 1 : 0,
-                               ringEdge ? 1 : 0,
-                               repaired ? " [injected leak, repaired]"
-                               : announced ? " [injected leak]" : ""),
-                           announced);
+    const VcId first = onlyVc == kInvalidVc ? 0 : onlyVc;
+    const VcId last = onlyVc == kInvalidVc ? cfg.numVcs - 1 : onlyVc;
+    for (VcId v = first; v <= last; ++v) {
+        int sum = up.creditCount(dir, v);
+        if (clink)
+            sum += clink->inFlightForVc(v);
+        sum += flink->inFlightForVc(v);
+        sum += down->probeVc(opposite(dir), v).occupancy;
+        if (ringEdge) {
+            // Flits redirected into the successor's bypass latch, plus
+            // flits staged in this NI that already reserved a credit of
+            // this link but have not hit the wire.
+            sum += static_cast<int>(downNi.latchSlotDepth(v));
+            sum += upNi.stage3CountForVc(v);
+        }
+        if (sum == expected)
+            continue;
+        // A deficit the FaultInjector announced is an expected consequence
+        // of the campaign, not a bug; the recover policy restores the
+        // upstream counter in place.
+        bool announced = false;
+        bool repaired = false;
+        if (sum < expected) {
+            const int deficit = expected - sum;
+            auto it = expectedLeaks_.find(leakKey(id, dir, v));
+            if (it != expectedLeaks_.end() && it->second >= deficit) {
+                announced = true;
+                if (p.repair && config_.policy == AuditPolicy::kRecover &&
+                    mutableSys_) {
+                    mutableSys_->router(id).repairCredits(dir, v, deficit);
+                    it->second -= deficit;
+                    if (it->second == 0)
+                        expectedLeaks_.erase(it);
+                    recovered_ += static_cast<std::uint64_t>(deficit);
+                    repaired = true;
                 }
             }
         }
+        report(p, Kind::kCreditConservation, id,
+               formatString(
+                   "credit conservation broken on link %d->%d (%s) vc %d: "
+                   "credits %d + in-flight credits %d + in-flight flits %d "
+                   "+ downstream occupancy %d%s = %d, expected %d "
+                   "(gatedView=%d ringEdge=%d)%s",
+                   id, down->id(), dirName(dir), v, up.creditCount(dir, v),
+                   clink ? clink->inFlightForVc(v) : 0,
+                   flink->inFlightForVc(v),
+                   down->probeVc(opposite(dir), v).occupancy,
+                   ringEdge ? " + latch/stage3" : "", sum, expected,
+                   up.outputGatedView(dir) ? 1 : 0, ringEdge ? 1 : 0,
+                   repaired ? " [injected leak, repaired]"
+                   : announced ? " [injected leak]" : ""),
+               announced);
+    }
+}
 
-        // Local injection port: the NI's credit counter plus the local
-        // input VC occupancy must equal the buffer depth (credit return
-        // is combinational, so no in-flight term).
-        for (VcId v = 0; v < cfg.numVcs; ++v) {
-            const int sum = upNi.localCredit(v) +
-                up.probeVc(Direction::kLocal, v).occupancy;
-            if (sum != cfg.bufferDepth) {
-                report(Kind::kCreditConservation, id, now,
-                       formatString(
-                           "local-port credit conservation broken at "
-                           "router %d vc %d: NI credits %d + local buffer "
-                           "occupancy %d != depth %d",
-                           id, v, upNi.localCredit(v),
-                           up.probeVc(Direction::kLocal, v).occupancy,
-                           cfg.bufferDepth));
-            }
+void
+InvariantAuditor::checkNodeCredits(Pass &p, NodeId id)
+{
+    for (int d = 0; d < kNumMeshDirs; ++d)
+        checkLinkCredits(p, id, indexDir(d));
+
+    // Local injection port: the NI's credit counter plus the local input
+    // VC occupancy must equal the buffer depth (credit return is
+    // combinational, so no in-flight term).
+    const NocConfig &cfg = sys_.config();
+    const Router &r = sys_.router(id);
+    const NetworkInterface &ni = sys_.ni(id);
+    for (VcId v = 0; v < cfg.numVcs; ++v) {
+        const int sum =
+            ni.localCredit(v) + r.probeVc(Direction::kLocal, v).occupancy;
+        if (sum != cfg.bufferDepth) {
+            report(p, Kind::kCreditConservation, id,
+                   formatString(
+                       "local-port credit conservation broken at router "
+                       "%d vc %d: NI credits %d + local buffer occupancy "
+                       "%d != depth %d",
+                       id, v, ni.localCredit(v),
+                       r.probeVc(Direction::kLocal, v).occupancy,
+                       cfg.bufferDepth));
         }
     }
 }
@@ -256,124 +252,120 @@ InvariantAuditor::checkCreditConservation(Cycle now)
 // --- Invariant 3: VC state-machine legality --------------------------------
 
 void
-InvariantAuditor::checkVcStates(Cycle now)
+InvariantAuditor::checkVcStates(Pass &p, NodeId id)
 {
     const NocConfig &cfg = sys_.config();
-    const int n = cfg.numNodes();
     const bool isNord = cfg.design == PgDesign::kNord;
+    const Router &r = sys_.router(id);
 
-    for (NodeId id = 0; id < n; ++id) {
-        const Router &r = sys_.router(id);
+    // holders[o][v]: active input VCs that claim output VC (o, v).
+    int holders[kNumPorts][64] = {};
+    NORD_ASSERT(cfg.numVcs <= 64, "too many VCs for the auditor");
 
-        // holders[o][v]: active input VCs that claim output VC (o, v).
-        int holders[kNumPorts][64] = {};
-        NORD_ASSERT(cfg.numVcs <= 64, "too many VCs for the auditor");
-
-        for (int p = 0; p < kNumPorts; ++p) {
-            for (VcId v = 0; v < cfg.numVcs; ++v) {
-                const Router::VcProbe vc = r.probeVc(indexDir(p), v);
-                switch (vc.state) {
-                  case Router::VcState::kIdle:
-                    if (vc.outVc != kInvalidVc || vc.sentAny) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d idle but "
-                                   "outVc=%d sentAny=%d",
-                                   id, dirName(indexDir(p)), v, vc.outVc,
-                                   vc.sentAny ? 1 : 0));
-                    }
-                    // A freshly arrived packet may sit one cycle in an
-                    // idle VC before RC; its front flit must be a head.
-                    if (vc.occupancy > 0 && !vc.frontIsHead) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d idle with a "
-                                   "non-head flit buffered (orphaned "
-                                   "body/tail)",
-                                   id, dirName(indexDir(p)), v));
-                    }
-                    break;
-                  case Router::VcState::kRouting:
-                    report(Kind::kVcState, id, now,
+    for (int port = 0; port < kNumPorts; ++port) {
+        for (VcId v = 0; v < cfg.numVcs; ++v) {
+            const Router::VcProbe vc = r.probeVc(indexDir(port), v);
+            switch (vc.state) {
+              case Router::VcState::kIdle:
+                if (vc.outVc != kInvalidVc || vc.sentAny) {
+                    report(p, Kind::kVcState, id,
                            formatString(
-                               "router %d port %s vc %d in unreachable "
-                               "state kRouting",
-                               id, dirName(indexDir(p)), v));
-                    break;
-                  case Router::VcState::kVcAlloc:
-                    if (vc.occupancy == 0 || !vc.frontIsHead ||
-                        vc.outVc != kInvalidVc || vc.sentAny) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d in VcAlloc "
-                                   "with occupancy=%d frontIsHead=%d "
-                                   "outVc=%d sentAny=%d",
-                                   id, dirName(indexDir(p)), v,
-                                   vc.occupancy, vc.frontIsHead ? 1 : 0,
-                                   vc.outVc, vc.sentAny ? 1 : 0));
-                    }
-                    break;
-                  case Router::VcState::kActive: {
-                    if (vc.outVc < 0 || vc.outVc >= cfg.numVcs) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d active with "
-                                   "invalid output VC %d",
-                                   id, dirName(indexDir(p)), v, vc.outVc));
-                        break;
-                    }
-                    ++holders[dirIndex(vc.outPort)][vc.outVc];
-                    if (!r.outVcBusy(vc.outPort, vc.outVc)) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d holds output "
-                                   "VC %s/%d that is not marked busy",
-                                   id, dirName(indexDir(p)), v,
-                                   dirName(vc.outPort), vc.outVc));
-                    }
-                    // Tail-flit accounting: before the first flit leaves
-                    // the front must be the head; afterwards the head is
-                    // gone and only body/tail flits may be buffered.
-                    if (vc.occupancy > 0 &&
-                        vc.frontIsHead == vc.sentAny) {
-                        report(Kind::kVcState, id, now,
-                               formatString(
-                                   "router %d port %s vc %d active with "
-                                   "sentAny=%d but frontIsHead=%d (tail "
-                                   "accounting broken)",
-                                   id, dirName(indexDir(p)), v,
-                                   vc.sentAny ? 1 : 0,
-                                   vc.frontIsHead ? 1 : 0));
-                    }
-                    break;
-                  }
+                               "router %d port %s vc %d idle but "
+                               "outVc=%d sentAny=%d",
+                               id, dirName(indexDir(port)), v, vc.outVc,
+                               vc.sentAny ? 1 : 0));
                 }
+                // A freshly arrived packet may sit one cycle in an
+                // idle VC before RC; its front flit must be a head.
+                if (vc.occupancy > 0 && !vc.frontIsHead) {
+                    report(p, Kind::kVcState, id,
+                           formatString(
+                               "router %d port %s vc %d idle with a "
+                               "non-head flit buffered (orphaned "
+                               "body/tail)",
+                               id, dirName(indexDir(port)), v));
+                }
+                break;
+              case Router::VcState::kRouting:
+                report(p, Kind::kVcState, id,
+                       formatString(
+                           "router %d port %s vc %d in unreachable "
+                           "state kRouting",
+                           id, dirName(indexDir(port)), v));
+                break;
+              case Router::VcState::kVcAlloc:
+                if (vc.occupancy == 0 || !vc.frontIsHead ||
+                    vc.outVc != kInvalidVc || vc.sentAny) {
+                    report(p, Kind::kVcState, id,
+                           formatString(
+                               "router %d port %s vc %d in VcAlloc "
+                               "with occupancy=%d frontIsHead=%d "
+                               "outVc=%d sentAny=%d",
+                               id, dirName(indexDir(port)), v,
+                               vc.occupancy, vc.frontIsHead ? 1 : 0,
+                               vc.outVc, vc.sentAny ? 1 : 0));
+                }
+                break;
+              case Router::VcState::kActive: {
+                if (vc.outVc < 0 || vc.outVc >= cfg.numVcs) {
+                    report(p, Kind::kVcState, id,
+                           formatString(
+                               "router %d port %s vc %d active with "
+                               "invalid output VC %d",
+                               id, dirName(indexDir(port)), v, vc.outVc));
+                    break;
+                }
+                ++holders[dirIndex(vc.outPort)][vc.outVc];
+                if (!r.outVcBusy(vc.outPort, vc.outVc)) {
+                    report(p, Kind::kVcState, id,
+                           formatString(
+                               "router %d port %s vc %d holds output "
+                               "VC %s/%d that is not marked busy",
+                               id, dirName(indexDir(port)), v,
+                               dirName(vc.outPort), vc.outVc));
+                }
+                // Tail-flit accounting: before the first flit leaves
+                // the front must be the head; afterwards the head is
+                // gone and only body/tail flits may be buffered.
+                if (vc.occupancy > 0 &&
+                    vc.frontIsHead == vc.sentAny) {
+                    report(p, Kind::kVcState, id,
+                           formatString(
+                               "router %d port %s vc %d active with "
+                               "sentAny=%d but frontIsHead=%d (tail "
+                               "accounting broken)",
+                               id, dirName(indexDir(port)), v,
+                               vc.sentAny ? 1 : 0,
+                               vc.frontIsHead ? 1 : 0));
+                }
+                break;
+              }
             }
         }
+    }
 
-        // Output-VC ownership: held at most once; every busy VC has an
-        // owner (pipeline input VC, or the NI bypass datapath on the
-        // Bypass Outport).
-        for (int o = 0; o < kNumPorts; ++o) {
-            const Direction dir = indexDir(o);
-            const bool bypassOut =
-                isNord && dir == sys_.ring().bypassOutport(id);
-            for (VcId v = 0; v < cfg.numVcs; ++v) {
-                if (holders[o][v] > 1) {
-                    report(Kind::kVcState, id, now,
-                           formatString(
-                               "router %d output VC %s/%d held by %d "
-                               "input VCs simultaneously",
-                               id, dirName(dir), v, holders[o][v]));
-                }
-                if (r.outVcBusy(dir, v) && holders[o][v] == 0 &&
-                    !(bypassOut && sys_.ni(id).holdsBypassOutVc(v))) {
-                    report(Kind::kVcState, id, now,
-                           formatString(
-                               "router %d leaked output VC %s/%d (busy "
-                               "with no owner)",
-                               id, dirName(dir), v));
-                }
+    // Output-VC ownership: held at most once; every busy VC has an
+    // owner (pipeline input VC, or the NI bypass datapath on the
+    // Bypass Outport).
+    for (int o = 0; o < kNumPorts; ++o) {
+        const Direction dir = indexDir(o);
+        const bool bypassOut =
+            isNord && dir == sys_.ring().bypassOutport(id);
+        for (VcId v = 0; v < cfg.numVcs; ++v) {
+            if (holders[o][v] > 1) {
+                report(p, Kind::kVcState, id,
+                       formatString(
+                           "router %d output VC %s/%d held by %d "
+                           "input VCs simultaneously",
+                           id, dirName(dir), v, holders[o][v]));
+            }
+            if (r.outVcBusy(dir, v) && holders[o][v] == 0 &&
+                !(bypassOut && sys_.ni(id).holdsBypassOutVc(v))) {
+                report(p, Kind::kVcState, id,
+                       formatString(
+                           "router %d leaked output VC %s/%d (busy "
+                           "with no owner)",
+                           id, dirName(dir), v));
             }
         }
     }
@@ -382,72 +374,68 @@ InvariantAuditor::checkVcStates(Cycle now)
 // --- Invariant 4: power-gating handshake safety ----------------------------
 
 void
-InvariantAuditor::checkPgSafety(Cycle now, bool controllersSettled)
+InvariantAuditor::checkPgSafety(Pass &p, NodeId id, bool controllersSettled)
 {
     const NocConfig &cfg = sys_.config();
-    const int n = cfg.numNodes();
     const bool isNord = cfg.design == PgDesign::kNord;
+    const Router &r = sys_.router(id);
+    const PowerState st = r.powerState();
 
-    for (NodeId id = 0; id < n; ++id) {
-        const Router &r = sys_.router(id);
-        const PowerState st = r.powerState();
+    // A kDrain->off transition (and the whole gated residency) is
+    // only legal with a provably empty datapath.
+    if (st != PowerState::kOn && !r.datapathEmpty()) {
+        report(p, Kind::kPgSafety, id,
+               formatString(
+                   "router %d is %s with %d flit(s) still buffered in "
+                   "its datapath (gated while non-empty)",
+                   id, powerStateName(st), r.bufferedFlits()));
+    }
 
-        // A kDrain->off transition (and the whole gated residency) is
-        // only legal with a provably empty datapath.
-        if (st != PowerState::kOn && !r.datapathEmpty()) {
-            report(Kind::kPgSafety, id, now,
+    // No flit may be in flight toward a router that is not fully on,
+    // except on the NoRD bypass-ring edge (which the downstream NI
+    // latches without powering the router).
+    for (int d = 0; d < kNumMeshDirs; ++d) {
+        const Direction dir = indexDir(d);
+        const Router *down = r.neighborRouter(dir);
+        const FlitLink *link = r.outputLink(dir);
+        if (!down || !link || link->empty())
+            continue;
+        if (down->powerState() == PowerState::kOn)
+            continue;
+        const bool bypassEdge =
+            isNord && dir == sys_.ring().bypassOutport(id);
+        if (!bypassEdge) {
+            report(p, Kind::kPgSafety, id,
                    formatString(
-                       "router %d is %s with %d flit(s) still buffered in "
-                       "its datapath (gated while non-empty)",
-                       id, powerStateName(st), r.bufferedFlits()));
+                       "%zu flit(s) in flight from router %d toward "
+                       "router %d (%s) which is %s -- they would "
+                       "arrive at a gated pipeline",
+                       link->inFlight(), id, down->id(), dirName(dir),
+                       powerStateName(down->powerState())));
         }
+    }
 
-        // No flit may be in flight toward a router that is not fully on,
-        // except on the NoRD bypass-ring edge (which the downstream NI
-        // latches without powering the router).
-        for (int d = 0; d < kNumMeshDirs; ++d) {
-            const Direction dir = indexDir(d);
-            const Router *down = r.neighborRouter(dir);
-            const FlitLink *link = r.outputLink(dir);
-            if (!down || !link || link->empty())
-                continue;
-            if (down->powerState() == PowerState::kOn)
-                continue;
-            const bool bypassEdge =
-                isNord && dir == sys_.ring().bypassOutport(id);
-            if (!bypassEdge) {
-                report(Kind::kPgSafety, id, now,
-                       formatString(
-                           "%zu flit(s) in flight from router %d toward "
-                           "router %d (%s) which is %s -- they would "
-                           "arrive at a gated pipeline",
-                           link->inFlight(), id, down->id(), dirName(dir),
-                           powerStateName(down->powerState())));
-            }
-        }
-
-        // Lost wakeup: once every controller has evaluated its policy
-        // this cycle, a latched WU request on a gated conventional router
-        // must have started the Vdd ramp. (NoRD ignores WU by design --
-        // the bypass transports the packet instead.)
-        if (controllersSettled && (cfg.design == PgDesign::kConvPg ||
-                                   cfg.design == PgDesign::kConvPgOpt)) {
-            const PgController &ctl = sys_.controller(id);
-            if (ctl.state() == PowerState::kOff &&
-                ctl.wakeRequestPending()) {
-                // An injected suppression (or a dead controller) explains
-                // the lost wakeup; the watchdog recovers the former.
-                const bool injected =
-                    ctl.dead() || ctl.wakeupSuppressed(now);
-                report(Kind::kPgSafety, id, now,
-                       formatString(
-                           "router %d has a pending wakeup request but "
-                           "its controller stayed off (wakeup lost)%s",
-                           id,
-                           injected ? " [injected fault; watchdog "
-                                      "pending]" : ""),
-                       injected);
-            }
+    // Lost wakeup: once every controller has evaluated its policy
+    // this cycle, a latched WU request on a gated conventional router
+    // must have started the Vdd ramp. (NoRD ignores WU by design --
+    // the bypass transports the packet instead.)
+    if (controllersSettled && (cfg.design == PgDesign::kConvPg ||
+                               cfg.design == PgDesign::kConvPgOpt)) {
+        const PgController &ctl = sys_.controller(id);
+        if (ctl.state() == PowerState::kOff &&
+            ctl.wakeRequestPending()) {
+            // An injected suppression (or a dead controller) explains
+            // the lost wakeup; the watchdog recovers the former.
+            const bool injected =
+                ctl.dead() || ctl.wakeupSuppressed(p.now);
+            report(p, Kind::kPgSafety, id,
+                   formatString(
+                       "router %d has a pending wakeup request but "
+                       "its controller stayed off (wakeup lost)%s",
+                       id,
+                       injected ? " [injected fault; watchdog "
+                                  "pending]" : ""),
+                   injected);
         }
     }
 }
@@ -522,8 +510,9 @@ InvariantAuditor::stallDiagnosis(Cycle now) const
 }
 
 void
-InvariantAuditor::checkFlitAges(Cycle now)
+InvariantAuditor::checkFlitAges(Pass &p)
 {
+    const Cycle now = p.now;
     const int n = sys_.config().numNodes();
     bool found = false;
     Flit oldest;
@@ -548,7 +537,7 @@ InvariantAuditor::checkFlitAges(Cycle now)
         }
     }
     if (found && oldestAge > config_.maxFlitAge) {
-        report(Kind::kLiveness, oldest.src, now,
+        report(p, Kind::kLiveness, oldest.src,
                formatString("flit exceeded the age bound of %llu cycles "
                             "(livelock suspected); ",
                             static_cast<unsigned long long>(
@@ -569,27 +558,76 @@ InvariantAuditor::watchdog(Cycle now)
     }
     if (!stallReported_ && now - lastProgressCycle_ > config_.stallThreshold) {
         stallReported_ = true;
-        report(Kind::kLiveness, kInvalidNode, now,
-               formatString("no forward progress for %llu cycles "
-                            "(deadlock suspected); ",
-                            static_cast<unsigned long long>(
-                                now - lastProgressCycle_)) +
-                   stallDiagnosis(now));
+        violations_.push_back(
+            {Kind::kLiveness, kInvalidNode, now,
+             formatString("no forward progress for %llu cycles "
+                          "(deadlock suspected); ",
+                          static_cast<unsigned long long>(
+                              now - lastProgressCycle_)) +
+                 stallDiagnosis(now)});
     }
 }
 
 // --- Driver ----------------------------------------------------------------
 
+void
+InvariantAuditor::fullSweep(Pass &p, bool controllersSettled)
+{
+    const int n = sys_.config().numNodes();
+    checkFlitConservation(p);
+    for (NodeId id = 0; id < n; ++id)
+        checkNodeCredits(p, id);
+    for (NodeId id = 0; id < n; ++id)
+        checkVcStates(p, id);
+    for (NodeId id = 0; id < n; ++id)
+        checkPgSafety(p, id, controllersSettled);
+    checkFlitAges(p);
+}
+
+void
+InvariantAuditor::scopedCheck(Pass &p, const Scope &scope)
+{
+    // Credit conservation over the scope's routers, merged in node order
+    // with the announced-leak links elsewhere (expectedLeaks_ iterates in
+    // (node, dir, VC) order), so findings land where a full sweep would
+    // put them. The cursor moves past a key before its check, which may
+    // erase that key on repair.
+    auto leak = expectedLeaks_.begin();
+    const auto leakNode = [](std::uint64_t key) {
+        return static_cast<NodeId>(key >> 16);
+    };
+    const auto checkLeaksBefore = [&](NodeId bound) {
+        while (leak != expectedLeaks_.end() && leakNode(leak->first) < bound) {
+            const std::uint64_t key = (leak++)->first;
+            checkLinkCredits(p, leakNode(key),
+                             indexDir(static_cast<int>((key >> 8) & 0xff)),
+                             static_cast<VcId>(key & 0xff));
+        }
+    };
+    for (int i = 0; i < scope.count; ++i) {
+        const NodeId id = scope.ids[i];
+        checkLeaksBefore(id);
+        while (leak != expectedLeaks_.end() && leakNode(leak->first) == id)
+            ++leak;  // this router's links are all checked below
+        checkNodeCredits(p, id);
+    }
+    checkLeaksBefore(sys_.config().numNodes());
+
+    for (int i = 0; i < scope.count; ++i)
+        checkVcStates(p, scope.ids[i]);
+    // Mid-cycle: later controllers have not evaluated their policies yet,
+    // so the lost-wakeup check would raise false alarms.
+    for (int i = 0; i < scope.count; ++i)
+        checkPgSafety(p, scope.ids[i], false);
+}
+
 size_t
-InvariantAuditor::sweep(Cycle now, bool controllersSettled)
+InvariantAuditor::sweep(Cycle now)
 {
     const size_t before = violations_.size();
     ++sweeps_;
-    checkFlitConservation(now);
-    checkCreditConservation(now);
-    checkVcStates(now);
-    checkPgSafety(now, controllersSettled);
-    checkFlitAges(now);
+    Pass p{now, violations_, true};
+    fullSweep(p, true);
     return violations_.size() - before;
 }
 
@@ -637,20 +675,69 @@ InvariantAuditor::tick(Cycle now)
     const size_t before = violations_.size();
     watchdog(now);
     if (now % config_.interval == 0)
-        sweep(now, true);
+        sweep(now);
     applyPolicy(before, now);
 }
 
 void
-InvariantAuditor::onPowerTransition(Cycle now, PowerState, PowerState)
+InvariantAuditor::onPowerTransition(Cycle now, NodeId router)
 {
     if (!enabled() || !config_.sweepOnTransition)
         return;
+    Scope scope;
+    scope.ids[scope.count++] = router;
+    for (int d = 0; d < kNumMeshDirs; ++d) {
+        const NodeId nb = sys_.mesh().neighbor(router, indexDir(d));
+        if (nb == kInvalidNode)
+            continue;
+        int i = scope.count++;  // insertion keeps the ids ascending
+        for (; i > 0 && scope.ids[i - 1] > nb; --i)
+            scope.ids[i] = scope.ids[i - 1];
+        scope.ids[i] = nb;
+    }
+
+    std::vector<Violation> dry;
+    if (shadowOn_) {
+        Pass shadowPass{now, dry, false};
+        fullSweep(shadowPass, false);
+    }
     const size_t before = violations_.size();
-    // Mid-cycle: later controllers have not evaluated their policies yet,
-    // so the lost-wakeup check would raise false alarms.
-    sweep(now, false);
+    ++transitionChecks_;
+    Pass p{now, violations_, true};
+    scopedCheck(p, scope);
+    if (shadowOn_)
+        compareShadow(dry, before);
     applyPolicy(before, now);
+}
+
+void
+InvariantAuditor::compareShadow(const std::vector<Violation> &dry,
+                                size_t before)
+{
+    const auto same = [](const Violation &a, const Violation &b) {
+        return a.kind == b.kind && a.node == b.node && a.cycle == b.cycle &&
+               a.expected == b.expected;
+    };
+    const size_t scoped = violations_.size() - before;
+    bool equal = dry.size() == scoped;
+    for (size_t i = 0; equal && i < scoped; ++i)
+        equal = same(dry[i], violations_[before + i]);
+    if (equal)
+        return;
+    if (shadowMismatches_++ > 0)
+        return;
+    const auto list = [](const Violation *v, size_t count) {
+        std::string out;
+        for (size_t i = 0; i < count; ++i)
+            out += formatString(" (%s, %d, %llu, %d)", kindName(v[i].kind),
+                                v[i].node,
+                                static_cast<unsigned long long>(v[i].cycle),
+                                v[i].expected ? 1 : 0);
+        return out;
+    };
+    shadowFirst_ = "full sweep:" + list(dry.data(), dry.size()) +
+                    "; scoped check:" +
+                    list(violations_.data() + before, scoped);
 }
 
 void

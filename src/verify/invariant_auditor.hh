@@ -4,9 +4,8 @@
  *
  * Registered with the SimKernel (after every other component, so it sees a
  * settled cycle), the auditor sweeps the whole network every
- * `verify.interval` cycles and on every router power-state transition,
- * mechanically checking the protocol-level invariants NoRD's correctness
- * argument rests on:
+ * `verify.interval` cycles, mechanically checking the protocol-level
+ * invariants NoRD's correctness argument rests on:
  *
  *  1. Flit conservation -- flits injected == flits in router buffers +
  *     links + NI queues/latches + flits ejected, network-wide.
@@ -24,6 +23,21 @@
  *     per-flit age bound (livelock), both dumping a full stall diagnosis
  *     before aborting.
  *
+ * A router power-state transition triggers a *scoped* check instead of a
+ * sweep: families 2-4 over the transitioning router and its mesh
+ * neighbours (each one's output links -- which include every input link
+ * of the transitioning router and the NoRD ring edges -- local port, VCs
+ * and datapath), plus every link/VC with an announced credit leak. That
+ * is everything a transition can break, at about a fifteenth of the cost
+ * of an 8x8 sweep. Findings are appended in the sweep's canonical order
+ * (family, then node, direction, VC), so whenever a full sweep would find
+ * nothing beyond announced leaks -- every correct run -- the recorded
+ * violations and repairs, and so the simulation itself, are those a full
+ * sweep would have produced. Flit conservation and flit ages are
+ * network-wide and stay on the periodic sweep, as does any finding away
+ * from a transitioning router: its detection latency is bounded by
+ * `verify.interval`.
+ *
  * Violations are recorded with a human-readable diagnosis. What a
  * kernel-driven sweep then does is governed by `verify.policy`:
  * `kAbort` dumps state and panics on the first *unexpected* violation,
@@ -35,9 +49,10 @@
  * `expected` and never abort the run, so a fault campaign can measure
  * resilience while the auditor still catches genuine bugs. Direct calls
  * to sweep() only accumulate -- that is what the fault-injection tests
- * use. All inspection goes through cheap const introspection hooks on
- * routers, NIs, links and controllers; with `verify.interval == 0` the
- * per-cycle cost is a single branch.
+ * use. All inspection goes through cheap const introspection hooks and
+ * template visitors on routers, NIs, links and controllers, so a clean
+ * sweep allocates nothing; with `verify.interval == 0` the per-cycle cost
+ * is a single branch.
  */
 
 #ifndef NORD_VERIFY_INVARIANT_AUDITOR_HH
@@ -96,18 +111,19 @@ class InvariantAuditor : public Clocked
     std::string name() const override { return "auditor"; }
 
     /**
-     * Run every check once, recording (but never aborting on) violations.
+     * Run every check over the whole network once, recording (but never
+     * aborting on) violations. Assumes an end-of-cycle state in which
+     * every PG controller has evaluated its policy.
      *
-     * @param controllersSettled true when all PG controllers have ticked
-     *        this cycle (end-of-cycle sweeps); transition-triggered sweeps
-     *        pass false and skip the lost-wakeup check, which is only
-     *        meaningful once every controller has evaluated its policy.
      * @return number of violations found by this sweep
      */
-    size_t sweep(Cycle now, bool controllersSettled = true);
+    size_t sweep(Cycle now);
 
-    /** PgController transition hook (wired by NocSystem). */
-    void onPowerTransition(Cycle now, PowerState from, PowerState to);
+    /**
+     * PgController transition hook (wired by NocSystem): the scoped check
+     * of what the transition of @p router can break (see file comment).
+     */
+    void onPowerTransition(Cycle now, NodeId router);
 
     /** All violations recorded so far. */
     const std::vector<Violation> &violations() const { return violations_; }
@@ -137,8 +153,25 @@ class InvariantAuditor : public Clocked
     /** Forget recorded violations (between fault-injection experiments). */
     void clearViolations() { violations_.clear(); }
 
-    /** Completed sweeps (periodic + transition + manual). */
+    /** Completed full sweeps (periodic + manual). */
     std::uint64_t sweepCount() const { return sweeps_; }
+
+    /** Scoped checks run on power transitions (not checkpointed). */
+    std::uint64_t transitionChecks() const { return transitionChecks_; }
+
+    /**
+     * Test hook (not a config field, not serialized): before every scoped
+     * transition check, run a dry full sweep -- one that records, repairs
+     * and counts nothing -- and compare its (kind, node, cycle, expected)
+     * findings with the scoped check's.
+     */
+    void setShadowFullSweep(bool on) { shadowOn_ = on; }
+
+    /** Transition checks whose findings differed from the dry sweep's. */
+    std::uint64_t shadowMismatches() const { return shadowMismatches_; }
+
+    /** Both finding lists of the first shadow mismatch ("" if none). */
+    const std::string &firstShadowMismatch() const { return shadowFirst_; }
 
     /** Short name of a violation kind. */
     static const char *kindName(Kind k);
@@ -152,12 +185,41 @@ class InvariantAuditor : public Clocked
     void serializeState(StateSerializer &s);
 
   private:
-    // Individual invariant families.
-    void checkFlitConservation(Cycle now);
-    void checkCreditConservation(Cycle now);
-    void checkVcStates(Cycle now);
-    void checkPgSafety(Cycle now, bool controllersSettled);
-    void checkFlitAges(Cycle now);
+    /** Where one audit pass records findings, and whether it may repair. */
+    struct Pass
+    {
+        Cycle now;
+        std::vector<Violation> &out;
+        bool repair;  ///< false for the shadow hook's dry sweep
+    };
+
+    /** Transitioning router and its mesh neighbours, ascending. */
+    struct Scope
+    {
+        NodeId ids[1 + kNumMeshDirs] = {};
+        int count = 0;
+    };
+
+    /**
+     * Families 1-4 network-wide, then flit ages. @p controllersSettled is
+     * false for a mid-cycle (transition-time) sweep, which skips the
+     * lost-wakeup check: later controllers have not evaluated yet.
+     */
+    void fullSweep(Pass &p, bool controllersSettled);
+
+    /** Families 2-4 over @p scope plus every announced-leak link/VC. */
+    void scopedCheck(Pass &p, const Scope &scope);
+
+    // Individual invariant families, per router.
+    void checkFlitConservation(Pass &p);
+    void checkNodeCredits(Pass &p, NodeId id);
+    /** Credit conservation of output link (@p id, @p dir): every VC, or
+        only @p onlyVc when it is valid. */
+    void checkLinkCredits(Pass &p, NodeId id, Direction dir,
+                          VcId onlyVc = kInvalidVc);
+    void checkVcStates(Pass &p, NodeId id);
+    void checkPgSafety(Pass &p, NodeId id, bool controllersSettled);
+    void checkFlitAges(Pass &p);
 
     /** Deadlock watchdog: network-wide forward progress, every cycle. */
     void watchdog(Cycle now);
@@ -174,8 +236,11 @@ class InvariantAuditor : public Clocked
     /** PG states and occupancy along @p flit's minimal route. */
     std::string routeDiagnosis(const Flit &flit, Cycle now) const;
 
-    void report(Kind kind, NodeId node, Cycle now, std::string diagnosis,
-                bool expected = false);
+    static void report(Pass &p, Kind kind, NodeId node,
+                       std::string diagnosis, bool expected = false);
+
+    /** Shadow hook: compare @p dry with violations_ from @p before on. */
+    void compareShadow(const std::vector<Violation> &dry, size_t before);
 
     /** Apply the configured policy to a kernel-driven sweep's findings. */
     void applyPolicy(size_t before, Cycle now);
@@ -195,6 +260,16 @@ class InvariantAuditor : public Clocked
     VerifyConfig config_;
     std::vector<Violation> violations_;
     std::uint64_t sweeps_ = 0;
+    NORD_STATE_EXCLUDE(stat, "host-cost counter; restarts at 0 on restore")
+    std::uint64_t transitionChecks_ = 0;
+
+    // Shadow test hook (see setShadowFullSweep).
+    NORD_STATE_EXCLUDE(config, "test hook toggled between runs")
+    bool shadowOn_ = false;
+    NORD_STATE_EXCLUDE(stat, "test-hook tally; dry sweeps record nothing")
+    std::uint64_t shadowMismatches_ = 0;
+    NORD_STATE_EXCLUDE(stat, "test-hook diagnosis of the first mismatch")
+    std::string shadowFirst_;
 
     // Fault bookkeeping.
     std::map<std::uint64_t, int> expectedLeaks_;  ///< leakKey -> credits

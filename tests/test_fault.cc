@@ -335,13 +335,17 @@ TEST(FaultCampaign, Nord8x8MidLoadTransientAcceptance)
 
 // --- Randomized soak (CI runs a seed matrix via NORD_FAULT_SEED) -----------
 
-TEST(FaultCampaign, FaultSoak)
+class FaultSoak : public ::testing::TestWithParam<PgDesign>
+{
+};
+
+TEST_P(FaultSoak, EveryAnomalyAttributedAndScopedChecksMatchSweeps)
 {
     std::uint64_t seed = 1;
     if (const char *env = std::getenv("NORD_FAULT_SEED"))
         seed = std::strtoull(env, nullptr, 10);
 
-    NocConfig cfg = campaignConfig(PgDesign::kNord);
+    NocConfig cfg = campaignConfig(GetParam());
     cfg.seed = seed;
     cfg.fault.flitCorruptRate = 5e-4;
     cfg.fault.flitDropRate = 5e-4;
@@ -349,6 +353,9 @@ TEST(FaultCampaign, FaultSoak)
     cfg.fault.lostWakeupRate = 0.01;
     cfg.verify.interval = 8;
     NocSystem sys(cfg);
+    // Every transition-time scoped check is compared with a dry full
+    // sweep of the same moment.
+    sys.auditor().setShadowFullSweep(true);
     SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.06, seed);
     sys.setWorkload(&traffic);
     sys.run(2000);
@@ -363,8 +370,22 @@ TEST(FaultCampaign, FaultSoak)
     EXPECT_GE(st.packetsDelivered() + st.packetsFailed(),
               st.packetsCreated());
     EXPECT_EQ(sys.auditor().unexpectedViolations(), 0u);
+    EXPECT_EQ(sys.auditor().shadowMismatches(), 0u)
+        << sys.auditor().firstShadowMismatch();
+    if (GetParam() != PgDesign::kNoPg) {
+        EXPECT_GT(sys.auditor().transitionChecks(), 0u);
+    }
     sys.checkInvariants();
 }
+
+INSTANTIATE_TEST_SUITE_P(FaultCampaign, FaultSoak,
+                         ::testing::Values(PgDesign::kNoPg,
+                                           PgDesign::kConvPg,
+                                           PgDesign::kConvPgOpt,
+                                           PgDesign::kNord),
+                         [](const auto &info) {
+                             return pgDesignName(info.param);
+                         });
 
 }  // namespace
 }  // namespace nord

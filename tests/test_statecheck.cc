@@ -605,6 +605,13 @@ enum class Proof
     kSkipToggle,
     /** CriticalityCache::clear() between two hashes of one system. */
     kCacheClear,
+    /**
+     * One audited system with the auditor's shadow full sweep on, one
+     * with it off, marched in per-cycle lockstep through fault campaigns
+     * of every design (InvariantAuditorShadow.DrySweepIsHashNeutral in
+     * test_verify.cc).
+     */
+    kShadowToggle,
 };
 
 /**
@@ -633,6 +640,10 @@ exclusionRegistry()
         {"FlitLink::inPort_", Proof::kTwinConstruction},
         {"InvariantAuditor::config_", Proof::kTwinConstruction},
         {"InvariantAuditor::mutableSys_", Proof::kTwinConstruction},
+        {"InvariantAuditor::shadowFirst_", Proof::kShadowToggle},
+        {"InvariantAuditor::shadowMismatches_", Proof::kShadowToggle},
+        {"InvariantAuditor::shadowOn_", Proof::kShadowToggle},
+        {"InvariantAuditor::transitionChecks_", Proof::kFreshRestore},
         {"NetworkInterface::ackBuf_", Proof::kFreshRestore},
         {"NetworkInterface::deliverBuf_", Proof::kFreshRestore},
         {"NetworkInterface::onDelivery_", Proof::kTwinConstruction},
@@ -756,11 +767,12 @@ TEST(StateTruthing, SkipToggleMembersAreHashNeutral)
 
 TEST(StateTruthing, FreshRestoreMembersAreHashNeutral)
 {
-    // After the load, sys2's arena has a different slab layout and its
-    // NI scratch buffers hold constructed values while sys1's carry 600
-    // cycles of history -- the hashes must match anyway, now and as
-    // both run on.
-    const NocConfig cfg = truthConfig(PgDesign::kNord);
+    // After the load, sys2's arena has a different slab layout, its NI
+    // scratch buffers hold constructed values and its auditor has run no
+    // transition checks, while sys1's carry 600 cycles of history -- the
+    // hashes must match anyway, now and as both run on.
+    NocConfig cfg = truthConfig(PgDesign::kNord);
+    cfg.verify.interval = 64;
     NocSystem sys1(cfg);
     SyntheticTraffic t1(TrafficPattern::kUniformRandom, 0.10, 7);
     sys1.setWorkload(&t1);
@@ -778,6 +790,8 @@ TEST(StateTruthing, FreshRestoreMembersAreHashNeutral)
     ASSERT_TRUE(load.ok()) << load.error();
 
     EXPECT_EQ(sys1.stateHash(), sys2.stateHash());
+    EXPECT_GT(sys1.auditor().transitionChecks(), 0u);
+    EXPECT_EQ(sys2.auditor().transitionChecks(), 0u);
     for (int step = 0; step < 10; ++step) {
         sys1.run(20);
         sys2.run(20);

@@ -1,7 +1,9 @@
 /**
  * @file
  * InvariantAuditor tests: injected faults must be detected with a usable
- * diagnosis, and a clean simulation swept every cycle must stay silent.
+ * diagnosis, a clean simulation swept every cycle must stay silent, and
+ * the scoped checks run on power transitions must record exactly what a
+ * full sweep would, with the documented detection latency elsewhere.
  */
 
 #include <gtest/gtest.h>
@@ -196,6 +198,206 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, AuditedDesignTest,
                          [](const auto &info) {
                              return pgDesignName(info.param);
                          });
+
+// --- Scoped transition checks ----------------------------------------------
+
+/**
+ * Every fault class at once on a 4x4 mesh: transient drops and corrupts
+ * (recovered end to end), announced credit leaks (repaired), lost
+ * wakeups, and router 5 forced off at cycle 0 and killed at cycle 20,
+ * before traffic starts. Death pins a baseline router back on (the only
+ * way a No_PG router ever wakes) and keeps a NoRD router gated.
+ */
+NocConfig
+shadowConfig(PgDesign design)
+{
+    NocConfig cfg;
+    cfg.design = design;
+    cfg.seed = 3;
+    cfg.verify.interval = 64;
+    cfg.verify.policy = AuditPolicy::kRecover;
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    cfg.fault.flitCorruptRate = 5e-4;
+    cfg.fault.flitDropRate = 5e-4;
+    cfg.fault.creditLeakRate = 1e-3;
+    cfg.fault.lostWakeupRate = 0.01;
+    cfg.fault.retransTimeout = 32;  // packets for a dead node fail fast
+    cfg.fault.retryLimit = 2;
+    cfg.fault.schedule.push_back({20, FaultClass::kDeadRouter, 5, 0});
+    return cfg;
+}
+
+class ShadowAuditTest : public ::testing::TestWithParam<PgDesign>
+{
+};
+
+TEST_P(ShadowAuditTest, DrySweepIsHashNeutralAndScopedChecksMatchIt)
+{
+    // Twin systems, shadow hook on in one: the dry full sweeps must not
+    // move a single bit of state (per-cycle stateHash lockstep), and
+    // every scoped check must record what the dry sweep found.
+    const NocConfig cfg = shadowConfig(GetParam());
+    NocSystem shadow(cfg), plain(cfg);
+    shadow.auditor().setShadowFullSweep(true);
+    SyntheticTraffic t1(TrafficPattern::kUniformRandom, 0.05, 9);
+    SyntheticTraffic t2(TrafficPattern::kUniformRandom, 0.05, 9);
+    const auto lockstep = [&](Cycle cycles, bool untilDone) {
+        for (Cycle c = 0; c < cycles; ++c) {
+            if (untilDone && plain.completionReached())
+                return;
+            shadow.run(1);
+            plain.run(1);
+            ASSERT_EQ(shadow.stateHash(), plain.stateHash())
+                << "cycle " << shadow.now();
+        }
+    };
+    for (NocSystem *sys : {&shadow, &plain}) {
+        ASSERT_TRUE(sys->router(5).datapathEmpty());
+        sys->controller(5).injectForcedOff(sys->now());
+    }
+    ASSERT_EQ(shadow.stateHash(), plain.stateHash());
+    ASSERT_NO_FATAL_FAILURE(lockstep(100, false));  // 5 dies at cycle 20
+    ASSERT_TRUE(shadow.controller(5).dead());
+    shadow.setWorkload(&t1);
+    plain.setWorkload(&t2);
+    ASSERT_NO_FATAL_FAILURE(lockstep(600, false));
+    shadow.setWorkload(nullptr);
+    plain.setWorkload(nullptr);
+    ASSERT_NO_FATAL_FAILURE(lockstep(50000, true));
+    ASSERT_TRUE(shadow.completionReached());
+    ASSERT_TRUE(plain.completionReached());
+
+    const InvariantAuditor &a = shadow.auditor();
+    EXPECT_EQ(a.shadowMismatches(), 0u) << a.firstShadowMismatch();
+    EXPECT_EQ(a.transitionChecks(), plain.auditor().transitionChecks());
+    EXPECT_GE(a.transitionChecks(), 1u);
+    const FaultInjector::Counts &faults = shadow.injector()->counts();
+    EXPECT_GT(faults.drop + faults.corrupt, 0u);
+    EXPECT_GT(faults.creditLeak, 0u);
+    EXPECT_EQ(faults.dead, 1u);
+    EXPECT_GT(a.recoveredFaults(), 0u);
+    EXPECT_EQ(a.recoveredFaults(), plain.auditor().recoveredFaults());
+    EXPECT_EQ(a.violations().size(), plain.auditor().violations().size());
+    EXPECT_EQ(a.unexpectedViolations(), 0u);
+    // Leaks found between periodic sweeps were found, and compared, by
+    // scoped checks (No_PG gates only router 5, before any traffic).
+    size_t scopedFindings = 0;
+    for (const auto &v : a.violations())
+        scopedFindings += v.cycle % cfg.verify.interval != 0 ? 1 : 0;
+    if (GetParam() != PgDesign::kNoPg) {
+        EXPECT_GT(scopedFindings, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, ShadowAuditTest,
+                         ::testing::Values(PgDesign::kNoPg,
+                                           PgDesign::kConvPg,
+                                           PgDesign::kConvPgOpt,
+                                           PgDesign::kNord),
+                         [](const auto &info) {
+                             return pgDesignName(info.param);
+                         });
+
+TEST(InvariantAuditorTest, ScopedCheckCoversNeighbourhoodAndAnnouncedLeaks)
+{
+    // Credit leaks on an idle 4x4 mesh, then one transition check of
+    // router 5 (neighbours 1, 4, 6, 9): every leak in its neighbourhood
+    // and every announced leak anywhere is recorded once, in full-sweep
+    // order -- exactly what the dry full sweep finds.
+    NocConfig cfg = auditedConfig(PgDesign::kConvPg);
+    cfg.verify.interval = 100000;
+    NocSystem sys(cfg);
+    sys.run(100);
+    InvariantAuditor &a = sys.auditor();
+    a.setShadowFullSweep(true);
+    const size_t before = a.violations().size();
+    sys.router(5).injectCreditLeak(Direction::kEast, 0);   // 5 -> 6
+    sys.router(1).injectCreditLeak(Direction::kSouth, 1);  // 1 -> 5
+    sys.router(6).injectCreditLeak(Direction::kEast, 0);   // 6 -> 7
+    for (const auto &[node, dir] :
+         {std::pair{0, Direction::kEast}, std::pair{5, Direction::kWest},
+          std::pair{15, Direction::kNorth}}) {
+        sys.router(node).injectCreditLeak(dir, 1);
+        a.expectCreditDeficit(node, dir, 1);
+    }
+    a.onPowerTransition(sys.now(), 5);
+
+    EXPECT_EQ(a.shadowMismatches(), 0u) << a.firstShadowMismatch();
+    const std::vector<std::pair<NodeId, bool>> want = {
+        {0, true}, {1, false}, {5, false}, {5, true}, {6, false},
+        {15, true}};
+    std::vector<std::pair<NodeId, bool>> got;
+    for (size_t i = before; i < a.violations().size(); ++i) {
+        EXPECT_EQ(a.violations()[i].kind, Kind::kCreditConservation);
+        got.emplace_back(a.violations()[i].node, a.violations()[i].expected);
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST(InvariantAuditorTest, ForcedOffNonEmptyRouterFlaggedAtTheTransition)
+{
+    // With no periodic sweep due for 100k cycles, only the scoped check
+    // of the transition can report the gated non-empty router -- and it
+    // must do so in the very cycle of the transition, recording exactly
+    // what a full sweep of that instant finds.
+    NocConfig cfg = auditedConfig(PgDesign::kNoPg);
+    cfg.verify.interval = 100000;
+    NocSystem sys(cfg);
+    sys.auditor().setShadowFullSweep(true);
+    sys.inject(0, 15, 5);
+    sys.inject(12, 3, 5);
+    NodeId victim = kInvalidNode;
+    while (victim == kInvalidNode && sys.now() < 200) {
+        sys.run(1);
+        for (NodeId id = 0; id < 16 && victim == kInvalidNode; ++id) {
+            if (sys.router(id).bufferedFlits() > 0)
+                victim = id;
+        }
+    }
+    ASSERT_NE(victim, kInvalidNode) << "no router ever buffered a flit";
+    const std::uint64_t sweeps = sys.auditor().sweepCount();
+    const Cycle at = sys.now();
+    sys.controller(victim).injectForcedOff(at);
+
+    EXPECT_EQ(sys.auditor().sweepCount(), sweeps);
+    EXPECT_EQ(sys.auditor().transitionChecks(), 1u);
+    bool flagged = false;
+    for (const auto &v : sys.auditor().violations()) {
+        if (v.kind == Kind::kPgSafety && v.node == victim && v.cycle == at)
+            flagged = true;
+    }
+    EXPECT_TRUE(flagged) << "router " << victim << " not flagged at cycle "
+                         << at;
+    EXPECT_EQ(sys.auditor().shadowMismatches(), 0u)
+        << sys.auditor().firstShadowMismatch();
+}
+
+TEST(InvariantAuditorTest, RemoteLeakReportedWithinOneInterval)
+{
+    // Far from any power transition (an idle Conv_PG mesh whose routers
+    // have all gated), an unannounced credit leak is the periodic sweep's
+    // to find: it must be reported within verify.interval cycles.
+    NocConfig cfg = auditedConfig(PgDesign::kConvPg);
+    cfg.verify.interval = 64;
+    NocSystem sys(cfg);
+    sys.run(100);
+    ASSERT_EQ(sys.countInState(PowerState::kOff), cfg.numNodes());
+    const std::uint64_t checks = sys.auditor().transitionChecks();
+    const NodeId leaky = 10;
+    const Cycle at = sys.now();
+    sys.router(leaky).injectCreditLeak(Direction::kWest, 1);
+    sys.run(cfg.verify.interval);
+
+    EXPECT_EQ(sys.auditor().transitionChecks(), checks);
+    ASSERT_TRUE(sys.auditor().hasViolation(Kind::kCreditConservation));
+    const auto &v = sys.auditor().violations().front();
+    EXPECT_EQ(v.kind, Kind::kCreditConservation);
+    EXPECT_EQ(v.node, leaky);
+    EXPECT_FALSE(v.expected);
+    EXPECT_GE(v.cycle, at);
+    EXPECT_LE(v.cycle, at + cfg.verify.interval);
+}
 
 }  // namespace
 }  // namespace nord
