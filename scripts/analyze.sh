@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Run the whole static-analysis battery -- three analyzers: nord-lint
-# (hidden state and side channels), nord-statecheck (state-coverage:
-# serialize walks and NORD_STATE_EXCLUDE legality) and clang-tidy -- and
-# print one summary table. This is the CI static-analysis job;
-# `ctest -L static` runs the same gates through ctest.
+# Run the whole static-analysis battery -- two analyzers: nord-lint
+# (hidden state, side channels, and state coverage: serialize walks and
+# NORD_STATE_EXCLUDE legality) and clang-tidy -- and print one summary
+# table. This is the CI static-analysis job; `ctest -L static` runs the
+# same gates through ctest.
 #
 # Usage: scripts/analyze.sh [build_dir [root]]
 #
 # The build tree must be configured; missing tool binaries are built on
 # demand. clang-tidy is SKIPped (not failed) when the binary is absent,
-# so the std-only analyzers still gate a machine without LLVM.
+# so the std-only nord-lint still gates a machine without LLVM.
 
 set -u
 
@@ -47,8 +47,6 @@ run_tool() {
 }
 
 run_tool nord-lint nord-lint "$build/tools/nord-lint" "$root"
-run_tool nord-statecheck nord-statecheck \
-    "$build/tools/nord-statecheck" "$root"
 
 echo
 echo "== clang-tidy =="

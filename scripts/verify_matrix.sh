@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Run the offline protocol verifier over the full shipped matrix -- four
-# power-gating designs x {4x4, 8x8} meshes x both NoRD routing modes (with
-# and without the criticality steering table) -- and then confirm the
+# power-gating designs x {4x4, 8x8} meshes -- and then confirm the
 # negative paths still bite: the seeded dateline-less escape ring must be
 # reported as a cycle, and every handshake mutation must refute its
 # property. A verifier that passes everything, including the planted bugs,

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "campaign/exit_codes.hh"
+#include "common/json_escape.hh"
 
 namespace nord {
 namespace campaign {
@@ -55,9 +56,6 @@ inline constexpr int kJournalFormat = 1;
 // has to understand the writer's flat, known-key output -- but it must
 // never crash on a torn or hand-edited line. The typed field readers
 // are private to journal.cc.
-
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Extract the raw text of "key":<value> where value is an object (brace

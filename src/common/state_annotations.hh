@@ -1,6 +1,6 @@
 /**
  * @file
- * State-coverage annotations checked by nord-statecheck.
+ * State-coverage annotations checked by nord-lint.
  *
  * Every non-static data member of a checkpointable class (anything that
  * derives from Clocked or declares serializeState) must either appear in
@@ -33,7 +33,7 @@
  *    component state is being waved through.
  *  - config: wiring and configuration fixed at construction time
  *    (component pointers, topology handles, toggles set between runs).
- *    Must never be mutated on the tick path; nord-statecheck cross-checks
+ *    Must never be mutated on the tick path; nord-lint cross-checks
  *    this against its mutation analysis of tick() and everything tick()
  *    calls.
  *

@@ -1,6 +1,7 @@
 /**
  * @file
- * Configuration validation.
+ * Configuration validation: the one rule list behind validate() and
+ * lintConfig().
  */
 
 #include "network/noc_config.hh"
@@ -34,69 +35,122 @@ faultClassName(FaultClass cls)
     return "?";
 }
 
-void
-NocConfig::validate() const
+std::vector<std::string>
+NocConfig::problems() const
 {
-    if (rows < 2 || cols < 2)
-        NORD_FATAL("mesh must be at least 2x2 (got %dx%d)", rows, cols);
-    if (rows % 2 != 0)
-        NORD_FATAL("bypass ring construction requires an even row count");
+    std::vector<std::string> out;
+    auto flag = [&out](std::string what) { out.push_back(std::move(what)); };
+
+    // --- Mesh / ring structure -------------------------------------------
+    if (rows < 2 || cols < 2) {
+        flag("mesh must be at least 2x2 (got " + std::to_string(rows) +
+             "x" + std::to_string(cols) + ")");
+    }
+    if (rows % 2 != 0) {
+        flag("canonical bypass-ring construction requires an even row "
+             "count (got " + std::to_string(rows) + ")");
+    }
+
+    // --- VC partition ----------------------------------------------------
     if (numVcs < 2)
-        NORD_FATAL("need at least 2 VCs (1 escape + 1 adaptive)");
-    if (numEscapeVcs < 1 || numEscapeVcs >= numVcs)
-        NORD_FATAL("numEscapeVcs (%d) must be in [1, numVcs)", numEscapeVcs);
+        flag("need at least 2 VCs (1 escape + 1 adaptive)");
+    if (numEscapeVcs < 1) {
+        flag("escape class is empty (numEscapeVcs = " +
+             std::to_string(numEscapeVcs) +
+             "): Duato's Protocol has no deadlock-free fallback");
+    } else if (numEscapeVcs >= numVcs) {
+        flag("adaptive class is empty (numEscapeVcs = " +
+             std::to_string(numEscapeVcs) + " of " +
+             std::to_string(numVcs) + " VCs)");
+    }
     if (design == PgDesign::kNord && numEscapeVcs < 2) {
-        NORD_FATAL("NoRD's ring escape needs 2 escape VCs to break the "
-                   "cyclic dependence");
+        flag("NoRD's unidirectional ring escape needs 2 escape VCs "
+             "(dateline scheme); with " + std::to_string(numEscapeVcs) +
+             " the ring's channel dependence stays cyclic");
     }
+
+    // --- Buffer / allocation assumptions ---------------------------------
     if (bufferDepth < 1)
-        NORD_FATAL("bufferDepth must be >= 1");
-    if (wakeupLatency < 1)
-        NORD_FATAL("wakeupLatency must be >= 1");
-    if (nordWakeupWindow < 1)
-        NORD_FATAL("nordWakeupWindow must be >= 1");
-    if (nordPerfThreshold < 1 || nordPowerThreshold < 1)
-        NORD_FATAL("wakeup thresholds must be >= 1");
-    if (nordMisrouteCap < 0)
-        NORD_FATAL("nordMisrouteCap must be >= 0");
-    if (nordPerfCentricCount > numNodes()) {
-        NORD_FATAL("nordPerfCentricCount (%d) exceeds the node count",
-                   nordPerfCentricCount);
+        flag("bufferDepth must be >= 1");
+    if (escapeAfterBlockedCycles < 1) {
+        flag("escapeAfterBlockedCycles must be >= 1 (blocked adaptive "
+             "heads must eventually request escape for Duato progress)");
     }
+    if (nordMisrouteCap < 0)
+        flag("nordMisrouteCap must be >= 0");
+
+    // --- Power-gating handshake parameters -------------------------------
+    if (wakeupLatency < 1)
+        flag("wakeupLatency must be >= 1");
+    if (nordWakeupWindow < 1)
+        flag("nordWakeupWindow must be >= 1");
+    if (nordPerfThreshold < 1 || nordPowerThreshold < 1)
+        flag("wakeup thresholds must be >= 1");
+    if (nordPerfThreshold > nordPowerThreshold) {
+        flag("asymmetric thresholds inverted: performance-centric (" +
+             std::to_string(nordPerfThreshold) +
+             ") must wake no later than power-centric (" +
+             std::to_string(nordPowerThreshold) + ")");
+    }
+    if (nordPowerSleepGuard < 0 || nordPerfSleepGuard < 0)
+        flag("sleep guards must be >= 0");
+    if (niStarvationLimit < 1)
+        flag("niStarvationLimit must be >= 1");
+    if (nordPerfCentricCount > numNodes()) {
+        flag("nordPerfCentricCount (" +
+             std::to_string(nordPerfCentricCount) +
+             ") exceeds the node count");
+    }
+
+    // --- Verification / fault settings -----------------------------------
     if (verify.interval > 0) {
         if (verify.stallThreshold < 1)
-            NORD_FATAL("verify.stallThreshold must be >= 1");
+            flag("verify.stallThreshold must be >= 1");
         if (verify.maxFlitAge < 1)
-            NORD_FATAL("verify.maxFlitAge must be >= 1");
+            flag("verify.maxFlitAge must be >= 1");
     }
     if (fault.enabled) {
         for (double rate : {fault.flitCorruptRate, fault.flitDropRate,
                             fault.creditLeakRate, fault.lostWakeupRate}) {
-            if (rate < 0.0 || rate > 1.0)
-                NORD_FATAL("fault rates must be probabilities in [0, 1]");
+            if (rate < 0.0 || rate > 1.0) {
+                flag("fault rates must be probabilities in [0, 1]");
+                break;
+            }
         }
         for (const FaultEvent &ev : fault.schedule) {
             if (ev.node < 0 || ev.node >= numNodes()) {
-                NORD_FATAL("scheduled fault targets node %d outside the "
-                           "%dx%d mesh", ev.node, rows, cols);
+                flag("scheduled fault targets node " +
+                     std::to_string(ev.node) + " outside the " +
+                     std::to_string(rows) + "x" + std::to_string(cols) +
+                     " mesh");
             }
             if (ev.cls != FaultClass::kDeadRouter &&
                 ev.cls != FaultClass::kStuckPg &&
                 ev.cls != FaultClass::kLostWakeup) {
-                NORD_FATAL("only dead-router / stuck-pg / lost-wakeup "
-                           "faults can be scheduled; transient classes "
-                           "are rate-driven");
+                flag(std::string("scheduled ") + faultClassName(ev.cls) +
+                     " fault: only dead-router / stuck-pg / lost-wakeup "
+                     "faults can be scheduled; transient classes are "
+                     "rate-driven");
             }
         }
     }
     if (fault.e2e) {
         if (fault.retransTimeout < 1)
-            NORD_FATAL("fault.retransTimeout must be >= 1");
+            flag("fault.retransTimeout must be >= 1");
         if (fault.retransBackoff < 1)
-            NORD_FATAL("fault.retransBackoff must be >= 1");
+            flag("fault.retransBackoff must be >= 1");
         if (fault.retryLimit < 0)
-            NORD_FATAL("fault.retryLimit must be >= 0");
+            flag("fault.retryLimit must be >= 0");
     }
+    return out;
+}
+
+void
+NocConfig::validate() const
+{
+    const std::vector<std::string> found = problems();
+    if (!found.empty())
+        NORD_FATAL("%s", found.front().c_str());
 }
 
 }  // namespace nord

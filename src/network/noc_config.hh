@@ -11,6 +11,7 @@
 #define NORD_NETWORK_NOC_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,18 +57,6 @@ struct VerifyConfig
      * the sweep period.
      */
     Cycle interval = 0;
-
-    /**
-     * Also check immediately on every router power-state transition. The
-     * check is scoped to what the transition can break: credit
-     * conservation, VC legality and PG safety of the transitioning
-     * router and its mesh neighbours (their output links, local ports,
-     * VCs and datapaths), plus every link/VC with an announced credit
-     * leak. It records exactly what a full sweep would whenever the rest
-     * of the network is clean; anything found elsewhere waits for the
-     * next periodic sweep, at most `interval` cycles away.
-     */
-    bool sweepOnTransition = true;
 
     /**
      * Reaction to violations found by kernel-driven sweeps: abort (dump
@@ -152,12 +141,6 @@ struct NocConfig
      * than ~4 cycles (Section 6.2).
      */
     int convOptSleepGuard = 4;
-
-    /**
-     * Conv_PG_OPT: how many cycles before the SA stall point the early
-     * wakeup signal fires (3 for a 4-stage pipeline, Section 3.3).
-     */
-    int earlyWakeupHide = 3;
 
     // --- NoRD parameters --------------------------------------------------
     /** VC-request window for the wakeup metric (Section 4.3). */
@@ -267,7 +250,13 @@ struct NocConfig
     /** True when this design power-gates routers at all. */
     bool gatingEnabled() const { return design != PgDesign::kNoPg; }
 
-    /** Abort with a message if the configuration is inconsistent. */
+    /**
+     * Every rule this configuration breaks, one message each; empty when
+     * it is consistent. Never aborts (lintConfig() reports the list).
+     */
+    std::vector<std::string> problems() const;
+
+    /** Abort with the first of problems(), if any. */
     void validate() const;
 };
 

@@ -36,9 +36,8 @@ NocSystem::NocSystem(const NocConfig &config)
     // Every power transition re-arms the transitioning router and its
     // mesh neighbors in the kernel's active list (their next tick adjusts
     // credit views / restarts heads -- see Router::quiescent), and, when
-    // the auditor checks on transitions, has it check that same set.
-    const bool check =
-        auditor_->enabled() && config_.verify.sweepOnTransition;
+    // the auditor is enabled, has it check that same set.
+    const bool check = auditor_->enabled();
     for (NodeId id = 0; id < config_.numNodes(); ++id) {
         Router *r = routers_[id].get();
         controllers_[id]->setTransitionListener(
@@ -420,7 +419,6 @@ NocSystem::configFingerprint() const
     s.io(c.wakeupLatency);
     s.io(c.betCycles);
     s.io(c.convOptSleepGuard);
-    s.io(c.earlyWakeupHide);
     s.io(c.nordWakeupWindow);
     s.io(c.nordPerfThreshold);
     s.io(c.nordPowerThreshold);
@@ -434,7 +432,6 @@ NocSystem::configFingerprint() const
     s.io(c.seed);
     s.io(c.statsWarmup);
     s.io(c.verify.interval);
-    s.io(c.verify.sweepOnTransition);
     s.io(c.verify.policy);
     s.io(c.verify.stallThreshold);
     s.io(c.verify.maxFlitAge);

@@ -213,8 +213,7 @@ class NocSystem
 
   private:
     /** Cycle hook that forwards to the attached workload. Workload state
-     *  is checkpointed by NocSystem::serializeState, not here.
-     *  nord-lint-allow(clocked-serialize) */
+     *  is checkpointed by NocSystem::serializeState, not here. */
     class WorkloadTicker : public Clocked
     {
       public:

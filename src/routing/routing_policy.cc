@@ -42,6 +42,8 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
     }
 
     if (isNord()) {
+        NORD_ASSERT(!steer_.empty(),
+                    "NoRD routing needs the steering table installed");
         const Direction ringOut = ring_.bypassOutport(here);
         req.escapeDir = ringOut;
         req.escapeNonMinimal =
@@ -55,11 +57,10 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
 
         // Adaptive candidates over the mixed on/off graph: an output is
         // usable if the downstream router is not gated, or if it is this
-        // router's ring successor (entry via its Bypass Inport). With a
-        // steering table, candidates are ranked by the worst-case-graph
-        // cost through the downstream node, which routes packets via the
-        // performance-centric shortcuts of Figure 6; otherwise minimal
-        // directions are used with a ring fallback.
+        // router's ring successor (entry via its Bypass Inport).
+        // Candidates are ranked by the worst-case-graph (steering) cost
+        // through the downstream node, which routes packets via the
+        // performance-centric shortcuts of Figure 6.
         struct Scored
         {
             RouteCandidate cand;
@@ -79,20 +80,14 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
                 continue;
             const bool nonMinimal =
                 mesh_.manhattan(nb, head.dst) >= hereDist;
-            double score;
-            if (hasSteering()) {
-                // Onward estimate: through a gated neighbor the packet is
-                // committed to the worst-case (steering) graph; through a
-                // powered-on neighbor it may also find an all-on minimal
-                // path, so take the optimistic minimum.
-                const double steer = steerCost(nb, head.dst);
-                const double allOn = 5.0 * mesh_.manhattan(nb, head.dst);
-                score = gated ? (3.0 + steer)
-                              : (5.0 + std::min(steer, allOn));
-            } else {
-                score = nonMinimal ? 1e6 : (gated ? 3.0 : 5.0);
-                score += mesh_.manhattan(nb, head.dst);
-            }
+            // Onward estimate: through a gated neighbor the packet is
+            // committed to the worst-case (steering) graph; through a
+            // powered-on neighbor it may also find an all-on minimal
+            // path, so take the optimistic minimum.
+            const double steer = steerCost(nb, head.dst);
+            const double allOn = 5.0 * mesh_.manhattan(nb, head.dst);
+            const double score = gated ? (3.0 + steer)
+                                       : (5.0 + std::min(steer, allOn));
             scored.push_back({{d, nonMinimal}, score});
         }
         std::stable_sort(scored.begin(), scored.end(),
@@ -105,12 +100,6 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
             // stay on adaptive resources (Section 4.2).
             if (capped && sc.cand.nonMinimal)
                 continue;
-            // Without steering, a non-minimal hop is only the ring
-            // fallback of last resort.
-            if (!hasSteering() && sc.cand.nonMinimal &&
-                sc.cand.dir != ringOut) {
-                continue;
-            }
             req.adaptive.push_back(sc.cand);
         }
         if (req.adaptive.empty())

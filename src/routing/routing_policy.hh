@@ -68,11 +68,9 @@ class RoutingPolicy
      * the performance-centric routers are powered on. Adaptive candidates
      * are ranked by this cost, steering packets towards the Figure 6
      * shortcut routers without any global power-state knowledge.
+     * NocSystem installs it for every NoRD network; route() requires it.
      */
     void setSteeringTable(std::vector<double> table);
-
-    /** True once a steering table is installed. */
-    bool hasSteering() const { return !steer_.empty(); }
 
     /**
      * Route a head flit buffered at powered-on router @p here.

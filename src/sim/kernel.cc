@@ -125,7 +125,7 @@ SimKernel::serializeState(StateSerializer &s)
     s.section(StateSerializer::tag4("KERN"));
     s.io(now_);
     // Every other member carries a NORD_STATE_EXCLUDE annotation in
-    // kernel.hh; nord-statecheck enforces that the two stay in sync.
+    // kernel.hh; nord-lint's state-coverage rules keep the two in sync.
 }
 
 bool

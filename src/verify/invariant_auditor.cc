@@ -682,7 +682,7 @@ InvariantAuditor::tick(Cycle now)
 void
 InvariantAuditor::onPowerTransition(Cycle now, NodeId router)
 {
-    if (!enabled() || !config_.sweepOnTransition)
+    if (!enabled())
         return;
     Scope scope;
     scope.ids[scope.count++] = router;

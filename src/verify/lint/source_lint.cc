@@ -14,10 +14,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
+
+#include "verify/statecheck/state_check.hh"
 
 namespace nord {
-
-namespace {
 
 bool
 isWordChar(char c)
@@ -25,28 +26,25 @@ isWordChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/** True when content[pos..pos+len) is the whole identifier @p word. */
 bool
-isWordAt(const std::string &s, size_t pos, const char *word, size_t len)
+isWordAt(const std::string &s, size_t pos, std::string_view word)
 {
-    if (s.compare(pos, len, word) != 0)
+    if (s.compare(pos, word.size(), word) != 0)
         return false;
     if (pos > 0 && isWordChar(s[pos - 1]))
         return false;
-    if (pos + len < s.size() && isWordChar(s[pos + len]))
-        return false;
-    return true;
+    const size_t end = pos + word.size();
+    return end >= s.size() || !isWordChar(s[end]);
 }
 
-/** 1-based line number of offset @p pos. */
 int
 lineOf(const std::string &s, size_t pos)
 {
-    return 1 + static_cast<int>(std::count(s.begin(),
-                                           s.begin() +
-                                               static_cast<long>(pos),
-                                           '\n'));
+    return 1 + static_cast<int>(std::count(
+                   s.begin(), s.begin() + static_cast<long>(pos), '\n'));
 }
+
+namespace {
 
 /** The full text of 1-based line @p line (empty when out of range). */
 std::string
@@ -62,16 +60,14 @@ lineText(const std::string &s, int line)
 }
 
 /**
- * True when `// nord-lint-allow(...)` naming @p check (or the blanket
- * alias @p alias, may be null) appears on @p line or the @p span lines
- * above it in the ORIGINAL content (annotations live in comments, which
- * stripCode removes).
+ * True when `// nord-lint-allow(...)` naming @p check appears on @p line
+ * or the two lines above it in the ORIGINAL content (annotations live in
+ * comments, which stripCode removes).
  */
 bool
-allowedAt(const std::string &original, int line, const std::string &check,
-          const char *alias, int span = 2)
+allowedAt(const std::string &original, int line, const std::string &check)
 {
-    for (int l = line; l >= 1 && l >= line - span; --l) {
+    for (int l = line; l >= 1 && l >= line - 2; --l) {
         const std::string text = lineText(original, l);
         const size_t at = text.find("nord-lint-allow(");
         if (at == std::string::npos)
@@ -82,8 +78,6 @@ allowedAt(const std::string &original, int line, const std::string &check,
         const std::string args =
             text.substr(at + 16, close - (at + 16));
         if (args.find(check) != std::string::npos)
-            return true;
-        if (alias && args.find(alias) != std::string::npos)
             return true;
     }
     return false;
@@ -96,7 +90,6 @@ struct Scope
     bool underCommon = false;  ///< src/common/...
     bool isRngWrapper = false; ///< src/common/rng.{hh,cc}
     bool durability = false;   ///< src/ckpt/... or src/campaign/...
-    bool header = false;       ///< *.hh
 };
 
 Scope
@@ -115,7 +108,6 @@ classify(const std::string &path)
     s.underCommon = within("src/common");
     s.isRngWrapper = p.find("src/common/rng.") != std::string::npos;
     s.durability = within("src/ckpt") || within("src/campaign");
-    s.header = p.size() > 3 && p.compare(p.size() - 3, 3, ".hh") == 0;
     return s;
 }
 
@@ -227,7 +219,7 @@ checkStatics(const std::string &path, const std::string &original,
 {
     for (size_t i = stripped.find("static"); i != std::string::npos;
          i = stripped.find("static", i + 6)) {
-        if (!isWordAt(stripped, i, "static", 6))
+        if (!isWordAt(stripped, i, "static"))
             continue;
         const int line = lineOf(stripped, i);
         const std::string span =
@@ -240,7 +232,7 @@ checkStatics(const std::string &path, const std::string &original,
                           "static initialized from getenv(): latches the "
                           "first environment seen and can never be reset "
                           "(use an explicit resettable config object)"};
-            if (!allowedAt(original, line, f.check, nullptr) &&
+            if (!allowedAt(original, line, f.check) &&
                 !whitelisted(f, lineText(original, line), wl))
                 out.push_back(std::move(f));
         }
@@ -253,7 +245,7 @@ checkStatics(const std::string &path, const std::string &original,
                           "global state, a data race once two NocSystems "
                           "run on two threads (own it in a component, or "
                           "whitelist it with a story)"};
-            if (!allowedAt(original, line, f.check, nullptr) &&
+            if (!allowedAt(original, line, f.check) &&
                 !whitelisted(f, lineText(original, line), wl))
                 out.push_back(std::move(f));
         }
@@ -271,10 +263,10 @@ checkEnvReads(const std::string &path, const std::string &original,
         return;
     for (size_t i = stripped.find("getenv"); i != std::string::npos;
          i = stripped.find("getenv", i + 6)) {
-        if (!isWordAt(stripped, i, "getenv", 6))
+        if (!isWordAt(stripped, i, "getenv"))
             continue;
         const int line = lineOf(stripped, i);
-        if (allowedAt(original, line, "env-read", nullptr))
+        if (allowedAt(original, line, "env-read"))
             continue;
         out.push_back({path, line, "env-read",
                        "getenv() outside src/common/: environment side "
@@ -296,14 +288,10 @@ checkFlitHeap(const std::string &path, const std::string &original,
         path.find("src/common/arena.") != std::string::npos) {
         return;
     }
-    static const struct
-    {
-        const char *word;
-        size_t len;
-    } kTypes[] = {{"Flit", 4}, {"PacketDescriptor", 16}};
+    static const char *const kTypes[] = {"Flit", "PacketDescriptor"};
     for (size_t i = stripped.find("new"); i != std::string::npos;
          i = stripped.find("new", i + 3)) {
-        if (!isWordAt(stripped, i, "new", 3))
+        if (!isWordAt(stripped, i, "new"))
             continue;
         size_t j = i + 3;
         while (j < stripped.size() &&
@@ -311,17 +299,15 @@ checkFlitHeap(const std::string &path, const std::string &original,
                 stripped[j] == '\n')) {
             ++j;
         }
-        for (const auto &t : kTypes) {
-            if (stripped.compare(j, t.len, t.word) != 0 ||
-                !isWordAt(stripped, j, t.word, t.len)) {
+        for (const char *type : kTypes) {
+            if (!isWordAt(stripped, j, type))
                 continue;
-            }
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "flit-heap", nullptr))
+            if (allowedAt(original, line, "flit-heap"))
                 continue;
             out.push_back(
                 {path, line, "flit-heap",
-                 std::string("new ") + t.word +
+                 std::string("new ") + type +
                      ": direct heap allocation of flit/packet storage "
                      "bypasses the pool arena (use an arena-backed "
                      "container, see src/common/arena.hh)"});
@@ -345,10 +331,10 @@ checkStdio(const std::string &path, const std::string &original,
     for (const auto &b : kBanned) {
         for (size_t i = stripped.find(b.word); i != std::string::npos;
              i = stripped.find(b.word, i + b.len)) {
-            if (!isWordAt(stripped, i, b.word, b.len))
+            if (!isWordAt(stripped, i, b.word))
                 continue;
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "stdio-side-channel", nullptr))
+            if (allowedAt(original, line, "stdio-side-channel"))
                 continue;
             out.push_back(
                 {path, line, "stdio-side-channel",
@@ -369,7 +355,7 @@ checkDeterminism(const std::string &path, const std::string &original,
         return;
     auto report = [&](size_t pos, const std::string &msg) {
         const int line = lineOf(stripped, pos);
-        if (allowedAt(original, line, "determinism", nullptr))
+        if (allowedAt(original, line, "determinism"))
             return;
         out.push_back({path, line, "determinism", msg});
     };
@@ -378,7 +364,7 @@ checkDeterminism(const std::string &path, const std::string &original,
         const size_t len = std::string(word).size();
         for (size_t i = stripped.find(word); i != std::string::npos;
              i = stripped.find(word, i + len)) {
-            if (!isWordAt(stripped, i, word, len)) {
+            if (!isWordAt(stripped, i, word)) {
                 continue;
             }
             size_t j = i + len;
@@ -401,7 +387,7 @@ checkDeterminism(const std::string &path, const std::string &original,
 
     for (size_t i = stripped.find("time"); i != std::string::npos;
          i = stripped.find("time", i + 4)) {
-        if (!isWordAt(stripped, i, "time", 4))
+        if (!isWordAt(stripped, i, "time"))
             continue;
         size_t j = i + 4;
         while (j < stripped.size() &&
@@ -450,7 +436,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
     for (const auto &c : kCalls) {
         for (size_t i = stripped.find(c.word); i != std::string::npos;
              i = stripped.find(c.word, i + c.len)) {
-            if (!isWordAt(stripped, i, c.word, c.len))
+            if (!isWordAt(stripped, i, c.word))
                 continue;
             size_t j = i + c.len;
             while (j < stripped.size() &&
@@ -468,7 +454,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
             if (prev != ';' && prev != '{' && prev != '}')
                 continue;
             const int line = lineOf(stripped, i);
-            if (allowedAt(original, line, "unchecked-io", nullptr))
+            if (allowedAt(original, line, "unchecked-io"))
                 continue;
             out.push_back({path, line, "unchecked-io",
                            std::string(c.word) +
@@ -491,7 +477,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
     constexpr int kDirFsyncWindow = 12;
     for (size_t i = stripped.find("rename"); i != std::string::npos;
          i = stripped.find("rename", i + 6)) {
-        if (!isWordAt(stripped, i, "rename", 6))
+        if (!isWordAt(stripped, i, "rename"))
             continue;
         size_t j = i + 6;
         while (j < stripped.size() &&
@@ -522,7 +508,7 @@ checkUncheckedIo(const std::string &path, const std::string &original,
         }
         if (synced)
             continue;
-        if (allowedAt(original, line, "unchecked-io", nullptr))
+        if (allowedAt(original, line, "unchecked-io"))
             continue;
         out.push_back({path, line, "unchecked-io",
                        "rename() without a nearby fsyncParentDir() in "
@@ -530,58 +516,6 @@ checkUncheckedIo(const std::string &path, const std::string &original,
                        "durable until the parent directory is fsynced "
                        "(publish via fsyncParentDir after the rename, or "
                        "annotate with nord-lint-allow(unchecked-io))"});
-    }
-}
-
-void
-checkClockedContract(const std::string &path, const std::string &original,
-                     const std::string &stripped, const Scope &scope,
-                     std::vector<LintFinding> &out)
-{
-    if (!scope.underSrc || !scope.header)
-        return;
-    for (size_t i = stripped.find("public Clocked");
-         i != std::string::npos;
-         i = stripped.find("public Clocked", i + 14)) {
-        if (!isWordAt(stripped, i + 7, "Clocked", 7))
-            continue;
-        // Identify `class <Name>` to the left of the base clause.
-        size_t cls = stripped.rfind("class", i);
-        if (cls == std::string::npos)
-            continue;
-        size_t n = cls + 5;
-        while (n < stripped.size() &&
-               std::isspace(static_cast<unsigned char>(stripped[n])))
-            ++n;
-        size_t ne = n;
-        while (ne < stripped.size() && isWordChar(stripped[ne]))
-            ++ne;
-        const std::string name = stripped.substr(n, ne - n);
-        const int line = lineOf(stripped, cls);
-
-        // Class body: first '{' after the base clause to its match.
-        size_t open = stripped.find('{', i);
-        if (open == std::string::npos)
-            continue;
-        int depth = 0;
-        size_t close = open;
-        for (; close < stripped.size(); ++close) {
-            if (stripped[close] == '{')
-                ++depth;
-            else if (stripped[close] == '}' && --depth == 0)
-                break;
-        }
-        const std::string body =
-            stripped.substr(open, close - open);
-
-        if (body.find("serializeState") == std::string::npos &&
-            !allowedAt(original, line, "clocked-serialize",
-                       "clocked-contract", 4)) {
-            out.push_back({path, line, "clocked-serialize",
-                           "Clocked subclass " + name +
-                               " has no serializeState: its state would "
-                               "silently vanish from checkpoints"});
-        }
     }
 }
 
@@ -722,7 +656,6 @@ lintSource(const std::string &path, const std::string &content,
     checkStdio(path, content, stripped, scope, out);
     checkDeterminism(path, content, stripped, scope, out);
     checkUncheckedIo(path, content, stripped, scope, out);
-    checkClockedContract(path, content, stripped, scope, out);
     std::sort(out.begin(), out.end(),
               [](const LintFinding &a, const LintFinding &b) {
                   if (a.line != b.line)
@@ -735,15 +668,20 @@ lintSource(const std::string &path, const std::string &content,
 std::vector<LintFinding>
 lintTree(const std::string &root,
          const std::vector<LintWhitelistEntry> &whitelist,
-         std::string *err)
+         std::string *err, statecheck::TreeModel *model)
 {
     namespace fs = std::filesystem;
     std::vector<LintFinding> out;
+    std::error_code ec;
+    if (!fs::is_directory(fs::path(root) / "src", ec)) {
+        if (err)
+            *err = "no src/ directory under " + root;
+        return out;
+    }
     std::vector<std::string> files;
     for (const char *dir :
          {"src", "tools", "bench", "examples", "tests"}) {
         const fs::path base = fs::path(root) / dir;
-        std::error_code ec;
         if (!fs::is_directory(base, ec))
             continue;
         for (auto it = fs::recursive_directory_iterator(base, ec);
@@ -763,6 +701,9 @@ lintTree(const std::string &root,
         }
     }
     std::sort(files.begin(), files.end());
+
+    statecheck::TreeModel local;
+    statecheck::TreeModel &tree = model ? *model : local;
     for (const std::string &rel : files) {
         std::ifstream in(fs::path(root) / rel,
                          std::ios::in | std::ios::binary);
@@ -773,10 +714,24 @@ lintTree(const std::string &root,
         }
         std::ostringstream buf;
         buf << in.rdbuf();
+        const std::string content = buf.str();
         std::vector<LintFinding> found =
-            lintSource(rel, buf.str(), whitelist);
+            lintSource(rel, content, whitelist);
         out.insert(out.end(), found.begin(), found.end());
+        if (rel.rfind("src/", 0) == 0) {
+            if (rel.compare(rel.size() - 3, 3, ".hh") == 0)
+                statecheck::parseHeader(rel, content, tree);
+            statecheck::parseMethodBodies(rel, content, tree);
+        }
     }
+
+    std::vector<LintFinding> state = statecheck::checkTree(tree);
+    out.insert(out.end(), state.begin(), state.end());
+    std::stable_sort(out.begin(), out.end(),
+                     [](const LintFinding &a, const LintFinding &b) {
+                         return std::tie(a.file, a.line, a.check) <
+                                std::tie(b.file, b.line, b.check);
+                     });
     return out;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * nord-lint: a static source pass against hidden state.
+ * nord-lint: the static source gate against hidden and uncovered state.
  *
- * Component state is checkpointed and hashed; this pass guards what no
- * component owns: *hidden* process-global state and nondeterminism. It
- * scans the C++ sources themselves and bans
+ * Component state is checkpointed and hashed. This pass scans the C++
+ * sources themselves to guard both halves of that claim: every component
+ * member is covered by its serialize walk, and no state hides outside a
+ * component. It bans
  *
  *  - mutable-static: non-const, non-thread_local function-local or
  *    namespace-scope `static` variables in src/ (each one is a data race
@@ -29,22 +30,31 @@
  *    (result discarded) in the durability layers src/ckpt/ and
  *    src/campaign/ -- an ignored I/O result there is how a "durable"
  *    journal silently loses its tail on a full disk;
- *  - clocked-contract: every class deriving directly from Clocked in a
- *    src/ header must declare serializeState (checkpointable); a
- *    missing one is reported as clocked-serialize.
+ *  - state coverage: every src/ file also feeds the declaration parser
+ *    (verify/statecheck/), whose rules report each data member that is
+ *    neither serialized nor legally NORD_STATE_EXCLUDE-annotated
+ *    (unserialized-member, exclude-but-serialized, bad-exclude-category,
+ *    dangling-exclude, missing-serialize-body).
  *
- * A finding on line N is suppressed by `// nord-lint-allow(<check>)` on
- * line N or one of the two lines above it. The engine is std-only so the
- * CLI (tools/nord-lint) builds standalone.
+ * A text-check finding on line N is suppressed by
+ * `// nord-lint-allow(<check>)` on line N or one of the two lines above
+ * it; state-coverage findings are fixed in the code or annotated with
+ * NORD_STATE_EXCLUDE. The engine is std-only so the CLI (tools/nord-lint)
+ * builds standalone.
  */
 
 #ifndef NORD_VERIFY_LINT_SOURCE_LINT_HH
 #define NORD_VERIFY_LINT_SOURCE_LINT_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nord {
+
+namespace statecheck {
+struct TreeModel;
+}  // namespace statecheck
 
 /** One lint violation. */
 struct LintFinding
@@ -81,13 +91,18 @@ lintSource(const std::string &path, const std::string &content,
 
 /**
  * Lint every *.cc / *.hh under @p root's src, tools, bench, examples and
- * tests directories. Findings are sorted by (file, line). On I/O failure
- * returns what was gathered and sets *err.
+ * tests directories, reading each file once: every file gets the text
+ * checks, every src/ file also feeds the state model, and the state-
+ * coverage rules run over that model after the walk. Findings are sorted
+ * by (file, line). A root without src/ or an unreadable file sets *err
+ * (the findings gathered so far are still returned). When @p model is
+ * given it receives the parsed state model.
  */
 std::vector<LintFinding>
 lintTree(const std::string &root,
          const std::vector<LintWhitelistEntry> &whitelist = lintWhitelist(),
-         std::string *err = nullptr);
+         std::string *err = nullptr,
+         statecheck::TreeModel *model = nullptr);
 
 /**
  * Strip comments, string literals (including raw strings) and char
@@ -95,6 +110,15 @@ lintTree(const std::string &root,
  * scans cannot be fooled by quoted or commented text. Exposed for tests.
  */
 std::string stripCode(const std::string &content);
+
+/** True for identifier characters [A-Za-z0-9_]. */
+bool isWordChar(char c);
+
+/** True when s[pos..) is the whole identifier @p word. */
+bool isWordAt(const std::string &s, size_t pos, std::string_view word);
+
+/** 1-based line number of offset @p pos. */
+int lineOf(const std::string &s, size_t pos);
 
 }  // namespace nord
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * nord-statecheck rules (see state_check.hh).
+ * State-coverage rules (see state_check.hh).
  */
 
 #include "verify/statecheck/state_check.hh"
 
-#include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nord {
@@ -81,21 +81,11 @@ startsWith(const std::string &s, const std::string &prefix)
 }
 
 void
-emit(std::vector<CheckFinding> &out, const std::string &file, int line,
+emit(std::vector<LintFinding> &out, const std::string &file, int line,
      const char *rule, const std::string &message)
 {
-    CheckFinding f;
-    f.file = file;
-    f.line = line;
-    f.rule = rule;
-    f.severity = "error";
-    f.message = message;
-    out.push_back(std::move(f));
+    out.push_back({file, line, rule, message});
 }
-
-}  // namespace
-
-namespace {
 
 /**
  * Fixpoint-expand @p text with the bodies of @p cls methods whose names
@@ -166,10 +156,10 @@ expandWalk(const TreeModel &model, const std::string &cls,
     return expandClosure(std::move(walk), included, own);
 }
 
-std::vector<CheckFinding>
+std::vector<LintFinding>
 checkTree(const TreeModel &model)
 {
-    std::vector<CheckFinding> out;
+    std::vector<LintFinding> out;
 
     // External serializer walks (StateSerializer::io(T&)).
     auto externalWalk = [&](const std::string &cls) {
@@ -319,15 +309,6 @@ checkTree(const TreeModel &model)
             }
         }
     }
-
-    std::sort(out.begin(), out.end(),
-              [](const CheckFinding &a, const CheckFinding &b) {
-                  if (a.file != b.file)
-                      return a.file < b.file;
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.rule < b.rule;
-              });
     return out;
 }
 

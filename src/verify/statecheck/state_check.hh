@@ -1,6 +1,6 @@
 /**
  * @file
- * nord-statecheck rule layer: cross-check the parsed state model
+ * nord-lint's state-coverage rules: cross-check the parsed state model
  * (state_model.hh) against two ground truths.
  *
  *  1. serialize-coverage: every non-static, non-const, non-reference data
@@ -22,30 +22,21 @@
 #include <string>
 #include <vector>
 
+#include "verify/lint/source_lint.hh"
 #include "verify/statecheck/state_model.hh"
 
 namespace nord {
 namespace statecheck {
 
-/** One rule violation. */
-struct CheckFinding
-{
-    std::string file;
-    int line = 0;
-    std::string rule;      ///< e.g. "unserialized-member"
-    std::string severity;  ///< "error" (all current rules gate CI)
-    std::string message;
-};
-
-/// Rule identifiers (kept in one place for the CLI and the tests).
+/// Rule identifiers (the LintFinding::check slugs).
 extern const char kRuleUnserializedMember[];
 extern const char kRuleExcludeButSerialized[];
 extern const char kRuleBadExcludeCategory[];
 extern const char kRuleDanglingExclude[];
 extern const char kRuleMissingSerializeBody[];
 
-/** Run every rule over @p model; findings sorted by file/line. */
-std::vector<CheckFinding> checkTree(const TreeModel &model);
+/** Run every rule over @p model (lintTree sorts the merged findings). */
+std::vector<LintFinding> checkTree(const TreeModel &model);
 
 /**
  * Transitive body text of @p cls methods reachable from any seed name in

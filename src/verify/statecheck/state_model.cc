@@ -1,13 +1,13 @@
 /**
  * @file
- * nord-statecheck declaration parser (see state_model.hh).
+ * State-model declaration parser (see state_model.hh).
  *
- * Std-only, like the nord-lint engine: the CLI builds this standalone and
- * the model must be extractable from a tree that does not compile. The
- * scanner works on stripCode()-stripped text (comments and string
- * literals blanked, offsets preserved), so quoted or commented "members"
- * can never confuse it; annotation reasons are read back from the
- * original text at the same offsets.
+ * Std-only, like the rest of the nord-lint engine: the CLI builds this
+ * standalone and the model must be extractable from a tree that does not
+ * compile. The scanner works on stripCode()-stripped text (comments and
+ * string literals blanked, offsets preserved), so quoted or commented
+ * "members" can never confuse it; annotation reasons are read back from
+ * the original text at the same offsets.
  */
 
 #include "verify/statecheck/state_model.hh"
@@ -15,9 +15,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "verify/lint/source_lint.hh"
 
@@ -25,32 +22,6 @@ namespace nord {
 namespace statecheck {
 
 namespace {
-
-bool
-isWordChar(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool
-isWordAt(const std::string &s, size_t pos, const std::string &word)
-{
-    if (s.compare(pos, word.size(), word) != 0)
-        return false;
-    if (pos > 0 && isWordChar(s[pos - 1]))
-        return false;
-    const size_t end = pos + word.size();
-    if (end < s.size() && isWordChar(s[end]))
-        return false;
-    return true;
-}
-
-int
-lineOf(const std::string &s, size_t pos)
-{
-    return 1 + static_cast<int>(std::count(
-                   s.begin(), s.begin() + static_cast<long>(pos), '\n'));
-}
 
 size_t
 skipSpaces(const std::string &s, size_t i)
@@ -818,48 +789,6 @@ parseMethodBodies(const std::string &path, const std::string &content,
         mb.line = lineOf(s, cb);
         model.methods.push_back(std::move(mb));
     }
-}
-
-TreeModel
-buildTreeModel(const std::string &root, std::string *err)
-{
-    namespace fs = std::filesystem;
-    TreeModel model;
-    std::vector<std::string> files;
-    const fs::path base = fs::path(root) / "src";
-    std::error_code ec;
-    if (!fs::is_directory(base, ec)) {
-        if (err)
-            *err = "no src/ directory under " + root;
-        return model;
-    }
-    for (auto it = fs::recursive_directory_iterator(base, ec);
-         !ec && it != fs::recursive_directory_iterator(); ++it) {
-        if (!it->is_regular_file(ec))
-            continue;
-        const std::string ext = it->path().extension().string();
-        if (ext != ".cc" && ext != ".hh")
-            continue;
-        files.push_back(fs::relative(it->path(), root, ec).generic_string());
-    }
-    std::sort(files.begin(), files.end());
-    for (const std::string &rel : files) {
-        std::ifstream in(fs::path(root) / rel,
-                         std::ios::in | std::ios::binary);
-        if (!in) {
-            if (err)
-                *err = "cannot read " + rel;
-            continue;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::string content = buf.str();
-        if (rel.size() > 3 &&
-            rel.compare(rel.size() - 3, 3, ".hh") == 0)
-            parseHeader(rel, content, model);
-        parseMethodBodies(rel, content, model);
-    }
-    return model;
 }
 
 }  // namespace statecheck

@@ -1,6 +1,6 @@
 /**
  * @file
- * nord-statecheck declaration parser: the per-class member model.
+ * nord-lint's declaration parser: the per-class member model.
  *
  * NoRD's correctness stack -- bit-exact checkpoint/restore, stateHash()
  * lockstep tests and crash-resumable campaigns -- silently breaks the
@@ -21,11 +21,12 @@
  *  - the external serializer walks StateSerializer::io(T&) provides for
  *    plain structs like Flit and PacketDescriptor.
  *
- * Like the nord-lint engine it is deliberately std-only (no libclang, no
- * nord dependencies): the CLI builds standalone and the model can be
- * extracted from a tree that does not compile. It is a heuristic
+ * Like the rest of the nord-lint engine it is deliberately std-only (no
+ * libclang, no nord dependencies): the CLI builds standalone and the
+ * model can be extracted from a tree that does not compile. lintTree()
+ * feeds it every src/ file during its one walk. It is a heuristic
  * declaration scanner, not a full C++ parser -- the accepted shapes and
- * known limits are documented in DESIGN.md section 5.11; the annotation-
+ * known limits are documented in DESIGN.md section 5.8; the annotation-
  * truthing tests keep the model honest at runtime.
  */
 
@@ -101,12 +102,6 @@ void parseHeader(const std::string &path, const std::string &content,
  */
 void parseMethodBodies(const std::string &path, const std::string &content,
                        TreeModel &model);
-
-/**
- * Build the model for every *.hh / *.cc under @p root's src/ directory.
- * On I/O failure returns what was gathered and sets *err.
- */
-TreeModel buildTreeModel(const std::string &root, std::string *err = nullptr);
 
 /** True when @p word occurs as a whole identifier inside @p text. */
 bool containsWord(const std::string &text, const std::string &word);

@@ -108,7 +108,7 @@ CdgAnalysis::CdgAnalysis(const NocConfig &config, CdgOptions opts)
     ring_ = std::make_unique<BypassRing>(*mesh_);
     stats_ = std::make_unique<NetworkStats>(config_.numNodes(), 0);
     policy_ = std::make_unique<RoutingPolicy>(config_, *mesh_, *ring_);
-    if (config_.design == PgDesign::kNord && opts_.steering) {
+    if (config_.design == PgDesign::kNord) {
         policy_->setSteeringTable(cachedSteeringTable(
             *mesh_, *ring_, config_.nordPerfCentricCount));
     }

@@ -102,16 +102,9 @@ struct CdgCounterexample
     std::string describe() const;
 };
 
-/** Knobs for seeding negative tests and selecting the routing mode. */
+/** Knobs for seeding negative tests. */
 struct CdgOptions
 {
-    /**
-     * Analyze NoRD with the steering table installed (the normal operating
-     * mode) or without it (the minimal+ring-fallback mode used before the
-     * criticality analysis runs). Ignored by conventional designs.
-     */
-    bool steering = true;
-
     /**
      * Seed a deliberately broken escape scheme: force every escape hop to
      * this dateline level, modelling a single-escape-VC ring without the

@@ -26,107 +26,15 @@ LintResult::summary() const
 LintResult
 lintConfig(const NocConfig &config)
 {
-    LintResult r;
-    auto flag = [&r](std::string what) {
-        r.problems.push_back(std::move(what));
-    };
-
-    // --- Mesh / ring structure -------------------------------------------
-    const bool meshOk = config.rows >= 2 && config.cols >= 2;
-    if (!meshOk) {
-        flag("mesh must be at least 2x2 (got " +
-             std::to_string(config.rows) + "x" +
-             std::to_string(config.cols) + ")");
-    }
-    if (config.rows % 2 != 0) {
-        flag("canonical bypass-ring construction requires an even row "
-             "count (got " + std::to_string(config.rows) + ")");
-    }
-    if (meshOk && config.rows % 2 == 0) {
+    LintResult r{config.problems()};
+    if (config.rows >= 2 && config.cols >= 2 && config.rows % 2 == 0) {
         // The canonical ring must itself pass the Hamiltonian lint; a bug
         // in the serpentine construction would surface here rather than as
         // a NORD_FATAL deep inside a simulation run.
         MeshTopology mesh(config.rows, config.cols);
         BypassRing ring(mesh);
-        LintResult ringLint = lintRingOrder(mesh, ring.order());
-        for (std::string &p : ringLint.problems)
+        for (std::string &p : lintRingOrder(mesh, ring.order()).problems)
             r.problems.push_back("canonical ring: " + std::move(p));
-    }
-
-    // --- VC partition ----------------------------------------------------
-    if (config.numVcs < 2)
-        flag("need at least 2 VCs (1 escape + 1 adaptive)");
-    if (config.numEscapeVcs < 1) {
-        flag("escape class is empty (numEscapeVcs = " +
-             std::to_string(config.numEscapeVcs) +
-             "): Duato's Protocol has no deadlock-free fallback");
-    } else if (config.numEscapeVcs >= config.numVcs) {
-        flag("adaptive class is empty (numEscapeVcs = " +
-             std::to_string(config.numEscapeVcs) + " of " +
-             std::to_string(config.numVcs) + " VCs)");
-    }
-    if (config.design == PgDesign::kNord && config.numEscapeVcs < 2) {
-        flag("NoRD's unidirectional ring escape needs 2 escape VCs "
-             "(dateline scheme); with " +
-             std::to_string(config.numEscapeVcs) +
-             " the ring's channel dependence stays cyclic");
-    }
-
-    // --- Buffer / allocation assumptions ---------------------------------
-    if (config.bufferDepth < 1)
-        flag("bufferDepth must be >= 1");
-    if (config.escapeAfterBlockedCycles < 1) {
-        flag("escapeAfterBlockedCycles must be >= 1 (blocked adaptive "
-             "heads must eventually request escape for Duato progress)");
-    }
-    if (config.nordMisrouteCap < 0)
-        flag("nordMisrouteCap must be >= 0");
-
-    // --- Power-gating handshake parameters -------------------------------
-    if (config.wakeupLatency < 1)
-        flag("wakeupLatency must be >= 1");
-    if (config.nordWakeupWindow < 1)
-        flag("nordWakeupWindow must be >= 1");
-    if (config.nordPerfThreshold < 1 || config.nordPowerThreshold < 1)
-        flag("wakeup thresholds must be >= 1");
-    if (config.nordPerfThreshold > config.nordPowerThreshold) {
-        flag("asymmetric thresholds inverted: performance-centric (" +
-             std::to_string(config.nordPerfThreshold) +
-             ") must wake no later than power-centric (" +
-             std::to_string(config.nordPowerThreshold) + ")");
-    }
-    if (config.nordPowerSleepGuard < 0 || config.nordPerfSleepGuard < 0)
-        flag("sleep guards must be >= 0");
-    if (config.niStarvationLimit < 1)
-        flag("niStarvationLimit must be >= 1");
-    if (config.nordPerfCentricCount > config.numNodes()) {
-        flag("nordPerfCentricCount (" +
-             std::to_string(config.nordPerfCentricCount) +
-             ") exceeds the node count");
-    }
-
-    // --- Verification / fault settings -----------------------------------
-    if (config.verify.interval > 0) {
-        if (config.verify.stallThreshold < 1)
-            flag("verify.stallThreshold must be >= 1");
-        if (config.verify.maxFlitAge < 1)
-            flag("verify.maxFlitAge must be >= 1");
-    }
-    if (config.fault.enabled) {
-        for (double rate :
-             {config.fault.flitCorruptRate, config.fault.flitDropRate,
-              config.fault.creditLeakRate, config.fault.lostWakeupRate}) {
-            if (rate < 0.0 || rate > 1.0) {
-                flag("fault rates must be probabilities in [0, 1]");
-                break;
-            }
-        }
-        for (const FaultEvent &ev : config.fault.schedule) {
-            if (ev.node < 0 || ev.node >= config.numNodes()) {
-                flag("scheduled fault targets node " +
-                     std::to_string(ev.node) + " outside the mesh");
-            }
-        }
     }
     return r;
 }

@@ -6,22 +6,14 @@
  * validate() is a hard gate -- it NORD_FATALs the process on the first
  * inconsistency, which is the right behavior at simulator startup but
  * useless for a verification CLI that should enumerate *all* problems of a
- * proposed configuration and keep going. This pass re-checks everything
- * validate() enforces, plus the structural assumptions the runtime checks
- * (InvariantAuditor atomic VC allocation, the bypass ring contract) take
- * for granted, and returns them as a list of diagnoses:
- *
- *  - mesh shape constraints (positive dims, even rows so the canonical
- *    serpentine Hamiltonian ring exists);
- *  - ring structure: a proposed node order must be a Hamiltonian cycle
- *    over mesh links -- a permutation of all nodes, pairwise mesh-adjacent,
- *    closing back on its start (lintRingOrder(), usable on orders the
- *    BypassRing constructor would fatally reject);
- *  - VC partition: escape class non-empty, adaptive class non-empty,
- *    NoRD's two-escape-VC dateline requirement;
- *  - buffer/credit assumptions behind atomic allocation: positive buffer
- *    depth, positive escape-after-blocked and misroute-cap settings,
- *    sane wakeup window/threshold/guard values.
+ * proposed configuration and keep going. Both read one rule list,
+ * NocConfig::problems(): mesh shape, VC partition (including NoRD's
+ * two-escape-VC dateline), buffer/allocation, power-gating handshake,
+ * verification and fault settings. This pass adds the ring structure: a
+ * node order must be a Hamiltonian cycle over mesh links -- a
+ * permutation of all nodes, pairwise mesh-adjacent, closing back on its
+ * start (lintRingOrder(), usable on orders the BypassRing constructor
+ * would fatally reject), checked for the canonical serpentine ring.
  */
 
 #ifndef NORD_VERIFY_STATIC_CONFIG_LINT_HH
@@ -46,7 +38,10 @@ struct LintResult
     std::string summary() const;
 };
 
-/** Lint one configuration (never aborts, unlike validate()). */
+/**
+ * Lint one configuration (never aborts, unlike validate()): every
+ * NocConfig::problems() entry plus the canonical ring's lintRingOrder().
+ */
 LintResult lintConfig(const NocConfig &config);
 
 /**

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "verify/lint/source_lint.hh"
+#include "verify/statecheck/state_check.hh"
 
 namespace nord {
 namespace {
@@ -25,6 +26,16 @@ std::vector<LintFinding>
 lint(const std::string &path, const std::string &content)
 {
     return lintSource(path, content);
+}
+
+/** State-coverage findings for one header parsed on its own. */
+std::vector<LintFinding>
+stateFindings(const std::string &path, const std::string &content)
+{
+    statecheck::TreeModel model;
+    statecheck::parseHeader(path, content, model);
+    statecheck::parseMethodBodies(path, content, model);
+    return statecheck::checkTree(model);
 }
 
 int
@@ -322,20 +333,29 @@ std::string timestamp = formatTime(cycle);
 
 TEST(NordLint, ClockedContract)
 {
+    // A Clocked class with state but no serializeState: each stateful
+    // member would silently vanish from checkpoints, and each is one
+    // unserialized-member finding of the state-coverage rules.
     const char *broken = R"cc(
 class BrokenProbe : public Clocked
 {
   public:
     void tick(Cycle now) override;
     std::string name() const override;
+
+  private:
+    Cycle lastTick_ = 0;
 };
 )cc";
     const std::vector<LintFinding> fs =
-        lint("src/verify/probe.hh", broken);
+        stateFindings("src/verify/probe.hh", broken);
     ASSERT_EQ(fs.size(), 1u);
-    EXPECT_EQ(countCheck(fs, "clocked-serialize"), 1);
-    // Only headers under src/ are in scope.
-    EXPECT_TRUE(lint("tests/helpers.hh", broken).empty());
+    EXPECT_EQ(fs[0].check, "unserialized-member");
+    EXPECT_EQ(fs[0].line, 9);
+    EXPECT_NE(fs[0].message.find("BrokenProbe::lastTick_"),
+              std::string::npos);
+    // The text checks have no opinion on it.
+    EXPECT_TRUE(lint("src/verify/probe.hh", broken).empty());
 
     const char *complete = R"cc(
 class GoodProbe : public Clocked
@@ -343,22 +363,29 @@ class GoodProbe : public Clocked
   public:
     void tick(Cycle now) override;
     std::string name() const override;
-    void serializeState(StateSerializer &s) override;
+    void serializeState(StateSerializer &s) override { s.io(lastTick_); }
+
+  private:
+    Cycle lastTick_ = 0;
 };
 )cc";
-    EXPECT_TRUE(lint("src/verify/probe.hh", complete).empty());
+    EXPECT_TRUE(stateFindings("src/verify/probe.hh", complete).empty());
 
-    const char *annotated = R"cc(
-/** Ephemeral; no persistent state.
- *  nord-lint-allow(clocked-contract) */
+    // A stateless hook (like NocSystem::WorkloadTicker) needs no walk
+    // and no annotation.
+    const char *stateless = R"cc(
 class StatelessProbe : public Clocked
 {
   public:
+    explicit StatelessProbe(Owner &owner) : owner_(owner) {}
     void tick(Cycle now) override;
     std::string name() const override;
+
+  private:
+    Owner &owner_;
 };
 )cc";
-    EXPECT_TRUE(lint("src/verify/probe.hh", annotated).empty());
+    EXPECT_TRUE(stateFindings("src/verify/probe.hh", stateless).empty());
 }
 
 TEST(NordLint, UncheckedIoFlaggedInDurabilityCode)
@@ -551,6 +578,8 @@ const char *raw = R"(std::getenv("X") time(nullptr))";
 #ifdef NORD_SOURCE_ROOT
 TEST(NordLint, RealSourceTreeIsClean)
 {
+    // Both halves of the gate: the text checks over every file and the
+    // state-coverage rules over the src/ model.
     std::string err;
     const std::vector<LintFinding> fs =
         lintTree(NORD_SOURCE_ROOT, lintWhitelist(), &err);

@@ -1,6 +1,6 @@
 /**
  * @file
- * nord-statecheck tests: the declaration parser, the rule layer, the
+ * State-coverage tests: the declaration parser, the rule layer, the
  * planted-violation fixture trees, and -- most importantly -- the
  * annotation-truthing half that keeps the static model honest against
  * the live simulator.
@@ -27,6 +27,7 @@
 #include "network/noc_system.hh"
 #include "topology/criticality.hh"
 #include "traffic/synthetic_traffic.hh"
+#include "verify/lint/source_lint.hh"
 #include "verify/statecheck/state_check.hh"
 #include "verify/statecheck/state_model.hh"
 
@@ -415,85 +416,84 @@ class Rng
 // Planted-violation fixture trees.
 //
 // Each fixture under tests/fixtures/statecheck/<rule>/src/ plants exactly
-// the violations one rule exists to catch; `clean` plants none. Running
-// the real rule layer over them proves each rule both fires and stays
-// quiet -- the same trees back the nord-statecheck CLI's self-test.
+// the violations one rule exists to catch; `clean` plants none of them.
+// Running the whole nord-lint engine over them proves each rule both
+// fires and stays quiet, and that the text checks and the state-coverage
+// rules merge into one finding list.
 // ---------------------------------------------------------------------
 
 #ifdef NORD_SOURCE_ROOT
 
-std::vector<CheckFinding>
-checkFixture(const std::string &name)
+/** "file:line: [check] message" for every finding nord-lint reports. */
+std::vector<std::string>
+lintFixture(const std::string &name)
 {
     const std::string root = std::string(NORD_SOURCE_ROOT) +
                              "/tests/fixtures/statecheck/" + name;
     std::string err;
-    const TreeModel m = buildTreeModel(root, &err);
+    std::vector<std::string> out;
+    for (const LintFinding &f : lintTree(root, lintWhitelist(), &err))
+        out.push_back(f.file + ":" + std::to_string(f.line) + ": [" +
+                      f.check + "] " + f.message);
     EXPECT_TRUE(err.empty()) << name << ": " << err;
-    return checkTree(m);
+    return out;
 }
 
-std::multiset<std::string>
-ruleBag(const std::vector<CheckFinding> &fs)
-{
-    std::multiset<std::string> bag;
-    for (const CheckFinding &f : fs)
-        bag.insert(f.rule);
-    return bag;
-}
-
-TEST(StateCheckFixtures, EachPlantedViolationFiresItsRule)
+TEST(StateCheckFixtures, EachFixtureYieldsExactlyItsFindings)
 {
     const struct
     {
         const char *dir;
-        std::multiset<std::string> expected;
+        std::vector<std::string> expected;
     } kCases[] = {
-        {"unserialized", {kRuleUnserializedMember}},
-        {"exclude-live", {kRuleExcludeButSerialized}},
+        {"unserialized",
+         {"src/widget.hh:14: [unserialized-member] Widget::phase_ is not "
+          "serialized and carries no NORD_STATE_EXCLUDE annotation"}},
+        {"exclude-live",
+         {"src/gadget.hh:14: [exclude-but-serialized] Gadget::credits_ "
+          "carries NORD_STATE_EXCLUDE but appears in the serializeState "
+          "walk"}},
         {"bad-category",
-         {kRuleBadExcludeCategory, kRuleBadExcludeCategory,
-          kRuleBadExcludeCategory, kRuleBadExcludeCategory}},
-        {"dangling", {kRuleDanglingExclude}},
-        {"missing-body", {kRuleMissingSerializeBody}},
+         {"src/sensor.hh:18: [bad-exclude-category] Sensor::scratch_: "
+          "unknown exclude category 'scrach' (expected cache, stat, "
+          "perf_counter or config)",
+          "src/sensor.hh:20: [bad-exclude-category] Sensor::mode_: "
+          "'config' member is mutated on the tick path",
+          "src/sensor.hh:22: [bad-exclude-category] Sensor::hits_: "
+          "'perf_counter' is only legal under src/sim/ and src/common/",
+          "src/sensor.hh:24: [bad-exclude-category] Sensor::shadow_: "
+          "'cache' member is never written by any method; annotate as "
+          "config instead"}},
+        {"dangling",
+         {"src/stale.hh:15: [dangling-exclude] NORD_STATE_EXCLUDE in Stale "
+          "binds to no member declaration"}},
+        {"missing-body",
+         {"src/ghost.hh:7: [missing-serialize-body] Ghost declares "
+          "serializeState but no body was found for its walk"}},
+        // State coverage is complete here, but the static data member is
+        // a real mutable static: the text checks see it.
+        {"clean",
+         {"src/model.hh:19: [mutable-static] non-const static variable: "
+          "hidden process-global state, a data race once two NocSystems "
+          "run on two threads (own it in a component, or whitelist it "
+          "with a story)"}},
     };
-    for (const auto &tc : kCases) {
-        const std::vector<CheckFinding> fs = checkFixture(tc.dir);
-        EXPECT_EQ(ruleBag(fs), tc.expected) << "fixture " << tc.dir;
-        for (const CheckFinding &f : fs) {
-            EXPECT_FALSE(f.file.empty());
-            EXPECT_GT(f.line, 0) << tc.dir << ": " << f.message;
-            EXPECT_EQ(f.severity, "error");
-            EXPECT_FALSE(f.message.empty());
-        }
-    }
-}
-
-TEST(StateCheckFixtures, CleanFixtureIsClean)
-{
-    for (const CheckFinding &f : checkFixture("clean"))
-        ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
-                      << f.message;
+    for (const auto &tc : kCases)
+        EXPECT_EQ(lintFixture(tc.dir), tc.expected) << "fixture " << tc.dir;
 }
 
 // ---------------------------------------------------------------------
-// The real tree.
+// The real tree (its findings are gated by NordLint.RealSourceTreeIsClean).
 // ---------------------------------------------------------------------
 
 TreeModel
 realTreeModel()
 {
     std::string err;
-    TreeModel m = buildTreeModel(NORD_SOURCE_ROOT, &err);
+    TreeModel m;
+    lintTree(NORD_SOURCE_ROOT, lintWhitelist(), &err, &m);
     EXPECT_TRUE(err.empty()) << err;
     return m;
-}
-
-TEST(StateCheckRealTree, IsClean)
-{
-    for (const CheckFinding &f : checkTree(realTreeModel()))
-        ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
-                      << f.message;
 }
 
 TEST(StateCheckRealTree, ModelCoversTheCoreComponents)

@@ -32,16 +32,6 @@ TEST(StaticCdg, ShippedMatrixEscapeAcyclic)
     }
 }
 
-TEST(StaticCdg, NordWithoutSteeringAlsoAcyclic)
-{
-    // The pre-criticality routing mode (minimal + ring fallback) must be
-    // deadlock-free too: the escape sub-network is the same ring.
-    CdgOptions opts;
-    opts.steering = false;
-    CdgAnalysis analysis(makeShippedConfig(PgDesign::kNord, 4, 4), opts);
-    EXPECT_TRUE(analysis.run().ok());
-}
-
 TEST(StaticCdg, SeededDatelinelessRingCycleCaught)
 {
     // Forcing every escape hop to level 0 models a single-escape-VC ring
@@ -315,6 +305,83 @@ TEST(StaticLint, FlagsInvertedThresholds)
     cfg.nordPerfThreshold = 5;
     cfg.nordPowerThreshold = 1;
     EXPECT_FALSE(lintConfig(cfg).ok());
+}
+
+TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
+{
+    // One rule list backs both gates: each broken rule must show up in
+    // lintConfig()'s diagnoses and kill validate() with the same message.
+    NocConfig base;
+    base.verify.interval = 16;
+    base.fault.enabled = true;
+    base.fault.e2e = true;
+    ASSERT_TRUE(lintConfig(base).ok()) << lintConfig(base).summary();
+
+    const struct
+    {
+        const char *message;  ///< substring of the diagnosis
+        void (*breakIt)(NocConfig &);
+    } kRules[] = {
+        {"mesh must be at least 2x2", [](NocConfig &c) { c.cols = 1; }},
+        {"even row count", [](NocConfig &c) { c.rows = 3; }},
+        {"need at least 2 VCs", [](NocConfig &c) { c.numVcs = 1; }},
+        {"escape class is empty", [](NocConfig &c) { c.numEscapeVcs = 0; }},
+        {"adaptive class is empty",
+         [](NocConfig &c) { c.numEscapeVcs = c.numVcs; }},
+        {"dateline scheme", [](NocConfig &c) { c.numEscapeVcs = 1; }},
+        {"bufferDepth must be", [](NocConfig &c) { c.bufferDepth = 0; }},
+        {"escapeAfterBlockedCycles must be",
+         [](NocConfig &c) { c.escapeAfterBlockedCycles = 0; }},
+        {"nordMisrouteCap must be",
+         [](NocConfig &c) { c.nordMisrouteCap = -1; }},
+        {"wakeupLatency must be", [](NocConfig &c) { c.wakeupLatency = 0; }},
+        {"nordWakeupWindow must be",
+         [](NocConfig &c) { c.nordWakeupWindow = 0; }},
+        {"wakeup thresholds must be",
+         [](NocConfig &c) { c.nordPerfThreshold = 0; }},
+        {"asymmetric thresholds inverted",
+         [](NocConfig &c) {
+             c.nordPerfThreshold = 5;
+             c.nordPowerThreshold = 1;
+         }},
+        {"sleep guards must be",
+         [](NocConfig &c) { c.nordPerfSleepGuard = -1; }},
+        {"niStarvationLimit must be",
+         [](NocConfig &c) { c.niStarvationLimit = 0; }},
+        {"exceeds the node count",
+         [](NocConfig &c) { c.nordPerfCentricCount = c.numNodes() + 1; }},
+        {"verify.stallThreshold must be",
+         [](NocConfig &c) { c.verify.stallThreshold = 0; }},
+        {"verify.maxFlitAge must be",
+         [](NocConfig &c) { c.verify.maxFlitAge = 0; }},
+        {"fault rates must be probabilities",
+         [](NocConfig &c) { c.fault.flitDropRate = 1.5; }},
+        {"outside the 4x4 mesh",
+         [](NocConfig &c) {
+             c.fault.schedule.push_back({10, FaultClass::kDeadRouter, 16, 0});
+         }},
+        {"transient classes are rate-driven",
+         [](NocConfig &c) {
+             c.fault.schedule.push_back({10, FaultClass::kFlitDrop, 3, 0});
+         }},
+        {"fault.retransTimeout must be",
+         [](NocConfig &c) { c.fault.retransTimeout = 0; }},
+        {"fault.retransBackoff must be",
+         [](NocConfig &c) { c.fault.retransBackoff = 0; }},
+        {"fault.retryLimit must be",
+         [](NocConfig &c) { c.fault.retryLimit = -1; }},
+    };
+    for (const auto &rule : kRules) {
+        NocConfig cfg = base;
+        rule.breakIt(cfg);
+        const LintResult result = lintConfig(cfg);
+        bool reported = false;
+        for (const std::string &p : result.problems)
+            reported = reported || p.find(rule.message) != std::string::npos;
+        EXPECT_TRUE(reported) << rule.message << ": " << result.summary();
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    rule.message);
+    }
 }
 
 TEST(StaticLint, CanonicalRingsCleanAcrossShapes)

@@ -1,16 +1,23 @@
 /**
  * @file
- * nord-lint CLI: static hidden-state / determinism lint over the source
- * tree (see src/verify/lint/source_lint.hh for the checks).
+ * nord-lint CLI: the static source gate -- hidden state, determinism and
+ * side channels, plus state coverage of every serialized class (see
+ * src/verify/lint/source_lint.hh for the checks).
  *
  * Usage:
  *   nord-lint [--whitelist] [--json] [root]
  *
  * Lints the repo rooted at @p root (default: current directory), printing
- * one `file:line: [check] message` per finding, or one JSON object per
- * finding with --json (see verify/findings_json.hh). Exit status: 0
- * clean, 1 findings, 2 usage/I-O error. --whitelist prints the
- * sanctioned exceptions and their stories instead of linting.
+ * one `file:line: [check] message` per finding, or with --json one JSON
+ * object per line (JSON Lines), so CI can render annotations without
+ * scraping the text:
+ *
+ *   {"file":"src/sim/kernel.hh","line":42,"rule":"unserialized-member",
+ *    "severity":"error","message":"..."}
+ *
+ * Exit status: 0 clean, 1 findings, 2 usage/I-O error (including a root
+ * without src/). --whitelist prints the sanctioned exceptions and their
+ * stories instead of linting.
  */
 
 #include <cstdio>
@@ -18,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "verify/findings_json.hh"
+#include "common/json_escape.hh"
 #include "verify/lint/source_lint.hh"
 
 namespace {
@@ -30,6 +37,9 @@ usage(const char *argv0)
                  "usage: %s [--whitelist] [--json] [root]\n"
                  "  lints src/, tools/, bench/, examples/ and tests/ "
                  "under root (default .)\n"
+                 "  and proves every member of a Clocked / serializable "
+                 "class under\n"
+                 "  src/ is serialized or NORD_STATE_EXCLUDE-annotated\n"
                  "  --json       one JSON object per finding (JSON Lines)\n"
                  "  --whitelist  print the sanctioned exceptions and why "
                  "they are safe\n",
@@ -79,8 +89,11 @@ main(int argc, char **argv)
     }
     for (const nord::LintFinding &f : findings) {
         if (json) {
-            nord::printFindingJson(f.file, f.line, f.check, "error",
-                                   f.message);
+            std::printf("{\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\","
+                        "\"severity\":\"error\",\"message\":\"%s\"}\n",
+                        nord::jsonEscape(f.file).c_str(), f.line,
+                        nord::jsonEscape(f.check).c_str(),
+                        nord::jsonEscape(f.message).c_str());
         } else {
             std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line,
                         f.check.c_str(), f.message.c_str());
@@ -89,7 +102,8 @@ main(int argc, char **argv)
     if (findings.empty()) {
         if (!json)
             std::printf("nord-lint: clean (no hidden mutable state, no "
-                        "determinism or side-channel escapes)\n");
+                        "determinism or side-channel escapes, every member "
+                        "serialized or annotated)\n");
         return 0;
     }
     if (!json)

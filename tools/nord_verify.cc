@@ -29,7 +29,6 @@ struct CliOptions
     int rows = 4;
     int cols = 4;
     std::string pass = "all";  // cdg | fsm | lint | all
-    bool steering = true;
     bool seedCycle = false;    // CDG: force a dateline-less escape ring
     FsmMutation mutation = FsmMutation::kNone;
     bool watchdog = false;
@@ -48,13 +47,11 @@ usage()
         "\n"
         "options:\n"
         "  --all                verify the whole shipped matrix (4 designs\n"
-        "                       x {4x4, 8x8} x both routing modes)\n"
+        "                       x {4x4, 8x8})\n"
         "  --design NAME        nopg | convpg | convpgopt | nord (default\n"
         "                       nord)\n"
         "  --rows R --cols C    mesh shape (default 4x4)\n"
         "  --pass NAME          cdg | fsm | lint | all (default all)\n"
-        "  --no-steering        CDG: analyze NoRD without the steering\n"
-        "                       table (the pre-criticality routing mode)\n"
         "  --seed-cycle         CDG negative test: model a single-escape-VC\n"
         "                       ring without the dateline; must report a\n"
         "                       cycle\n"
@@ -65,11 +62,9 @@ usage()
 }
 
 bool
-runCdg(const std::string &label, const NocConfig &config, bool steering,
-       bool seedCycle)
+runCdg(const std::string &label, const NocConfig &config, bool seedCycle)
 {
     CdgOptions opts;
-    opts.steering = steering;
     if (seedCycle)
         opts.escapeLevelOverride = 0;
     CdgAnalysis analysis(config, opts);
@@ -126,7 +121,7 @@ verifyOne(const std::string &label, const NocConfig &config,
     if (cli.pass == "lint" || cli.pass == "all")
         ok = runLint(label, config) && ok;
     if (cli.pass == "cdg" || cli.pass == "all")
-        ok = runCdg(label, config, cli.steering, cli.seedCycle) && ok;
+        ok = runCdg(label, config, cli.seedCycle) && ok;
     if (cli.pass == "fsm" || cli.pass == "all")
         ok = runFsm(label, config, cli.mutation, cli.watchdog) && ok;
     return ok;
@@ -160,8 +155,6 @@ main(int argc, char **argv)
             cli.cols = std::atoi(value());
         } else if (arg == "--pass") {
             cli.pass = value();
-        } else if (arg == "--no-steering") {
-            cli.steering = false;
         } else if (arg == "--seed-cycle") {
             cli.seedCycle = true;
         } else if (arg == "--mutation") {
@@ -190,18 +183,8 @@ main(int argc, char **argv)
 
     bool ok = true;
     if (cli.all) {
-        for (const NamedConfig &named : shippedConfigs()) {
-            // Both routing modes for NoRD: with the criticality-derived
-            // steering table and without (pure minimal + ring fallback).
-            CliOptions one = cli;
-            ok = verifyOne(named.name, named.config, one) && ok;
-            if (named.config.design == PgDesign::kNord &&
-                (cli.pass == "cdg" || cli.pass == "all")) {
-                one.steering = false;
-                ok = runCdg(named.name + "/nosteer", named.config,
-                            /*steering=*/false, cli.seedCycle) && ok;
-            }
-        }
+        for (const NamedConfig &named : shippedConfigs())
+            ok = verifyOne(named.name, named.config, cli) && ok;
     } else {
         NocConfig config = makeShippedConfig(cli.design, cli.rows, cli.cols);
         const std::string label =
