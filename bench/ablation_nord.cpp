@@ -25,7 +25,6 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
     const char *benchmarks[] = {"canneal", "fluidanimate", "x264"};
 
     struct Variant
@@ -59,14 +58,14 @@ main()
         std::uint64_t wakeups = 0;
         for (const char *name : benchmarks) {
             const ParsecParams &p = parsecByName(name);
-            NocConfig cfg = makeConfig(PgDesign::kNord);
+            NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
             v.apply(cfg);
             NocSystem sys(cfg);
             ParsecWorkload wl(p, 1);
             sys.setWorkload(&wl);
             sys.runToCompletion(30'000'000);
-            RunResult r = summarize(sys, pm);
-            RunResult base = runParsec(PgDesign::kNoPg, p, pm);
+            RunRecord r = recordRun(sys);
+            RunRecord base = runParsec(PgDesign::kNoPg, p);
             lat += r.avgLatency;
             off += r.offFraction;
             wakeups += r.wakeups;

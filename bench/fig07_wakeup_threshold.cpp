@@ -22,7 +22,6 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
     const double rates[] = {0.01, 0.02, 0.03, 0.04, 0.05,
                             0.06, 0.08, 0.10};
     const Cycle warmup = 10000;
@@ -38,28 +37,25 @@ main()
     for (double rate : rates) {
         std::printf("%-8.3f", rate);
         for (int req = 1; req <= 5; ++req) {
-            NocConfig cfg = makeConfig(PgDesign::kNord);
+            NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
             cfg.nordPerfThreshold = req;
             cfg.nordPowerThreshold = req;
             cfg.nordPerfCentricCount = 0;
-            RunResult r = runSynthetic(PgDesign::kNord,
-                                       TrafficPattern::kUniformRandom,
-                                       rate, pm, warmup, measure, 4, 4, 11,
-                                       &cfg);
+            RunRecord r = runSynthetic(cfg, TrafficPattern::kUniformRandom,
+                                       rate, warmup, measure, 11);
             std::printf(" %8.2f", r.avgLatency);
         }
         // Ring only: thresholds unreachably high, routers never wake.
-        NocConfig ringCfg = makeConfig(PgDesign::kNord);
+        NocConfig ringCfg = makeShippedConfig(PgDesign::kNord, 4, 4);
         ringCfg.nordPerfThreshold = 1 << 20;
         ringCfg.nordPowerThreshold = 1 << 20;
         ringCfg.nordPerfCentricCount = 0;
-        RunResult ringOnly = runSynthetic(PgDesign::kNord,
-                                          TrafficPattern::kUniformRandom,
-                                          rate, pm, warmup, measure, 4, 4,
-                                          11, &ringCfg);
-        RunResult allOn = runSynthetic(PgDesign::kNoPg,
-                                       TrafficPattern::kUniformRandom,
-                                       rate, pm, warmup, measure, 4, 4, 11);
+        RunRecord ringOnly = runSynthetic(
+            ringCfg, TrafficPattern::kUniformRandom, rate, warmup, measure,
+            11);
+        RunRecord allOn = runSynthetic(
+            makeShippedConfig(PgDesign::kNoPg, 4, 4),
+            TrafficPattern::kUniformRandom, rate, warmup, measure, 11);
         std::printf(" %9.2f %9.2f\n", ringOnly.avgLatency,
                     allOn.avgLatency);
     }

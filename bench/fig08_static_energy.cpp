@@ -20,8 +20,7 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runCampaign();
 
     std::printf("=== Figure 8: static energy normalized to No_PG ===\n");
     std::printf("%-14s %10s %12s %10s\n", "benchmark", "Conv_PG",

@@ -17,8 +17,7 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runCampaign();
 
     std::printf("=== Figure 9(a): PG overhead energy (norm. to Conv_PG) "
                 "===\n");

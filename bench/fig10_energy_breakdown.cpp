@@ -20,8 +20,7 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runCampaign();
 
     std::printf("=== Figure 10: NoC energy breakdown "
                 "(%% of No_PG total) ===\n");

@@ -18,8 +18,7 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runCampaign();
 
     std::printf("=== Figure 11: average packet latency (cycles) ===\n");
     std::printf("%-14s %8s %9s %12s %8s\n", "benchmark", "No_PG",

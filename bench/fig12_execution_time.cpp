@@ -19,8 +19,7 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
-    auto campaign = runCampaign(pm);
+    auto campaign = runCampaign();
 
     std::printf("=== Figure 12: execution time (norm. to No_PG) ===\n");
     std::printf("%-14s %9s %12s %9s\n", "benchmark", "Conv_PG",

@@ -18,7 +18,6 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
     const double rate = 0.05;  // PARSEC-average network load
     const Cycle warmup = 10000;
     const Cycle measure = 150000;
@@ -33,12 +32,11 @@ main()
     for (int wl : lats) {
         std::printf("%-10d", wl);
         for (int d = 1; d < 4; ++d) {
-            NocConfig cfg = makeConfig(static_cast<PgDesign>(d));
+            NocConfig cfg =
+                makeShippedConfig(static_cast<PgDesign>(d), 4, 4);
             cfg.wakeupLatency = wl;
-            RunResult r = runSynthetic(static_cast<PgDesign>(d),
-                                       TrafficPattern::kUniformRandom,
-                                       rate, pm, warmup, measure, 4, 4, 5,
-                                       &cfg);
+            RunRecord r = runSynthetic(cfg, TrafficPattern::kUniformRandom,
+                                       rate, warmup, measure, 5);
             std::printf(" %9.2f%s", r.avgLatency, d == 2 ? "  " : "");
             if (wl == lats[0])
                 first[d] = r.avgLatency;

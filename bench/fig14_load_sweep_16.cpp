@@ -21,7 +21,6 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
     const double rates[] = {0.02, 0.05, 0.08, 0.10, 0.15, 0.20,
                             0.30, 0.40, 0.50, 0.55};
     const Cycle warmup = 10000;
@@ -40,11 +39,11 @@ main()
         double pw[3];
         int i = 0;
         for (PgDesign d : designs) {
-            RunResult r = runSynthetic(d, TrafficPattern::kUniformRandom,
-                                       rate, pm, warmup, measure, 4, 4,
-                                       21);
+            RunRecord r = runSynthetic(makeShippedConfig(d, 4, 4),
+                                       TrafficPattern::kUniformRandom,
+                                       rate, warmup, measure, 21);
             lat[i] = r.avgLatency;
-            pw[i] = r.powerW(pm);
+            pw[i] = r.avgPowerW;
             ++i;
         }
         std::printf(" %8.2f %11.2f %7.2f | %8.3f %11.3f %7.3f\n", lat[0],

@@ -15,8 +15,7 @@
 namespace {
 
 void
-sweep(nord::TrafficPattern pattern, const double *rates, int n,
-      const nord::PowerModel &pm)
+sweep(nord::TrafficPattern pattern, const double *rates, int n)
 {
     using namespace nord;
     using namespace nord::bench;
@@ -35,10 +34,10 @@ sweep(nord::TrafficPattern pattern, const double *rates, int n,
         double pw[3];
         int k = 0;
         for (PgDesign d : designs) {
-            RunResult r = runSynthetic(d, pattern, rates[i], pm, warmup,
-                                       measure, 8, 8, 33);
+            RunRecord r = runSynthetic(makeShippedConfig(d, 8, 8), pattern,
+                                       rates[i], warmup, measure, 33);
             lat[k] = r.avgLatency;
-            pw[k] = r.powerW(pm);
+            pw[k] = r.avgPowerW;
             ++k;
         }
         std::printf(" %8.2f %11.2f %7.2f | %8.3f %11.3f %7.3f\n", lat[0],
@@ -53,16 +52,14 @@ int
 main()
 {
     using namespace nord;
-    using namespace nord::bench;
 
-    PowerModel pm;
     std::printf("=== Figure 15: 64-node load sweeps ===\n");
     const double uniformRates[] = {0.02, 0.05, 0.10, 0.15, 0.20, 0.28,
                                    0.35};
-    sweep(TrafficPattern::kUniformRandom, uniformRates, 7, pm);
+    sweep(TrafficPattern::kUniformRandom, uniformRates, 7);
     const double bitcompRates[] = {0.02, 0.04, 0.06, 0.08, 0.10, 0.14,
                                    0.18};
-    sweep(TrafficPattern::kBitComplement, bitcompRates, 7, pm);
+    sweep(TrafficPattern::kBitComplement, bitcompRates, 7);
     std::printf("paper reference @0.10 uniform: No_PG 36, "
                 "Conv_PG_OPT 52, NoRD 44 cycles\n");
     return 0;

@@ -18,7 +18,6 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    PowerModel pm;
     std::printf("=== Section 3.1/3.2: router idleness under No_PG ===\n");
     std::printf("%-14s %8s %10s %12s %12s\n", "benchmark", "idle%",
                 "<=BET%", "inj(f/n/c)", "exec(cyc)");
@@ -30,7 +29,7 @@ main()
     std::string minName;
     std::string maxName;
     for (const ParsecParams &p : parsecSuite()) {
-        RunResult r = runParsec(PgDesign::kNoPg, p, pm);
+        RunRecord r = runParsec(PgDesign::kNoPg, p);
         const double inj = static_cast<double>(r.delivered) * 3.0 /
                            (16.0 * static_cast<double>(r.cycles));
         std::printf("%-14s %7.1f%% %9.1f%% %12.4f %12llu\n",

@@ -10,37 +10,8 @@
 #include <cstdio>
 
 #include "network/noc_system.hh"
-#include "power/power_model.hh"
+#include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
-
-namespace {
-
-struct Point
-{
-    const char *name;
-    nord::NocConfig cfg;
-};
-
-double
-runPoint(const nord::NocConfig &cfg, const nord::ParsecParams &params,
-         double *energyOut)
-{
-    using namespace nord;
-    NocSystem sys(cfg);
-    ParsecWorkload wl(params, 1);
-    sys.setWorkload(&wl);
-    sys.runToCompletion(30'000'000);
-    sys.finalizeStats();
-    PowerModel pm;
-    const int numLinks = 2 * (cfg.rows * (cfg.cols - 1) +
-                              cfg.cols * (cfg.rows - 1));
-    EnergyBreakdown e =
-        pm.compute(sys.stats(), sys.now(), numLinks, cfg.design);
-    *energyOut = e.total() * 1e6;  // uJ
-    return sys.stats().avgPacketLatency();
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -50,49 +21,39 @@ main(int argc, char **argv)
     const ParsecParams &params =
         parsecByName(argc > 1 ? argv[1] : "ferret");
 
-    NocConfig base;
-    base.design = PgDesign::kNord;
-
-    std::vector<Point> points;
-    points.push_back({"baseline (Table 1)", base});
+    struct Variant
     {
-        NocConfig c = base;
-        c.bufferDepth = 2;
-        points.push_back({"shallow buffers (2)", c});
-    }
-    {
-        NocConfig c = base;
-        c.bufferDepth = 10;
-        points.push_back({"deep buffers (10)", c});
-    }
-    {
-        NocConfig c = base;
-        c.numVcs = 6;
-        c.numEscapeVcs = 2;
-        points.push_back({"6 VCs (4 adaptive)", c});
-    }
-    {
-        NocConfig c = base;
-        c.wakeupLatency = 20;
-        points.push_back({"slow wakeup (20)", c});
-    }
-    {
-        NocConfig c = base;
-        c.nordAggressiveBypass = true;
-        points.push_back({"aggressive bypass", c});
-    }
-    {
-        NocConfig c = base;
-        c.nordPerfCentricCount = 0;
-        points.push_back({"no perf-centric", c});
-    }
+        const char *name;
+        void (*apply)(NocConfig &);
+    };
+    const Variant variants[] = {
+        {"baseline (Table 1)", [](NocConfig &) {}},
+        {"shallow buffers (2)", [](NocConfig &c) { c.bufferDepth = 2; }},
+        {"deep buffers (10)", [](NocConfig &c) { c.bufferDepth = 10; }},
+        {"6 VCs (4 adaptive)", [](NocConfig &c) {
+             c.numVcs = 6;
+             c.numEscapeVcs = 2;
+         }},
+        {"slow wakeup (20)", [](NocConfig &c) { c.wakeupLatency = 20; }},
+        {"aggressive bypass",
+         [](NocConfig &c) { c.nordAggressiveBypass = true; }},
+        {"no perf-centric",
+         [](NocConfig &c) { c.nordPerfCentricCount = 0; }},
+    };
 
     std::printf("=== NoRD design space on %s ===\n", params.name.c_str());
     std::printf("%-22s %10s %12s\n", "variant", "latency", "energy(uJ)");
-    for (const Point &p : points) {
-        double energy = 0.0;
-        double lat = runPoint(p.cfg, params, &energy);
-        std::printf("%-22s %10.2f %12.2f\n", p.name, lat, energy);
+    for (const Variant &v : variants) {
+        NocConfig cfg;
+        cfg.design = PgDesign::kNord;
+        v.apply(cfg);
+        NocSystem sys(cfg);
+        ParsecWorkload wl(params, 1);
+        sys.setWorkload(&wl);
+        sys.runToCompletion(30'000'000);
+        const RunRecord r = recordRun(sys);
+        std::printf("%-22s %10.2f %12.2f\n", v.name, r.avgLatency,
+                    r.energy.total() * 1e6 /* uJ */);
     }
     return 0;
 }

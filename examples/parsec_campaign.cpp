@@ -5,21 +5,30 @@
  * metrics: static energy, wakeups, packet latency and execution time.
  *
  * Usage: parsec_campaign [benchmark_name]   (default: canneal)
+ *
+ * NORD_QUICK=1 shortens the script 8x, as it does for the figure benches.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
-#include "../bench/bench_util.hh"
+#include "network/noc_system.hh"
+#include "network/run_record.hh"
+#include "traffic/parsec_workload.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace nord;
-    using namespace nord::bench;
 
     const char *name = argc > 1 ? argv[1] : "canneal";
     const ParsecParams &params = parsecByName(name);
-    PowerModel pm;
+    ParsecParams script = params;
+    if (const char *quick = std::getenv("NORD_QUICK"); quick &&
+        quick[0] == '1')
+        script.transactionsPerCore =
+            std::max(50, script.transactionsPerCore / 8);
 
     std::printf("benchmark: %s (gap %.0f, mlp %d, %d txns/core)\n\n",
                 params.name.c_str(), params.computeGapMean,
@@ -28,14 +37,19 @@ main(int argc, char **argv)
                 "exec(cyc)", "latency", "wakeups", "idle%", "off%",
                 "staticE", "totalE");
 
-    RunResult base;
+    RunRecord base;
     for (int d = 0; d < 4; ++d) {
-        const PgDesign design = static_cast<PgDesign>(d);
-        RunResult r = runParsec(design, params, pm);
+        NocConfig cfg;
+        cfg.design = static_cast<PgDesign>(d);
+        NocSystem sys(cfg);
+        ParsecWorkload wl(script, 1);
+        sys.setWorkload(&wl);
+        sys.runToCompletion(30'000'000);
+        const RunRecord r = recordRun(sys);
         if (d == 0)
             base = r;
         std::printf("%-12s %9llu %9.2f %9llu %7.1f%% %7.1f%% %8.2f%% %8.2f%%\n",
-                    pgDesignName(design),
+                    pgDesignName(cfg.design),
                     static_cast<unsigned long long>(r.cycles),
                     r.avgLatency,
                     static_cast<unsigned long long>(r.wakeups),

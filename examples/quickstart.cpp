@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "network/noc_system.hh"
-#include "power/power_model.hh"
+#include "network/run_record.hh"
 #include "traffic/synthetic_traffic.hh"
 
 int
@@ -47,33 +47,23 @@ main(int argc, char **argv)
     std::printf("\n\n");
 
     sys.run(110000);
-    sys.finalizeStats();
-
-    const NetworkStats &st = sys.stats();
-    PowerModel pm;
-    EnergyBreakdown e = pm.compute(st, sys.now(), 48, cfg.design);
+    const RunRecord r = recordRun(sys);
+    const double seconds = r.cycles * PowerModel().tech().cycleTime();
 
     std::printf("packets delivered: %llu\n",
-                static_cast<unsigned long long>(st.packetsDelivered()));
-    std::printf("avg packet latency: %.2f cycles\n",
-                st.avgPacketLatency());
-    std::printf("avg hops:          %.2f\n", st.avgHops());
-    std::printf("router idle:       %.1f%%\n",
-                100.0 * st.avgIdleFraction());
+                static_cast<unsigned long long>(r.delivered));
+    std::printf("avg packet latency: %.2f cycles\n", r.avgLatency);
+    std::printf("avg hops:          %.2f\n", r.avgHops);
+    std::printf("router idle:       %.1f%%\n", 100.0 * r.idleFraction);
     std::printf("router wakeups:    %llu\n",
-                static_cast<unsigned long long>(st.totalWakeups()));
-    ActivityCounters t = st.totals();
-    std::printf("gated-off cycles:  %.1f%%\n",
-                100.0 * static_cast<double>(t.offCycles) /
-                    static_cast<double>(t.onCycles + t.offCycles +
-                                        t.wakingCycles));
-    std::printf("NoC power:         %.3f W\n",
-                e.averagePowerW(sys.now(), pm.tech().cycleTime()));
+                static_cast<unsigned long long>(r.wakeups));
+    std::printf("gated-off cycles:  %.1f%%\n", 100.0 * r.offFraction);
+    std::printf("NoC power:         %.3f W\n", r.avgPowerW);
     std::printf("  router static    %.3f W\n",
-                e.routerStatic / (sys.now() * pm.tech().cycleTime()));
+                r.energy.routerStatic / seconds);
     std::printf("  router dynamic   %.3f W\n",
-                e.routerDynamic / (sys.now() * pm.tech().cycleTime()));
+                r.energy.routerDynamic / seconds);
     std::printf("  PG overhead      %.3f W\n",
-                e.pgOverhead / (sys.now() * pm.tech().cycleTime()));
+                r.energy.pgOverhead / seconds);
     return 0;
 }

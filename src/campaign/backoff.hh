@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/fnv.hh"
+
 namespace nord {
 namespace campaign {
 
@@ -30,17 +32,6 @@ struct BackoffPolicy
     double maxSec = 30.0;        ///< hard cap; doubling stops here
     double jitterFraction = 0.5; ///< delay drawn from [(1-j)*d, d]
 };
-
-/** FNV-1a fold of one 64-bit word into a running hash. */
-inline std::uint64_t
-mixBackoffNoise(std::uint64_t h, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xffu;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /**
  * Delay in seconds before retry number @p attempt (1-based). The base
@@ -57,9 +48,10 @@ backoffDelaySec(const BackoffPolicy &policy, int attempt,
         delay *= 2.0;
     delay = std::min(delay, policy.maxSec);
 
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = mixBackoffNoise(h, noise);
-    h = mixBackoffNoise(h, static_cast<std::uint64_t>(attempt));
+    // FNV-1a over the little-endian bytes of (noise, attempt).
+    const std::uint64_t words[2] = {noise,
+                                    static_cast<std::uint64_t>(attempt)};
+    const std::uint64_t h = fnv1aFold(kFnvOffset, words, sizeof(words));
     // 53 high-entropy bits -> uniform double in [0, 1).
     const double u =
         static_cast<double>(h >> 11) *

@@ -10,11 +10,13 @@
 #include "campaign/exit_codes.hh"
 #include "campaign/journal.hh"
 #include "ckpt/checkpoint.hh"
+#include "common/fnv.hh"
 #include "common/log.hh"
 #include "network/noc_system.hh"
-#include "power/power_model.hh"
+#include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
 #include "verify/static/config_lint.hh"
+#include "verify/static/config_registry.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -56,14 +58,10 @@ specJson(const PointSpec &spec)
 std::uint64_t
 gridFingerprint(const std::vector<PointSpec> &specs)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = kFnvOffset;
     for (const PointSpec &spec : specs) {
-        for (char c : specJson(spec)) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 0x100000001b3ULL;
-        }
-        h ^= 0x0a;  // line separator
-        h *= 0x100000001b3ULL;
+        const std::string line = specJson(spec) + "\n";
+        h = fnv1aFold(h, line.data(), line.size());
     }
     return h;
 }
@@ -71,42 +69,36 @@ gridFingerprint(const std::vector<PointSpec> &specs)
 std::vector<PointSpec>
 expandGrid(const GridSpec &grid)
 {
-    std::vector<PointSpec> specs;
-    std::uint64_t id = 0;
-    auto base = [&](PgDesign d) {
-        PointSpec s;
-        s.design = d;
-        s.rows = grid.rows;
-        s.cols = grid.cols;
-        s.measure = grid.measure;
-        s.minDelivered = grid.minDelivered;
-        return s;
-    };
-    for (PgDesign d : grid.designs) {
-        for (TrafficPattern p : grid.patterns) {
-            for (double rate : grid.rates) {
-                for (double fr : grid.faultRates) {
-                    for (std::uint64_t seed : grid.seeds) {
-                        PointSpec s = base(d);
-                        s.id = id++;
-                        s.kind = WorkloadKind::kSynthetic;
-                        s.pattern = p;
-                        s.rate = rate;
-                        s.faultRate = fr;
-                        s.seed = seed;
-                        specs.push_back(std::move(s));
-                    }
-                }
-            }
+    // The workload axis: every (pattern, rate), then every PARSEC model
+    // (closed loop, so it has no rate).
+    std::vector<PointSpec> workloads;
+    for (TrafficPattern p : grid.patterns) {
+        for (double rate : grid.rates) {
+            PointSpec w;
+            w.pattern = p;
+            w.rate = rate;
+            workloads.push_back(w);
         }
-        for (const std::string &bench : grid.parsec) {
+    }
+    for (const std::string &bench : grid.parsec) {
+        PointSpec w;
+        w.kind = WorkloadKind::kParsec;
+        w.parsec = bench;
+        w.rate = 0.0;
+        workloads.push_back(w);
+    }
+    std::vector<PointSpec> specs;
+    for (PgDesign d : grid.designs) {
+        for (const PointSpec &w : workloads) {
             for (double fr : grid.faultRates) {
                 for (std::uint64_t seed : grid.seeds) {
-                    PointSpec s = base(d);
-                    s.id = id++;
-                    s.kind = WorkloadKind::kParsec;
-                    s.parsec = bench;
-                    s.rate = 0.0;
+                    PointSpec s = w;
+                    s.id = specs.size();
+                    s.design = d;
+                    s.rows = grid.rows;
+                    s.cols = grid.cols;
+                    s.measure = grid.measure;
+                    s.minDelivered = grid.minDelivered;
                     s.faultRate = fr;
                     s.seed = seed;
                     specs.push_back(std::move(s));
@@ -130,6 +122,17 @@ pointPaths(const std::string &outDir, std::uint64_t id)
     return p;
 }
 
+void
+enableFaults(NocConfig &cfg, double faultRate)
+{
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    cfg.fault.flitCorruptRate = faultRate;
+    cfg.fault.flitDropRate = faultRate;
+    cfg.verify.interval = 256;
+    cfg.verify.policy = AuditPolicy::kRecover;
+}
+
 namespace {
 
 /** Worker checkpoint phases, stored in CheckpointMeta::user[0]. */
@@ -142,19 +145,10 @@ enum : std::uint64_t
 NocConfig
 pointConfig(const PointSpec &spec)
 {
-    NocConfig cfg;
-    cfg.rows = spec.rows;
-    cfg.cols = spec.cols;
-    cfg.design = spec.design;
+    NocConfig cfg = makeShippedConfig(spec.design, spec.rows, spec.cols);
     cfg.seed = spec.seed;
-    if (spec.faultRate > 0.0) {
-        cfg.fault.enabled = true;
-        cfg.fault.e2e = true;
-        cfg.fault.flitCorruptRate = spec.faultRate;
-        cfg.fault.flitDropRate = spec.faultRate;
-        cfg.verify.interval = 256;
-        cfg.verify.policy = AuditPolicy::kRecover;
-    }
+    if (spec.faultRate > 0.0)
+        enableFaults(cfg, spec.faultRate);
     return cfg;
 }
 
@@ -214,17 +208,17 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                          diagId, p.c_str());
         return kExitBadConfig;
     }
-    if (spec.kind == WorkloadKind::kParsec) {
-        bool known = false;
-        for (const ParsecParams &p : parsecSuite())
-            known = known || p.name == spec.parsec;
-        if (!known) {
-            std::fprintf(diagStream(),
-                         "[worker %llu] bad config: unknown PARSEC "
-                         "benchmark '%s'\n",
-                         diagId, spec.parsec.c_str());
-            return kExitBadConfig;
-        }
+    const auto &suite = parsecSuite();
+    if (spec.kind == WorkloadKind::kParsec &&
+        std::none_of(suite.begin(), suite.end(),
+                     [&spec](const ParsecParams &p) {
+                         return p.name == spec.parsec;
+                     })) {
+        std::fprintf(diagStream(),
+                     "[worker %llu] bad config: unknown PARSEC "
+                     "benchmark '%s'\n",
+                     diagId, spec.parsec.c_str());
+        return kExitBadConfig;
     }
 
     NocSystem sys(cfg);
@@ -329,58 +323,24 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                 return kExitInfraFailure;
         }
     }
-    sys.finalizeStats();
-
-    const NetworkStats &st = sys.stats();
-    const ActivityCounters totals = st.totals();
-    const int numLinks =
-        2 * (sys.mesh().rows() * (sys.mesh().cols() - 1) +
-             sys.mesh().cols() * (sys.mesh().rows() - 1));
-    PowerModel pm;
-    const EnergyBreakdown energy =
-        pm.compute(st, sys.now(), numLinks, cfg.design, cfg.betCycles);
-    const double stateCycles = static_cast<double>(
-        totals.onCycles + totals.offCycles + totals.wakingCycles);
-    const double offFraction = stateCycles > 0
-        ? static_cast<double>(totals.offCycles) / stateCycles
-        : 0.0;
-    const std::uint64_t created = st.packetsCreated();
-    const std::uint64_t delivered = st.packetsDelivered();
-    const double fraction = created > 0
-        ? static_cast<double>(delivered) / static_cast<double>(created)
-        : 1.0;
-
-    if (spec.minDelivered > 0.0 && fraction < spec.minDelivered) {
+    const RunRecord rec = recordRun(sys);
+    if (spec.minDelivered > 0.0 &&
+        rec.deliveredFraction < spec.minDelivered) {
         std::fprintf(diagStream(),
                      "[worker %llu] delivery gate failed: %.6f < %.6f "
                      "(created %llu, delivered %llu)\n",
-                     diagId, fraction, spec.minDelivered,
-                     static_cast<unsigned long long>(created),
-                     static_cast<unsigned long long>(delivered));
+                     diagId, rec.deliveredFraction, spec.minDelivered,
+                     static_cast<unsigned long long>(rec.created),
+                     static_cast<unsigned long long>(rec.delivered));
         return kExitGateFailure;
     }
 
     std::string result = specJson(spec);
     result.pop_back();  // reopen the spec object to append metrics
-    result += detail::formatString(
-        ",\"status\":\"ok\",\"endCycle\":%llu,\"created\":%llu,"
-        "\"delivered\":%llu,\"failed\":%llu,\"deliveredFraction\":%.6f,"
-        "\"avgLatency\":%.6f,\"p99Latency\":%.6f,\"avgHops\":%.6f,"
-        "\"wakeups\":%llu,\"offFraction\":%.6f,\"energyJ\":%.6e,"
-        "\"injectedFaults\":%llu,\"drained\":%s}",
-        static_cast<unsigned long long>(sys.now()),
-        static_cast<unsigned long long>(created),
-        static_cast<unsigned long long>(delivered),
-        static_cast<unsigned long long>(st.packetsFailed()), fraction,
-        st.avgPacketLatency(), st.latencyPercentile(0.99), st.avgHops(),
-        static_cast<unsigned long long>(st.totalWakeups()), offFraction,
-        energy.total(),
-        static_cast<unsigned long long>(
-            sys.injector() ? sys.injector()->counts().total() : 0),
-        sys.completionReached() ? "true" : "false");
+    result += ",\"status\":\"ok\"," + recordJson(rec) + "}\n";
 
     std::string err;
-    if (!atomicWriteFile(paths.result, result + "\n", &err)) {
+    if (!atomicWriteFile(paths.result, result, {}, &err)) {
         std::fprintf(diagStream(),
                      "[worker %llu] result write failed: %s\n", diagId,
                      err.c_str());

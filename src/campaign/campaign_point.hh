@@ -31,6 +31,9 @@
 #include "traffic/synthetic_traffic.hh"
 
 namespace nord {
+
+struct NocConfig;
+
 namespace campaign {
 
 /** Workload family of one point. */
@@ -116,6 +119,13 @@ struct PointPaths
 
 /** Compose the artifact paths of point @p id under @p outDir. */
 PointPaths pointPaths(const std::string &outDir, std::uint64_t id);
+
+/**
+ * The campaign's fault recipe: transient flit corruption and drops at
+ * @p faultRate per link per cycle, the end-to-end retransmission layer,
+ * and the invariant auditor in recover mode every 256 cycles.
+ */
+void enableFaults(NocConfig &cfg, double faultRate);
 
 /** Worker knobs forwarded by the executor. */
 struct WorkerOptions

@@ -13,6 +13,7 @@
 
 #include "campaign/fleet.hh"
 #include "campaign/orchestrator.hh"
+#include "ckpt/checkpoint.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -301,13 +302,15 @@ runExecutor(const std::vector<PointSpec> &specs,
             outcome.reportCsv = opts.outDir + "/report.csv";
             outcome.provenance = opts.outDir + "/provenance.json";
             if (!atomicWriteFile(outcome.reportJson,
-                                 renderReportJson(specs, state), &werr) ||
+                                 renderReportJson(specs, state), {},
+                                 &werr) ||
                 !atomicWriteFile(outcome.reportCsv,
-                                 renderReportCsv(specs, state), &werr) ||
+                                 renderReportCsv(specs, state), {},
+                                 &werr) ||
                 !atomicWriteFile(outcome.provenance,
                                  renderProvenanceJson(specs, state,
                                                       opts.outDir),
-                                 &werr)) {
+                                 {}, &werr)) {
                 failed = true;
                 setErr(err, "report write failed: " + werr);
             } else {

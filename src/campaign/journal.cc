@@ -209,50 +209,6 @@ jsonFieldBool(const std::string &line, const std::string &key,
 
 }  // namespace
 
-// --- Atomic file replacement --------------------------------------------
-
-bool
-atomicWriteFile(const std::string &path, const std::string &bytes,
-                std::string *err)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        setErr(err, detail::formatString("cannot open %s: %s", tmp.c_str(),
-                                         std::strerror(errno)));
-        return false;
-    }
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok = (std::fflush(f) == 0) && ok;
-#ifndef _WIN32
-    ok = (fsync(fileno(f)) == 0) && ok;
-#endif
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        setErr(err, detail::formatString("short write to %s: %s",
-                                         tmp.c_str(),
-                                         std::strerror(errno)));
-        if (std::remove(tmp.c_str()) != 0) {
-            // Best effort: the stale .tmp is harmless, the next write
-            // truncates it.
-        }
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        setErr(err, detail::formatString("rename %s -> %s failed: %s",
-                                         tmp.c_str(), path.c_str(),
-                                         std::strerror(errno)));
-        if (std::remove(tmp.c_str()) != 0) {
-            // Best effort (see above).
-        }
-        return false;
-    }
-    // The rename lives in the parent directory's data: without this a
-    // power loss can resurface the pre-rotation file on the next mount.
-    return fsyncParentDir(path, err);
-}
-
 // --- Journal ------------------------------------------------------------
 
 CampaignJournal::~CampaignJournal()

@@ -65,15 +65,6 @@ inline constexpr int kJournalFormat = 1;
 bool jsonFieldRaw(const std::string &line, const std::string &key,
                   std::string *out);
 
-/**
- * Atomically replace @p path with @p bytes: write "<path>.tmp", fsync,
- * rename, then fsync the parent directory so the rename itself is
- * durable. Returns false and sets @p err on any I/O failure; the previous
- * file, if any, is untouched in that case.
- */
-bool atomicWriteFile(const std::string &path, const std::string &bytes,
-                     std::string *err);
-
 // --- Replayed state -----------------------------------------------------
 
 /** One quarantine record (diagnostics attached to a poison point). */

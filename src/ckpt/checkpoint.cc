@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "ckpt/state_serializer.hh"
+#include "common/fnv.hh"
 #include "common/log.hh"
 
 #ifndef _WIN32
@@ -31,7 +31,7 @@ setErr(std::string *err, std::string what)
 bool
 writeAll(std::FILE *f, const void *p, std::size_t n)
 {
-    return std::fwrite(p, 1, n, f) == n;
+    return n == 0 || std::fwrite(p, 1, n, f) == n;
 }
 
 bool
@@ -76,20 +76,47 @@ fsyncParentDir(const std::string &path, std::string *err)
 std::uint64_t
 fnv1a(const std::vector<std::uint8_t> &bytes)
 {
-    return fnv1aFold(StateSerializer::kFnvOffset,
-                     bytes.empty() ? nullptr : bytes.data(),
-                     bytes.size());
+    return fnv1aFold(kFnvOffset, bytes.data(), bytes.size());
 }
 
-std::uint64_t
-fnv1aFold(std::uint64_t h, const void *p, std::size_t n)
+bool
+atomicWriteFile(const std::string &path, std::string_view head,
+                std::string_view body, std::string *err)
 {
-    const auto *bytes = static_cast<const std::uint8_t *>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= StateSerializer::kFnvPrime;
+    const std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f) {
+        setErr(err, detail::formatString("cannot open %s: %s", tmp.c_str(),
+                                         std::strerror(errno)));
+        return false;
     }
-    return h;
+    bool ok = writeAll(f, head.data(), head.size()) &&
+              writeAll(f, body.data(), body.size());
+    ok = (std::fflush(f) == 0) && ok;
+#ifndef _WIN32
+    // Make the rename durable: the data must hit the disk before the new
+    // name does, or a crash could leave a valid-looking empty file.
+    ok = (fsync(fileno(f)) == 0) && ok;
+#endif
+    ok = (std::fclose(f) == 0) && ok;
+    if (!ok) {
+        setErr(err, detail::formatString("short write to %s", tmp.c_str()));
+        if (std::remove(tmp.c_str()) != 0) {
+            // Best effort: the stale .tmp is harmless, the next write
+            // truncates it.
+        }
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        setErr(err, detail::formatString("rename %s -> %s failed: %s",
+                                         tmp.c_str(), path.c_str(),
+                                         std::strerror(errno)));
+        if (std::remove(tmp.c_str()) != 0) {
+            // Best effort (see above).
+        }
+        return false;
+    }
+    return fsyncParentDir(path, err);
 }
 
 namespace {
@@ -99,7 +126,7 @@ std::uint64_t
 headerDigest(const CheckpointMeta &meta, std::uint64_t paySize,
              std::uint64_t payHash)
 {
-    std::uint64_t h = StateSerializer::kFnvOffset;
+    std::uint64_t h = kFnvOffset;
     h = fnv1aFold(h, &meta.version, sizeof(meta.version));
     h = fnv1aFold(h, &meta.configFingerprint,
                   sizeof(meta.configFingerprint));
@@ -118,48 +145,27 @@ writeCheckpointFile(const std::string &path, const CheckpointMeta &meta,
                     const std::vector<std::uint8_t> &payload,
                     std::string *err)
 {
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        setErr(err, detail::formatString("cannot open %s: %s", tmp.c_str(),
-                                         std::strerror(errno)));
-        return false;
-    }
     const std::uint64_t paySize = payload.size();
     const std::uint64_t payHash = fnv1a(payload);
     const std::uint64_t metaHash = headerDigest(meta, paySize, payHash);
-    bool ok = writeAll(f, &kCheckpointMagic, sizeof(kCheckpointMagic)) &&
-              writeAll(f, &meta.version, sizeof(meta.version)) &&
-              writeAll(f, &meta.configFingerprint,
-                       sizeof(meta.configFingerprint)) &&
-              writeAll(f, &meta.cycle, sizeof(meta.cycle)) &&
-              writeAll(f, meta.user.data(),
-                       sizeof(std::uint64_t) * meta.user.size()) &&
-              writeAll(f, &paySize, sizeof(paySize)) &&
-              writeAll(f, &payHash, sizeof(payHash)) &&
-              writeAll(f, &metaHash, sizeof(metaHash)) &&
-              (payload.empty() ||
-               writeAll(f, payload.data(), payload.size()));
-    ok = (std::fflush(f) == 0) && ok;
-#ifndef _WIN32
-    // Make the rename durable: the data must hit the disk before the new
-    // name does, or a crash could leave a valid-looking empty file.
-    ok = (fsync(fileno(f)) == 0) && ok;
-#endif
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        setErr(err, detail::formatString("short write to %s", tmp.c_str()));
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        setErr(err, detail::formatString("rename %s -> %s failed: %s",
-                                         tmp.c_str(), path.c_str(),
-                                         std::strerror(errno)));
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return fsyncParentDir(path, err);
+    char head[80];  // magic..metaHash: 4 + 4 + 8 + 8 + 32 + 3 * 8 bytes
+    std::size_t headSize = 0;
+    auto put = [&](const void *p, std::size_t n) {
+        std::memcpy(head + headSize, p, n);
+        headSize += n;
+    };
+    put(&kCheckpointMagic, sizeof(kCheckpointMagic));
+    put(&meta.version, sizeof(meta.version));
+    put(&meta.configFingerprint, sizeof(meta.configFingerprint));
+    put(&meta.cycle, sizeof(meta.cycle));
+    put(meta.user.data(), sizeof(std::uint64_t) * meta.user.size());
+    put(&paySize, sizeof(paySize));
+    put(&payHash, sizeof(payHash));
+    put(&metaHash, sizeof(metaHash));
+    return atomicWriteFile(
+        path, {head, headSize},
+        {reinterpret_cast<const char *>(payload.data()), payload.size()},
+        err);
 }
 
 bool

@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -88,11 +89,20 @@ bool readCheckpointFile(const std::string &path, CheckpointMeta *meta,
  */
 bool fsyncParentDir(const std::string &path, std::string *err = nullptr);
 
+/**
+ * Atomically replace @p path with @p head followed by @p body: write
+ * "<path>.tmp", fsync, rename, then fsync the parent directory so the
+ * rename itself is durable. The one durable writer for checkpoints and
+ * campaign results, reports and provenance. Returns false and sets
+ * @p err on any I/O failure; the previous file, if any, is untouched in
+ * that case.
+ */
+bool atomicWriteFile(const std::string &path, std::string_view head,
+                     std::string_view body = {},
+                     std::string *err = nullptr);
+
 /** FNV-1a 64-bit digest of a byte buffer. */
 std::uint64_t fnv1a(const std::vector<std::uint8_t> &bytes);
-
-/** Fold @p n raw bytes at @p p into a running FNV-1a digest @p h. */
-std::uint64_t fnv1aFold(std::uint64_t h, const void *p, std::size_t n);
 
 }  // namespace nord
 

@@ -56,10 +56,7 @@ StateSerializer::bytes(void *p, std::size_t n)
         cursor_ += n;
         break;
       case SerialMode::kHash:
-        for (std::size_t i = 0; i < n; ++i) {
-            hash_ ^= static_cast<const std::uint8_t *>(p)[i];
-            hash_ *= kFnvPrime;
-        }
+        hash_ = fnv1aFold(hash_, p, n);
         break;
     }
 }

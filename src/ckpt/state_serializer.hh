@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "common/types.hh"
 
 namespace nord {
@@ -61,11 +62,6 @@ enum class SerialMode : std::int8_t
 class StateSerializer
 {
   public:
-    /** FNV-1a 64-bit offset basis. */
-    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-    /** FNV-1a 64-bit prime. */
-    static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
     /** Start a save or hash walk. */
     explicit StateSerializer(SerialMode mode);
 

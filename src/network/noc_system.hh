@@ -11,10 +11,11 @@
  *   NocConfig cfg;
  *   cfg.design = PgDesign::kNord;
  *   NocSystem sys(cfg);
- *   UniformRandomTraffic traffic(cfg.numNodes(), 0.05, 42);
+ *   SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.05, 42);
  *   sys.setWorkload(&traffic);
  *   sys.run(100000);
- *   double lat = sys.stats().avgPacketLatency();
+ *   RunRecord r = recordRun(sys);  // network/run_record.hh
+ *   double lat = r.avgLatency;
  * @endcode
  */
 

@@ -7,6 +7,23 @@
 
 namespace nord {
 
+namespace {
+
+/** Each design's CLI name and its underscored alias. */
+const struct
+{
+    PgDesign design;
+    const char *name;
+    const char *alias;
+} kDesigns[] = {
+    {PgDesign::kNoPg, "nopg", "no_pg"},
+    {PgDesign::kConvPg, "convpg", "conv_pg"},
+    {PgDesign::kConvPgOpt, "convpgopt", "conv_pg_opt"},
+    {PgDesign::kNord, "nord", "nord"},
+};
+
+}  // namespace
+
 NocConfig
 makeShippedConfig(PgDesign design, int rows, int cols)
 {
@@ -20,42 +37,25 @@ makeShippedConfig(PgDesign design, int rows, int cols)
 bool
 parseDesignName(const std::string &name, PgDesign *out)
 {
-    if (name == "nopg" || name == "no_pg") {
-        *out = PgDesign::kNoPg;
-    } else if (name == "convpg" || name == "conv_pg") {
-        *out = PgDesign::kConvPg;
-    } else if (name == "convpgopt" || name == "conv_pg_opt") {
-        *out = PgDesign::kConvPgOpt;
-    } else if (name == "nord") {
-        *out = PgDesign::kNord;
-    } else {
-        return false;
+    for (const auto &d : kDesigns) {
+        if (name == d.name || name == d.alias) {
+            *out = d.design;
+            return true;
+        }
     }
-    return true;
+    return false;
 }
 
 std::vector<NamedConfig>
 shippedConfigs()
 {
-    static const struct { PgDesign design; const char *name; } kDesigns[] = {
-        {PgDesign::kNoPg, "nopg"},
-        {PgDesign::kConvPg, "convpg"},
-        {PgDesign::kConvPgOpt, "convpgopt"},
-        {PgDesign::kNord, "nord"},
-    };
-    static const struct { int rows, cols; } kShapes[] = {
-        {4, 4},
-        {8, 8},
-    };
     std::vector<NamedConfig> out;
     for (const auto &d : kDesigns) {
-        for (const auto &s : kShapes) {
-            NamedConfig named;
-            named.name = std::string(d.name) + "-" +
-                         std::to_string(s.rows) + "x" +
-                         std::to_string(s.cols);
-            named.config = makeShippedConfig(d.design, s.rows, s.cols);
-            out.push_back(std::move(named));
+        for (int side : {4, 8}) {
+            const std::string shape =
+                std::to_string(side) + "x" + std::to_string(side);
+            out.push_back({std::string(d.name) + "-" + shape,
+                           makeShippedConfig(d.design, side, side)});
         }
     }
     return out;

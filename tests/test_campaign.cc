@@ -191,9 +191,42 @@ TEST(CampaignBackoff, DistinctNoiseDesynchronizes)
     EXPECT_GE(differing, 6);
 }
 
+TEST(CampaignBackoff, DelaysArePinned)
+{
+    // The jitter is an FNV-1a fold of (noise, attempt); a resumed
+    // campaign reschedules only if these values never move.
+    const BackoffPolicy p;
+    EXPECT_EQ(backoffDelaySec(p, 1, 0), 0.19865923606743502);
+    EXPECT_EQ(backoffDelaySec(p, 1, 0x1234), 0.23836359732508816);
+    EXPECT_EQ(backoffDelaySec(p, 2, 0xdeadbeefcafef00dULL),
+              0.39203216065032465);
+    EXPECT_EQ(backoffDelaySec(p, 3, 0), 0.67362288357438405);
+    EXPECT_EQ(backoffDelaySec(p, 8, 0x1234), 26.310108052022976);
+}
+
 // ---------------------------------------------------------------------
 // Grid expansion.
 // ---------------------------------------------------------------------
+
+TEST(CampaignGrid, FingerprintIsPinned)
+{
+    // The journal's open header stores this value and a replay refuses
+    // any other, so a journal written by an earlier build must still
+    // match the fingerprint of the same grid.
+    GridSpec grid;
+    grid.designs = {PgDesign::kNoPg, PgDesign::kNord};
+    grid.patterns = {TrafficPattern::kUniformRandom,
+                     TrafficPattern::kTranspose};
+    grid.parsec = {"canneal"};
+    grid.rates = {0.02, 0.1};
+    grid.faultRates = {0.0, 1e-4};
+    grid.seeds = {1, 2};
+    grid.measure = 3000;
+    grid.minDelivered = 0.99;
+    const std::vector<PointSpec> specs = expandGrid(grid);
+    ASSERT_EQ(specs.size(), 40u);
+    EXPECT_EQ(gridFingerprint(specs), 0xaf607b6cb9c5c0b5ULL);
+}
 
 TEST(CampaignGrid, ExpansionOrderIdsAndFingerprint)
 {
@@ -447,6 +480,62 @@ referenceReport(const std::vector<PointSpec> &specs, const std::string &dir,
         EXPECT_TRUE(p.done) << "no result for point " << spec.id;
     }
     return {renderReportJson(specs, state), renderReportCsv(specs, state)};
+}
+
+TEST(CampaignWorker, ResultLinesArePinned)
+{
+    // Report bytes are result lines passed through verbatim, so the
+    // worker's reduction and its JSON layout are pinned byte for byte:
+    // one faulted synthetic point and one PARSEC point.
+    PointSpec synthetic;
+    synthetic.id = 7;
+    synthetic.design = PgDesign::kNord;
+    synthetic.rate = 0.08;
+    synthetic.seed = 3;
+    synthetic.measure = 1500;
+    synthetic.faultRate = 1e-3;
+    synthetic.minDelivered = 0.99;
+
+    PointSpec parsec;
+    parsec.id = 2;
+    parsec.design = PgDesign::kConvPgOpt;
+    parsec.kind = WorkloadKind::kParsec;
+    parsec.parsec = "swaptions";
+    parsec.rate = 0.0;
+    parsec.measure = 0;
+    parsec.minDelivered = 0.99;
+
+    const std::pair<PointSpec, const char *> cases[] = {
+        {synthetic,
+         "{\"id\":7,\"design\":\"NoRD\",\"workload\":\"uniform_random\","
+         "\"rate\":0.08,\"seed\":3,\"rows\":4,\"cols\":4,\"cycles\":1500,"
+         "\"faultRate\":0.001,\"minDelivered\":0.99,\"status\":\"ok\","
+         "\"endCycle\":1968,\"created\":587,\"delivered\":587,"
+         "\"failed\":0,\"deliveredFraction\":1.000000,"
+         "\"avgLatency\":30.770017,\"p99Latency\":121.000000,"
+         "\"avgHops\":4.616695,\"wakeups\":183,\"offFraction\":0.279376,"
+         "\"energyJ\":2.869928e-06,\"injectedFaults\":25,"
+         "\"drained\":true}\n"},
+        {parsec,
+         "{\"id\":2,\"design\":\"Conv_PG_OPT\","
+         "\"workload\":\"parsec:swaptions\",\"rate\":0,\"seed\":1,"
+         "\"rows\":4,\"cols\":4,\"cycles\":0,\"faultRate\":0,"
+         "\"minDelivered\":0.99,\"status\":\"ok\",\"endCycle\":31385,"
+         "\"created\":16596,\"delivered\":16596,\"failed\":0,"
+         "\"deliveredFraction\":1.000000,\"avgLatency\":21.460051,"
+         "\"p99Latency\":67.000000,\"avgHops\":2.549289,"
+         "\"wakeups\":2552,\"offFraction\":0.640320,"
+         "\"energyJ\":3.059461e-05,\"injectedFaults\":0,"
+         "\"drained\":true}\n"},
+    };
+    const std::string dir = freshDir("campaign-golden");
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    for (const auto &[spec, golden] : cases) {
+        const PointPaths paths = pointPaths(dir, spec.id);
+        ASSERT_EQ(runPointWorker(spec, paths, WorkerOptions{}), kExitOk);
+        EXPECT_EQ(slurp(paths.result), golden);
+    }
 }
 
 TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
