@@ -60,12 +60,9 @@ main()
             const ParsecParams &p = parsecByName(name);
             NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
             v.apply(cfg);
-            NocSystem sys(cfg);
-            ParsecWorkload wl(p, 1);
-            sys.setWorkload(&wl);
-            sys.runToCompletion(30'000'000);
-            RunRecord r = recordRun(sys);
-            RunRecord base = runParsec(PgDesign::kNoPg, p);
+            RunRecord r = runParsec(cfg, p);
+            RunRecord base =
+                runParsec(makeShippedConfig(PgDesign::kNoPg, 4, 4), p);
             lat += r.avgLatency;
             off += r.offFraction;
             wakeups += r.wakeups;

@@ -23,7 +23,6 @@
 #include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
 #include "traffic/synthetic_traffic.hh"
-#include "verify/static/config_registry.hh"
 
 namespace nord {
 namespace bench {
@@ -37,13 +36,13 @@ quickMode()
 }
 
 /**
- * Run one PARSEC benchmark model to completion under @p design on the
- * Table 1 4x4 mesh.
+ * Run one PARSEC benchmark model to completion on @p cfg (shortened in
+ * quick mode).
  */
 inline RunRecord
-runParsec(PgDesign design, const ParsecParams &params)
+runParsec(const NocConfig &cfg, const ParsecParams &params)
 {
-    NocSystem sys(makeShippedConfig(design, 4, 4));
+    NocSystem sys(cfg);
     ParsecParams p = params;
     if (quickMode())
         p.transactionsPerCore = std::max(50, p.transactionsPerCore / 8);
@@ -52,7 +51,7 @@ runParsec(PgDesign design, const ParsecParams &params)
     if (!sys.runToCompletion(30'000'000)) {
         std::fprintf(stderr,
                      "warning: %s/%s hit the cycle limit (%llu done)\n",
-                     pgDesignName(design), p.name.c_str(),
+                     pgDesignName(cfg.design), p.name.c_str(),
                      static_cast<unsigned long long>(
                          wl.completedTransactions()));
     }
@@ -94,7 +93,8 @@ runCampaign()
         CampaignRow row;
         row.benchmark = p.name;
         for (int d = 0; d < 4; ++d)
-            row.byDesign[d] = runParsec(static_cast<PgDesign>(d), p);
+            row.byDesign[d] = runParsec(
+                makeShippedConfig(static_cast<PgDesign>(d), 4, 4), p);
         rows.push_back(std::move(row));
         std::fprintf(stderr, "  [campaign] %s done\n", p.name.c_str());
     }

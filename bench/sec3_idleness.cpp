@@ -29,7 +29,7 @@ main()
     std::string minName;
     std::string maxName;
     for (const ParsecParams &p : parsecSuite()) {
-        RunRecord r = runParsec(PgDesign::kNoPg, p);
+        RunRecord r = runParsec(makeShippedConfig(PgDesign::kNoPg, 4, 4), p);
         const double inj = static_cast<double>(r.delivered) * 3.0 /
                            (16.0 * static_cast<double>(r.cycles));
         std::printf("%-14s %7.1f%% %9.1f%% %12.4f %12llu\n",

@@ -2,8 +2,9 @@
 # Run the whole static-analysis battery -- two analyzers: nord-lint
 # (hidden state, side channels, and state coverage: serialize walks and
 # NORD_STATE_EXCLUDE legality) and clang-tidy -- and print one summary
-# table. This is the CI static-analysis job; `ctest -L static` runs the
-# same gates through ctest.
+# table. This is the CI static-analysis job. `ctest -L static` runs the
+# same nord-lint gate plus the deadlock and handshake proofs (StaticCdg,
+# StaticFsm, StaticLint), but not clang-tidy.
 #
 # Usage: scripts/analyze.sh [build_dir [root]]
 #

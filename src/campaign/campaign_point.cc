@@ -15,8 +15,6 @@
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
-#include "verify/static/config_lint.hh"
-#include "verify/static/config_registry.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -201,9 +199,9 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
     }
 
     const NocConfig cfg = pointConfig(spec);
-    const LintResult lint = lintConfig(cfg);
-    if (!lint.ok()) {
-        for (const std::string &p : lint.problems)
+    const std::vector<std::string> problems = cfg.problems();
+    if (!problems.empty()) {
+        for (const std::string &p : problems)
             std::fprintf(diagStream(), "[worker %llu] bad config: %s\n",
                          diagId, p.c_str());
         return kExitBadConfig;

@@ -69,7 +69,6 @@ class StateSerializer
     explicit StateSerializer(std::vector<std::uint8_t> payload);
 
     SerialMode mode() const { return mode_; }
-    bool saving() const { return mode_ == SerialMode::kSave; }
     bool loading() const { return mode_ == SerialMode::kLoad; }
     bool hashing() const { return mode_ == SerialMode::kHash; }
 

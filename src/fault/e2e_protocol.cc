@@ -12,6 +12,16 @@
 
 namespace nord {
 
+namespace {
+
+/** Retransmission timeout multiplier per retry (exponential backoff). */
+constexpr Cycle kRetransBackoff = 2;
+
+/** Cycles an ACK waits for a piggyback ride before going standalone. */
+constexpr Cycle kAckCoalesce = 8;
+
+}  // namespace
+
 E2eEndpoint::E2eEndpoint(NodeId id, const NocConfig &config,
                          NetworkStats &stats)
     : id_(id), config_(config), stats_(stats)
@@ -54,7 +64,7 @@ E2eEndpoint::backoffTimeout(int retries) const
     // drain phase for an absurd number of cycles.
     const int exponent = std::min(retries, 6);
     for (int i = 0; i < exponent; ++i)
-        timeout *= static_cast<Cycle>(config_.fault.retransBackoff);
+        timeout *= kRetransBackoff;
     return timeout;
 }
 
@@ -63,7 +73,7 @@ E2eEndpoint::queueAck(NodeId dst, std::uint32_t ackSeq,
                       std::uint32_t nackSeq, Cycle now)
 {
     ackQueue_.push_back({dst, ackSeq, nackSeq,
-                         now + config_.fault.ackCoalesce});
+                         now + kAckCoalesce});
 }
 
 void

@@ -96,14 +96,8 @@ struct FaultConfig
     /** Cycles to wait for an ACK before the first retransmission. */
     Cycle retransTimeout = 256;
 
-    /** Timeout multiplier per retry (exponential backoff). */
-    int retransBackoff = 2;
-
     /** Retransmissions per packet before declaring it failed. */
     int retryLimit = 8;
-
-    /** Cycles an ACK waits for a piggyback ride before going standalone. */
-    Cycle ackCoalesce = 8;
 
     /**
      * Wakeup watchdog: a gated router whose latched wakeup request has

@@ -1,7 +1,7 @@
 /**
  * @file
- * Configuration validation: the one rule list behind validate() and
- * lintConfig().
+ * Configuration validation (the one rule list behind validate()) and the
+ * shipped-configuration registry.
  */
 
 #include "network/noc_config.hh"
@@ -72,12 +72,6 @@ NocConfig::problems() const
     // --- Buffer / allocation assumptions ---------------------------------
     if (bufferDepth < 1)
         flag("bufferDepth must be >= 1");
-    if (escapeAfterBlockedCycles < 1) {
-        flag("escapeAfterBlockedCycles must be >= 1 (blocked adaptive "
-             "heads must eventually request escape for Duato progress)");
-    }
-    if (nordMisrouteCap < 0)
-        flag("nordMisrouteCap must be >= 0");
 
     // --- Power-gating handshake parameters -------------------------------
     if (wakeupLatency < 1)
@@ -103,12 +97,8 @@ NocConfig::problems() const
     }
 
     // --- Verification / fault settings -----------------------------------
-    if (verify.interval > 0) {
-        if (verify.stallThreshold < 1)
-            flag("verify.stallThreshold must be >= 1");
-        if (verify.maxFlitAge < 1)
-            flag("verify.maxFlitAge must be >= 1");
-    }
+    if (verify.interval > 0 && verify.maxFlitAge < 1)
+        flag("verify.maxFlitAge must be >= 1");
     if (fault.enabled) {
         for (double rate : {fault.flitCorruptRate, fault.flitDropRate,
                             fault.creditLeakRate, fault.lostWakeupRate}) {
@@ -137,8 +127,6 @@ NocConfig::problems() const
     if (fault.e2e) {
         if (fault.retransTimeout < 1)
             flag("fault.retransTimeout must be >= 1");
-        if (fault.retransBackoff < 1)
-            flag("fault.retransBackoff must be >= 1");
         if (fault.retryLimit < 0)
             flag("fault.retryLimit must be >= 0");
     }
@@ -151,6 +139,60 @@ NocConfig::validate() const
     const std::vector<std::string> found = problems();
     if (!found.empty())
         NORD_FATAL("%s", found.front().c_str());
+}
+
+namespace {
+
+/** Each design's CLI name and its underscored alias. */
+const struct
+{
+    PgDesign design;
+    const char *name;
+    const char *alias;
+} kDesigns[] = {
+    {PgDesign::kNoPg, "nopg", "no_pg"},
+    {PgDesign::kConvPg, "convpg", "conv_pg"},
+    {PgDesign::kConvPgOpt, "convpgopt", "conv_pg_opt"},
+    {PgDesign::kNord, "nord", "nord"},
+};
+
+}  // namespace
+
+NocConfig
+makeShippedConfig(PgDesign design, int rows, int cols)
+{
+    NocConfig config;
+    config.design = design;
+    config.rows = rows;
+    config.cols = cols;
+    return config;
+}
+
+bool
+parseDesignName(const std::string &name, PgDesign *out)
+{
+    for (const auto &d : kDesigns) {
+        if (name == d.name || name == d.alias) {
+            *out = d.design;
+            return true;
+        }
+    }
+    return false;
+}
+
+std::vector<NamedConfig>
+shippedConfigs()
+{
+    std::vector<NamedConfig> out;
+    for (const auto &d : kDesigns) {
+        for (int side : {4, 8}) {
+            const std::string shape =
+                std::to_string(side) + "x" + std::to_string(side);
+            out.push_back({std::string(d.name) + "-" + shape,
+                           makeShippedConfig(d.design, side, side)});
+        }
+    }
+    return out;
 }
 
 }  // namespace nord

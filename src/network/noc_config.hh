@@ -67,12 +67,6 @@ struct VerifyConfig
     AuditPolicy policy = AuditPolicy::kAbort;
 
     /**
-     * Liveness watchdog: cycles without any network-wide forward progress
-     * (while flits are in flight) before declaring deadlock.
-     */
-    Cycle stallThreshold = 20000;
-
-    /**
      * Liveness watchdog: maximum age (cycles since injection) of any
      * in-network flit before declaring livelock. Catches packets that keep
      * moving without delivering, e.g. lapping the bypass ring forever.
@@ -135,13 +129,6 @@ struct NocConfig
     /** Breakeven time in cycles (Section 2.2). */
     int betCycles = 10;
 
-    /**
-     * Conv_PG_OPT: cycles of consecutive emptiness required before gating.
-     * Early wakeup lets the router skip gating for idle periods shorter
-     * than ~4 cycles (Section 6.2).
-     */
-    int convOptSleepGuard = 4;
-
     // --- NoRD parameters --------------------------------------------------
     /** VC-request window for the wakeup metric (Section 4.3). */
     int nordWakeupWindow = 10;
@@ -163,9 +150,6 @@ struct NocConfig
      * Floyd-Warshall knee" (6 for the paper's 4x4 mesh).
      */
     int nordPerfCentricCount = -1;
-
-    /** Misrouted hops allowed before forcing escape VCs (Section 4.2). */
-    int nordMisrouteCap = 4;
 
     /**
      * Consecutive empty cycles before a power-centric NoRD router
@@ -198,13 +182,6 @@ struct NocConfig
      * conflict falls back to the 2-cycle bypass pipeline.
      */
     bool nordAggressiveBypass = false;
-
-    // --- Generic routing --------------------------------------------------
-    /**
-     * Adaptive heads that fail VC allocation this many consecutive cycles
-     * request an escape VC as well (guarantees Duato forward progress).
-     */
-    int escapeAfterBlockedCycles = 8;
 
     // --- Simulation -------------------------------------------------------
     std::uint64_t seed = 1;
@@ -252,13 +229,34 @@ struct NocConfig
 
     /**
      * Every rule this configuration breaks, one message each; empty when
-     * it is consistent. Never aborts (lintConfig() reports the list).
+     * it is consistent. Never aborts, so a caller can report them all.
      */
     std::vector<std::string> problems() const;
 
     /** Abort with the first of problems(), if any. */
     void validate() const;
 };
+
+/** A named configuration in the shipped matrix. */
+struct NamedConfig
+{
+    std::string name;   ///< e.g. "nord-4x4"
+    NocConfig config;
+};
+
+/** A config with the given design and mesh shape, defaults otherwise. */
+NocConfig makeShippedConfig(PgDesign design, int rows, int cols);
+
+/** Parse a design name ("nopg", "convpg", "convpgopt", "nord", or the
+ *  underscored alias). Returns false when @p name is unknown. */
+bool parseDesignName(const std::string &name, PgDesign *out);
+
+/**
+ * The shipped matrix: all four designs x {4x4, 8x8}, the operating
+ * points the examples and benches instantiate. The static proofs
+ * (tests/test_static_verify.cc) cover every entry.
+ */
+std::vector<NamedConfig> shippedConfigs();
 
 }  // namespace nord
 

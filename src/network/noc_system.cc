@@ -141,7 +141,7 @@ NocSystem::buildControllers()
             break;
           case PgDesign::kConvPgOpt:
             controllers_.push_back(std::make_unique<ConvPgController>(
-                r, config_, c, config_.convOptSleepGuard));
+                r, config_, c, kConvOptSleepGuard));
             break;
           case PgDesign::kNord: {
             const bool perf =
@@ -418,22 +418,18 @@ NocSystem::configFingerprint() const
     s.io(c.design);
     s.io(c.wakeupLatency);
     s.io(c.betCycles);
-    s.io(c.convOptSleepGuard);
     s.io(c.nordWakeupWindow);
     s.io(c.nordPerfThreshold);
     s.io(c.nordPowerThreshold);
     s.io(c.nordPerfCentricCount);
-    s.io(c.nordMisrouteCap);
     s.io(c.nordPowerSleepGuard);
     s.io(c.nordPerfSleepGuard);
     s.io(c.niStarvationLimit);
     s.io(c.nordAggressiveBypass);
-    s.io(c.escapeAfterBlockedCycles);
     s.io(c.seed);
     s.io(c.statsWarmup);
     s.io(c.verify.interval);
     s.io(c.verify.policy);
-    s.io(c.verify.stallThreshold);
     s.io(c.verify.maxFlitAge);
     FaultConfig &f = c.fault;
     s.io(f.enabled);
@@ -450,9 +446,7 @@ NocSystem::configFingerprint() const
     });
     s.io(f.e2e);
     s.io(f.retransTimeout);
-    s.io(f.retransBackoff);
     s.io(f.retryLimit);
-    s.io(f.ackCoalesce);
     s.io(f.wakeupWatchdog);
     return s.hash();
 }

@@ -189,6 +189,13 @@ class NoPgController : public PgController
 };
 
 /**
+ * Conv_PG_OPT: cycles of consecutive emptiness required before gating.
+ * Early wakeup lets the router skip gating for idle periods shorter than
+ * ~4 cycles (Section 6.2).
+ */
+inline constexpr int kConvOptSleepGuard = 4;
+
+/**
  * Conventional power-gating (Conv_PG / Conv_PG_OPT, Section 3.1).
  *
  * Gates off as soon as the router datapath is empty (after @p sleepGuard
@@ -200,7 +207,7 @@ class ConvPgController : public PgController
   public:
     /**
      * @param sleepGuard consecutive empty cycles required before gating
-     *        (0 for Conv_PG, convOptSleepGuard for Conv_PG_OPT)
+     *        (0 for Conv_PG, kConvOptSleepGuard for Conv_PG_OPT)
      */
     ConvPgController(Router &router, const NocConfig &config,
                      ActivityCounters &counters, int sleepGuard);

@@ -14,6 +14,17 @@
 
 namespace nord {
 
+namespace {
+
+/**
+ * Adaptive heads that fail VC allocation this many consecutive cycles
+ * request an escape VC as well (guarantees Duato forward progress); a
+ * credit-blocked head releases its adaptive VC after as many SA tries.
+ */
+constexpr int kEscapeAfterBlockedCycles = 8;
+
+}  // namespace
+
 Router::Router(NodeId id, const NocConfig &config, const MeshTopology &mesh,
                const BypassRing &ring, NetworkStats &stats, PoolArena *arena)
     : id_(id), config_(config), mesh_(mesh), ring_(ring), stats_(stats),
@@ -500,7 +511,7 @@ Router::vcAllocation(Cycle now)
                 ++vc.blockedCycles;
                 const bool tryEscape = req.mustEscape ||
                     req.adaptive.empty() ||
-                    vc.blockedCycles >= config_.escapeAfterBlockedCycles;
+                    vc.blockedCycles >= kEscapeAfterBlockedCycles;
                 if (tryEscape && outputAllocatable(req.escapeDir)) {
                     int level = policy_->escapeVcLevel(id_, req.escapeDir,
                                                        head);
@@ -561,12 +572,12 @@ Router::switchAllocation(Cycle now)
                 // releases it after a while and re-routes (possibly onto
                 // escape), breaking adaptive credit cycles.
                 if (!vc.sentAny && flitIsHead(vc.buffer.front()) &&
-                    ++vc.saBlocked >= config_.escapeAfterBlockedCycles) {
+                    ++vc.saBlocked >= kEscapeAfterBlockedCycles) {
                     outputs_[op].outVcBusy[vc.outVc] = false;
                     vc.outVc = kInvalidVc;
                     vc.state = VcState::kVcAlloc;
                     vc.vaEarliest = now + 1;
-                    vc.blockedCycles = config_.escapeAfterBlockedCycles;
+                    vc.blockedCycles = kEscapeAfterBlockedCycles;
                     vc.saBlocked = 0;
                 }
                 continue;

@@ -178,7 +178,7 @@ class Router : public Clocked
     }
 
     /**
-     * Offline-analysis hook (nord-verify CDG pass): force the cached
+     * Offline-analysis hook (the static CDG pass): force the cached
      * downstream-PG view of output @p d so a probe router can present any
      * neighbor power-state mask to RoutingPolicy::route(). Never called
      * during simulation -- the wiring in NocSystem keeps gatedView in sync

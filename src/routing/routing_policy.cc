@@ -94,7 +94,7 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
             [](const Scored &a, const Scored &b) {
                 return a.score < b.score;
             });
-        const bool capped = head.misroutes >= config_.nordMisrouteCap;
+        const bool capped = head.misroutes >= kNordMisrouteCap;
         for (const Scored &sc : scored) {
             // Once the misroute cap is reached only minimal progress may
             // stay on adaptive resources (Section 4.2).
@@ -142,7 +142,7 @@ RoutingPolicy::routeAtBypass(NodeId here, const Flit &head) const
     req.escapeDir = ringOut;
     req.escapeNonMinimal = nonMinimal;
     if (head.onEscape ||
-        (nonMinimal && head.misroutes >= config_.nordMisrouteCap)) {
+        (nonMinimal && head.misroutes >= kNordMisrouteCap)) {
         req.mustEscape = true;
     } else {
         req.adaptive.push_back({ringOut, nonMinimal});

@@ -25,6 +25,12 @@ namespace nord {
 
 class Router;
 
+/**
+ * NoRD: misrouted hops a packet may take on adaptive VCs before it is
+ * forced onto the escape ring (Section 4.2).
+ */
+inline constexpr int kNordMisrouteCap = 4;
+
 /** One candidate output direction for a head flit. */
 struct RouteCandidate
 {

@@ -58,10 +58,10 @@ BypassRing::BypassRing(const MeshTopology &mesh)
 BypassRing::BypassRing(const MeshTopology &mesh, std::vector<NodeId> order)
     : order_(std::move(order))
 {
+    const std::vector<std::string> found = problems(mesh, order_);
+    if (!found.empty())
+        NORD_FATAL("%s", found.front().c_str());
     const int n = mesh.numNodes();
-    if (static_cast<int>(order_.size()) != n)
-        NORD_FATAL("ring order has %zu nodes, mesh has %d",
-                   order_.size(), n);
     succ_.assign(n, kInvalidNode);
     pred_.assign(n, kInvalidNode);
     outport_.assign(n, Direction::kLocal);
@@ -71,10 +71,6 @@ BypassRing::BypassRing(const MeshTopology &mesh, std::vector<NodeId> order)
     for (int i = 0; i < n; ++i) {
         NodeId cur = order_[i];
         NodeId nxt = order_[(i + 1) % n];
-        if (!mesh.valid(cur) || pos_[cur] != -1)
-            NORD_FATAL("ring order is not a permutation of the mesh nodes");
-        if (!mesh.adjacent(cur, nxt))
-            NORD_FATAL("ring edge %d -> %d is not a mesh link", cur, nxt);
         pos_[cur] = i;
         succ_[cur] = nxt;
         pred_[nxt] = cur;
@@ -84,6 +80,46 @@ BypassRing::BypassRing(const MeshTopology &mesh, std::vector<NodeId> order)
         NodeId cur = order_[i];
         inport_[cur] = opposite(mesh.directionTo(pred_[cur], cur));
     }
+}
+
+std::vector<std::string>
+BypassRing::problems(const MeshTopology &mesh,
+                     const std::vector<NodeId> &order)
+{
+    std::vector<std::string> out;
+    const int n = mesh.numNodes();
+    if (static_cast<int>(order.size()) != n) {
+        out.push_back("ring order has " + std::to_string(order.size()) +
+                      " entries, mesh has " + std::to_string(n) + " nodes");
+        return out;
+    }
+    std::vector<int> count(static_cast<size_t>(n), 0);
+    for (NodeId node : order) {
+        if (!mesh.valid(node)) {
+            out.push_back("ring order contains invalid node " +
+                          std::to_string(node));
+            return out;
+        }
+        ++count[node];
+    }
+    for (NodeId node = 0; node < n; ++node) {
+        if (count[node] == 0) {
+            out.push_back("ring does not cover node " +
+                          std::to_string(node) + " (not Hamiltonian)");
+        } else if (count[node] > 1) {
+            out.push_back("ring visits node " + std::to_string(node) + " " +
+                          std::to_string(count[node]) + " times");
+        }
+    }
+    for (size_t i = 0; i < order.size(); ++i) {
+        const NodeId from = order[i];
+        const NodeId to = order[(i + 1) % order.size()];
+        if (!mesh.adjacent(from, to)) {
+            out.push_back("ring hop " + std::to_string(from) + " -> " +
+                          std::to_string(to) + " is not a mesh link");
+        }
+    }
+    return out;
 }
 
 int

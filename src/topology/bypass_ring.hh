@@ -12,6 +12,7 @@
 #ifndef NORD_TOPOLOGY_BYPASS_RING_HH
 #define NORD_TOPOLOGY_BYPASS_RING_HH
 
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -33,8 +34,18 @@ class BypassRing
     /** Build the canonical ring for @p mesh. Rows must be even. */
     explicit BypassRing(const MeshTopology &mesh);
 
-    /** Build a ring from an explicit node order (must be a valid cycle). */
+    /** Build a ring from an explicit node order; dies with the first of
+     *  problems(mesh, order), if any. */
     BypassRing(const MeshTopology &mesh, std::vector<NodeId> order);
+
+    /**
+     * Every rule @p order breaks as a ring over @p mesh, one message each;
+     * empty when it is a Hamiltonian cycle over mesh links: every node
+     * exactly once, every consecutive hop (and the closing one) a mesh
+     * link. Never aborts.
+     */
+    static std::vector<std::string> problems(const MeshTopology &mesh,
+                                             const std::vector<NodeId> &order);
 
     /** Next node downstream on the ring. */
     NodeId successor(NodeId node) const { return succ_[node]; }
@@ -57,9 +68,6 @@ class BypassRing
     /** Ring hop distance from @p from to @p to (0 when equal). */
     int ringDistance(NodeId from, NodeId to) const;
 
-    /** Position of @p node along the ring, starting from node 0. */
-    int ringPosition(NodeId node) const { return pos_[node]; }
-
     /** The node order of the cycle starting at node 0. */
     const std::vector<NodeId> &order() const { return order_; }
 
@@ -75,8 +83,6 @@ class BypassRing
     }
 
   private:
-    void buildTables(const MeshTopology &mesh);
-
     std::vector<NodeId> order_;
     std::vector<NodeId> succ_;
     std::vector<NodeId> pred_;

@@ -58,8 +58,6 @@ class SyntheticTraffic : public Workload
     /** Change the injection rate mid-run (for sweeps). */
     void setRate(double flitsPerNodeCycle);
 
-    double packetsPerNodeCycle() const { return packetRate_; }
-
     /** Checkpoint hook: RNG position and the (mutable) injection rate. */
     void serializeState(StateSerializer &s) override;
 

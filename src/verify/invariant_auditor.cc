@@ -15,6 +15,16 @@ namespace nord {
 
 using detail::formatString;
 
+namespace {
+
+/**
+ * Liveness watchdog: cycles without any network-wide forward progress
+ * (while flits are in flight) before declaring deadlock.
+ */
+constexpr Cycle kStallThreshold = 20000;
+
+}  // namespace
+
 InvariantAuditor::InvariantAuditor(const NocSystem &sys,
                                    const VerifyConfig &config)
     : sys_(sys), config_(config)
@@ -556,7 +566,7 @@ InvariantAuditor::watchdog(Cycle now)
         stallReported_ = false;
         return;
     }
-    if (!stallReported_ && now - lastProgressCycle_ > config_.stallThreshold) {
+    if (!stallReported_ && now - lastProgressCycle_ > kStallThreshold) {
         stallReported_ = true;
         violations_.push_back(
             {Kind::kLiveness, kInvalidNode, now,

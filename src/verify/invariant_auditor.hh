@@ -150,9 +150,6 @@ class InvariantAuditor : public Clocked
      */
     void expectCreditDeficit(NodeId node, Direction dir, VcId vc);
 
-    /** Forget recorded violations (between fault-injection experiments). */
-    void clearViolations() { violations_.clear(); }
-
     /** Completed full sweeps (periodic + manual). */
     std::uint64_t sweepCount() const { return sweeps_; }
 

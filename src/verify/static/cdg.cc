@@ -25,6 +25,9 @@ namespace {
 /** Cap on accumulated problem diagnoses (one per state can explode). */
 constexpr std::size_t kMaxProblems = 32;
 
+/** Hop bound multiplier for escape-delivery walks (bound = k * n + 4). */
+constexpr int kWalkBoundFactor = 2;
+
 /**
  * The worst-case steering table is deterministic per mesh shape and
  * perf-set size; share the process-wide CriticalityCache with NocSystem
@@ -173,7 +176,7 @@ void
 CdgAnalysis::walkEscape(NodeId entry, NodeId dst, CdgResult &result)
 {
     const int n = mesh_->numNodes();
-    const int bound = opts_.walkBoundFactor * n + kNumMeshDirs;
+    const int bound = kWalkBoundFactor * n + kNumMeshDirs;
     NodeId node = entry;
     Direction inPort = Direction::kLocal;
     int level = 0;  // adaptive packets always enter escape at level 0
@@ -233,7 +236,7 @@ void
 CdgAnalysis::enumerateAdaptive(NodeId here, NodeId dst, CdgResult &result)
 {
     const bool nord = config_.design == PgDesign::kNord;
-    const int cap = config_.nordMisrouteCap;
+    const int cap = kNordMisrouteCap;
 
     // Misroute counts around the cap boundary: under the cap, at the last
     // allowed value, and at the cap itself (where non-minimal adaptive
@@ -245,7 +248,7 @@ CdgAnalysis::enumerateAdaptive(NodeId here, NodeId dst, CdgResult &result)
     // downstream routers are gated; conventional designs only reorder
     // candidates, so one all-on and one half-gated mask suffice.
     std::vector<int> masks;
-    if (nord && opts_.enumerateGatedViews) {
+    if (nord) {
         for (int m = 0; m < (1 << kNumMeshDirs); ++m)
             masks.push_back(m);
     } else {

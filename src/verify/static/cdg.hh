@@ -112,16 +112,6 @@ struct CdgOptions
      * must report the cycle. -1 = use the real escapeVcLevel() code.
      */
     int escapeLevelOverride = -1;
-
-    /**
-     * Enumerate adaptive states under every neighbor power-state mask
-     * (2^4 per router; NoRD's candidate set depends on which neighbors
-     * are gated). Disable for a faster escape-only run.
-     */
-    bool enumerateGatedViews = true;
-
-    /** Hop bound multiplier for escape-delivery walks (bound = k * n). */
-    int walkBoundFactor = 2;
 };
 
 /** Everything the pass proved (or refuted) about one configuration. */

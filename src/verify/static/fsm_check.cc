@@ -300,7 +300,7 @@ FsmCheck::apply(FsmState &s, FsmEvent e) const
         s.wake = 1;
         return true;
       case FsmEvent::kSuppressOn:
-        if (!opts_.faultEvents || s.suppressed)
+        if (s.suppressed)
             return false;
         s.suppressed = 1;
         return true;
@@ -316,10 +316,8 @@ FsmCheck::apply(FsmState &s, FsmEvent e) const
         // invariant (that is the injected bug the *runtime* auditor must
         // flag); the handshake logic itself is only responsible for never
         // getting there on its own, which kDropIcGuard/kNoDrainCheck test.
-        if (!opts_.faultEvents || s.power == kOff || s.buffered ||
-            s.inFlight) {
+        if (s.power == kOff || s.buffered || s.inFlight)
             return false;
-        }
         s.power = kOff;
         s.ramp = 0;
         return true;

@@ -152,9 +152,6 @@ struct FsmOptions
     /** Model the always-on wakeup watchdog (config.fault.wakeupWatchdog). */
     bool watchdog = false;
 
-    /** Enable the fault environment events (suppression, forced-off). */
-    bool faultEvents = true;
-
     /** Seeded controller bug, if any. */
     FsmMutation mutation = FsmMutation::kNone;
 };

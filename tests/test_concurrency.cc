@@ -23,7 +23,6 @@
 #include "network/noc_system.hh"
 #include "topology/criticality.hh"
 #include "traffic/synthetic_traffic.hh"
-#include "verify/static/config_registry.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define NORD_TSAN 1

@@ -348,30 +348,6 @@ TEST(CriticalityEdge, RectangularMeshes)
     }
 }
 
-TEST(CriticalityEdge, BrokenRingOrdersRejected)
-{
-    MeshTopology mesh(4, 4);
-
-    // Node 0 appears twice, node 15 never: not Hamiltonian.
-    std::vector<NodeId> repeated = BypassRing(mesh).order();
-    for (NodeId &node : repeated) {
-        if (node == 15)
-            node = 0;
-    }
-    EXPECT_EXIT({ BypassRing ring(mesh, repeated); },
-                ::testing::ExitedWithCode(1), "");
-
-    // A permutation whose hops teleport across the mesh.
-    std::vector<NodeId> teleport = BypassRing(mesh).order();
-    std::swap(teleport[3], teleport[10]);
-    EXPECT_EXIT({ BypassRing ring(mesh, teleport); },
-                ::testing::ExitedWithCode(1), "");
-
-    // Too short.
-    EXPECT_EXIT({ BypassRing ring(mesh, {0, 1, 2}); },
-                ::testing::ExitedWithCode(1), "");
-}
-
 TEST(CriticalityOracle, IntegerSweepMatchesDoubleReference)
 {
     for (auto [rows, cols] : {std::pair{2, 2}, {2, 5}, {4, 4}, {4, 6},

@@ -154,7 +154,7 @@ TEST(DeadlockStress, MisrouteCapBoundsHops)
     ASSERT_TRUE(sys.runToCompletion(100000));
     // Worst case: misroute cap of wandering + a full ring lap.
     EXPECT_LE(sys.stats().avgHops(),
-              16.0 + cfg.nordMisrouteCap + 6.0);
+              16.0 + kNordMisrouteCap + 6.0);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST_F(NordRoutingTest, MisrouteCapForcesEscapeAtBypass)
             if (!nonMin)
                 continue;
             Flit f = headTo(0, dst);
-            f.misroutes = static_cast<std::int16_t>(cfg.nordMisrouteCap);
+            f.misroutes = static_cast<std::int16_t>(kNordMisrouteCap);
             RouteRequest req = policy().routeAtBypass(n, f);
             EXPECT_TRUE(req.mustEscape);
             return;
@@ -214,7 +214,7 @@ TEST_F(NordRoutingTest, MisrouteCapBoundaryValues)
     // escape. route() at an on-router must agree: capped heads get no
     // nonMinimal adaptive candidates.
     const auto &ring = sys->ring();
-    const auto cap = static_cast<std::int16_t>(cfg.nordMisrouteCap);
+    const auto cap = static_cast<std::int16_t>(kNordMisrouteCap);
     ASSERT_GE(cap, 1);
     bool checkedBypass = false;
     for (NodeId n = 0; n < 16 && !checkedBypass; ++n) {

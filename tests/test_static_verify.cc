@@ -1,18 +1,20 @@
 /**
  * @file
  * Tests for the offline protocol verifier (src/verify/static/): CDG
- * deadlock analysis, PG-handshake model checking and config lint,
- * including the seeded negative cases the passes must catch and the
- * replay of model counterexamples against the live simulator.
+ * deadlock analysis, PG-handshake model checking and the config/ring rule
+ * lists (NocConfig::problems(), BypassRing::problems()), including the
+ * seeded negative cases the passes must catch and the replay of model
+ * counterexamples against the live simulator. `ctest -L static` runs
+ * these suites; a failing proof prints its counterexample.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/nord_controller.hh"
 #include "network/noc_system.hh"
+#include "topology/bypass_ring.hh"
+#include "topology/mesh.hh"
 #include "verify/static/cdg.hh"
-#include "verify/static/config_lint.hh"
-#include "verify/static/config_registry.hh"
 #include "verify/static/fsm_check.hh"
 
 namespace nord {
@@ -20,15 +22,52 @@ namespace {
 
 // --- CDG deadlock analysis -------------------------------------------------
 
+/**
+ * Run the CDG pass on @p config and expect every property to hold. On
+ * failure the message carries the summary, each problem and, for a
+ * cycle, the counterexample with its replay verdict against the live
+ * RoutingPolicy.
+ */
+void
+expectCdgProof(const std::string &label, const NocConfig &config)
+{
+    CdgAnalysis analysis(config);
+    CdgResult result = analysis.run();
+    std::string report = label + ": " + result.summary() + "\n";
+    for (const std::string &p : result.problems)
+        report += "  problem: " + p + "\n";
+    if (!result.cycle.empty()) {
+        report += result.cycle.describe();
+        std::string why;
+        report += analysis.replayCycle(result.cycle, &why)
+                      ? "  counterexample replays against the live "
+                        "RoutingPolicy\n"
+                      : "  REPLAY FAILED: " + why + "\n";
+    }
+    EXPECT_TRUE(result.ok()) << report;
+    EXPECT_GT(result.numEscapeChannels, 0) << label;
+    EXPECT_GT(result.statesExplored, 0u) << label;
+}
+
 TEST(StaticCdg, ShippedMatrixEscapeAcyclic)
 {
-    for (const NamedConfig &named : shippedConfigs()) {
-        CdgAnalysis analysis(named.config);
-        CdgResult result = analysis.run();
-        EXPECT_TRUE(result.ok()) << named.name << ": " << result.summary();
-        EXPECT_TRUE(result.cycle.empty()) << named.name;
-        EXPECT_GT(result.numEscapeChannels, 0) << named.name;
-        EXPECT_GT(result.statesExplored, 0u) << named.name;
+    for (const NamedConfig &named : shippedConfigs())
+        expectCdgProof(named.name, named.config);
+}
+
+TEST(StaticCdg, RectangularShapesEscapeAcyclic)
+{
+    // Non-square and wider meshes: the ring, the dateline and the
+    // steering table must hold beyond the shipped square shapes.
+    for (PgDesign design : {PgDesign::kNoPg, PgDesign::kConvPg,
+                            PgDesign::kConvPgOpt, PgDesign::kNord}) {
+        for (auto [rows, cols] : {std::pair{2, 4}, {4, 2}, {4, 6}, {6, 4},
+                                  {4, 8}}) {
+            expectCdgProof(std::string(pgDesignName(design)) + "-" +
+                               std::to_string(rows) + "x" +
+                               std::to_string(cols),
+                           makeShippedConfig(design, rows, cols));
+        }
     }
 }
 
@@ -98,13 +137,17 @@ TEST(StaticCdg, MisrouteCapBookkeepingConsistent)
 
 TEST(StaticFsm, HealthyDesignsHoldAllProperties)
 {
-    for (PgDesign design : {PgDesign::kNord, PgDesign::kConvPg,
-                            PgDesign::kConvPgOpt, PgDesign::kNoPg}) {
+    // Design and wakeup threshold come from each shipped config, so a
+    // change to the shipped threshold is proved where it lands.
+    for (const NamedConfig &named : shippedConfigs()) {
         FsmOptions opts;
-        opts.design = design;
+        opts.design = named.config.design;
+        opts.wakeupThreshold = named.config.nordPowerThreshold;
         FsmResult result = FsmCheck(opts).run();
-        EXPECT_TRUE(result.ok())
-            << pgDesignName(design) << ": " << result.summary();
+        std::string report = named.name + ": " + result.summary() + "\n";
+        for (const FsmCounterexample &cx : result.counterexamples)
+            report += cx.describe();
+        EXPECT_TRUE(result.ok()) << report;
         EXPECT_GT(result.statesReached, 0u);
         EXPECT_LT(result.statesReached, result.stateSpace);
     }
@@ -259,13 +302,27 @@ TEST(StaticFsm, LostWakeupCounterexampleReplaysOnLiveSimulator)
     sys.run(5000);  // drain the backlog before teardown
 }
 
-// --- Config lint -----------------------------------------------------------
+// --- Config and ring rule lists --------------------------------------------
+
+/** All of @p problems, one per line (for failure messages). */
+std::string
+joined(const std::vector<std::string> &problems)
+{
+    std::string s;
+    for (const std::string &p : problems)
+        s += "\n  - " + p;
+    return s;
+}
 
 TEST(StaticLint, ShippedConfigsClean)
 {
     for (const NamedConfig &named : shippedConfigs()) {
-        LintResult result = lintConfig(named.config);
-        EXPECT_TRUE(result.ok()) << named.name << ": " << result.summary();
+        const NocConfig &cfg = named.config;
+        EXPECT_TRUE(cfg.problems().empty())
+            << named.name << ":" << joined(cfg.problems());
+        MeshTopology mesh(cfg.rows, cfg.cols);
+        const auto ring = BypassRing::problems(mesh, BypassRing(mesh).order());
+        EXPECT_TRUE(ring.empty()) << named.name << " ring:" << joined(ring);
     }
 }
 
@@ -273,30 +330,30 @@ TEST(StaticLint, FlagsEmptyEscapeClass)
 {
     NocConfig cfg = makeShippedConfig(PgDesign::kConvPg, 4, 4);
     cfg.numEscapeVcs = 0;
-    EXPECT_FALSE(lintConfig(cfg).ok());
+    EXPECT_FALSE(cfg.problems().empty());
 }
 
 TEST(StaticLint, FlagsSingleEscapeVcForNord)
 {
     NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
     cfg.numEscapeVcs = 1;
-    LintResult result = lintConfig(cfg);
-    ASSERT_FALSE(result.ok());
+    const std::vector<std::string> problems = cfg.problems();
+    ASSERT_FALSE(problems.empty());
     // The diagnosis must point at the dateline scheme, matching what the
     // CDG pass demonstrates with escapeLevelOverride = 0.
     bool mentionsDateline = false;
-    for (const std::string &p : result.problems)
+    for (const std::string &p : problems)
         mentionsDateline = mentionsDateline ||
                            p.find("dateline") != std::string::npos;
-    EXPECT_TRUE(mentionsDateline) << result.summary();
+    EXPECT_TRUE(mentionsDateline) << joined(problems);
 }
 
 TEST(StaticLint, FlagsOddRowsAndTinyMesh)
 {
     NocConfig odd = makeShippedConfig(PgDesign::kNord, 3, 4);
-    EXPECT_FALSE(lintConfig(odd).ok());
+    EXPECT_FALSE(odd.problems().empty());
     NocConfig tiny = makeShippedConfig(PgDesign::kNord, 1, 1);
-    EXPECT_FALSE(lintConfig(tiny).ok());
+    EXPECT_FALSE(tiny.problems().empty());
 }
 
 TEST(StaticLint, FlagsInvertedThresholds)
@@ -304,18 +361,18 @@ TEST(StaticLint, FlagsInvertedThresholds)
     NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
     cfg.nordPerfThreshold = 5;
     cfg.nordPowerThreshold = 1;
-    EXPECT_FALSE(lintConfig(cfg).ok());
+    EXPECT_FALSE(cfg.problems().empty());
 }
 
 TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
 {
     // One rule list backs both gates: each broken rule must show up in
-    // lintConfig()'s diagnoses and kill validate() with the same message.
+    // problems() and kill validate() with the same message.
     NocConfig base;
     base.verify.interval = 16;
     base.fault.enabled = true;
     base.fault.e2e = true;
-    ASSERT_TRUE(lintConfig(base).ok()) << lintConfig(base).summary();
+    ASSERT_TRUE(base.problems().empty()) << joined(base.problems());
 
     const struct
     {
@@ -330,10 +387,6 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          [](NocConfig &c) { c.numEscapeVcs = c.numVcs; }},
         {"dateline scheme", [](NocConfig &c) { c.numEscapeVcs = 1; }},
         {"bufferDepth must be", [](NocConfig &c) { c.bufferDepth = 0; }},
-        {"escapeAfterBlockedCycles must be",
-         [](NocConfig &c) { c.escapeAfterBlockedCycles = 0; }},
-        {"nordMisrouteCap must be",
-         [](NocConfig &c) { c.nordMisrouteCap = -1; }},
         {"wakeupLatency must be", [](NocConfig &c) { c.wakeupLatency = 0; }},
         {"nordWakeupWindow must be",
          [](NocConfig &c) { c.nordWakeupWindow = 0; }},
@@ -350,8 +403,6 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          [](NocConfig &c) { c.niStarvationLimit = 0; }},
         {"exceeds the node count",
          [](NocConfig &c) { c.nordPerfCentricCount = c.numNodes() + 1; }},
-        {"verify.stallThreshold must be",
-         [](NocConfig &c) { c.verify.stallThreshold = 0; }},
         {"verify.maxFlitAge must be",
          [](NocConfig &c) { c.verify.maxFlitAge = 0; }},
         {"fault rates must be probabilities",
@@ -366,19 +417,17 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          }},
         {"fault.retransTimeout must be",
          [](NocConfig &c) { c.fault.retransTimeout = 0; }},
-        {"fault.retransBackoff must be",
-         [](NocConfig &c) { c.fault.retransBackoff = 0; }},
         {"fault.retryLimit must be",
          [](NocConfig &c) { c.fault.retryLimit = -1; }},
     };
     for (const auto &rule : kRules) {
         NocConfig cfg = base;
         rule.breakIt(cfg);
-        const LintResult result = lintConfig(cfg);
+        const std::vector<std::string> problems = cfg.problems();
         bool reported = false;
-        for (const std::string &p : result.problems)
+        for (const std::string &p : problems)
             reported = reported || p.find(rule.message) != std::string::npos;
-        EXPECT_TRUE(reported) << rule.message << ": " << result.summary();
+        EXPECT_TRUE(reported) << rule.message << ":" << joined(problems);
         EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                     rule.message);
     }
@@ -389,15 +438,18 @@ TEST(StaticLint, CanonicalRingsCleanAcrossShapes)
     for (auto [rows, cols] : {std::pair{2, 2}, {2, 5}, {4, 3}, {4, 6},
                               {6, 4}, {8, 8}}) {
         MeshTopology mesh(rows, cols);
-        BypassRing ring(mesh);
-        LintResult result = lintRingOrder(mesh, ring.order());
-        EXPECT_TRUE(result.ok())
-            << rows << "x" << cols << ": " << result.summary();
+        const auto problems =
+            BypassRing::problems(mesh, BypassRing(mesh).order());
+        EXPECT_TRUE(problems.empty())
+            << rows << "x" << cols << ":" << joined(problems);
     }
 }
 
-TEST(StaticLint, FlagsNonHamiltonianRingOrders)
+TEST(StaticLint, NonHamiltonianRingOrdersReportedAndFatal)
 {
+    // One rule list backs both gates: each broken order must be reported
+    // by BypassRing::problems() and kill the constructor with its first
+    // message.
     MeshTopology mesh(4, 4);
 
     // Not a permutation: node 0 twice, node 15 missing.
@@ -406,15 +458,19 @@ TEST(StaticLint, FlagsNonHamiltonianRingOrders)
         if (n == 15)
             n = 0;
     }
-    EXPECT_FALSE(lintRingOrder(mesh, repeated).ok());
-
     // Permutation, but a hop teleports across the mesh.
     std::vector<NodeId> teleport = BypassRing(mesh).order();
     std::swap(teleport[3], teleport[10]);
-    EXPECT_FALSE(lintRingOrder(mesh, teleport).ok());
-
     // Wrong length entirely.
-    EXPECT_FALSE(lintRingOrder(mesh, {0, 1, 2}).ok());
+    const std::vector<NodeId> tooShort = {0, 1, 2};
+
+    for (const std::vector<NodeId> &order : {repeated, teleport, tooShort}) {
+        const std::vector<std::string> problems =
+            BypassRing::problems(mesh, order);
+        ASSERT_FALSE(problems.empty());
+        EXPECT_EXIT({ BypassRing ring(mesh, order); },
+                    ::testing::ExitedWithCode(1), problems.front());
+    }
 }
 
 }  // namespace

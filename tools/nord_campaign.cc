@@ -34,7 +34,7 @@
 #include "campaign/executor.hh"
 #include "campaign/exit_codes.hh"
 #include "campaign/orchestrator.hh"
-#include "verify/static/config_registry.hh"
+#include "network/noc_config.hh"
 
 namespace {
 
