@@ -30,6 +30,7 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,7 +103,8 @@ parseArgs(int argc, char **argv, std::string *outPath,
         char *end = nullptr;
         errno = 0;
         *minDelivered = std::strtod(v, &end);
-        if (*v == '\0' || *end != '\0' || errno == ERANGE) {
+        if (*v == '\0' || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(*minDelivered)) {
             std::fprintf(stderr, "bad --min-delivered value '%s'\n", v);
             return false;
         }

@@ -218,6 +218,14 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                      diagId, spec.parsec.c_str());
         return kExitBadConfig;
     }
+    if (spec.kind == WorkloadKind::kSynthetic &&
+        !(spec.rate >= 0.0 && spec.rate <= 1.0)) {
+        std::fprintf(diagStream(),
+                     "[worker %llu] bad config: synthetic rate %g is not "
+                     "in [0, 1]\n",
+                     diagId, spec.rate);
+        return kExitBadConfig;
+    }
 
     NocSystem sys(cfg);
     SyntheticTraffic synthetic(spec.pattern, spec.rate, spec.seed);

@@ -44,9 +44,9 @@ enum class WorkloadKind : std::uint8_t
 };
 
 /**
- * Self-test behavior injected into a worker, used by the chaos smoke
- * test and the unit tests to create deterministic poison and hang points
- * without hand-crafting a failing configuration.
+ * Self-test behavior injected into a worker, used by the campaign tests
+ * to create deterministic poison and hang points without hand-crafting
+ * a failing configuration.
  */
 enum class SelfTest : std::uint8_t
 {

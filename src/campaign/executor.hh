@@ -10,7 +10,7 @@
  *    exit_codes.hh (deterministic failures quarantine immediately,
  *    transient ones retry with capped jittered backoff);
  *  - death by signal                           -> class "crash", retried;
- *  - chaos self-test kill (--chaos)            -> class "chaos", retried
+ *  - chaos self-test kill (ChaosOptions)       -> class "chaos", retried
  *    and NEVER counted toward the quarantine budget -- the kill was
  *    inflicted by the executor itself and says nothing about the point.
  *    This is what keeps chaos runs' reports byte-identical to

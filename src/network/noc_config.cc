@@ -102,7 +102,7 @@ NocConfig::problems() const
     if (fault.enabled) {
         for (double rate : {fault.flitCorruptRate, fault.flitDropRate,
                             fault.creditLeakRate, fault.lostWakeupRate}) {
-            if (rate < 0.0 || rate > 1.0) {
+            if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too
                 flag("fault rates must be probabilities in [0, 1]");
                 break;
             }

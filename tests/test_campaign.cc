@@ -4,10 +4,10 @@
  *
  * The contract under test mirrors the checkpoint suite's, one level up:
  * the aggregate report is a pure function of the grid. Any sequence of
- * worker crashes, chaos kills, journal truncations and executor re-execs
- * must yield byte-identical report.json / report.csv. The unit half
- * exercises the pieces (exit taxonomy, backoff determinism, grid
- * expansion, journal replay/locking); the end-to-end half runs the
+ * worker crashes, chaos kills, journal truncations and executor SIGKILLs
+ * and reruns must yield byte-identical report.json / report.csv. The
+ * unit half exercises the pieces (exit taxonomy, backoff determinism,
+ * grid expansion, journal replay/locking); the end-to-end half runs the
  * executor behind `nord-campaign --out` against tiny grids, forking real
  * workers, and compares report bytes against an in-process reference:
  * every point's worker run directly, its results rendered as a
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -538,6 +539,25 @@ TEST(CampaignWorker, ResultLinesArePinned)
     }
 }
 
+TEST(CampaignWorker, RateOutsideUnitIntervalIsBadConfig)
+{
+    // A synthetic rate below 0, above 1 or NaN is a bad config, so the
+    // point quarantines on its first attempt instead of completing
+    // empty or tripping SyntheticTraffic's assert (a retried crash).
+    const std::string dir = freshDir("campaign-bad-rate");
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    for (double rate : {-0.5, 1.5, std::nan("")}) {
+        PointSpec spec;
+        spec.rate = rate;
+        spec.measure = 100;
+        EXPECT_EQ(runPointWorker(spec, pointPaths(dir, spec.id),
+                                 WorkerOptions{}),
+                  kExitBadConfig)
+            << "rate " << rate;
+    }
+}
+
 TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
 {
     clearCampaignDrain();
@@ -844,6 +864,51 @@ TEST(CampaignEndToEnd, SuspendedExecutorFinishesCleanly)
         << "the resumed executor did not complete the campaign";
     EXPECT_EQ(slurp(dir + "/report.json"), slurp(clean.reportJson));
     EXPECT_EQ(slurp(dir + "/report.csv"), slurp(clean.reportCsv));
+}
+
+// An executor SIGKILLed mid-campaign leaves only its journal and the
+// workers' checkpoints. Rerunning it on the same directory must resume
+// to an undisturbed run's report bytes, poison quarantine included.
+TEST(CampaignEndToEnd, SigkilledExecutorResumesToTheSameReport)
+{
+    clearCampaignDrain();
+    GridSpec grid = e2eGrid();
+    grid.measure = 20000;  // the kill must land while workers run
+    std::vector<PointSpec> specs = expandGrid(grid);
+    ASSERT_GE(specs.size(), 2u);
+    specs[1].selfTest = SelfTest::kPoison;
+
+    const std::string cleanDir = freshDir("campaign_sigkill_clean");
+    ExecutorOutcome clean;
+    std::string err;
+    ASSERT_TRUE(runExecutor(specs, e2eOptions(cleanDir), &clean, &err))
+        << err;
+    ASSERT_EQ(clean.quarantined, 1u);
+
+    const std::string dir = freshDir("campaign_sigkill");
+    const pid_t pid = forkLiveCampaign(dir, specs);
+    ASSERT_GT(pid, 0) << "workers never started heartbeating";
+    ASSERT_EQ(kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_FALSE(fileExists(dir + "/report.json"))
+        << "the campaign finished before the kill; the test proved "
+           "nothing";
+
+    // The workers hold the journal's inherited lock until their
+    // PDEATHSIG lands; until then the rerun is refused as locked.
+    ExecutorOutcome out;
+    bool resumed = false;
+    const double deadline = monotonicSec() + 10.0;
+    while (!(resumed = runExecutor(specs, e2eOptions(dir), &out, &err)) &&
+           err.find("locked") != std::string::npos &&
+           monotonicSec() < deadline)
+        sleepSec(0.02);
+    ASSERT_TRUE(resumed) << err;
+    EXPECT_EQ(out.completed, specs.size() - 1);
+    EXPECT_EQ(out.quarantined, 1u);
+    EXPECT_EQ(slurp(out.reportJson), slurp(clean.reportJson));
+    EXPECT_EQ(slurp(out.reportCsv), slurp(clean.reportCsv));
 }
 #endif  // __linux__
 

@@ -5,11 +5,11 @@
  * The library's contract after the hidden-static purge: independent
  * NocSystems share NO mutable state except the mutex-guarded
  * CriticalityCache and the lock-free trace selection, so concurrent
- * campaigns are bit-identical to serial ones. These tests are excluded
- * from the main nord_tests ctest entry and run under their own
- * nord_concurrency entry -- and, in CI, under ThreadSanitizer, where
- * DISABLED_PlantedStaticCacheRace reproduces the pre-fix bug shape as a
- * detected race (negative control for the TSan job itself).
+ * campaigns are bit-identical to serial ones. Each case is its own
+ * tier-1 ctest entry (`ctest -R Concurrency`); CI also runs them under
+ * ThreadSanitizer, where DISABLED_PlantedStaticCacheRace reproduces the
+ * pre-fix bug shape as a detected race (negative control for the TSan
+ * job itself). ctest registers that control as a disabled entry.
  */
 
 #include <gtest/gtest.h>

@@ -3,12 +3,11 @@
  * Fault-injection campaign tests: one test per fault class proving
  * detection + recovery, plus the determinism contract (enabling the fault
  * machinery with zero rates leaves a run bit-identical) and a randomized
- * soak entry point for CI (seed via NORD_FAULT_SEED).
+ * soak over every design x seeds 1-3.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <tuple>
 
@@ -333,19 +332,17 @@ TEST(FaultCampaign, Nord8x8MidLoadTransientAcceptance)
     sys.checkInvariants();
 }
 
-// --- Randomized soak (CI runs a seed matrix via NORD_FAULT_SEED) -----------
+// --- Randomized soak (design x seed) ----------------------------------------
 
-class FaultSoak : public ::testing::TestWithParam<PgDesign>
+class FaultSoak
+    : public ::testing::TestWithParam<std::tuple<PgDesign, std::uint64_t>>
 {
 };
 
 TEST_P(FaultSoak, EveryAnomalyAttributedAndScopedChecksMatchSweeps)
 {
-    std::uint64_t seed = 1;
-    if (const char *env = std::getenv("NORD_FAULT_SEED"))
-        seed = std::strtoull(env, nullptr, 10);
-
-    NocConfig cfg = campaignConfig(GetParam());
+    const auto [design, seed] = GetParam();
+    NocConfig cfg = campaignConfig(design);
     cfg.seed = seed;
     cfg.fault.flitCorruptRate = 5e-4;
     cfg.fault.flitDropRate = 5e-4;
@@ -372,20 +369,22 @@ TEST_P(FaultSoak, EveryAnomalyAttributedAndScopedChecksMatchSweeps)
     EXPECT_EQ(sys.auditor().unexpectedViolations(), 0u);
     EXPECT_EQ(sys.auditor().shadowMismatches(), 0u)
         << sys.auditor().firstShadowMismatch();
-    if (GetParam() != PgDesign::kNoPg) {
+    if (design != PgDesign::kNoPg) {
         EXPECT_GT(sys.auditor().transitionChecks(), 0u);
     }
     sys.checkInvariants();
 }
 
-INSTANTIATE_TEST_SUITE_P(FaultCampaign, FaultSoak,
-                         ::testing::Values(PgDesign::kNoPg,
-                                           PgDesign::kConvPg,
-                                           PgDesign::kConvPgOpt,
-                                           PgDesign::kNord),
-                         [](const auto &info) {
-                             return pgDesignName(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    FaultCampaign, FaultSoak,
+    ::testing::Combine(::testing::Values(PgDesign::kNoPg, PgDesign::kConvPg,
+                                         PgDesign::kConvPgOpt,
+                                         PgDesign::kNord),
+                       ::testing::Values(1u, 2u, 3u)),
+    [](const auto &info) {
+        return std::string(pgDesignName(std::get<0>(info.param))) +
+               "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace nord

@@ -12,16 +12,15 @@
  * configuration fingerprint deliberately excludes PerfConfig, so
  * checkpoints cross perf settings).
  *
- * A randomized soak (seed matrix via NORD_PERF_SEED, run by the
- * nord_fault_soak ctest entry) stretches the same lockstep over a
- * heavier campaign with mid-run checkpoint/restore on one side only.
+ * A randomized soak (seeds 1-3, one ctest entry each) stretches the
+ * same lockstep over a heavier campaign with mid-run checkpoint/restore
+ * on one side only.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "network/noc_system.hh"
@@ -158,14 +157,15 @@ TEST(PerfInvariance, CheckpointCrossesPerfSettings)
     }
 }
 
-// --- Randomized soak (CI runs a seed matrix via NORD_PERF_SEED) ------------
+// --- Randomized soak (one entry per seed) -----------------------------------
 
-TEST(PerfInvariance, InvarianceFaultSoak)
+class PerfInvarianceSoak : public ::testing::TestWithParam<std::uint64_t>
 {
-    std::uint64_t seed = 1;
-    if (const char *env = std::getenv("NORD_PERF_SEED"))
-        seed = std::strtoull(env, nullptr, 10);
+};
 
+TEST_P(PerfInvarianceSoak, InvarianceFaultSoak)
+{
+    const std::uint64_t seed = GetParam();
     NocConfig refCfg = perfConfig(PgDesign::kNord, false, false, seed);
     refCfg.fault.flitCorruptRate = 5e-4;
     refCfg.fault.flitDropRate = 5e-4;
@@ -181,8 +181,9 @@ TEST(PerfInvariance, InvarianceFaultSoak)
     SyntheticTraffic ta(TrafficPattern::kUniformRandom, 0.06, seed);
     ref.setWorkload(&tr);
     alt.setWorkload(&ta);
-    const std::string path =
-        ::testing::TempDir() + "/nord_perf_soak.ckpt";
+    // One file per seed: the seeds run as parallel ctest entries.
+    const std::string path = ::testing::TempDir() + "/nord_perf_soak_" +
+                             std::to_string(seed) + ".ckpt";
     for (Cycle i = 0; i < 3000; ++i) {
         ref.run(1);
         alt.run(1);
@@ -210,6 +211,12 @@ TEST(PerfInvariance, InvarianceFaultSoak)
     alt.checkInvariants();
     std::remove(path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(FaultCampaign, PerfInvarianceSoak,
+                         ::testing::Values(1u, 2u, 3u),
+                         [](const auto &info) {
+                             return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace nord

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/nord_controller.hh"
 #include "network/noc_system.hh"
 #include "topology/bypass_ring.hh"
@@ -407,6 +409,8 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          [](NocConfig &c) { c.verify.maxFlitAge = 0; }},
         {"fault rates must be probabilities",
          [](NocConfig &c) { c.fault.flitDropRate = 1.5; }},
+        {"fault rates must be probabilities",
+         [](NocConfig &c) { c.fault.lostWakeupRate = std::nan(""); }},
         {"outside the 4x4 mesh",
          [](NocConfig &c) {
              c.fault.schedule.push_back({10, FaultClass::kDeadRouter, 16, 0});

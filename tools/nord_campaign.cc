@@ -23,6 +23,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -87,19 +88,6 @@ usage()
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
         "\n"
-        "chaos self-test:\n"
-        "  --chaos              kill random workers on a seeded schedule;\n"
-        "                       kills are never counted against points,\n"
-        "                       so the final report must be byte-identical\n"
-        "                       to an undisturbed run's\n"
-        "  --chaos-seed N       schedule seed (default 1)\n"
-        "  --chaos-interval S   mean seconds between kills (default 0.5)\n"
-        "  --chaos-max-kills N  stop killing after N (default unlimited)\n"
-        "  --poison-points LIST point ids forced to fail their gate\n"
-        "                       deterministically (quarantine test)\n"
-        "  --hang-points LIST   point ids forced to stop heartbeating\n"
-        "                       (hang-kill test)\n"
-        "\n"
         "  --list               print the expanded grid and exit\n"
         "  --help               this text\n");
 }
@@ -124,7 +112,7 @@ splitList(const std::string &arg)
 }
 
 // Scalar parsers: the whole string must be the number (no trailing
-// junk, no empty string, no out-of-range value).
+// junk, no empty string, no out-of-range or non-finite value).
 
 bool
 parseU64(const std::string &s, std::uint64_t *out)
@@ -157,7 +145,7 @@ parseDouble(const std::string &s, double *out)
     char *end = nullptr;
     errno = 0;
     const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || *end != '\0' || errno == ERANGE)
+    if (s.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v))
         return false;
     *out = v;
     return true;
@@ -202,8 +190,6 @@ main(int argc, char **argv)
 {
     GridSpec grid;
     ExecutorOptions opts;
-    std::vector<std::uint64_t> poisonIds;
-    std::vector<std::uint64_t> hangIds;
     bool list = false;
 
     auto needValue = [&](int i) -> const char * {
@@ -313,29 +299,6 @@ main(int argc, char **argv)
         } else if (a == "--backoff-max") {
             scalar(i, parseDouble, &opts.backoff.maxSec);
             ++i;
-        } else if (a == "--chaos") {
-            opts.chaos.enabled = true;
-        } else if (a == "--chaos-seed") {
-            scalar(i, parseU64, &opts.chaos.seed);
-            ++i;
-        } else if (a == "--chaos-interval") {
-            scalar(i, parseDouble, &opts.chaos.meanIntervalSec);
-            ++i;
-        } else if (a == "--chaos-max-kills") {
-            scalar(i, parseInt, &opts.chaos.maxKills);
-            ++i;
-        } else if (a == "--poison-points") {
-            if (!parseU64List(needValue(i), &poisonIds)) {
-                std::fprintf(stderr, "bad --poison-points list\n");
-                return kExitBadConfig;
-            }
-            ++i;
-        } else if (a == "--hang-points") {
-            if (!parseU64List(needValue(i), &hangIds)) {
-                std::fprintf(stderr, "bad --hang-points list\n");
-                return kExitBadConfig;
-            }
-            ++i;
         } else {
             std::fprintf(stderr, "unknown option '%s' (--help)\n",
                          a.c_str());
@@ -343,15 +306,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<PointSpec> specs = expandGrid(grid);
-    for (std::uint64_t id : poisonIds) {
-        if (id < specs.size())
-            specs[id].selfTest = SelfTest::kPoison;
-    }
-    for (std::uint64_t id : hangIds) {
-        if (id < specs.size())
-            specs[id].selfTest = SelfTest::kHang;
-    }
+    const std::vector<PointSpec> specs = expandGrid(grid);
 
     if (list) {
         for (const PointSpec &spec : specs)
@@ -367,21 +322,6 @@ main(int argc, char **argv)
         return kExitBadConfig;
     }
 
-    // An unbounded chaos schedule that fires faster than the hang
-    // timeout livelocks any hang point: the chaos kill always lands
-    // before the heartbeat timeout, is never counted, and the point
-    // relaunches forever. Warn rather than refuse -- grids without hang
-    // points are fine -- but make the trap visible up front.
-    if (opts.chaos.enabled && opts.chaos.maxKills == 0 &&
-        opts.chaos.meanIntervalSec < opts.hangTimeoutSec) {
-        std::fprintf(stderr,
-                     "warning: --chaos-interval (%.3gs) is below "
-                     "--hang-timeout (%.3gs) with no --chaos-max-kills; "
-                     "hang points can be killed forever without ever "
-                     "being counted\n",
-                     opts.chaos.meanIntervalSec, opts.hangTimeoutSec);
-    }
-
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
@@ -392,12 +332,11 @@ main(int argc, char **argv)
         return kExitInfraFailure;
     }
     std::printf("nord-campaign: completed %llu, quarantined %llu, "
-                "missing %llu (launched %llu, %llu chaos kill(s))\n",
+                "missing %llu (launched %llu)\n",
                 static_cast<unsigned long long>(out.completed),
                 static_cast<unsigned long long>(out.quarantined),
                 static_cast<unsigned long long>(out.missing),
-                static_cast<unsigned long long>(out.launches),
-                static_cast<unsigned long long>(out.chaosKills));
+                static_cast<unsigned long long>(out.launches));
     if (out.interrupted) {
         std::printf("nord-campaign: drained by signal; rerun the same "
                     "command to resume\n");
