@@ -179,8 +179,13 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(r.flitsEaten),
                      baseJ > 0 ? r.energy.total() / baseJ : 1.0);
     }
-    if (out != stdout)
-        std::fclose(out);
+    if (out != stdout) {
+        const bool failed = std::ferror(out) != 0;
+        if (std::fclose(out) != 0 || failed) {
+            std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
+            return campaign::kExitInfraFailure;
+        }
+    }
 
     std::fprintf(stderr, "\n%-12s %-12s %9s %10s %9s %9s\n", "design",
                  "scenario", "rate", "delivered", "p99", "retrans");

@@ -41,6 +41,12 @@ NocConfig::problems() const
     std::vector<std::string> out;
     auto flag = [&out](std::string what) { out.push_back(std::move(what)); };
 
+    // --- Design ----------------------------------------------------------
+    if (design < PgDesign::kNoPg || design > PgDesign::kNord) {
+        flag("design must be one of No_PG, Conv_PG, Conv_PG_OPT, NoRD "
+             "(got " + std::to_string(static_cast<int>(design)) + ")");
+    }
+
     // --- Mesh / ring structure -------------------------------------------
     if (rows < 2 || cols < 2) {
         flag("mesh must be at least 2x2 (got " + std::to_string(rows) +

@@ -381,6 +381,10 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
         const char *message;  ///< substring of the diagnosis
         void (*breakIt)(NocConfig &);
     } kRules[] = {
+        {"design must be one of",
+         [](NocConfig &c) { c.design = static_cast<PgDesign>(7); }},
+        {"design must be one of",
+         [](NocConfig &c) { c.design = static_cast<PgDesign>(-1); }},
         {"mesh must be at least 2x2", [](NocConfig &c) { c.cols = 1; }},
         {"even row count", [](NocConfig &c) { c.rows = 3; }},
         {"need at least 2 VCs", [](NocConfig &c) { c.numVcs = 1; }},
