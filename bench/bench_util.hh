@@ -8,14 +8,19 @@
  *
  * Environment: set NORD_QUICK=1 to shrink the PARSEC scripts (faster,
  * noisier); figures keep their shape.
+ *
+ * Every bench ends with `return bench::stdoutStatus();`, so a lost write
+ * of its results exits 12 (kExitInfraFailure) instead of 0.
  */
 
 #ifndef NORD_BENCHUTIL_HH
 #define NORD_BENCHUTIL_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 
+#include "campaign/exit_codes.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/synthetic_traffic.hh"
@@ -29,6 +34,20 @@ quickMode()
 {
     const char *env = std::getenv("NORD_QUICK");
     return env && env[0] == '1';
+}
+
+/**
+ * Exit status of a bench whose results went to stdout: flush it, and
+ * report a write error (a full disk, a closed pipe) that stdio would
+ * otherwise swallow at exit as kExitInfraFailure.
+ */
+inline int
+stdoutStatus()
+{
+    if (std::fflush(stdout) == 0 && std::ferror(stdout) == 0)
+        return campaign::kExitOk;
+    std::fprintf(stderr, "cannot write stdout\n");
+    return campaign::kExitInfraFailure;
 }
 
 /**

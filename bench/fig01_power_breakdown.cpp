@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "power/power_model.hh"
 #include "power/tech_params.hh"
 
@@ -50,5 +51,5 @@ main()
                 100.0 * staticShare * PowerModel::kXbarStaticShare);
     std::printf("%-16s %5.1f%%  (paper:  4%%)\n", "Clock_static",
                 100.0 * staticShare * PowerModel::kClockStaticShare);
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "topology/criticality.hh"
 
 int
@@ -43,5 +44,5 @@ main()
     std::printf("\n(paper's set {4,5,6,7,13,14} assumes the paper's ring "
                 "construction;\n ours differs but the knee and curve "
                 "shapes are the reproduction targets)\n");
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -62,5 +62,5 @@ main()
     std::printf("\nA latency blow-up in the ring-only column marks the "
                 "Bypass Ring saturation point\n(paper: ~14%% of the all-on "
                 "throughput).\n");
-    return 0;
+    return bench::stdoutStatus();
 }

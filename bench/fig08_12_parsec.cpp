@@ -408,5 +408,5 @@ main()
     renderFig11(t);
     renderFig12(t);
     renderAblation(t);
-    return 0;
+    return bench::stdoutStatus();
 }

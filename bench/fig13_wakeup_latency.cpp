@@ -49,5 +49,5 @@ main()
     std::printf("  Conv_PG_OPT %.2fx (paper: ~1.5x)\n", last[2] / first[2]);
     std::printf("  NoRD        %.2fx (paper: ~1.0x, flat)\n",
                 last[3] / first[3]);
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -51,5 +51,5 @@ main()
     }
     std::printf("\npaper reference @0.10: No_PG 24, Conv_PG_OPT 34, "
                 "NoRD 29 cycles\n");
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -62,5 +62,5 @@ main()
     sweep(TrafficPattern::kBitComplement, bitcompRates, 7);
     std::printf("paper reference @0.10 uniform: No_PG 36, "
                 "Conv_PG_OPT 52, NoRD 44 cycles\n");
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -26,7 +26,7 @@
  * Crash-resumable fault campaigns are `nord-campaign --fault-rates ...`
  * (DESIGN.md section 5.9). Exit codes follow the campaign taxonomy
  * (src/campaign/exit_codes.hh): 10 = the delivery gate failed, 11 = bad
- * arguments, 12 = the output file could not be written.
+ * arguments, 12 = the JSON lines could not be written (to FILE or stdout).
  */
 
 #include <cerrno>
@@ -179,12 +179,13 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(r.flitsEaten),
                      baseJ > 0 ? r.energy.total() / baseJ : 1.0);
     }
-    if (out != stdout) {
-        const bool failed = std::ferror(out) != 0;
-        if (std::fclose(out) != 0 || failed) {
-            std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
-            return campaign::kExitInfraFailure;
-        }
+    // Write errors (ENOSPC on /dev/full, a closed pipe) surface at the
+    // flush or close, not at the fprintf calls.
+    const bool failed = std::fflush(out) != 0 || std::ferror(out) != 0;
+    if ((out != stdout && std::fclose(out) != 0) || failed) {
+        std::fprintf(stderr, "cannot write %s\n",
+                     outPath.empty() ? "stdout" : outPath.c_str());
+        return campaign::kExitInfraFailure;
     }
 
     std::fprintf(stderr, "\n%-12s %-12s %9s %10s %9s %9s\n", "design",

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "network/noc_config.hh"
 #include "power/area_model.hh"
 
@@ -44,5 +45,5 @@ main()
     std::printf("\nNoRD overhead vs Conv_PG_OPT: %.1f%% (paper: 3.1%%)\n",
                 100.0 * area.overheadVs(PgDesign::kNord,
                                         PgDesign::kConvPgOpt));
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -34,7 +34,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -237,32 +236,11 @@ class StateSerializer
     }
 
     /**
-     * Unordered set of integral keys. Saved/hashed in sorted-key order so
-     * the walk is deterministic regardless of the set's bucket history.
-     * Membership is the only operation the simulator performs on these
-     * sets, so the rebuilt insertion order cannot change behavior.
+     * Unordered map. Saved/hashed in sorted-key order so the walk is
+     * deterministic regardless of the map's bucket history. Keyed access
+     * is the only operation the simulator performs on these maps, so the
+     * rebuilt insertion order cannot change behavior.
      */
-    template <typename K>
-    void ioUnorderedSet(std::unordered_set<K> &s)
-    {
-        std::uint64_t n = s.size();
-        io(n);
-        if (loading()) {
-            s.clear();
-            for (std::uint64_t i = 0; i < n && ok(); ++i) {
-                K k{};
-                io(k);
-                s.insert(k);
-            }
-        } else {
-            std::vector<K> keys(s.begin(), s.end());
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys)
-                io(k);
-        }
-    }
-
-    /** Unordered map, sorted-key order on save/hash (see ioUnorderedSet). */
     template <typename K, typename V, typename Fn>
     void ioUnorderedMap(std::unordered_map<K, V> &m, Fn &&valueFn)
     {

@@ -86,7 +86,7 @@ struct PerfConfig
 {
     /**
      * Idle-component event skipping: quiescent routers/links drop off the
-     * kernel's active list and advance in O(1) until a producer wakes
+     * kernel's active set and advance in O(1) until a producer wakes
      * them (Clocked::kernelWake).
      */
     bool skipIdle = true;

@@ -34,7 +34,7 @@ NocSystem::NocSystem(const NocConfig &config)
         injector_->setAuditor(auditor_.get());
     }
     // Every power transition re-arms the transitioning router and its
-    // mesh neighbors in the kernel's active list (their next tick adjusts
+    // mesh neighbors in the kernel's active set (their next tick adjusts
     // credit views / restarts heads -- see Router::quiescent), and, when
     // the auditor is enabled, has it check that same set.
     const bool check = auditor_->enabled();
@@ -501,7 +501,7 @@ NocSystem::loadCheckpoint(const std::string &path,
     auto rollback = [this, &snap]() {
         StateSerializer undo(snap.takeBuffer());
         serializeState(undo);
-        kernel_.wakeAll();
+        restoreDerivedState();
     };
     StateSerializer s(std::move(payload));
     serializeState(s);
@@ -526,11 +526,26 @@ NocSystem::loadCheckpoint(const std::string &path,
     }
     if (user)
         *user = meta.user;
-    // The restored state may hold work for components the skip list had
-    // retired (or vice versa): re-arm everything, exactly like a freshly
-    // built system. No-op ticks keep bit-identity.
-    kernel_.wakeAll();
+    restoreDerivedState();
     return true;
+}
+
+void
+NocSystem::loadState(StateSerializer &s)
+{
+    serializeState(s);
+    restoreDerivedState();
+}
+
+void
+NocSystem::restoreDerivedState()
+{
+    for (auto &r : routers_)
+        r->recountOccupancy();
+    // The restored state may hold work for components the active set had
+    // retired (or vice versa): re-arm everything. No-op ticks keep
+    // bit-identity.
+    kernel_.wakeAll();
 }
 
 }  // namespace nord

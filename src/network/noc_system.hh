@@ -173,8 +173,11 @@ class NocSystem
     /** Save the complete dynamic state into @p s (kSave mode). */
     void saveState(StateSerializer &s) { serializeState(s); }
 
-    /** Restore the complete dynamic state from @p s (kLoad mode). */
-    void loadState(StateSerializer &s) { serializeState(s); }
+    /**
+     * Restore the complete dynamic state from @p s (kLoad mode), then
+     * rebuild what the walk does not carry (see restoreDerivedState).
+     */
+    void loadState(StateSerializer &s);
 
     /**
      * FNV-1a hash over the complete dynamic network state. Two runs of
@@ -234,6 +237,13 @@ class NocSystem
     void buildLinks();
     void buildControllers();
     void registerAll();
+
+    /**
+     * After a load walk: recount each router's occupancy counters and
+     * re-arm every component, exactly as in a freshly built system.
+     * Neither step touches hashed state.
+     */
+    void restoreDerivedState();
 
     /** Pool handed to component constructors: null = heap mode. */
     PoolArena *perfArena()

@@ -5,6 +5,8 @@
 
 #include "ni/network_interface.hh"
 
+#include <algorithm>
+
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -24,6 +26,9 @@ NetworkInterface::NetworkInterface(NodeId id, const NocConfig &config,
       fwd_(static_cast<size_t>(config.numVcs)),
       stage3_(ArenaAllocator<StagedFlit>(arena))
 {
+    // One live flow per latch slot; only stale claims under faults
+    // (a dropped tail never releases its flow) can grow it further.
+    claimed_.reserve(static_cast<size_t>(config.numVcs));
     if (config.fault.e2e)
         e2e_ = std::make_unique<E2eEndpoint>(id, config, stats);
 }
@@ -172,19 +177,20 @@ NetworkInterface::claimForBypass(const Flit &flit)
     // flits of the earlier visit are still draining, so the packet id
     // alone would be ambiguous.
     const std::uint64_t key = flowKey(flit);
+    const auto it = std::lower_bound(claimed_.begin(), claimed_.end(), key);
+    const bool mine = it != claimed_.end() && *it == key;
     if (flitIsHead(flit)) {
         const bool claim = router_->powerState() != PowerState::kOn;
-        if (claim && !flitIsTail(flit))
-            claimed_.insert(key);
+        if (claim && !flitIsTail(flit) && !mine)
+            claimed_.insert(it, key);
         tracePacket(flit.packet, 0, "claim head at NI %d vc %d -> %d", id_,
                     flit.vc, claim ? 1 : 0);
         return claim;
     }
-    const bool mine = claimed_.count(key) > 0;
     tracePacket(flit.packet, 0, "claim body seq %d at NI %d vc %d -> %d",
                 flit.seq, id_, flit.vc, mine ? 1 : 0);
     if (mine && flitIsTail(flit))
-        claimed_.erase(key);
+        claimed_.erase(it);
     return mine;
 }
 
@@ -632,7 +638,15 @@ NetworkInterface::serializeState(StateSerializer &s)
         s.io(e.outVc);
         s.io(e.forwardReady);
     });
-    s.ioUnorderedSet(claimed_);
+    // Sorted and duplicate-free, the same bytes as a set saved in
+    // sorted-key order; a load re-establishes the order claimForBypass
+    // binary-searches.
+    s.ioSequence(claimed_);
+    if (s.loading()) {
+        std::sort(claimed_.begin(), claimed_.end());
+        claimed_.erase(std::unique(claimed_.begin(), claimed_.end()),
+                       claimed_.end());
+    }
     s.io(localBypassActive_);
     s.io(localBypassVc_);
     s.io(latchRr_);

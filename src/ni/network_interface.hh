@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/arena.hh"
@@ -266,7 +265,7 @@ class NetworkInterface : public Clocked
     std::vector<ArenaDeque<LatchEntry>> latch_;  ///< one slot per VC
     std::vector<ForwardState> fwd_;              ///< per latch slot
     ArenaDeque<StagedFlit> stage3_;
-    std::unordered_set<std::uint64_t> claimed_;  ///< live bypass flows
+    std::vector<std::uint64_t> claimed_;  ///< live bypass flows, sorted
     bool localBypassActive_ = false;  ///< local packet mid-bypass
     VcId localBypassVc_ = kInvalidVc; ///< outVc held by that packet
     int latchRr_ = 0;

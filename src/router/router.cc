@@ -81,15 +81,21 @@ Router::setController(PgController *controller)
 bool
 Router::datapathEmpty() const
 {
+    return buffered_ == 0 && nonIdle_ == 0;
+}
+
+void
+Router::recountOccupancy()
+{
+    buffered_ = 0;
+    nonIdle_ = 0;
     for (const auto &ip : inputs_) {
         for (const auto &vc : ip.vcs) {
-            if (!vc.buffer.empty() ||
-                vc.state != VcState::kIdle) {
-                return false;
-            }
+            buffered_ += static_cast<int>(vc.buffer.size());
+            if (vc.state != VcState::kIdle)
+                ++nonIdle_;
         }
     }
-    return true;
 }
 
 bool
@@ -122,17 +128,6 @@ Router::icIncoming(Cycle now) const
             return true;
     }
     return false;
-}
-
-int
-Router::bufferedFlits() const
-{
-    int total = 0;
-    for (const auto &ip : inputs_) {
-        for (const auto &vc : ip.vcs)
-            total += static_cast<int>(vc.buffer.size());
-    }
-    return total;
 }
 
 Router::VcProbe
@@ -193,7 +188,6 @@ void
 Router::acceptFlit(Direction inPort, const Flit &arrived, Cycle now)
 {
     kernelWake();
-    emptyAfterTick_ = false;
     Flit flit = arrived;
     recordVisit(flit, id_);
 
@@ -237,6 +231,7 @@ Router::acceptFlit(Direction inPort, const Flit &arrived, Cycle now)
                 "buffer overflow at router %d port %s vc %d", id_,
                 dirName(inPort), flit.vc);
     vc.buffer.push_back(flit);
+    ++buffered_;
     ++counters_.bufferWrites;
 }
 
@@ -254,7 +249,6 @@ void
 Router::enqueueLocal(const Flit &flit, Cycle)
 {
     kernelWake();
-    emptyAfterTick_ = false;
     NORD_ASSERT(powerState() == PowerState::kOn,
                 "NI injected into gated router %d", id_);
     InputPort &ip = inputs_[dirIndex(Direction::kLocal)];
@@ -262,6 +256,7 @@ Router::enqueueLocal(const Flit &flit, Cycle)
     NORD_ASSERT(static_cast<int>(vc.buffer.size()) < config_.bufferDepth,
                 "local buffer overflow at router %d vc %d", id_, flit.vc);
     vc.buffer.push_back(flit);
+    ++buffered_;
     ++counters_.bufferWrites;
 }
 
@@ -621,6 +616,7 @@ Router::sendFlit(InputPort &ip, int ipIdx, VirtualChannel &vc, Cycle now)
                 flit.seq, dirName(vc.outPort), vc.outVc);
     const VcId inVc = flit.vc;
     vc.buffer.pop_front();
+    --buffered_;
     ++counters_.bufferReads;
     ++counters_.swAllocs;
     ++counters_.xbarTraversals;
@@ -652,6 +648,7 @@ Router::sendFlit(InputPort &ip, int ipIdx, VirtualChannel &vc, Cycle now)
     if (flitIsTail(flit)) {
         op.outVcBusy[vc.outVc] = false;
         vc.state = VcState::kIdle;
+        --nonIdle_;
         vc.outVc = kInvalidVc;
         vc.sentAny = false;
     } else {
@@ -673,6 +670,7 @@ Router::routeNewHeads(Cycle now)
             NORD_DCHECK(flitIsHead(vc.buffer.front()),
                         "non-head flit at idle VC of router %d", id_);
             vc.state = VcState::kVcAlloc;
+            ++nonIdle_;
             vc.vaEarliest = now + 1;
             vc.blockedCycles = 0;
 
@@ -811,10 +809,10 @@ Router::checkQuiescent() const
 bool
 Router::quiescent() const
 {
-    if (!emptyAfterTick_)
+    if (!datapathEmpty())
         return false;
     // A stale neighbor power view means the next tick does real work
-    // (credit-view adjustment, head restarts) -- stay on the active list
+    // (credit-view adjustment, head restarts) -- stay in the active set
     // until observeNeighborPower has caught up.
     for (int d = 0; d < kNumMeshDirs; ++d) {
         const OutputPort &op = outputs_[d];
@@ -839,9 +837,7 @@ Router::tick(Cycle now)
                     "router %d has buffered flits while %s", id_,
                     powerStateName(powerState()));
     }
-    const bool empty = datapathEmpty();
-    stats_.routerIdleSample(id_, empty, now);
-    emptyAfterTick_ = empty;
+    stats_.routerIdleSample(id_, datapathEmpty(), now);
 }
 
 }  // namespace nord

@@ -146,8 +146,15 @@ class Router : public Clocked
     bool pgAsserted() const { return controller_->pgAsserted(); }
     PgController &controller() { return *controller_; }
 
-    /** True when every input VC is empty and idle. */
+    /** True when every input VC is empty and idle (O(1), see buffered_). */
     bool datapathEmpty() const;
+
+    /**
+     * Rebuild the occupancy counters from the VC buffers and states.
+     * NocSystem calls it after every restore walk, which writes the VCs
+     * but not the counters.
+     */
+    void recountOccupancy();
 
     /**
      * IC signal: true when some neighbor (or a bypassing neighbor NI) has
@@ -230,8 +237,8 @@ class Router : public Clocked
     const RoutingPolicy &policy() const { return *policy_; }
     NetworkInterface &ni() { return *ni_; }
 
-    /** Total buffered flits (diagnostics). */
-    int bufferedFlits() const;
+    /** Total buffered flits (O(1), see buffered_). */
+    int bufferedFlits() const { return buffered_; }
 
     // --- Introspection (InvariantAuditor; cheap, non-intrusive) -----------
     /** Snapshot of input VC @p vc on port @p inPort. */
@@ -416,14 +423,20 @@ class Router : public Clocked
     std::array<OutputPort, kNumPorts> outputs_;
 
     /**
-     * datapathEmpty() as computed by the last tick, invalidated (set
-     * false) by every flit arrival. Lets quiescent() -- which the kernel
-     * consults right after each tick -- reuse the scan the idle-stats
-     * sample already paid for.
+     * Occupancy counters behind datapathEmpty() and bufferedFlits(), so
+     * the PG controllers' per-cycle emptiness check, the idle-stats
+     * sample and quiescent() cost O(1) instead of a scan of every VC.
+     * buffered_ follows each buffer push and pop; nonIdle_ each
+     * Idle->VcAlloc step (RC in routeNewHeads) and each ->Idle step (tail
+     * sent in sendFlit). The InvariantAuditor checks both against a full
+     * scan every sweep.
      */
     NORD_STATE_EXCLUDE(cache,
-        "loadCheckpoint wakes all components; the next tick recomputes it")
-    bool emptyAfterTick_ = false;
+        "sum of the VC buffer sizes; recounted after every restore")
+    int buffered_ = 0;
+    NORD_STATE_EXCLUDE(cache,
+        "VCs not in kIdle; recounted after every restore")
+    int nonIdle_ = 0;
 };
 
 }  // namespace nord

@@ -66,7 +66,8 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
             RouteCandidate cand;
             double score;
         };
-        std::vector<Scored> scored;
+        Scored scored[kNumMeshDirs];
+        int numScored = 0;
         const int hereDist = mesh_.manhattan(here, head.dst);
         for (int di = 0; di < kNumMeshDirs; ++di) {
             const Direction d = indexDir(di);
@@ -88,19 +89,23 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
             const double allOn = 5.0 * mesh_.manhattan(nb, head.dst);
             const double score = gated ? (3.0 + steer)
                                        : (5.0 + std::min(steer, allOn));
-            scored.push_back({{d, nonMinimal}, score});
+            // Stable insertion by ascending score: a candidate goes after
+            // every earlier one with an equal or lower score.
+            int pos = numScored;
+            while (pos > 0 && scored[pos - 1].score > score) {
+                scored[pos] = scored[pos - 1];
+                --pos;
+            }
+            scored[pos] = {{d, nonMinimal}, score};
+            ++numScored;
         }
-        std::stable_sort(scored.begin(), scored.end(),
-            [](const Scored &a, const Scored &b) {
-                return a.score < b.score;
-            });
         const bool capped = head.misroutes >= kNordMisrouteCap;
-        for (const Scored &sc : scored) {
+        for (int i = 0; i < numScored; ++i) {
             // Once the misroute cap is reached only minimal progress may
             // stay on adaptive resources (Section 4.2).
-            if (capped && sc.cand.nonMinimal)
+            if (capped && scored[i].cand.nonMinimal)
                 continue;
-            req.adaptive.push_back(sc.cand);
+            req.adaptive.push_back(scored[i].cand);
         }
         if (req.adaptive.empty())
             req.mustEscape = true;
@@ -109,17 +114,16 @@ RoutingPolicy::route(NodeId here, const Flit &head, Direction inPort,
 
     // Conventional designs: minimal adaptive + XY escape. Power state does
     // not restrict candidates (a gated downstream router is simply woken),
-    // but powered-on neighbors are preferred to avoid needless wakeups.
-    for (Direction d : mesh_.minimalDirections(here, head.dst)) {
-        if (d == inPort)
-            continue;  // no U-turns
-        req.adaptive.push_back({d, false});
+    // but powered-on neighbors come first to avoid needless wakeups; each
+    // group keeps the minimalDirections() order.
+    const FixedList<Direction, 2> minimal =
+        mesh_.minimalDirections(here, head.dst);
+    for (const bool gated : {false, true}) {
+        for (Direction d : minimal) {
+            if (d != inPort && router.outputGatedView(d) == gated)
+                req.adaptive.push_back({d, false});  // no U-turns
+        }
     }
-    std::stable_sort(req.adaptive.begin(), req.adaptive.end(),
-        [&](const RouteCandidate &a, const RouteCandidate &b) {
-            return !router.outputGatedView(a.dir) &&
-                   router.outputGatedView(b.dir);
-        });
     req.escapeDir = mesh_.xyDirection(here, head.dst);
     req.mustEscape = head.onEscape || req.adaptive.empty();
     return req;

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "common/fixed_list.hh"
 #include "common/flit.hh"
 #include "common/types.hh"
 #include "network/noc_config.hh"
@@ -41,8 +42,12 @@ struct RouteCandidate
 /** Outcome of routing a head flit at one router. */
 struct RouteRequest
 {
-    /** Adaptive-class candidates, preference-ordered. May be empty. */
-    std::vector<RouteCandidate> adaptive;
+    /**
+     * Adaptive-class candidates, preference-ordered. May be empty. Held
+     * inline (one per mesh direction at most), so routing a head flit
+     * allocates nothing.
+     */
+    FixedList<RouteCandidate, kNumMeshDirs> adaptive;
 
     /** Escape-class direction (always valid; kLocal when dst == here). */
     Direction escapeDir = Direction::kLocal;

@@ -39,17 +39,17 @@ class Clocked
      * True when ticking this component right now would be a provable
      * no-op: no buffered work, no pending protocol obligations, nothing
      * that advances on an empty cycle. A quiescent component may be
-     * dropped from the kernel's active list after a tick; any external
+     * dropped from the kernel's active set after a tick; any external
      * event that could give it work again MUST call kernelWake() (the
      * producers do: links wake on push, routers wake on flit/local
      * injection, power transitions wake the router and its neighbors).
-     * The default is "never quiescent" so components that predate the
-     * skip list keep their per-cycle tick unchanged.
+     * The default is "never quiescent": a component that does not
+     * override it is ticked every cycle.
      */
     virtual bool quiescent() const { return false; }
 
     /**
-     * Re-arm this component in its kernel's active list. Safe to call at
+     * Re-arm this component in its kernel's active set. Safe to call at
      * any time (including mid-cycle from another component's tick, and on
      * a component never registered with a kernel); idempotent when
      * already active. Defined in kernel.cc.

@@ -5,7 +5,7 @@
 
 #include "sim/kernel.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
@@ -27,8 +27,9 @@ SimKernel::add(Clocked *obj)
     obj->kernel_ = this;
     obj->kernelSlot_ = objects_.size();
     objects_.push_back(obj);
-    active_.push_back(1);
-    activeIdx_.push_back(objects_.size() - 1);
+    if (activeBits_.size() * 64 < objects_.size())
+        activeBits_.push_back(0);
+    wake(obj->kernelSlot_);
 }
 
 void
@@ -42,30 +43,15 @@ void
 SimKernel::wakeAll()
 {
     NORD_ASSERT(!inTick_, "wakeAll mid-cycle");
-    activeIdx_.resize(objects_.size());
-    for (std::size_t i = 0; i < objects_.size(); ++i) {
-        activeIdx_[i] = i;
-        active_[i] = 1;
-    }
+    for (std::size_t slot = 0; slot < objects_.size(); ++slot)
+        wake(slot);
 }
 
 void
 SimKernel::wake(std::size_t slot)
 {
     NORD_ASSERT(slot < objects_.size(), "wake of unregistered slot");
-    if (active_[slot])
-        return;
-    active_[slot] = 1;
-    auto it = std::lower_bound(activeIdx_.begin(), activeIdx_.end(), slot);
-    const auto idx = static_cast<std::size_t>(it - activeIdx_.begin());
-    activeIdx_.insert(it, slot);
-    // Mid-pass insert at or before the cursor: bump it so the component
-    // currently being ticked is not re-visited and later components are
-    // not skipped. The woken slot itself runs next cycle -- identical to
-    // the serial kernel, where its tick this cycle already happened (as
-    // a no-op, since it was quiescent before the waking event).
-    if (inTick_ && idx <= cursor_)
-        ++cursor_;
+    activeBits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
 }
 
 bool
@@ -73,7 +59,8 @@ SimKernel::isActive(const Clocked *obj) const
 {
     NORD_ASSERT(obj != nullptr && obj->kernel_ == this,
                 "isActive on foreign component");
-    return active_[obj->kernelSlot_] != 0;
+    const std::size_t slot = obj->kernelSlot_;
+    return (activeBits_[slot / 64] >> (slot % 64)) & 1;
 }
 
 void
@@ -88,19 +75,20 @@ SimKernel::stepOne()
     } else {
         inTick_ = true;
         std::uint64_t ticked = 0;
-        for (cursor_ = 0; cursor_ < activeIdx_.size();) {
-            const std::size_t slot = activeIdx_[cursor_];
-            Clocked *obj = objects_[slot];
-            obj->tick(now_);
-            ++ticked;
-            if (obj->quiescent()) {
-                // Lazy deactivation: drop the slot now that its tick is
-                // committed. erase() keeps the list sorted.
-                active_[slot] = 0;
-                activeIdx_.erase(activeIdx_.begin() +
-                                 static_cast<std::ptrdiff_t>(cursor_));
-            } else {
-                ++cursor_;
+        for (std::size_t w = 0; w < activeBits_.size(); ++w) {
+            std::uint64_t bits = activeBits_[w];
+            while (bits != 0) {
+                const int bit = std::countr_zero(bits);
+                Clocked *obj = objects_[w * 64 + bit];
+                obj->tick(now_);
+                ++ticked;
+                // Lazy deactivation, now that the tick is committed.
+                if (obj->quiescent())
+                    activeBits_[w] &= ~(std::uint64_t{1} << bit);
+                // Re-read the word: the tick may have woken later slots
+                // (ticked this pass); bits at or below this slot wait
+                // for the next cycle.
+                bits = activeBits_[w] & ~((std::uint64_t{2} << bit) - 1);
             }
         }
         inTick_ = false;

@@ -22,15 +22,17 @@ class StateSerializer;
  * Drives all registered Clocked objects, one pass per cycle, in
  * registration order. Does not own the objects.
  *
- * Idle skipping: the kernel keeps a sorted active list of component
- * slots. After ticking a component that reports quiescent(), the slot is
- * dropped from the list; subsequent cycles cost O(1) for it. Producers
- * re-arm consumers via Clocked::kernelWake(), which tolerates calls in
- * the middle of the current pass: a wake for a slot at or before the
- * cursor lands next cycle (a serial tick this cycle would have been a
- * no-op -- the component was quiescent before the event), a wake for a
- * later slot is ticked this same cycle, exactly as the serial kernel
- * would.
+ * Idle skipping: the kernel keeps one active bit per component slot.
+ * After ticking a component that reports quiescent(), its bit is
+ * cleared; subsequent cycles cost it nothing beyond its share of a
+ * 64-slot word. Producers re-arm consumers via Clocked::kernelWake(),
+ * which sets the bit and tolerates calls in the middle of the current
+ * pass: the pass walks set bits in ascending slot order and re-reads the
+ * current word after every tick, so a wake for a later slot is ticked
+ * this same cycle, exactly as the serial kernel would, while a wake for
+ * a slot at or before the one being ticked lands next cycle (a serial
+ * tick this cycle would have been a no-op -- the component was
+ * quiescent before the event).
  */
 class SimKernel
 {
@@ -70,7 +72,7 @@ class SimKernel
     /** Re-activate every registered component (e.g. after a restore). */
     void wakeAll();
 
-    /** True if @p obj is currently on the active list. */
+    /** True if @p obj is currently in the active set. */
     bool isActive(const Clocked *obj) const;
 
     // Perf counters (diagnostics only -- deliberately NOT serialized, so
@@ -94,18 +96,10 @@ class SimKernel
     std::vector<Clocked *> objects_;
     Cycle now_ = 0;
 
-    // Active list: sorted slot indices + per-slot flags. cursor_ indexes
-    // activeIdx_ during stepOne so mid-pass wakes can keep iteration
-    // valid (an insert at or before the cursor bumps it).
+    /** Active set: bit (slot % 64) of word (slot / 64) per component. */
     NORD_STATE_EXCLUDE(cache,
         "derived scheduling state; loadCheckpoint wakes every component")
-    std::vector<std::size_t> activeIdx_;
-    NORD_STATE_EXCLUDE(cache,
-        "per-slot active flags mirroring activeIdx_")
-    std::vector<std::uint8_t> active_;
-    NORD_STATE_EXCLUDE(cache,
-        "mid-pass iteration point; live only inside stepOne")
-    std::size_t cursor_ = 0;
+    std::vector<std::uint64_t> activeBits_;
     NORD_STATE_EXCLUDE(cache,
         "re-entrancy flag; live only inside stepOne")
     bool inTick_ = false;

@@ -68,10 +68,10 @@ MeshTopology::manhattan(NodeId a, NodeId b) const
     return std::abs(rowOf(a) - rowOf(b)) + std::abs(colOf(a) - colOf(b));
 }
 
-std::vector<Direction>
+FixedList<Direction, 2>
 MeshTopology::minimalDirections(NodeId from, NodeId to) const
 {
-    std::vector<Direction> dirs;
+    FixedList<Direction, 2> dirs;
     int dr = rowOf(to) - rowOf(from);
     int dc = colOf(to) - colOf(from);
     if (dc > 0)

@@ -9,8 +9,7 @@
 #ifndef NORD_TOPOLOGY_MESH_HH
 #define NORD_TOPOLOGY_MESH_HH
 
-#include <vector>
-
+#include "common/fixed_list.hh"
 #include "common/types.hh"
 
 namespace nord {
@@ -67,9 +66,10 @@ class MeshTopology
 
     /**
      * The set of minimal (productive) mesh directions from @p from
-     * towards @p to. Empty when from == to.
+     * towards @p to (X first, at most one per dimension). Empty when
+     * from == to.
      */
-    std::vector<Direction> minimalDirections(NodeId from, NodeId to) const;
+    FixedList<Direction, 2> minimalDirections(NodeId from, NodeId to) const;
 
     /**
      * The single dimension-order (XY: X first, then Y) direction from

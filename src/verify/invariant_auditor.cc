@@ -271,10 +271,16 @@ InvariantAuditor::checkVcStates(Pass &p, NodeId id)
     // holders[o][v]: active input VCs that claim output VC (o, v).
     int holders[kNumPorts][64] = {};
     NORD_ASSERT(cfg.numVcs <= 64, "too many VCs for the auditor");
+    // Full-scan occupancy, against the router's O(1) counters below.
+    int scanBuffered = 0;
+    bool scanEmpty = true;
 
     for (int port = 0; port < kNumPorts; ++port) {
         for (VcId v = 0; v < cfg.numVcs; ++v) {
             const Router::VcProbe vc = r.probeVc(indexDir(port), v);
+            scanBuffered += vc.occupancy;
+            scanEmpty = scanEmpty && vc.occupancy == 0 &&
+                        vc.state == Router::VcState::kIdle;
             switch (vc.state) {
               case Router::VcState::kIdle:
                 if (vc.outVc != kInvalidVc || vc.sentAny) {
@@ -352,6 +358,18 @@ InvariantAuditor::checkVcStates(Pass &p, NodeId id)
               }
             }
         }
+    }
+
+    if (r.bufferedFlits() != scanBuffered ||
+        r.datapathEmpty() != scanEmpty) {
+        report(p, Kind::kVcState, id,
+               formatString(
+                   "router %d occupancy counters out of sync: "
+                   "bufferedFlits()=%d datapathEmpty()=%d, but its VCs "
+                   "hold %d flit(s) and are %s",
+                   id, r.bufferedFlits(), r.datapathEmpty() ? 1 : 0,
+                   scanBuffered, scanEmpty ? "all idle and empty"
+                                           : "not all idle and empty"));
     }
 
     // Output-VC ownership: held at most once; every busy VC has an

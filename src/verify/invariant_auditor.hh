@@ -14,7 +14,8 @@
  *     depth, including the Section 4.3 credit re-adjustment to the single
  *     NI bypass latch slot while the ring successor is gated.
  *  3. VC state-machine legality -- idle/alloc/active transitions with
- *     head/tail-flit accounting and exclusive output-VC ownership.
+ *     head/tail-flit accounting, exclusive output-VC ownership, and each
+ *     router's O(1) occupancy counters agreeing with a scan of its VCs.
  *  4. Power-gating handshake safety -- no flit is delivered into (or in
  *     flight toward) a router that is not fully on except via the NoRD
  *     bypass edge; wakeup requests are never lost; a gated router's

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "network/noc_system.hh"
@@ -67,7 +68,7 @@ TEST(SimKernel, RunUntilHonorsLimit)
 
 /**
  * Probe with a controllable quiescence flag and a wake hook, to exercise
- * the kernel's active list directly.
+ * the kernel's active set directly.
  */
 class SleepyProbe : public Clocked
 {
@@ -105,7 +106,7 @@ TEST(SimKernel, QuiescentObjectsAreSkipped)
     a.sleepy = true;
     kernel.run(1);
     // Cycle 0: both tick (a's quiescence is only observed after its
-    // tick), then a drops off the active list.
+    // tick), then a drops out of the active set.
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
     EXPECT_EQ(kernel.tickedLastCycle(), 2u);
     EXPECT_FALSE(kernel.isActive(&a));
@@ -191,8 +192,8 @@ TEST(SimKernel, WakeOfEarlierSlotDuringTickDoesNotInvalidateIteration)
 TEST(SimKernel, SelfWakeDuringOwnTickIsSafe)
 {
     // An object that re-arms itself from inside its own tick while
-    // reporting quiescent must not break the pass; the self-wake lands
-    // after the erase, so it stays active for the next cycle.
+    // reporting quiescent must not break the pass; the wake lands after
+    // its bit is cleared, so it stays active for the next cycle.
     SimKernel kernel;
     std::vector<int> log;
     SleepyProbe a(&log, 1);
@@ -206,6 +207,75 @@ TEST(SimKernel, SelfWakeDuringOwnTickIsSafe)
     EXPECT_TRUE(kernel.isActive(&a));
     kernel.run(1);
     EXPECT_EQ(a.ticks, 2);
+}
+
+/**
+ * 130 probes that ticked once and parked: slots 0-63, 64-127 and
+ * 128-129 fill three words of the kernel's active bitmap.
+ */
+struct ParkedFleet
+{
+    explicit ParkedFleet(SimKernel &kernel)
+    {
+        for (int i = 0; i < 130; ++i) {
+            probes.push_back(std::make_unique<SleepyProbe>(&log, i));
+            probes.back()->sleepy = true;
+            kernel.add(probes.back().get());
+        }
+        kernel.run(1);
+        log.clear();
+    }
+
+    SleepyProbe &operator[](int i) { return *probes[i]; }
+
+    std::vector<int> log;
+    std::vector<std::unique_ptr<SleepyProbe>> probes;
+};
+
+TEST(SimKernel, MidPassWakeOfLaterSlotCrossesWordBoundaries)
+{
+    // 63 is the last bit of word 0, 64 the first of word 1, 129 sits in
+    // word 2: each wake is for a later slot, so it ticks this same pass.
+    SimKernel kernel;
+    ParkedFleet f(kernel);
+    f[63].wakeTarget = &f[64];
+    f[64].wakeTarget = &f[129];
+    f[63].kernelWake();
+    kernel.run(1);
+    EXPECT_EQ(f.log, (std::vector<int>{63, 64, 129}));
+    EXPECT_EQ(kernel.tickedLastCycle(), 3u);
+    f.log.clear();
+    kernel.run(1);
+    EXPECT_TRUE(f.log.empty());
+    EXPECT_EQ(kernel.skippedLastCycle(), 130u);
+}
+
+TEST(SimKernel, MidPassWakeOfEarlierSlotWaitsAcrossWordBoundaries)
+{
+    // Wakes for slots at or before the one being ticked -- in an earlier
+    // word, or earlier in the same word -- land next cycle: 64 wakes 63,
+    // 65 wakes 0, and 129 re-wakes 64 after 64 has ticked and parked.
+    SimKernel kernel;
+    ParkedFleet f(kernel);
+    f[64].wakeTarget = &f[63];
+    f[65].wakeTarget = &f[0];
+    f[129].wakeTarget = &f[64];
+    f[64].kernelWake();
+    f[65].kernelWake();
+    f[129].kernelWake();
+    kernel.run(1);
+    EXPECT_EQ(f.log, (std::vector<int>{64, 65, 129}));
+    EXPECT_TRUE(kernel.isActive(&f[0]));
+    EXPECT_TRUE(kernel.isActive(&f[63]));
+    EXPECT_TRUE(kernel.isActive(&f[64]));
+    EXPECT_FALSE(kernel.isActive(&f[65]));
+    EXPECT_FALSE(kernel.isActive(&f[129]));
+    f.log.clear();
+    kernel.run(1);
+    EXPECT_EQ(f.log, (std::vector<int>{0, 63, 64}));
+    f.log.clear();
+    kernel.run(1);
+    EXPECT_TRUE(f.log.empty());
 }
 
 TEST(SimKernel, SkipDisabledTicksEverything)
@@ -229,8 +299,8 @@ TEST(SimKernel, TickedPlusSkippedCoversGatedSet)
 {
     // System-level counter check: every cycle ticked + skipped must
     // cover all components, and once an idle NoRD network settles with
-    // every router gated, every gated router must actually be off the
-    // active list (its links drain and park alongside it).
+    // every router gated, every gated router must actually be out of the
+    // active set (its links drain and park alongside it).
     NocConfig cfg;
     cfg.design = PgDesign::kNord;
     NocSystem sys(cfg);

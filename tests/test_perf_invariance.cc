@@ -89,6 +89,10 @@ expectLockstep(const NocConfig &refCfg, const NocConfig &altCfg,
     EXPECT_EQ(ref.now(), alt.now());
     EXPECT_EQ(ref.stateHash(), alt.stateHash());
     expectSameStats(ref, alt);
+    // The audited run (router occupancy counters against a VC scan
+    // included) found nothing it cannot attribute to an injected fault.
+    EXPECT_EQ(ref.auditor().unexpectedViolations(), 0u);
+    EXPECT_EQ(alt.auditor().unexpectedViolations(), 0u);
     alt.checkInvariants();
 }
 
@@ -153,6 +157,7 @@ TEST(PerfInvariance, CheckpointCrossesPerfSettings)
                 << "(donor fast=" << donorFast << ")";
         }
         expectSameStats(donor, heir);
+        EXPECT_EQ(heir.auditor().unexpectedViolations(), 0u);
         std::remove(path.c_str());
     }
 }

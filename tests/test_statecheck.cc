@@ -599,8 +599,8 @@ enum class Proof
     kFreshRestore,
     /**
      * One kernel with idle skipping on, one with it off: the active
-     * list, cursor and tick/skip counters diverge wildly, yet the
-     * hashes match every cycle.
+     * set and tick/skip counters diverge wildly, yet the hashes match
+     * every cycle.
      */
     kSkipToggle,
     /** CriticalityCache::clear() between two hashes of one system. */
@@ -672,12 +672,11 @@ exclusionRegistry()
         {"Router::InputPort::inLink", Proof::kTwinConstruction},
         {"Router::OutputPort::link", Proof::kTwinConstruction},
         {"Router::OutputPort::neighbor", Proof::kTwinConstruction},
+        {"Router::buffered_", Proof::kFreshRestore},
         {"Router::controller_", Proof::kTwinConstruction},
-        {"Router::emptyAfterTick_", Proof::kFreshRestore},
         {"Router::ni_", Proof::kTwinConstruction},
-        {"SimKernel::activeIdx_", Proof::kSkipToggle},
-        {"SimKernel::active_", Proof::kSkipToggle},
-        {"SimKernel::cursor_", Proof::kSkipToggle},
+        {"Router::nonIdle_", Proof::kFreshRestore},
+        {"SimKernel::activeBits_", Proof::kSkipToggle},
         {"SimKernel::inTick_", Proof::kSkipToggle},
         {"SimKernel::objects_", Proof::kTwinConstruction},
         {"SimKernel::skipEnabled_", Proof::kSkipToggle},

@@ -3,11 +3,18 @@
  * InvariantAuditor tests: injected faults must be detected with a usable
  * diagnosis, a clean simulation swept every cycle must stay silent, and
  * the scoped checks run on power transitions must record exactly what a
- * full sweep would, with the documented detection latency elsewhere.
+ * full sweep would, with the documented detection latency elsewhere, and
+ * each router's O(1) occupancy counters must agree with a scan of its VCs
+ * across every restore path.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "ckpt/checkpoint.hh"
+#include "ckpt/state_serializer.hh"
 #include "network/noc_system.hh"
 #include "traffic/synthetic_traffic.hh"
 
@@ -397,6 +404,89 @@ TEST(InvariantAuditorTest, RemoteLeakReportedWithinOneInterval)
     EXPECT_FALSE(v.expected);
     EXPECT_GE(v.cycle, at);
     EXPECT_LE(v.cycle, at + cfg.verify.interval);
+}
+
+/** True when a recorded violation flags router occupancy counters. */
+bool
+hasOccupancyFinding(const NocSystem &sys)
+{
+    for (const auto &v : sys.auditor().violations()) {
+        if (v.kind == Kind::kVcState &&
+            v.diagnosis.find("occupancy counters") != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
+{
+    // The load walk writes the VC buffers and states but not the routers'
+    // occupancy counters. A bare walk leaves them describing the system
+    // as built, which the sweep must flag; loadState and loadCheckpoint
+    // (success and rollback) recount them and must stay silent.
+    NocConfig cfg;
+    cfg.design = PgDesign::kNoPg;
+    NocSystem src(cfg);
+    SyntheticTraffic ts(TrafficPattern::kUniformRandom, 0.25, 7);
+    src.setWorkload(&ts);
+    src.run(300);
+    int buffered = 0;
+    for (NodeId id = 0; id < cfg.numNodes(); ++id)
+        buffered += src.router(id).bufferedFlits();
+    ASSERT_GT(buffered, 0) << "no buffered flits; the check proves nothing";
+    EXPECT_EQ(src.auditor().sweep(src.now()), 0u);
+    StateSerializer save(SerialMode::kSave);
+    src.saveState(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+    const std::vector<std::uint8_t> payload = save.buffer();
+
+    {
+        NocSystem bare(cfg);
+        SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.25, 7);
+        bare.setWorkload(&t);
+        StateSerializer load(payload);
+        bare.serializeState(load);
+        ASSERT_TRUE(load.ok()) << load.error();
+        EXPECT_GT(bare.auditor().sweep(bare.now()), 0u);
+        EXPECT_TRUE(hasOccupancyFinding(bare));
+    }
+    {
+        NocSystem restored(cfg);
+        SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.25, 7);
+        restored.setWorkload(&t);
+        StateSerializer load(payload);
+        restored.loadState(load);
+        ASSERT_TRUE(load.ok()) << load.error();
+        EXPECT_EQ(restored.auditor().sweep(restored.now()), 0u);
+    }
+
+    // loadCheckpoint: a header whose cycle disagrees with the payload's
+    // clock fails after the full walk and rolls back; the intact file
+    // then loads.
+    NocSystem victim(cfg);
+    SyntheticTraffic tv(TrafficPattern::kUniformRandom, 0.25, 9);
+    victim.setWorkload(&tv);
+    victim.run(150);
+    const std::uint64_t before = victim.stateHash();
+    CheckpointMeta meta;
+    meta.configFingerprint = src.configFingerprint();
+    meta.cycle = src.now() + 1;
+    const std::string bad = ::testing::TempDir() + "/occupancy_bad.ckpt";
+    ASSERT_TRUE(writeCheckpointFile(bad, meta, payload));
+    std::string err;
+    EXPECT_FALSE(victim.loadCheckpoint(bad, nullptr, &err));
+    EXPECT_EQ(victim.stateHash(), before);
+    EXPECT_EQ(victim.auditor().sweep(victim.now()), 0u);
+
+    meta.cycle = src.now();
+    const std::string good = ::testing::TempDir() + "/occupancy_good.ckpt";
+    ASSERT_TRUE(writeCheckpointFile(good, meta, payload));
+    ASSERT_TRUE(victim.loadCheckpoint(good, nullptr, &err)) << err;
+    EXPECT_EQ(victim.stateHash(), src.stateHash());
+    EXPECT_EQ(victim.auditor().sweep(victim.now()), 0u);
+    EXPECT_FALSE(hasOccupancyFinding(victim));
+    std::remove(bad.c_str());
+    std::remove(good.c_str());
 }
 
 }  // namespace
