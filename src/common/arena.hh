@@ -2,8 +2,8 @@
  * @file
  * Pool arena for flit/packet buffers.
  *
- * Replaces per-flit heap churn on the hottest simulation path (VC buffer
- * and link-queue node allocation) with size-classed free lists carved out
+ * Replaces per-flit heap churn on the hottest simulation path (VC buffer,
+ * link-queue and NI-queue storage) with size-classed free lists carved out
  * of geometrically growing slabs. Design points:
  *
  *  - 16-byte size classes up to kMaxClassBytes; anything larger falls back
@@ -22,7 +22,9 @@
  * A default-constructed (nullptr-arena) allocator degrades to plain
  * ::operator new/delete, so the same container type serves both the
  * arena and heap configurations -- bit-identical simulation either way,
- * proven by tests/test_perf_invariance.cc.
+ * proven by tests/test_perf_invariance.cc. Two containers sit on it:
+ * ArenaRing for the bounded queues of the cycle loop, ArenaDeque for the
+ * unbounded NI injection/ejection queues.
  */
 
 #ifndef NORD_COMMON_ARENA_HH
@@ -31,7 +33,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -182,9 +187,208 @@ class ArenaAllocator
     PoolArena *arena_ = nullptr;
 };
 
-/** Deque whose nodes come from a PoolArena (or the heap when detached). */
+/**
+ * Deque whose nodes come from a PoolArena (or the heap when detached).
+ * For unbounded queues (NI injection/ejection), where a ring that never
+ * shrinks would hold its largest backlog for the rest of the run.
+ */
 template <typename T>
 using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
+
+/**
+ * Contiguous FIFO ring for the bounded per-cycle queues (VC buffers,
+ * link delay lines, NI bypass latch and stage 3). The owner reserves the
+ * queue's bound up front; a full ring grows by doubling and never
+ * shrinks, so a queue that reached its working size allocates nothing
+ * more. Capacity is exactly what was reserved, not rounded to a power of
+ * two: a 5-flit VC buffer takes 5 slots of 128 bytes, not 8. Storage
+ * comes from an ArenaAllocator (heap when detached). Iteration runs in
+ * FIFO order, which is what StateSerializer::ioSequence writes, so a
+ * ring serializes to the same bytes as a deque holding the same
+ * elements.
+ */
+template <typename T>
+class ArenaRing
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "ArenaRing moves elements with plain copies");
+
+  public:
+    using value_type = T;
+
+    /** FIFO-order iterator (oldest first). */
+    template <typename Ring, typename Ref>
+    class Iter
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = T;
+        using difference_type = std::ptrdiff_t;
+        using reference = Ref;
+        using pointer = std::remove_reference_t<Ref> *;
+
+        Iter() = default;
+        Iter(Ring *ring, std::size_t i) : ring_(ring), i_(i) {}
+        Ref operator*() const { return ring_->at(i_); }
+        pointer operator->() const { return &ring_->at(i_); }
+        Iter &operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        Iter operator++(int)
+        {
+            Iter old = *this;
+            ++i_;
+            return old;
+        }
+        bool operator==(const Iter &o) const { return i_ == o.i_; }
+        bool operator!=(const Iter &o) const { return i_ != o.i_; }
+
+      private:
+        Ring *ring_ = nullptr;
+        std::size_t i_ = 0;
+    };
+    using iterator = Iter<ArenaRing, T &>;
+    using const_iterator = Iter<const ArenaRing, const T &>;
+
+    explicit ArenaRing(const ArenaAllocator<T> &alloc = {}) noexcept
+        : alloc_(alloc)
+    {
+    }
+
+    /** Same allocator, same capacity, same elements (packed from 0). */
+    ArenaRing(const ArenaRing &other) : alloc_(other.alloc_)
+    {
+        if (other.cap_ != 0) {
+            buf_ = alloc_.allocate(other.cap_);
+            cap_ = other.cap_;
+        }
+        for (const T &v : other)
+            buf_[size_++] = v;
+    }
+
+    ArenaRing(ArenaRing &&other) noexcept
+        : alloc_(other.alloc_), buf_(other.buf_), cap_(other.cap_),
+          head_(other.head_), size_(other.size_)
+    {
+        other.buf_ = nullptr;
+        other.cap_ = other.head_ = other.size_ = 0;
+    }
+
+    /** Keeps this ring's allocator and storage; copies the elements. */
+    ArenaRing &operator=(const ArenaRing &other)
+    {
+        if (this != &other) {
+            clear();
+            reserve(other.size_);
+            for (const T &v : other)
+                push_back(v);
+        }
+        return *this;
+    }
+
+    ~ArenaRing()
+    {
+        if (buf_ != nullptr)
+            alloc_.deallocate(buf_, cap_);
+    }
+
+    /** Grow the capacity to at least @p n. */
+    void reserve(std::size_t n)
+    {
+        if (n > cap_)
+            regrow(n);
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t capacity() const { return cap_; }
+
+    T &front()
+    {
+        NORD_DCHECK(size_ != 0, "front() of an empty ring");
+        return buf_[head_];
+    }
+    const T &front() const
+    {
+        NORD_DCHECK(size_ != 0, "front() of an empty ring");
+        return buf_[head_];
+    }
+    T &back()
+    {
+        NORD_DCHECK(size_ != 0, "back() of an empty ring");
+        return at(size_ - 1);
+    }
+    const T &back() const
+    {
+        NORD_DCHECK(size_ != 0, "back() of an empty ring");
+        return at(size_ - 1);
+    }
+
+    void push_back(const T &v)
+    {
+        if (size_ == cap_)
+            regrow(cap_ == 0 ? 1 : cap_ * 2);
+        buf_[wrap(head_ + size_)] = v;
+        ++size_;
+    }
+
+    template <typename... Args>
+    T &emplace_back(Args &&...args)
+    {
+        push_back(T{std::forward<Args>(args)...});
+        return back();
+    }
+
+    void pop_front()
+    {
+        NORD_DCHECK(size_ != 0, "pop_front() of an empty ring");
+        if (++head_ == cap_)
+            head_ = 0;
+        --size_;
+    }
+
+    /** Drop every element; the storage stays. */
+    void clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+    iterator begin() { return {this, 0}; }
+    iterator end() { return {this, size_}; }
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size_}; }
+
+  private:
+    /** Slot of position @p i < 2 * cap_ (compare-and-subtract, no %). */
+    std::size_t wrap(std::size_t i) const { return i < cap_ ? i : i - cap_; }
+
+    /** Element @p i in FIFO order (0 = front). */
+    T &at(std::size_t i) { return buf_[wrap(head_ + i)]; }
+    const T &at(std::size_t i) const { return buf_[wrap(head_ + i)]; }
+
+    /** Move the elements into fresh storage of @p cap slots. */
+    void regrow(std::size_t cap)
+    {
+        T *fresh = alloc_.allocate(cap);
+        for (std::size_t i = 0; i < size_; ++i)
+            fresh[i] = at(i);
+        if (buf_ != nullptr)
+            alloc_.deallocate(buf_, cap_);
+        buf_ = fresh;
+        cap_ = cap;
+        head_ = 0;
+    }
+
+    ArenaAllocator<T> alloc_;
+    T *buf_ = nullptr;
+    std::size_t cap_ = 0;
+    std::size_t head_ = 0;  ///< slot of the front element
+    std::size_t size_ = 0;
+};
 
 }  // namespace nord
 

@@ -11,10 +11,24 @@
 
 namespace nord {
 
+namespace {
+
+/**
+ * Initial ring capacity of a link's delay line. A router sends at most
+ * one flit per output per cycle with a 3-cycle ST+LT latency (one credit
+ * per input per cycle with a 1-cycle latency), so four slots cover the
+ * usual in-flight count; a bypass re-injection squeezed in between grows
+ * the ring once.
+ */
+constexpr std::size_t kInitialLinkSlots = 4;
+
+}  // namespace
+
 FlitLink::FlitLink(Router *dst, Direction inPort, PoolArena *arena)
     : dst_(dst), inPort_(inPort), queue_(ArenaAllocator<Entry>(arena))
 {
     NORD_ASSERT(dst != nullptr, "flit link without a sink");
+    queue_.reserve(kInitialLinkSlots);
 }
 
 void
@@ -97,6 +111,7 @@ CreditLink::CreditLink(Router *dst, Direction outPort, PoolArena *arena)
     : dst_(dst), outPort_(outPort), queue_(ArenaAllocator<Entry>(arena))
 {
     NORD_ASSERT(dst != nullptr, "credit link without a sink");
+    queue_.reserve(kInitialLinkSlots);
 }
 
 void

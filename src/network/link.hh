@@ -113,7 +113,7 @@ class FlitLink : public Clocked
     Router *dst_;
     NORD_STATE_EXCLUDE(config, "wiring; set once by NocSystem::buildLinks")
     Direction inPort_;
-    ArenaDeque<Entry> queue_;
+    ArenaRing<Entry> queue_;
     std::uint64_t traversals_ = 0;
 };
 
@@ -169,7 +169,7 @@ class CreditLink : public Clocked
     Router *dst_;
     NORD_STATE_EXCLUDE(config, "wiring; set once by NocSystem::buildLinks")
     Direction outPort_;
-    ArenaDeque<Entry> queue_;
+    ArenaRing<Entry> queue_;
 };
 
 }  // namespace nord

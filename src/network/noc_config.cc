@@ -60,6 +60,10 @@ NocConfig::problems() const
     // --- VC partition ----------------------------------------------------
     if (numVcs < 2)
         flag("need at least 2 VCs (1 escape + 1 adaptive)");
+    if (numVcs > 64) {
+        flag("at most 64 VCs per port (got " + std::to_string(numVcs) +
+             "): the router's per-stage work masks are 64-bit");
+    }
     if (numEscapeVcs < 1) {
         flag("escape class is empty (numEscapeVcs = " +
              std::to_string(numEscapeVcs) +

@@ -162,14 +162,6 @@ class NocSystem
 
     // --- Checkpoint / restore -------------------------------------------
 
-    /**
-     * Walk every component's serializeState hook in a fixed order:
-     * kernel, stats, routers, NIs, flit links, credit links, controllers,
-     * auditor, injector, workload. One function serves save, load and
-     * hash, so the three walks can never disagree on field order.
-     */
-    void serializeState(StateSerializer &s);
-
     /** Save the complete dynamic state into @p s (kSave mode). */
     void saveState(StateSerializer &s) { serializeState(s); }
 
@@ -239,8 +231,19 @@ class NocSystem
     void registerAll();
 
     /**
-     * After a load walk: recount each router's occupancy counters and
-     * re-arm every component, exactly as in a freshly built system.
+     * Walk every component's serializeState hook in a fixed order:
+     * kernel, stats, routers, NIs, flit links, credit links, controllers,
+     * auditor, injector, workload. One function serves save, load and
+     * hash, so the three walks can never disagree on field order. Private:
+     * a load must be followed by restoreDerivedState(), which loadState()
+     * and loadCheckpoint() do.
+     */
+    void serializeState(StateSerializer &s);
+
+    /**
+     * After a load walk: rebuild each router's occupancy counters and
+     * work masks and re-arm every component, exactly as in a freshly
+     * built system.
      * Neither step touches hashed state.
      */
     void restoreDerivedState();

@@ -22,10 +22,18 @@ NetworkInterface::NetworkInterface(NodeId id, const NocConfig &config,
       localCredits_(static_cast<size_t>(config.numVcs), config.bufferDepth),
       ejectQ_(ArenaAllocator<std::pair<Flit, Cycle>>(arena)),
       latch_(static_cast<size_t>(config.numVcs),
-             ArenaDeque<LatchEntry>(ArenaAllocator<LatchEntry>(arena))),
+             ArenaRing<LatchEntry>(ArenaAllocator<LatchEntry>(arena))),
       fwd_(static_cast<size_t>(config.numVcs)),
       stage3_(ArenaAllocator<StagedFlit>(arena))
 {
+    // NoRD's bypass: a latch slot holds at most a buffer's worth
+    // (bypassLatchWrite); stage 2 stages one flit a cycle and stage 3
+    // sends it the next. The other designs never use either queue.
+    if (isNord()) {
+        for (auto &slot : latch_)
+            slot.reserve(static_cast<size_t>(config.bufferDepth));
+        stage3_.reserve(2);
+    }
     // One live flow per latch slot; only stale claims under faults
     // (a dropped tail never releases its flow) can grow it further.
     claimed_.reserve(static_cast<size_t>(config.numVcs));
@@ -614,7 +622,7 @@ NetworkInterface::serializeState(StateSerializer &s)
     s.io(packetsReceived_);
     // The latch has one slot per VC, fixed at construction; serializing
     // slot-by-slot in place (instead of the generic clear-and-refill
-    // ioSequence) keeps each deque's arena allocator across a load.
+    // ioSequence) keeps each ring's arena allocator across a load.
     std::uint64_t latchSlots = latch_.size();
     s.io(latchSlots);
     if (s.loading() && latchSlots != latch_.size()) {

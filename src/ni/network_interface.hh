@@ -262,9 +262,9 @@ class NetworkInterface : public Clocked
     std::uint64_t packetsReceived_ = 0;
 
     // Bypass.
-    std::vector<ArenaDeque<LatchEntry>> latch_;  ///< one slot per VC
-    std::vector<ForwardState> fwd_;              ///< per latch slot
-    ArenaDeque<StagedFlit> stage3_;
+    std::vector<ArenaRing<LatchEntry>> latch_;  ///< one slot per VC
+    std::vector<ForwardState> fwd_;             ///< per latch slot
+    ArenaRing<StagedFlit> stage3_;
     std::vector<std::uint64_t> claimed_;  ///< live bypass flows, sorted
     bool localBypassActive_ = false;  ///< local packet mid-bypass
     VcId localBypassVc_ = kInvalidVc; ///< outVc held by that packet

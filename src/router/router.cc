@@ -6,6 +6,7 @@
 #include "router/router.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
@@ -30,10 +31,13 @@ Router::Router(NodeId id, const NocConfig &config, const MeshTopology &mesh,
     : id_(id), config_(config), mesh_(mesh), ring_(ring), stats_(stats),
       counters_(stats.router(id))
 {
+    NORD_ASSERT(config_.numVcs <= 64,
+                "router %d: %d VCs do not fit the 64-bit work masks", id_,
+                config_.numVcs);
     const ArenaAllocator<Flit> alloc(arena);
     for (auto &ip : inputs_)
         ip.vcs.assign(static_cast<size_t>(config_.numVcs),
-                      VirtualChannel(alloc));
+                      VirtualChannel(alloc, config_.bufferDepth));
     for (auto &op : outputs_) {
         op.credits.assign(static_cast<size_t>(config_.numVcs),
                           config_.bufferDepth);
@@ -89,13 +93,29 @@ Router::recountOccupancy()
 {
     buffered_ = 0;
     nonIdle_ = 0;
-    for (const auto &ip : inputs_) {
-        for (const auto &vc : ip.vcs) {
+    for (auto &ip : inputs_) {
+        for (int v = 0; v < config_.numVcs; ++v) {
+            const VirtualChannel &vc = ip.vcs[v];
             buffered_ += static_cast<int>(vc.buffer.size());
             if (vc.state != VcState::kIdle)
                 ++nonIdle_;
+            refreshVcBits(ip, v);
         }
     }
+}
+
+void
+Router::refreshVcBits(InputPort &ip, int v)
+{
+    const VirtualChannel &vc = ip.vcs[v];
+    const std::uint64_t bit = std::uint64_t{1} << v;
+    const bool buffered = !vc.buffer.empty();
+    const auto bitIf = [bit](bool on) { return on ? bit : 0; };
+    ip.rcMask = (ip.rcMask & ~bit) |
+                bitIf(vc.state == VcState::kIdle && buffered);
+    ip.vaMask = (ip.vaMask & ~bit) | bitIf(vc.state == VcState::kVcAlloc);
+    ip.saMask = (ip.saMask & ~bit) |
+                bitIf(vc.state == VcState::kActive && buffered);
 }
 
 bool
@@ -231,6 +251,7 @@ Router::acceptFlit(Direction inPort, const Flit &arrived, Cycle now)
                 "buffer overflow at router %d port %s vc %d", id_,
                 dirName(inPort), flit.vc);
     vc.buffer.push_back(flit);
+    refreshVcBits(ip, flit.vc);
     ++buffered_;
     ++counters_.bufferWrites;
 }
@@ -256,6 +277,7 @@ Router::enqueueLocal(const Flit &flit, Cycle)
     NORD_ASSERT(static_cast<int>(vc.buffer.size()) < config_.bufferDepth,
                 "local buffer overflow at router %d vc %d", id_, flit.vc);
     vc.buffer.push_back(flit);
+    refreshVcBits(ip, flit.vc);
     ++buffered_;
     ++counters_.bufferWrites;
 }
@@ -330,7 +352,8 @@ void
 Router::restartHeadsOn(Direction d)
 {
     for (auto &ip : inputs_) {
-        for (auto &vc : ip.vcs) {
+        for (int v = 0; v < config_.numVcs; ++v) {
+            VirtualChannel &vc = ip.vcs[v];
             if (vc.state == VcState::kActive &&
                 vc.outPort == d) {
                 NORD_ASSERT(!vc.sentAny,
@@ -338,6 +361,7 @@ Router::restartHeadsOn(Direction d)
                 outputs_[dirIndex(d)].outVcBusy[vc.outVc] = false;
                 vc.outVc = kInvalidVc;
                 vc.state = VcState::kVcAlloc;
+                refreshVcBits(ip, v);
             }
         }
     }
@@ -473,11 +497,13 @@ Router::vcAllocation(Cycle now)
     for (int p = 0; p < kNumPorts; ++p) {
         InputPort &ip = inputs_[p];
         const Direction inDir = indexDir(p);
-        for (auto &vc : ip.vcs) {
-            if (vc.state != VcState::kVcAlloc ||
-                vc.vaEarliest > now) {
+        // Ascending VC order, as the full scan visited them; only the
+        // visited VC changes state, so a snapshot of the mask suffices.
+        for (std::uint64_t m = ip.vaMask; m != 0; m &= m - 1) {
+            const int v = std::countr_zero(m);
+            VirtualChannel &vc = ip.vcs[v];
+            if (vc.vaEarliest > now)
                 continue;
-            }
             NORD_DCHECK(!vc.buffer.empty() && flitIsHead(vc.buffer.front()),
                         "VcAlloc state without a head flit at router %d",
                         id_);
@@ -523,94 +549,117 @@ Router::vcAllocation(Cycle now)
                 vc.saEarliest = now + 1;
                 vc.blockedCycles = 0;
                 ++counters_.vcAllocs;
+                refreshVcBits(ip, v);
             }
         }
     }
+}
+
+int
+Router::nominate(InputPort &ip, std::uint64_t candidates, int yieldOut,
+                 Cycle now)
+{
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const int v = std::countr_zero(candidates);
+        VirtualChannel &vc = ip.vcs[v];
+        if (vc.saEarliest > now)
+            continue;
+        const int op = dirIndex(vc.outPort);
+        if (op == yieldOut) {
+            // The NI bypass re-injection owns the Bypass Outport mux
+            // this cycle; retry next cycle.
+            continue;
+        }
+        if (!outputUsable(vc.outPort)) {
+            // Conventional designs: the SA request to a gated neighbor
+            // raises the WU signal and the flit stalls (Section 3.1).
+            if (outputs_[op].neighbor)
+                outputs_[op].neighbor->controller().requestWakeup(now);
+            continue;
+        }
+        if (vc.outPort != Direction::kLocal &&
+            outputs_[op].credits[vc.outVc] <= 0) {
+            // Duato's escape guarantee requires a blocked head to be
+            // able to reach escape resources: a head that committed
+            // to an adaptive output VC but has not sent a flit yet
+            // releases it after a while and re-routes (possibly onto
+            // escape), breaking adaptive credit cycles.
+            if (!vc.sentAny && flitIsHead(vc.buffer.front()) &&
+                ++vc.saBlocked >= kEscapeAfterBlockedCycles) {
+                outputs_[op].outVcBusy[vc.outVc] = false;
+                vc.outVc = kInvalidVc;
+                vc.state = VcState::kVcAlloc;
+                vc.vaEarliest = now + 1;
+                vc.blockedCycles = kEscapeAfterBlockedCycles;
+                vc.saBlocked = 0;
+                refreshVcBits(ip, v);
+            }
+            continue;
+        }
+        vc.saBlocked = 0;
+        return v;
+    }
+    return -1;
 }
 
 void
 Router::switchAllocation(Cycle now)
 {
-    // Stage 1: each input port nominates one ready VC (round-robin).
+    std::uint64_t anyReady = 0;
+    for (const InputPort &ip : inputs_)
+        anyReady |= ip.saMask;
+    if (anyReady == 0)
+        return;
+
+    // NoRD: the output the NI bypass re-injection drives this cycle.
+    const int yieldOut =
+        config_.design == PgDesign::kNord && ni_->stage3Pending(now)
+        ? dirIndex(ring_.bypassOutport(id_)) : -1;
+
+    // Stage 1: each input port nominates one ready VC, round-robin from
+    // rrVc: the candidates at or above the pointer, then those below.
+    // reqIn[o] collects the input ports whose nominee bids for output o.
     std::array<int, kNumPorts> nominee;
-    nominee.fill(-1);
+    std::array<unsigned, kNumPorts> reqIn{};
+    unsigned reqOut = 0;
     for (int p = 0; p < kNumPorts; ++p) {
         InputPort &ip = inputs_[p];
-        const int numVcs = config_.numVcs;
-        for (int k = 0; k < numVcs; ++k) {
-            const int v = (ip.rrVc + k) % numVcs;
-            VirtualChannel &vc = ip.vcs[v];
-            if (vc.state != VcState::kActive ||
-                vc.buffer.empty() || vc.saEarliest > now) {
-                continue;
-            }
-            const int op = dirIndex(vc.outPort);
-            if (config_.design == PgDesign::kNord &&
-                vc.outPort == ring_.bypassOutport(id_) &&
-                ni_->stage3Pending(now)) {
-                // The NI bypass re-injection owns the Bypass Outport mux
-                // this cycle; retry next cycle.
-                continue;
-            }
-            if (!outputUsable(vc.outPort)) {
-                // Conventional designs: the SA request to a gated neighbor
-                // raises the WU signal and the flit stalls (Section 3.1).
-                if (outputs_[op].neighbor)
-                    outputs_[op].neighbor->controller().requestWakeup(now);
-                continue;
-            }
-            if (vc.outPort != Direction::kLocal &&
-                outputs_[op].credits[vc.outVc] <= 0) {
-                // Duato's escape guarantee requires a blocked head to be
-                // able to reach escape resources: a head that committed
-                // to an adaptive output VC but has not sent a flit yet
-                // releases it after a while and re-routes (possibly onto
-                // escape), breaking adaptive credit cycles.
-                if (!vc.sentAny && flitIsHead(vc.buffer.front()) &&
-                    ++vc.saBlocked >= kEscapeAfterBlockedCycles) {
-                    outputs_[op].outVcBusy[vc.outVc] = false;
-                    vc.outVc = kInvalidVc;
-                    vc.state = VcState::kVcAlloc;
-                    vc.vaEarliest = now + 1;
-                    vc.blockedCycles = kEscapeAfterBlockedCycles;
-                    vc.saBlocked = 0;
-                }
-                continue;
-            }
-            vc.saBlocked = 0;
-            nominee[p] = v;
-            break;
-        }
+        nominee[p] = -1;
+        if (ip.saMask == 0)
+            continue;
+        const std::uint64_t upper = ~std::uint64_t{0} << ip.rrVc;
+        int v = nominate(ip, ip.saMask & upper, yieldOut, now);
+        if (v < 0)
+            v = nominate(ip, ip.saMask & ~upper, yieldOut, now);
+        if (v < 0)
+            continue;
+        nominee[p] = v;
+        const int o = dirIndex(ip.vcs[v].outPort);
+        reqIn[o] |= 1u << p;
+        reqOut |= 1u << o;
     }
 
-    // Stage 2: each output port grants one nominee (round-robin).
-    for (int o = 0; o < kNumPorts; ++o) {
+    // Stage 2: each requested output port grants one nominee,
+    // round-robin from rrInput (ascending output order, as before).
+    const int numVcs = config_.numVcs;
+    for (; reqOut != 0; reqOut &= reqOut - 1) {
+        const int o = std::countr_zero(reqOut);
         OutputPort &op = outputs_[o];
-        int winner = -1;
-        for (int k = 0; k < kNumPorts; ++k) {
-            const int p = (op.rrInput + k) % kNumPorts;
-            if (nominee[p] < 0)
-                continue;
-            const VirtualChannel &vc = inputs_[p].vcs[nominee[p]];
-            if (dirIndex(vc.outPort) == o) {
-                winner = p;
-                break;
-            }
-        }
-        if (winner < 0)
-            continue;
-        op.rrInput = (winner + 1) % kNumPorts;
-        InputPort &ip = inputs_[winner];
-        VirtualChannel &vc = ip.vcs[nominee[winner]];
-        ip.rrVc = (nominee[winner] + 1) % config_.numVcs;
-        sendFlit(ip, winner, vc, now);
-        nominee[winner] = -1;
+        const unsigned req = reqIn[o];
+        const unsigned upper = req & (~0u << op.rrInput);
+        const int winner = std::countr_zero(upper != 0 ? upper : req);
+        op.rrInput = winner + 1 == kNumPorts ? 0 : winner + 1;
+        const int v = nominee[winner];
+        inputs_[winner].rrVc = v + 1 == numVcs ? 0 : v + 1;
+        sendFlit(winner, v, now);
     }
 }
 
 void
-Router::sendFlit(InputPort &ip, int ipIdx, VirtualChannel &vc, Cycle now)
+Router::sendFlit(int ipIdx, int v, Cycle now)
 {
+    InputPort &ip = inputs_[ipIdx];
+    VirtualChannel &vc = ip.vcs[v];
     Flit flit = vc.buffer.front();
     tracePacket(flit.packet, now, "SA at %d seq %d -> %s outvc %d", id_,
                 flit.seq, dirName(vc.outPort), vc.outVc);
@@ -655,6 +704,7 @@ Router::sendFlit(InputPort &ip, int ipIdx, VirtualChannel &vc, Cycle now)
         vc.sentAny = true;
     }
     vc.saEarliest = now + 1;
+    refreshVcBits(ip, v);
 }
 
 void
@@ -662,14 +712,13 @@ Router::routeNewHeads(Cycle now)
 {
     for (int p = 0; p < kNumPorts; ++p) {
         InputPort &ip = inputs_[p];
-        for (auto &vc : ip.vcs) {
-            if (vc.state != VcState::kIdle ||
-                vc.buffer.empty()) {
-                continue;
-            }
+        for (std::uint64_t m = ip.rcMask; m != 0; m &= m - 1) {
+            const int v = std::countr_zero(m);
+            VirtualChannel &vc = ip.vcs[v];
             NORD_DCHECK(flitIsHead(vc.buffer.front()),
                         "non-head flit at idle VC of router %d", id_);
             vc.state = VcState::kVcAlloc;
+            refreshVcBits(ip, v);
             ++nonIdle_;
             vc.vaEarliest = now + 1;
             vc.blockedCycles = 0;
@@ -708,7 +757,17 @@ Router::serializeState(StateSerializer &s)
     }
     for (InputPort &ip : inputs_) {
         s.io(ip.rrVc);
-        s.ioSequence(ip.vcs, [&s](VirtualChannel &vc) {
+        // In place, as the NI latch: the VC count is fixed at
+        // construction, and keeping the VCs keeps each buffer's arena
+        // storage across a load (same bytes as ioSequence).
+        std::uint64_t numVcs = ip.vcs.size();
+        s.io(numVcs);
+        if (s.loading() && numVcs != ip.vcs.size()) {
+            s.fail("checkpoint VC count mismatch at router " +
+                   std::to_string(id_));
+            return;
+        }
+        for (VirtualChannel &vc : ip.vcs) {
             s.ioSequence(vc.buffer);
             s.io(vc.state);
             s.io(vc.outPort);
@@ -719,7 +778,7 @@ Router::serializeState(StateSerializer &s)
             s.io(vc.saBlocked);
             s.io(vc.sentAny);
             s.io(vc.eating);
-        });
+        }
     }
     for (OutputPort &op : outputs_) {
         s.ioSequence(op.credits);

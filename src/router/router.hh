@@ -13,6 +13,12 @@
  * The VC set is split into an escape class and an adaptive class
  * (Duato's Protocol).
  *
+ * Host cost: each stage walks only the VCs that have its kind of work,
+ * read from per-input-port bitmasks (InputPort), in the order a full
+ * scan would visit them, so a tick costs in proportion to the busy VCs
+ * rather than to ports x VCs. Switch allocation's round-robin wraps by
+ * compare-and-reset and its output arbitration works on port bitmasks.
+ *
  * Power-gating integration: a small always-on controller (PgController)
  * monitors emptiness and the PG/WU/IC handshake. When a neighbor is gated
  * the corresponding output is tagged unavailable in SA (conventional
@@ -112,9 +118,9 @@ class Router : public Clocked
 
     /**
      * Idle-skipping predicate: an empty datapath whose cached neighbor
-     * power views are in sync has a provably no-op tick (SA/VA/RC all
-     * skip empty VCs and the round-robin pointers only advance on
-     * grants). Any event that could give this router work wakes it:
+     * power views are in sync has a provably no-op tick (SA/VA/RC find
+     * their work masks empty and the round-robin pointers only advance
+     * on grants). Any event that could give this router work wakes it:
      * flit arrival, local injection, and power transitions of itself or
      * a mesh neighbor (wired in NocSystem).
      */
@@ -150,11 +156,26 @@ class Router : public Clocked
     bool datapathEmpty() const;
 
     /**
-     * Rebuild the occupancy counters from the VC buffers and states.
-     * NocSystem calls it after every restore walk, which writes the VCs
-     * but not the counters.
+     * Rebuild the occupancy counters and the per-port work masks from
+     * the VC buffers and states. NocSystem calls it after every restore
+     * walk, which writes the VCs but neither counters nor masks.
      */
     void recountOccupancy();
+
+    /** One input port's per-stage work masks (bit v = VC v). */
+    struct WorkMasks
+    {
+        std::uint64_t rc = 0;  ///< idle VCs with a buffered head (RC)
+        std::uint64_t va = 0;  ///< VCs in kVcAlloc (VA)
+        std::uint64_t sa = 0;  ///< kActive VCs with a buffered flit (SA)
+    };
+
+    /** Work masks of input @p inPort (InvariantAuditor). */
+    WorkMasks workMasks(Direction inPort) const
+    {
+        const InputPort &ip = inputs_[dirIndex(inPort)];
+        return {ip.rcMask, ip.vaMask, ip.saMask};
+    }
 
     /**
      * IC signal: true when some neighbor (or a bypassing neighbor NI) has
@@ -330,12 +351,13 @@ class Router : public Clocked
     /** Per-VC state machine. */
     struct VirtualChannel
     {
-        explicit VirtualChannel(const ArenaAllocator<Flit> &a = {})
+        VirtualChannel(const ArenaAllocator<Flit> &a, int depth)
             : buffer(a)
         {
+            buffer.reserve(static_cast<std::size_t>(depth));
         }
 
-        ArenaDeque<Flit> buffer;
+        ArenaRing<Flit> buffer;
         VcState state = VcState::kIdle;
         Direction outPort = Direction::kLocal;
         VcId outVc = kInvalidVc;
@@ -347,6 +369,14 @@ class Router : public Clocked
         bool eating = false;     ///< dead router: discarding this packet
     };
 
+    /**
+     * One input port: its VCs plus three work masks (bit v = VC v), one
+     * per pipeline stage, so each stage walks only the VCs that have its
+     * kind of work. refreshVcBits() rederives a VC's bits from its state
+     * after every buffer push/pop and state change; recountOccupancy()
+     * rebuilds them after a restore, and the InvariantAuditor checks
+     * them against a VC scan every sweep.
+     */
     struct InputPort
     {
         std::vector<VirtualChannel> vcs;
@@ -355,6 +385,15 @@ class Router : public Clocked
         NORD_STATE_EXCLUDE(config, "wiring; rebuilt by NocSystem::buildLinks")
         FlitLink *inLink = nullptr;
         int rrVc = 0;                        ///< SA round-robin pointer
+        NORD_STATE_EXCLUDE(cache,
+            "idle VCs with a buffered head; rebuilt after every restore")
+        std::uint64_t rcMask = 0;
+        NORD_STATE_EXCLUDE(cache,
+            "VCs in kVcAlloc; rebuilt after every restore")
+        std::uint64_t vaMask = 0;
+        NORD_STATE_EXCLUDE(cache,
+            "kActive VCs with a buffered flit; rebuilt after every restore")
+        std::uint64_t saMask = 0;
     };
 
     struct OutputPort
@@ -376,8 +415,19 @@ class Router : public Clocked
     void vcAllocation(Cycle now);
     void routeNewHeads(Cycle now);
 
-    /** Send @p flit out of @p outPort / @p outVc (ST + LT). */
-    void sendFlit(InputPort &ip, int ipIdx, VirtualChannel &vc, Cycle now);
+    /**
+     * SA stage 1 for one input port: the first VC among @p candidates
+     * (ascending) that may bid this cycle, or -1. @p yieldOut is the
+     * output the NI bypass owns this cycle (-1 for none).
+     */
+    int nominate(InputPort &ip, std::uint64_t candidates, int yieldOut,
+                 Cycle now);
+
+    /** Send the front flit of VC @p v of input @p ipIdx (ST + LT). */
+    void sendFlit(int ipIdx, int v, Cycle now);
+
+    /** Rederive VC @p v's work-mask bits in @p ip from its state. */
+    static void refreshVcBits(InputPort &ip, int v);
 
     /**
      * Dead-router graceful degradation ("fail active eating"): discard an

@@ -268,19 +268,28 @@ InvariantAuditor::checkVcStates(Pass &p, NodeId id)
     const bool isNord = cfg.design == PgDesign::kNord;
     const Router &r = sys_.router(id);
 
-    // holders[o][v]: active input VCs that claim output VC (o, v).
+    // holders[o][v]: active input VCs that claim output VC (o, v)
+    // (NocConfig::problems() bounds numVcs at 64).
     int holders[kNumPorts][64] = {};
-    NORD_ASSERT(cfg.numVcs <= 64, "too many VCs for the auditor");
     // Full-scan occupancy, against the router's O(1) counters below.
     int scanBuffered = 0;
     bool scanEmpty = true;
 
     for (int port = 0; port < kNumPorts; ++port) {
+        // Full-scan work masks, against the router's per-stage masks.
+        Router::WorkMasks scan;
         for (VcId v = 0; v < cfg.numVcs; ++v) {
             const Router::VcProbe vc = r.probeVc(indexDir(port), v);
             scanBuffered += vc.occupancy;
             scanEmpty = scanEmpty && vc.occupancy == 0 &&
                         vc.state == Router::VcState::kIdle;
+            const std::uint64_t bit = std::uint64_t{1} << v;
+            if (vc.state == Router::VcState::kIdle && vc.occupancy > 0)
+                scan.rc |= bit;
+            if (vc.state == Router::VcState::kVcAlloc)
+                scan.va |= bit;
+            if (vc.state == Router::VcState::kActive && vc.occupancy > 0)
+                scan.sa |= bit;
             switch (vc.state) {
               case Router::VcState::kIdle:
                 if (vc.outVc != kInvalidVc || vc.sentAny) {
@@ -357,6 +366,21 @@ InvariantAuditor::checkVcStates(Pass &p, NodeId id)
                 break;
               }
             }
+        }
+        const Router::WorkMasks kept = r.workMasks(indexDir(port));
+        if (kept.rc != scan.rc || kept.va != scan.va || kept.sa != scan.sa) {
+            report(p, Kind::kVcState, id,
+                   formatString(
+                       "router %d port %s work masks out of sync: "
+                       "rc/va/sa = %#llx/%#llx/%#llx, but its VCs give "
+                       "%#llx/%#llx/%#llx",
+                       id, dirName(indexDir(port)),
+                       static_cast<unsigned long long>(kept.rc),
+                       static_cast<unsigned long long>(kept.va),
+                       static_cast<unsigned long long>(kept.sa),
+                       static_cast<unsigned long long>(scan.rc),
+                       static_cast<unsigned long long>(scan.va),
+                       static_cast<unsigned long long>(scan.sa)));
         }
     }
 

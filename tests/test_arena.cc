@@ -1,7 +1,9 @@
 /**
  * @file
  * PoolArena / ArenaAllocator unit tests: reuse after free, double-free
- * detection, alignment, exhaustion growth, and teardown leak accounting.
+ * detection, alignment, exhaustion growth, and teardown leak accounting;
+ * ArenaRing: FIFO order across wraparound and growth, iteration order,
+ * deque-identical checkpoint bytes, heap fallback and empty-access checks.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <deque>
 #include <vector>
 
+#include "ckpt/state_serializer.hh"
 #include "common/arena.hh"
 #include "common/flit.hh"
 
@@ -159,6 +162,137 @@ TEST(Arena, NullArenaAllocatorUsesHeap)
     PoolArena arena;
     ArenaAllocator<int> pooled(&arena);
     EXPECT_TRUE(heap1 != pooled);
+}
+
+// --- ArenaRing ---------------------------------------------------------------
+
+/** Pop everything, returning the values in pop order. */
+std::vector<int>
+drain(ArenaRing<int> &q)
+{
+    std::vector<int> out;
+    while (!q.empty()) {
+        out.push_back(q.front());
+        q.pop_front();
+    }
+    return out;
+}
+
+TEST(ArenaRing, WraparoundAcrossGrowthKeepsFifoOrder)
+{
+    PoolArena arena;
+    ArenaRing<int> q{ArenaAllocator<int>(&arena)};
+    q.reserve(3);
+    EXPECT_EQ(q.capacity(), 3u);  // exactly what was reserved
+    // Move the head off slot 0 so the contents wrap, then grow twice
+    // while wrapped.
+    int next = 0;
+    int expect = 0;
+    for (int round = 0; round < 3; ++round) {
+        q.push_back(next++);
+        q.push_back(next++);
+        EXPECT_EQ(q.front(), expect++);
+        q.pop_front();
+    }
+    for (int i = 0; i < 9; ++i)
+        q.push_back(next++);
+    EXPECT_EQ(q.capacity(), 12u);
+    EXPECT_EQ(q.back(), next - 1);
+    std::vector<int> want;
+    for (int v = expect; v < next; ++v)
+        want.push_back(v);
+    EXPECT_EQ(drain(q), want);
+    EXPECT_EQ(q.capacity(), 12u);  // never shrinks
+}
+
+TEST(ArenaRing, IterationOrderEqualsPopOrder)
+{
+    ArenaRing<int> q;
+    for (int i = 0; i < 6; ++i)
+        q.push_back(i);
+    q.pop_front();
+    q.pop_front();
+    for (int i = 6; i < 12; ++i)  // wraps inside capacity 8, then grows
+        q.emplace_back(i);
+    std::vector<int> iterated(q.begin(), q.end());
+    const ArenaRing<int> copy(q);
+    ArenaRing<int> assigned;
+    assigned.push_back(-1);
+    assigned = q;
+    EXPECT_EQ(iterated, drain(q));
+    EXPECT_EQ(std::vector<int>(copy.begin(), copy.end()), iterated);
+    EXPECT_EQ(drain(assigned), iterated);
+}
+
+TEST(ArenaRing, SerializesToTheBytesOfADeque)
+{
+    ArenaRing<Flit> ring;
+    ring.reserve(4);
+    std::deque<Flit> deque;
+    for (int i = 0; i < 7; ++i) {
+        Flit f;
+        f.packet = 100 + static_cast<PacketId>(i);
+        f.seq = static_cast<std::int16_t>(i);
+        ring.push_back(f);
+        deque.push_back(f);
+        if (i % 3 == 0) {  // keep the ring wrapped
+            ring.pop_front();
+            deque.pop_front();
+        }
+    }
+    StateSerializer a(SerialMode::kSave);
+    a.ioSequence(ring);
+    StateSerializer b(SerialMode::kSave);
+    b.ioSequence(deque);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.buffer(), b.buffer());
+
+    // And a load refills the ring in the same order.
+    ArenaRing<Flit> back;
+    StateSerializer load(a.buffer());
+    load.ioSequence(back);
+    ASSERT_TRUE(load.ok()) << load.error();
+    ASSERT_EQ(back.size(), deque.size());
+    size_t i = 0;
+    for (const Flit &f : back)
+        EXPECT_EQ(f.packet, deque[i++].packet);
+}
+
+TEST(ArenaRing, NullArenaUsesHeapAndPooledRingLeaksNothing)
+{
+    PoolArena arena;
+    {
+        ArenaRing<Flit> heap;  // default allocator: no arena at all
+        for (int i = 0; i < 100; ++i)
+            heap.push_back(Flit{});
+        ArenaRing<Flit> moved(std::move(heap));
+        EXPECT_EQ(moved.size(), 100u);
+        EXPECT_EQ(arena.stats().allocCalls, 0u);
+
+        ArenaRing<Flit> pooled{ArenaAllocator<Flit>(&arena)};
+        for (int i = 0; i < 100; ++i)
+            pooled.push_back(Flit{});
+        const std::uint64_t pooledAllocs = arena.stats().allocCalls;
+        EXPECT_GT(pooledAllocs, 0u);
+        ArenaRing<Flit> copy(pooled);  // a copy draws from the same arena
+        EXPECT_GT(arena.stats().allocCalls, pooledAllocs);
+        EXPECT_GT(arena.stats().liveBlocks, 0u);
+    }
+    EXPECT_EQ(arena.checkTeardown(), 0u);
+}
+
+TEST(ArenaRing, EmptyAccessTripsDcheck)
+{
+#ifdef NDEBUG
+    GTEST_SKIP() << "NORD_DCHECK compiles out under NDEBUG";
+#else
+    ArenaRing<int> q;
+    EXPECT_DEATH(q.front(), "empty ring");
+    EXPECT_DEATH(q.pop_front(), "empty ring");
+    q.push_back(1);
+    q.pop_front();
+    EXPECT_DEATH(q.pop_front(), "empty ring");
+#endif
 }
 
 }  // namespace

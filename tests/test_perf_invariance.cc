@@ -126,6 +126,21 @@ TEST(PerfInvariance, LowLoadDeepSleepLockstep)
     }
 }
 
+TEST(PerfInvariance, SameWordWakesLockstepOn2x4)
+{
+    // On a 2x4 mesh the 40 links and 8 routers all sit in word 0 of the
+    // kernel's active set (links register first), so a link delivering
+    // into a parked router wakes a later slot of the word being walked:
+    // stepOne must tick it in the same pass, as the serial walk does.
+    for (PgDesign d : {PgDesign::kNord, PgDesign::kConvPg}) {
+        NocConfig ref = perfConfig(d, false, true);
+        NocConfig alt = perfConfig(d, true, true);
+        ref.rows = alt.rows = 2;
+        ref.cols = alt.cols = 4;
+        expectLockstep(ref, alt, 0.03, 19, 800);
+    }
+}
+
 TEST(PerfInvariance, CheckpointCrossesPerfSettings)
 {
     // Save mid-run from the optimized system, restore into a plain one

@@ -670,6 +670,9 @@ exclusionRegistry()
         {"PoolArena::stats_", Proof::kFreshRestore},
         {"Router::InputPort::creditReturn", Proof::kTwinConstruction},
         {"Router::InputPort::inLink", Proof::kTwinConstruction},
+        {"Router::InputPort::rcMask", Proof::kFreshRestore},
+        {"Router::InputPort::saMask", Proof::kFreshRestore},
+        {"Router::InputPort::vaMask", Proof::kFreshRestore},
         {"Router::OutputPort::link", Proof::kTwinConstruction},
         {"Router::OutputPort::neighbor", Proof::kTwinConstruction},
         {"Router::buffered_", Proof::kFreshRestore},

@@ -388,6 +388,7 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
         {"mesh must be at least 2x2", [](NocConfig &c) { c.cols = 1; }},
         {"even row count", [](NocConfig &c) { c.rows = 3; }},
         {"need at least 2 VCs", [](NocConfig &c) { c.numVcs = 1; }},
+        {"at most 64 VCs per port", [](NocConfig &c) { c.numVcs = 65; }},
         {"escape class is empty", [](NocConfig &c) { c.numEscapeVcs = 0; }},
         {"adaptive class is empty",
          [](NocConfig &c) { c.numEscapeVcs = c.numVcs; }},

@@ -406,13 +406,13 @@ TEST(InvariantAuditorTest, RemoteLeakReportedWithinOneInterval)
     EXPECT_LE(v.cycle, at + cfg.verify.interval);
 }
 
-/** True when a recorded violation flags router occupancy counters. */
+/** True when a recorded VC-state violation's diagnosis holds @p what. */
 bool
-hasOccupancyFinding(const NocSystem &sys)
+hasVcStateFinding(const NocSystem &sys, const char *what)
 {
     for (const auto &v : sys.auditor().violations()) {
         if (v.kind == Kind::kVcState &&
-            v.diagnosis.find("occupancy counters") != std::string::npos)
+            v.diagnosis.find(what) != std::string::npos)
             return true;
     }
     return false;
@@ -420,10 +420,11 @@ hasOccupancyFinding(const NocSystem &sys)
 
 TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
 {
-    // The load walk writes the VC buffers and states but not the routers'
-    // occupancy counters. A bare walk leaves them describing the system
-    // as built, which the sweep must flag; loadState and loadCheckpoint
-    // (success and rollback) recount them and must stay silent.
+    // A router's load walk writes the VC buffers and states but neither
+    // its occupancy counters nor its per-stage work masks. Bare
+    // Router::serializeState loads leave both describing the router as
+    // built, which the sweep must flag; loadState and loadCheckpoint
+    // (success and rollback) rebuild them and must stay silent.
     NocConfig cfg;
     cfg.design = PgDesign::kNoPg;
     NocSystem src(cfg);
@@ -442,13 +443,17 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
 
     {
         NocSystem bare(cfg);
-        SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.25, 7);
-        bare.setWorkload(&t);
-        StateSerializer load(payload);
-        bare.serializeState(load);
-        ASSERT_TRUE(load.ok()) << load.error();
+        for (NodeId id = 0; id < cfg.numNodes(); ++id) {
+            StateSerializer one(SerialMode::kSave);
+            src.router(id).serializeState(one);
+            ASSERT_TRUE(one.ok()) << one.error();
+            StateSerializer load(one.buffer());
+            bare.router(id).serializeState(load);
+            ASSERT_TRUE(load.ok()) << load.error();
+        }
         EXPECT_GT(bare.auditor().sweep(bare.now()), 0u);
-        EXPECT_TRUE(hasOccupancyFinding(bare));
+        EXPECT_TRUE(hasVcStateFinding(bare, "occupancy counters"));
+        EXPECT_TRUE(hasVcStateFinding(bare, "work masks"));
     }
     {
         NocSystem restored(cfg);
@@ -484,7 +489,8 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
     ASSERT_TRUE(victim.loadCheckpoint(good, nullptr, &err)) << err;
     EXPECT_EQ(victim.stateHash(), src.stateHash());
     EXPECT_EQ(victim.auditor().sweep(victim.now()), 0u);
-    EXPECT_FALSE(hasOccupancyFinding(victim));
+    EXPECT_FALSE(hasVcStateFinding(victim, "occupancy counters"));
+    EXPECT_FALSE(hasVcStateFinding(victim, "work masks"));
     std::remove(bad.c_str());
     std::remove(good.c_str());
 }
