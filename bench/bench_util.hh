@@ -37,17 +37,13 @@ quickMode()
 }
 
 /**
- * Exit status of a bench whose results went to stdout: flush it, and
- * report a write error (a full disk, a closed pipe) that stdio would
- * otherwise swallow at exit as kExitInfraFailure.
+ * Exit status of a bench whose results went to stdout: kExitInfraFailure
+ * when they could not all be written (flushStdout()).
  */
 inline int
 stdoutStatus()
 {
-    if (std::fflush(stdout) == 0 && std::ferror(stdout) == 0)
-        return campaign::kExitOk;
-    std::fprintf(stderr, "cannot write stdout\n");
-    return campaign::kExitInfraFailure;
+    return flushStdout() ? campaign::kExitOk : campaign::kExitInfraFailure;
 }
 
 /**

@@ -45,6 +45,8 @@ specJson(const PointSpec &spec)
         spec.rate, static_cast<unsigned long long>(spec.seed), spec.rows,
         spec.cols, static_cast<unsigned long long>(spec.measure),
         spec.faultRate, spec.minDelivered);
+    if (spec.deadRouter != kInvalidNode)
+        s += detail::formatString(",\"deadRouter\":%d", spec.deadRouter);
     if (spec.selfTest != SelfTest::kNone)
         s += detail::formatString(
             ",\"selfTest\":\"%s\"",
@@ -89,17 +91,21 @@ expandGrid(const GridSpec &grid)
     for (PgDesign d : grid.designs) {
         for (const PointSpec &w : workloads) {
             for (double fr : grid.faultRates) {
-                for (std::uint64_t seed : grid.seeds) {
-                    PointSpec s = w;
-                    s.id = specs.size();
-                    s.design = d;
-                    s.rows = grid.rows;
-                    s.cols = grid.cols;
-                    s.measure = grid.measure;
-                    s.minDelivered = grid.minDelivered;
-                    s.faultRate = fr;
-                    s.seed = seed;
-                    specs.push_back(std::move(s));
+                for (NodeId dead : grid.deadRouters) {
+                    for (std::uint64_t seed : grid.seeds) {
+                        PointSpec s = w;
+                        s.id = specs.size();
+                        s.design = d;
+                        s.rows = grid.rows;
+                        s.cols = grid.cols;
+                        s.measure = grid.measure;
+                        s.faultRate = fr;
+                        s.deadRouter = dead;
+                        s.minDelivered =
+                            dead == kInvalidNode ? grid.minDelivered : 0.0;
+                        s.seed = seed;
+                        specs.push_back(std::move(s));
+                    }
                 }
             }
         }
@@ -120,17 +126,6 @@ pointPaths(const std::string &outDir, std::uint64_t id)
     return p;
 }
 
-void
-enableFaults(NocConfig &cfg, double faultRate)
-{
-    cfg.fault.enabled = true;
-    cfg.fault.e2e = true;
-    cfg.fault.flitCorruptRate = faultRate;
-    cfg.fault.flitDropRate = faultRate;
-    cfg.verify.interval = 256;
-    cfg.verify.policy = AuditPolicy::kRecover;
-}
-
 namespace {
 
 /** Worker checkpoint phases, stored in CheckpointMeta::user[0]. */
@@ -140,13 +135,25 @@ enum : std::uint64_t
     kPhaseDrain = 1,    ///< workload detached, draining in flight
 };
 
+/**
+ * The campaign's fault recipe, on a point with transients or a dead
+ * router: flit corruption and drops at the point's fault rate per link
+ * per cycle, the end-to-end retransmission layer, and the invariant
+ * auditor in recover mode every 256 cycles.
+ */
 NocConfig
 pointConfig(const PointSpec &spec)
 {
     NocConfig cfg = makeShippedConfig(spec.design, spec.rows, spec.cols);
     cfg.seed = spec.seed;
-    if (spec.faultRate > 0.0)
-        enableFaults(cfg, spec.faultRate);
+    if (spec.faultRate > 0.0 || spec.deadRouter != kInvalidNode) {
+        cfg.fault.enabled = true;
+        cfg.fault.e2e = true;
+        cfg.fault.flitCorruptRate = spec.faultRate;
+        cfg.fault.flitDropRate = spec.faultRate;
+        cfg.verify.interval = 256;
+        cfg.verify.policy = AuditPolicy::kRecover;
+    }
     return cfg;
 }
 
@@ -226,6 +233,16 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                      diagId, spec.rate);
         return kExitBadConfig;
     }
+    // An id off the mesh would trip killRouter's assert, and that abort
+    // would be classed as a crash and retried.
+    if (spec.deadRouter != kInvalidNode &&
+        (spec.deadRouter < 0 || spec.deadRouter >= spec.rows * spec.cols)) {
+        std::fprintf(diagStream(),
+                     "[worker %llu] bad config: dead router %d is not on "
+                     "the %dx%d mesh\n",
+                     diagId, spec.deadRouter, spec.rows, spec.cols);
+        return kExitBadConfig;
+    }
 
     NocSystem sys(cfg);
     SyntheticTraffic synthetic(spec.pattern, spec.rate, spec.seed);
@@ -278,6 +295,9 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                 // Fine: there was nothing to discard.
             }
             phase = kPhaseRunning;
+            // A resumed run has its dead router from the checkpoint.
+            if (spec.deadRouter != kInvalidNode)
+                sys.killRouter(spec.deadRouter);
             sys.setWorkload(workload);
         }
     }

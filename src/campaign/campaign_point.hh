@@ -31,9 +31,6 @@
 #include "traffic/synthetic_traffic.hh"
 
 namespace nord {
-
-struct NocConfig;
-
 namespace campaign {
 
 /** Workload family of one point. */
@@ -69,6 +66,7 @@ struct PointSpec
     std::uint64_t seed = 1;
     Cycle measure = 2000;      ///< synthetic measurement window
     double faultRate = 0.0;    ///< transient corrupt+drop rate (0 = off)
+    NodeId deadRouter = kInvalidNode;  ///< permanently dead router (none)
     double minDelivered = 0.0; ///< delivery gate (0 = no gate)
     SelfTest selfTest = SelfTest::kNone;
 };
@@ -94,6 +92,7 @@ struct GridSpec
     std::vector<std::string> parsec;  ///< benchmark names (may be empty)
     std::vector<double> rates{0.10};
     std::vector<double> faultRates{0.0};
+    std::vector<NodeId> deadRouters{kInvalidNode};
     std::vector<std::uint64_t> seeds{1};
     int rows = 4;
     int cols = 4;
@@ -103,9 +102,11 @@ struct GridSpec
 
 /**
  * Expand a grid into its points in the canonical order:
- * design > workload (patterns then parsec) > rate > faultRate > seed.
- * Ids are assigned sequentially from 0. (PARSEC workloads are closed
- * loop, so the rate axis does not multiply them.)
+ * design > workload (patterns then parsec) > rate > faultRate >
+ * deadRouter > seed. Ids are assigned sequentially from 0. (PARSEC
+ * workloads are closed loop, so the rate axis does not multiply them.)
+ * A dead-router point has no delivery gate: losing the victim's traffic
+ * is what it measures.
  */
 std::vector<PointSpec> expandGrid(const GridSpec &grid);
 
@@ -119,13 +120,6 @@ struct PointPaths
 
 /** Compose the artifact paths of point @p id under @p outDir. */
 PointPaths pointPaths(const std::string &outDir, std::uint64_t id);
-
-/**
- * The campaign's fault recipe: transient flit corruption and drops at
- * @p faultRate per link per cycle, the end-to-end retransmission layer,
- * and the invariant auditor in recover mode every 256 cycles.
- */
-void enableFaults(NocConfig &cfg, double faultRate);
 
 /** Worker knobs forwarded by the executor. */
 struct WorkerOptions

@@ -5,8 +5,8 @@
  * A supervisor deciding between *retry* and *quarantine* needs to know
  * whether a failure is deterministic (retrying reproduces it bit-exactly,
  * so retrying is a restart storm) or environmental (a retry may succeed).
- * Every campaign-facing binary -- the resilience_sweep bench, the
- * nord-campaign worker -- reports failures through these codes:
+ * Every campaign-facing binary -- the nord-campaign CLI and its workers,
+ * the figure benches -- reports failures through these codes:
  *
  *   kExitOk           success
  *   kExitGateFailure  a simulation *result* failed an acceptance gate

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <iterator>
 
 #include "common/log.hh"
 
@@ -96,14 +97,20 @@ std::string
 renderReportCsv(const std::vector<PointSpec> &specs,
                 const ReplayState &state)
 {
-    std::string out =
-        "id,design,workload,rate,seed,faultRate,status,class,endCycle,"
-        "created,delivered,deliveredFraction,avgLatency,p99Latency,"
-        "avgHops,wakeups,offFraction,energyJ,drained\n";
-    static const char *kMetricCols[] = {
+    // Metric cells of a completed row, pasted raw from its result line
+    // so the CSV inherits the report's byte-identity. The header, the
+    // completed rows and the empty cells of the other rows all come from
+    // this one list, so their field counts cannot drift apart.
+    static const char *const kMetricCols[] = {
         "endCycle", "created", "delivered", "deliveredFraction",
         "avgLatency", "p99Latency", "avgHops", "wakeups", "offFraction",
-        "energyJ", "drained"};
+        "energyJ", "retransmits", "recovered", "flitsEaten", "drained"};
+    std::string out =
+        "id,design,workload,rate,seed,faultRate,deadRouter,status,class";
+    for (const char *col : kMetricCols)
+        out += std::string(",") + col;
+    out += "\n";
+    const std::string emptyMetrics(std::size(kMetricCols), ',');
     for (const PointSpec &spec : specs) {
         const auto it = state.perPoint.find(spec.id);
         const ReplayPoint *p =
@@ -114,25 +121,24 @@ renderReportCsv(const std::vector<PointSpec> &specs,
             pgDesignName(spec.design), workloadName(spec).c_str(),
             spec.rate, static_cast<unsigned long long>(spec.seed),
             spec.faultRate);
+        out += spec.deadRouter != kInvalidNode
+            ? std::to_string(spec.deadRouter) : std::string("none");
         if (p && p->done) {
-            out += "completed,";
+            out += ",completed,";
             for (const char *col : kMetricCols) {
                 std::string raw;
-                // Raw extraction keeps the worker's exact formatting, so
-                // the CSV inherits the report's byte-identity.
+                out += ",";
                 if (jsonFieldRaw(p->resultLine, col, &raw))
                     out += raw;
-                out += ",";
             }
-            out.pop_back();
-            out += "\n";
         } else if (p && p->quarantined) {
-            out += detail::formatString(
-                "quarantined,%s,,,,,,,,,,,\n",
-                failureClassName(p->quarantine.cls));
+            out += ",quarantined,";
+            out += failureClassName(p->quarantine.cls);
+            out += emptyMetrics;
         } else {
-            out += "missing,,,,,,,,,,,,\n";
+            out += ",missing," + emptyMetrics;
         }
+        out += "\n";
     }
     return out;
 }

@@ -16,6 +16,15 @@ diagStream()
     return stderr;
 }
 
+bool
+flushStdout()
+{
+    if (std::fflush(stdout) == 0 && std::ferror(stdout) == 0)
+        return true;
+    std::fprintf(diagStream(), "cannot write stdout\n");
+    return false;
+}
+
 namespace detail {
 
 std::string

@@ -41,6 +41,13 @@ std::string formatString(const char *fmt, ...)
  */
 std::FILE *diagStream();
 
+/**
+ * Flush stdout and say whether everything printed there was written. A
+ * write error that stdio would otherwise swallow at exit (a full disk, a
+ * closed pipe) is diagnosed on diagStream().
+ */
+bool flushStdout();
+
 /** Abort on simulator-internal invariant violation. */
 #define NORD_PANIC(...) \
     ::nord::detail::panicImpl(__FILE__, __LINE__, \

@@ -60,6 +60,7 @@ recordJson(const RunRecord &r)
         "\"failed\":%llu,\"deliveredFraction\":%.6f,\"avgLatency\":%.6f,"
         "\"p99Latency\":%.6f,\"avgHops\":%.6f,\"wakeups\":%llu,"
         "\"offFraction\":%.6f,\"energyJ\":%.6e,\"injectedFaults\":%llu,"
+        "\"retransmits\":%llu,\"recovered\":%llu,\"flitsEaten\":%llu,"
         "\"drained\":%s",
         static_cast<unsigned long long>(r.cycles),
         static_cast<unsigned long long>(r.created),
@@ -69,6 +70,9 @@ recordJson(const RunRecord &r)
         static_cast<unsigned long long>(r.wakeups), r.offFraction,
         r.energy.total(),
         static_cast<unsigned long long>(r.injectedFaults),
+        static_cast<unsigned long long>(r.retransmits),
+        static_cast<unsigned long long>(r.recovered),
+        static_cast<unsigned long long>(r.flitsEaten),
         r.drained ? "true" : "false");
 }
 

@@ -5,8 +5,8 @@
  * Figures 8-15 all report the same numbers for each design: latency,
  * wakeups, off time, and static plus PG-overhead energy. recordRun() is
  * the one place that reduction happens: the campaign worker, the figure
- * benches, the resilience sweep and the examples all read a RunRecord,
- * and recordJson() is its one machine-readable layout.
+ * benches and the examples all read a RunRecord, and recordJson() is its
+ * one machine-readable layout.
  */
 
 #ifndef NORD_NETWORK_RUN_RECORD_HH

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include "campaign/fleet.hh"
 #include "campaign/journal.hh"
 #include "campaign/orchestrator.hh"
+#include "temp_dir.hh"
 
 #ifdef NORD_CAMPAIGN_POSIX
 #include <signal.h>
@@ -45,21 +47,16 @@ namespace nord {
 namespace campaign {
 namespace {
 
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
-
-/** A campaign out-dir guaranteed fresh: TempDir persists across runs,
- *  and a leftover journal would make the campaign resume-to-terminal
- *  instead of actually running. */
+/** An empty campaign out-dir, fresh under --gtest_repeat too: a
+ *  leftover journal would make the campaign resume-to-terminal instead
+ *  of actually running. */
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = tmpPath(name);
+    const std::string dir = testTempPath(name);
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
+    std::filesystem::create_directories(dir, ec);
     return dir;
 }
 
@@ -273,7 +270,7 @@ TEST(CampaignGrid, SpecJsonIsCanonical)
 
 TEST(CampaignJournalTest, AppendReplayRoundTrip)
 {
-    const std::string path = tmpPath("journal_roundtrip.jsonl");
+    const std::string path = testTempPath("journal_roundtrip.jsonl");
     std::remove(path.c_str());
 
     ReplayState replay;
@@ -325,7 +322,7 @@ TEST(CampaignJournalTest, AppendReplayRoundTrip)
 
 TEST(CampaignJournalTest, TornTailIgnoredAndRepaired)
 {
-    const std::string path = tmpPath("journal_torn.jsonl");
+    const std::string path = testTempPath("journal_torn.jsonl");
     std::remove(path.c_str());
     ReplayState replay;
     std::string err;
@@ -363,7 +360,7 @@ TEST(CampaignJournalTest, TornTailIgnoredAndRepaired)
 
 TEST(CampaignJournalTest, LockExcludesSecondOrchestrator)
 {
-    const std::string path = tmpPath("journal_lock.jsonl");
+    const std::string path = testTempPath("journal_lock.jsonl");
     std::remove(path.c_str());
     ReplayState replay;
     std::string err;
@@ -416,6 +413,15 @@ TEST(CampaignReport, RenderingIsDeterministic)
     // Header plus one row per point.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'),
               static_cast<long>(specs.size()) + 1);
+    // Completed, quarantined and missing rows all have the header's
+    // field count.
+    std::istringstream rows(csv);
+    std::string header;
+    ASSERT_TRUE(std::getline(rows, header));
+    for (std::string row; std::getline(rows, row);)
+        EXPECT_EQ(std::count(row.begin(), row.end(), ','),
+                  std::count(header.begin(), header.end(), ','))
+            << row;
 
     // Nondeterministic diagnostics live in provenance, not the report.
     state.perPoint[1].quarantine.stderrTail = "varies per run";
@@ -460,15 +466,13 @@ e2eGrid()
 
 /**
  * In-process reference report for @p specs: runPointWorker per point
- * (artifacts under @p dir), then the results rendered as a completed
- * campaign. Returns {report.json, report.csv} bytes.
+ * (artifacts under the existing @p dir), then the results rendered as a
+ * completed campaign. Returns {report.json, report.csv} bytes.
  */
 std::pair<std::string, std::string>
 referenceReport(const std::vector<PointSpec> &specs, const std::string &dir,
                 const WorkerOptions &wopts)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
     ReplayState state;
     state.opened = true;
     state.points = specs.size();
@@ -487,7 +491,9 @@ TEST(CampaignWorker, ResultLinesArePinned)
 {
     // Report bytes are result lines passed through verbatim, so the
     // worker's reduction and its JSON layout are pinned byte for byte:
-    // one faulted synthetic point and one PARSEC point.
+    // one faulted synthetic point, one PARSEC point, and a No_PG point
+    // whose router 10 is dead. The grid exempts that one from its
+    // delivery gate, so it completes while losing packets.
     PointSpec synthetic;
     synthetic.id = 7;
     synthetic.design = PgDesign::kNord;
@@ -506,6 +512,13 @@ TEST(CampaignWorker, ResultLinesArePinned)
     parsec.measure = 0;
     parsec.minDelivered = 0.99;
 
+    GridSpec deadGrid;
+    deadGrid.designs = {PgDesign::kNoPg};
+    deadGrid.deadRouters = {10};
+    deadGrid.minDelivered = 0.99;
+    PointSpec dead = expandGrid(deadGrid).at(0);
+    dead.id = 3;
+
     const std::pair<PointSpec, const char *> cases[] = {
         {synthetic,
          "{\"id\":7,\"design\":\"NoRD\",\"workload\":\"uniform_random\","
@@ -516,6 +529,7 @@ TEST(CampaignWorker, ResultLinesArePinned)
          "\"avgLatency\":30.770017,\"p99Latency\":121.000000,"
          "\"avgHops\":4.616695,\"wakeups\":183,\"offFraction\":0.279376,"
          "\"energyJ\":2.869928e-06,\"injectedFaults\":25,"
+         "\"retransmits\":24,\"recovered\":22,\"flitsEaten\":0,"
          "\"drained\":true}\n"},
         {parsec,
          "{\"id\":2,\"design\":\"Conv_PG_OPT\","
@@ -527,15 +541,69 @@ TEST(CampaignWorker, ResultLinesArePinned)
          "\"p99Latency\":67.000000,\"avgHops\":2.549289,"
          "\"wakeups\":2552,\"offFraction\":0.640320,"
          "\"energyJ\":3.059461e-05,\"injectedFaults\":0,"
+         "\"retransmits\":0,\"recovered\":0,\"flitsEaten\":0,"
          "\"drained\":true}\n"},
+        {dead,
+         "{\"id\":3,\"design\":\"No_PG\",\"workload\":\"uniform_random\","
+         "\"rate\":0.1,\"seed\":1,\"rows\":4,\"cols\":4,\"cycles\":2000,"
+         "\"faultRate\":0,\"minDelivered\":0,\"deadRouter\":10,"
+         "\"status\":\"ok\",\"endCycle\":67275,\"created\":1009,"
+         "\"delivered\":691,\"failed\":442,"
+         "\"deliveredFraction\":0.684836,\"avgLatency\":21.827786,"
+         "\"p99Latency\":40.000000,\"avgHops\":3.575977,\"wakeups\":0,"
+         "\"offFraction\":0.000000,\"energyJ\":6.934423e-05,"
+         "\"injectedFaults\":0,\"retransmits\":3544,\"recovered\":4,"
+         "\"flitsEaten\":8016,\"drained\":true}\n"},
     };
     const std::string dir = freshDir("campaign-golden");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
     for (const auto &[spec, golden] : cases) {
         const PointPaths paths = pointPaths(dir, spec.id);
         ASSERT_EQ(runPointWorker(spec, paths, WorkerOptions{}), kExitOk);
         EXPECT_EQ(slurp(paths.result), golden);
+    }
+}
+
+TEST(CampaignWorker, DeadRouterCostsOnlyTheBaselinesDelivery)
+{
+    // The resilience study's dead-router scenario on 4x4: NoRD gates the
+    // dead router and its node stays reachable over the bypass ring,
+    // while each baseline loses the victim's traffic. No point is
+    // gated, so every one completes.
+    GridSpec grid;
+    grid.designs = {PgDesign::kNoPg, PgDesign::kConvPg,
+                    PgDesign::kConvPgOpt, PgDesign::kNord};
+    grid.deadRouters = {10};
+    grid.minDelivered = 0.99;
+    const std::string dir = freshDir("campaign-dead-router");
+    for (const PointSpec &spec : expandGrid(grid)) {
+        EXPECT_EQ(spec.minDelivered, 0.0);
+        const PointPaths paths = pointPaths(dir, spec.id);
+        ASSERT_EQ(runPointWorker(spec, paths, WorkerOptions{}), kExitOk)
+            << pgDesignName(spec.design);
+        std::string line;
+        std::string delivered;
+        ASSERT_TRUE(readResultLine(paths.result, &line));
+        ASSERT_TRUE(jsonFieldRaw(line, "deliveredFraction", &delivered));
+        if (spec.design == PgDesign::kNord)
+            EXPECT_EQ(delivered, "1.000000") << line;
+        else
+            EXPECT_LT(std::stod(delivered), 1.0) << line;
+    }
+}
+
+TEST(CampaignWorker, DeadRouterOffTheMeshIsBadConfig)
+{
+    // killRouter would assert on such an id; that abort would be
+    // classed as a crash and retried instead of quarantined.
+    const std::string dir = freshDir("campaign-bad-dead-router");
+    for (NodeId id : {16, -2}) {
+        PointSpec spec;
+        spec.deadRouter = id;
+        spec.measure = 100;
+        EXPECT_EQ(runPointWorker(spec, pointPaths(dir, spec.id),
+                                 WorkerOptions{}),
+                  kExitBadConfig)
+            << "dead router " << id;
     }
 }
 
@@ -545,8 +613,6 @@ TEST(CampaignWorker, RateOutsideUnitIntervalIsBadConfig)
     // point quarantines on its first attempt instead of completing
     // empty or tripping SyntheticTraffic's assert (a retried crash).
     const std::string dir = freshDir("campaign-bad-rate");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
     for (double rate : {-0.5, 1.5, std::nan("")}) {
         PointSpec spec;
         spec.rate = rate;
@@ -868,12 +934,14 @@ TEST(CampaignEndToEnd, SuspendedExecutorFinishesCleanly)
 
 // An executor SIGKILLed mid-campaign leaves only its journal and the
 // workers' checkpoints. Rerunning it on the same directory must resume
-// to an undisturbed run's report bytes, poison quarantine included.
+// to an undisturbed run's report bytes, poison quarantine and dead-router
+// points (whose dead router only the checkpoint carries) included.
 TEST(CampaignEndToEnd, SigkilledExecutorResumesToTheSameReport)
 {
     clearCampaignDrain();
     GridSpec grid = e2eGrid();
     grid.measure = 20000;  // the kill must land while workers run
+    grid.deadRouters = {kInvalidNode, 10};
     std::vector<PointSpec> specs = expandGrid(grid);
     ASSERT_GE(specs.size(), 2u);
     specs[1].selfTest = SelfTest::kPoison;

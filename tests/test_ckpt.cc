@@ -20,6 +20,7 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/state_serializer.hh"
 #include "network/noc_system.hh"
+#include "temp_dir.hh"
 #include "traffic/parsec_workload.hh"
 #include "traffic/synthetic_traffic.hh"
 
@@ -68,12 +69,6 @@ fingerprint(const NocSystem &sys)
             st.packetsFailed(), st.flitsInjected(), st.flitsEjected(),
             st.totals().linkTraversals, st.totalWakeups(),
             st.avgPacketLatency(), st.avgHops()};
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
 }
 
 /**
@@ -183,7 +178,7 @@ TEST(Checkpoint, ResumeFromFileMatchesGoldenRun)
 
     // Interrupted: run to the checkpoint, write it, then resume in a
     // process-fresh system (new NocSystem + new workload objects).
-    const std::string path = tmpPath("nord_resume.ckpt");
+    const std::string path = testTempPath("nord_resume.ckpt");
     {
         NocSystem sys(cfg);
         SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.08, 7);
@@ -244,7 +239,7 @@ TEST(Checkpoint, VersionMismatchRejected)
 {
     const NocConfig cfg = ckptConfig(PgDesign::kNoPg);
     NocSystem sys(cfg);
-    const std::string path = tmpPath("nord_version.ckpt");
+    const std::string path = testTempPath("nord_version.ckpt");
     std::string err;
     ASSERT_TRUE(sys.saveCheckpoint(path, {}, &err)) << err;
 
@@ -265,7 +260,7 @@ TEST(Checkpoint, VersionMismatchRejected)
 TEST(Checkpoint, ConfigFingerprintMismatchRejected)
 {
     NocSystem nord(ckptConfig(PgDesign::kNord));
-    const std::string path = tmpPath("nord_config.ckpt");
+    const std::string path = testTempPath("nord_config.ckpt");
     std::string err;
     ASSERT_TRUE(nord.saveCheckpoint(path, {}, &err)) << err;
 
@@ -282,7 +277,7 @@ TEST(Checkpoint, CorruptPayloadRejectedWithoutPanic)
     SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.08, 7);
     sys.setWorkload(&t);
     sys.run(300);
-    const std::string path = tmpPath("nord_corrupt.ckpt");
+    const std::string path = testTempPath("nord_corrupt.ckpt");
     std::string err;
     ASSERT_TRUE(sys.saveCheckpoint(path, {}, &err)) << err;
 
@@ -415,7 +410,7 @@ TEST(CheckpointFuzz, EveryTruncationRejectedWithRollback)
     SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.08, 7);
     sys.setWorkload(&t);
     sys.run(300);
-    const std::string golden = tmpPath("fuzz_trunc_golden.ckpt");
+    const std::string golden = testTempPath("fuzz_trunc_golden.ckpt");
     std::string err;
     ASSERT_TRUE(sys.saveCheckpoint(golden, {}, &err)) << err;
     const std::vector<unsigned char> intact = slurpBytes(golden);
@@ -426,7 +421,7 @@ TEST(CheckpointFuzz, EveryTruncationRejectedWithRollback)
     victim.setWorkload(&tv);
     victim.run(150);
 
-    const std::string path = tmpPath("fuzz_trunc.ckpt");
+    const std::string path = testTempPath("fuzz_trunc.ckpt");
     std::vector<std::size_t> cuts;
     // Every boundary inside the header, including the exact section
     // boundaries (magic|version|fingerprint|cycle|user|size|hash|digest).
@@ -462,7 +457,7 @@ TEST(CheckpointFuzz, EveryHeaderBitFlipRejectedWithRollback)
     SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.08, 7);
     sys.setWorkload(&t);
     sys.run(300);
-    const std::string golden = tmpPath("fuzz_flip_golden.ckpt");
+    const std::string golden = testTempPath("fuzz_flip_golden.ckpt");
     std::string err;
     ASSERT_TRUE(sys.saveCheckpoint(golden, {1, 2, 3, 4}, &err)) << err;
     const std::vector<unsigned char> intact = slurpBytes(golden);
@@ -472,7 +467,7 @@ TEST(CheckpointFuzz, EveryHeaderBitFlipRejectedWithRollback)
     victim.setWorkload(&tv);
     victim.run(150);
 
-    const std::string path = tmpPath("fuzz_flip.ckpt");
+    const std::string path = testTempPath("fuzz_flip.ckpt");
     std::vector<unsigned char> bytes = intact;
     for (std::size_t byte = 0; byte < kHeaderBytes; ++byte) {
         for (int bit = 0; bit < 8; ++bit) {
@@ -506,7 +501,7 @@ TEST(CheckpointFuzz, SampledPayloadBitFlipsRejectedWithRollback)
     SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.08, 7);
     sys.setWorkload(&t);
     sys.run(300);
-    const std::string golden = tmpPath("fuzz_pay_golden.ckpt");
+    const std::string golden = testTempPath("fuzz_pay_golden.ckpt");
     std::string err;
     ASSERT_TRUE(sys.saveCheckpoint(golden, {}, &err)) << err;
     const std::vector<unsigned char> intact = slurpBytes(golden);
@@ -518,7 +513,7 @@ TEST(CheckpointFuzz, SampledPayloadBitFlipsRejectedWithRollback)
     victim.setWorkload(&tv);
     victim.run(150);
 
-    const std::string path = tmpPath("fuzz_pay.ckpt");
+    const std::string path = testTempPath("fuzz_pay.ckpt");
     std::vector<unsigned char> bytes = intact;
     for (int i = 0; i < 64; ++i) {
         // Deterministic spread over the payload, cycling the flipped bit.

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "network/noc_system.hh"
+#include "temp_dir.hh"
 #include "traffic/synthetic_traffic.hh"
 
 namespace nord {
@@ -147,8 +148,7 @@ TEST(PerfInvariance, CheckpointCrossesPerfSettings)
     // (and vice versa): PerfConfig is excluded from the configuration
     // fingerprint, so the checkpoint must load, and the restored run
     // must stay in lockstep with the donor.
-    const std::string path =
-        ::testing::TempDir() + "/nord_perf_cross.ckpt";
+    const std::string path = testTempPath("nord_perf_cross.ckpt");
     for (int dir = 0; dir < 2; ++dir) {
         const bool donorFast = (dir == 0);
         NocSystem donor(perfConfig(PgDesign::kNord, donorFast, donorFast));
@@ -202,8 +202,8 @@ TEST_P(PerfInvarianceSoak, InvarianceFaultSoak)
     ref.setWorkload(&tr);
     alt.setWorkload(&ta);
     // One file per seed: the seeds run as parallel ctest entries.
-    const std::string path = ::testing::TempDir() + "/nord_perf_soak_" +
-                             std::to_string(seed) + ".ckpt";
+    const std::string path =
+        testTempPath("nord_perf_soak_" + std::to_string(seed) + ".ckpt");
     for (Cycle i = 0; i < 3000; ++i) {
         ref.run(1);
         alt.run(1);

@@ -16,6 +16,7 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/state_serializer.hh"
 #include "network/noc_system.hh"
+#include "temp_dir.hh"
 #include "traffic/synthetic_traffic.hh"
 
 namespace nord {
@@ -476,7 +477,7 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
     CheckpointMeta meta;
     meta.configFingerprint = src.configFingerprint();
     meta.cycle = src.now() + 1;
-    const std::string bad = ::testing::TempDir() + "/occupancy_bad.ckpt";
+    const std::string bad = testTempPath("occupancy_bad.ckpt");
     ASSERT_TRUE(writeCheckpointFile(bad, meta, payload));
     std::string err;
     EXPECT_FALSE(victim.loadCheckpoint(bad, nullptr, &err));
@@ -484,7 +485,7 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
     EXPECT_EQ(victim.auditor().sweep(victim.now()), 0u);
 
     meta.cycle = src.now();
-    const std::string good = ::testing::TempDir() + "/occupancy_good.ckpt";
+    const std::string good = testTempPath("occupancy_good.ckpt");
     ASSERT_TRUE(writeCheckpointFile(good, meta, payload));
     ASSERT_TRUE(victim.loadCheckpoint(good, nullptr, &err)) << err;
     EXPECT_EQ(victim.stateHash(), src.stateHash());

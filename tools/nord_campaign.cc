@@ -2,10 +2,10 @@
  * @file
  * nord-campaign: fault-tolerant simulation campaign runner.
  *
- * Expands a (design x workload x rate x faultRate x seed) grid into a
- * crash-resumable work queue, supervises a fleet of forked workers
- * (heartbeats, per-point hang kills, capped jittered retry backoff,
- * poison-point quarantine) and aggregates the results into
+ * Expands a (design x workload x rate x faultRate x deadRouter x seed)
+ * grid into a crash-resumable work queue, supervises a fleet of forked
+ * workers (heartbeats, per-point hang kills, capped jittered retry
+ * backoff, poison-point quarantine) and aggregates the results into
  * report.json / report.csv / provenance.json. See DESIGN.md section 5.9.
  *
  * There is one supervision loop, campaign::runExecutor, over one
@@ -17,8 +17,8 @@
  *
  * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh):
  * 0 when every point completed, 10 when any point was quarantined, 11
- * on a bad command line, 12 on orchestration failure, 13 when drained
- * by SIGINT/SIGTERM.
+ * on a bad command line, 12 on orchestration failure or when stdout
+ * cannot be written, 13 when drained by SIGINT/SIGTERM.
  */
 
 #include <cerrno>
@@ -35,6 +35,7 @@
 #include "campaign/executor.hh"
 #include "campaign/exit_codes.hh"
 #include "campaign/orchestrator.hh"
+#include "common/log.hh"
 #include "network/noc_config.hh"
 
 namespace {
@@ -67,6 +68,10 @@ usage()
         "                       (closed loop; added alongside patterns)\n"
         "  --rates LIST         synthetic injection rates (default 0.10)\n"
         "  --fault-rates LIST   transient fault rates (default 0)\n"
+        "  --dead-routers LIST  comma list of node ids (or none) whose\n"
+        "                       router is dead from cycle 0 (default\n"
+        "                       none); such a point has no delivery\n"
+        "                       gate\n"
         "  --seeds LIST         simulation seeds (default 1)\n"
         "  --rows R --cols C    mesh shape (default 4x4)\n"
         "  --cycles N           synthetic measurement window (default\n"
@@ -164,6 +169,20 @@ parseU64List(const std::string &arg, std::vector<std::uint64_t> *out)
     return !out->empty();
 }
 
+/** A comma list of node ids, `none` standing for kInvalidNode. */
+bool
+parseNodeList(const std::string &arg, std::vector<NodeId> *out)
+{
+    out->clear();
+    for (const std::string &s : splitList(arg)) {
+        int v = kInvalidNode;
+        if (s != "none" && !(parseInt(s, &v) && v >= 0))
+            return false;
+        out->push_back(v);
+    }
+    return !out->empty();
+}
+
 bool
 parseDoubleList(const std::string &arg, std::vector<double> *out)
 {
@@ -175,6 +194,13 @@ parseDoubleList(const std::string &arg, std::vector<double> *out)
         out->push_back(v);
     }
     return !out->empty();
+}
+
+/** @p code, or kExitInfraFailure when stdout could not be written. */
+int
+stdoutStatus(int code = kExitOk)
+{
+    return flushStdout() ? code : kExitInfraFailure;
 }
 
 void
@@ -212,7 +238,7 @@ main(int argc, char **argv)
         const std::string a = argv[i];
         if (a == "--help" || a == "-h") {
             usage();
-            return 0;
+            return stdoutStatus();
         } else if (a == "--list") {
             list = true;
         } else if (a == "--out") {
@@ -263,6 +289,12 @@ main(int argc, char **argv)
                 return kExitBadConfig;
             }
             ++i;
+        } else if (a == "--dead-routers") {
+            if (!parseNodeList(needValue(i), &grid.deadRouters)) {
+                std::fprintf(stderr, "bad --dead-routers list\n");
+                return kExitBadConfig;
+            }
+            ++i;
         } else if (a == "--seeds") {
             if (!parseU64List(needValue(i), &grid.seeds)) {
                 std::fprintf(stderr, "bad --seeds list\n");
@@ -306,12 +338,24 @@ main(int argc, char **argv)
         }
     }
 
+    // --rows and --cols may follow --dead-routers.
+    const long long nodes = static_cast<long long>(grid.rows) * grid.cols;
+    for (NodeId id : grid.deadRouters) {
+        if (id != kInvalidNode && id >= nodes) {
+            std::fprintf(stderr,
+                         "bad --dead-routers id %d: the %dx%d mesh has "
+                         "nodes 0..%lld\n",
+                         id, grid.rows, grid.cols, nodes - 1);
+            return kExitBadConfig;
+        }
+    }
+
     const std::vector<PointSpec> specs = expandGrid(grid);
 
     if (list) {
         for (const PointSpec &spec : specs)
             std::printf("%s\n", specJson(spec).c_str());
-        return 0;
+        return stdoutStatus();
     }
     if (opts.outDir.empty()) {
         std::fprintf(stderr, "--out DIR is required (--help)\n");
@@ -340,9 +384,9 @@ main(int argc, char **argv)
     if (out.interrupted) {
         std::printf("nord-campaign: drained by signal; rerun the same "
                     "command to resume\n");
-        return kExitInterrupted;
+        return stdoutStatus(kExitInterrupted);
     }
     if (out.wroteReports)
         std::printf("nord-campaign: report %s\n", out.reportJson.c_str());
-    return out.quarantined > 0 ? kExitGateFailure : kExitOk;
+    return stdoutStatus(out.quarantined > 0 ? kExitGateFailure : kExitOk);
 }
