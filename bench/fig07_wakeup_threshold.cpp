@@ -22,10 +22,22 @@ main()
     using namespace nord;
     using namespace nord::bench;
 
-    const double rates[] = {0.01, 0.02, 0.03, 0.04, 0.05,
-                            0.06, 0.08, 0.10};
-    const Cycle warmup = 10000;
-    const Cycle measure = 100000;
+    // Per rate: Req = 1..5, ring only (Req 2^20: never wakes), No_PG (0).
+    std::vector<Point> points;
+    for (double rate : {0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.10}) {
+        for (int req : {1, 2, 3, 4, 5, 1 << 20, 0}) {
+            NocConfig cfg = makeShippedConfig(
+                req ? PgDesign::kNord : PgDesign::kNoPg, 4, 4);
+            if (req) {
+                cfg.nordPerfThreshold = req;
+                cfg.nordPowerThreshold = req;
+                cfg.nordPerfCentricCount = 0;
+            }
+            points.push_back({.cfg = cfg, .rate = rate, .warmup = 10000,
+                              .measure = 100000, .seed = 11});
+        }
+    }
+    runPoints(points);
 
     std::printf("=== Figure 7: latency vs injection rate per wakeup "
                 "threshold (4x4, uniform random) ===\n");
@@ -33,31 +45,12 @@ main()
     for (int req = 1; req <= 5; ++req)
         std::printf("  Req=%d   ", req);
     std::printf("%-10s %-10s\n", "ring-only", "all-on");
-
-    for (double rate : rates) {
-        std::printf("%-8.3f", rate);
-        for (int req = 1; req <= 5; ++req) {
-            NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
-            cfg.nordPerfThreshold = req;
-            cfg.nordPowerThreshold = req;
-            cfg.nordPerfCentricCount = 0;
-            RunRecord r = runSynthetic(cfg, TrafficPattern::kUniformRandom,
-                                       rate, warmup, measure, 11);
-            std::printf(" %8.2f", r.avgLatency);
-        }
-        // Ring only: thresholds unreachably high, routers never wake.
-        NocConfig ringCfg = makeShippedConfig(PgDesign::kNord, 4, 4);
-        ringCfg.nordPerfThreshold = 1 << 20;
-        ringCfg.nordPowerThreshold = 1 << 20;
-        ringCfg.nordPerfCentricCount = 0;
-        RunRecord ringOnly = runSynthetic(
-            ringCfg, TrafficPattern::kUniformRandom, rate, warmup, measure,
-            11);
-        RunRecord allOn = runSynthetic(
-            makeShippedConfig(PgDesign::kNoPg, 4, 4),
-            TrafficPattern::kUniformRandom, rate, warmup, measure, 11);
-        std::printf(" %9.2f %9.2f\n", ringOnly.avgLatency,
-                    allOn.avgLatency);
+    for (std::size_t i = 0; i < points.size(); i += 7) {
+        std::printf("%-8.3f", points[i].rate);
+        for (std::size_t k = i; k < i + 5; ++k)
+            std::printf(" %8.2f", points[k].rec.avgLatency);
+        std::printf(" %9.2f %9.2f\n", points[i + 5].rec.avgLatency,
+                    points[i + 6].rec.avgLatency);
     }
     std::printf("\nA latency blow-up in the ring-only column marks the "
                 "Bypass Ring saturation point\n(paper: ~14%% of the all-on "

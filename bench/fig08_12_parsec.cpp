@@ -24,7 +24,6 @@
  * Environment: NORD_QUICK=1 shrinks the PARSEC scripts (faster, noisier).
  */
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <vector>
@@ -36,29 +35,6 @@ namespace {
 
 using namespace nord;
 using namespace nord::bench;
-
-/**
- * Run one PARSEC benchmark model to completion on @p cfg (shortened in
- * quick mode).
- */
-RunRecord
-runParsec(const NocConfig &cfg, const ParsecParams &params)
-{
-    NocSystem sys(cfg);
-    ParsecParams p = params;
-    if (quickMode())
-        p.transactionsPerCore = std::max(50, p.transactionsPerCore / 8);
-    ParsecWorkload wl(p, 1);
-    sys.setWorkload(&wl);
-    if (!sys.runToCompletion(30'000'000)) {
-        std::fprintf(stderr,
-                     "warning: %s/%s hit the cycle limit (%llu done)\n",
-                     pgDesignName(cfg.design), p.name.c_str(),
-                     static_cast<unsigned long long>(
-                         wl.completedTransactions()));
-    }
-    return recordRun(sys);
-}
 
 /** A NoRD variant of the ablation, applied to the shipped 4x4 config. */
 struct Variant
@@ -82,14 +58,6 @@ constexpr std::size_t kNumVariants = std::size(kVariants);
 
 const char *const kAblationMix[] = {"canneal", "fluidanimate", "x264"};
 constexpr std::size_t kMixSize = std::size(kAblationMix);
-
-/** One simulation of the study: a PARSEC model on one configuration. */
-struct Point
-{
-    const ParsecParams *params;
-    NocConfig cfg;
-    RunRecord rec;
-};
 
 /**
  * The study's table. The campaign comes first, benchmark-major: point
@@ -120,29 +88,17 @@ buildTable()
     for (const ParsecParams &p : t.suite) {
         for (int d = 0; d < 4; ++d)
             t.points.push_back(
-                {&p, makeShippedConfig(static_cast<PgDesign>(d), 4, 4), {}});
+                {.cfg = makeShippedConfig(static_cast<PgDesign>(d), 4, 4),
+                 .parsec = &p});
     }
     for (const Variant &v : kVariants) {
         for (const char *name : kAblationMix) {
             NocConfig cfg = makeShippedConfig(PgDesign::kNord, 4, 4);
             v.apply(cfg);
-            t.points.push_back({&parsecByName(name), cfg, {}});
+            t.points.push_back({.cfg = cfg, .parsec = &parsecByName(name)});
         }
     }
     return t;
-}
-
-/** Run every point in table order, reporting each finished benchmark. */
-void
-runTable(Table &t)
-{
-    for (std::size_t i = 0; i < t.points.size(); ++i) {
-        Point &pt = t.points[i];
-        pt.rec = runParsec(pt.cfg, *pt.params);
-        if (i < 4 * t.suite.size() && i % 4 == 3)
-            std::fprintf(stderr, "  [campaign] %s done\n",
-                         pt.params->name.c_str());
-    }
 }
 
 void
@@ -400,7 +356,7 @@ int
 main()
 {
     Table t = buildTable();
-    runTable(t);
+    runPoints(t.points);
     renderSec3(t);
     renderFig08(t);
     renderFig09(t);

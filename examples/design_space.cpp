@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
@@ -55,5 +56,5 @@ main(int argc, char **argv)
         std::printf("%-22s %10.2f %12.2f\n", v.name, r.avgLatency,
                     r.energy.total() * 1e6 /* uJ */);
     }
-    return 0;
+    return bench::stdoutStatus();
 }

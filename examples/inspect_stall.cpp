@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "traffic/synthetic_traffic.hh"
 
@@ -108,5 +109,5 @@ main(int argc, char **argv)
                     sys.stats().packetsDelivered()),
                 sys.stats().avgPacketLatency(),
                 100.0 * sys.stats().avgIdleFraction());
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
@@ -59,5 +60,5 @@ main(int argc, char **argv)
     }
     std::printf("\nstaticE/totalE are normalized to No_PG "
                 "(static includes PG overhead).\n");
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "power/power_model.hh"
 #include "traffic/parsec_workload.hh"
@@ -67,5 +68,5 @@ main(int argc, char **argv)
     std::printf("Periods at or below the %d-cycle breakeven time cannot "
                 "profit from\nconventional power-gating -- the "
                 "opportunity NoRD unlocks.\n", cfg.betCycles);
-    return 0;
+    return bench::stdoutStatus();
 }

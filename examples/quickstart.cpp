@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/synthetic_traffic.hh"
@@ -65,5 +66,5 @@ main(int argc, char **argv)
                 r.energy.routerDynamic / seconds);
     std::printf("  PG overhead      %.3f W\n",
                 r.energy.pgOverhead / seconds);
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -4,20 +4,44 @@
  * criticality analysis for an arbitrary mesh size.
  *
  * Usage: ring_explorer [rows] [cols]   (default: 4 4)
+ *
+ * Each argument must be a whole number; anything else prints the usage
+ * and exits 2. A mesh smaller than 2x2 is MeshTopology's to reject
+ * (exit 1).
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
+#include "bench_util.hh"
 #include "topology/criticality.hh"
+
+namespace {
+
+/** Parse all of @p arg as an int; false on any other text. */
+bool
+parseInt(const char *arg, int *out)
+{
+    const char *end = arg + std::strlen(arg);
+    const auto [last, ec] = std::from_chars(arg, end, *out);
+    return ec == std::errc() && last == end;
+}
+
+}  // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace nord;
 
-    const int rows = argc > 1 ? std::atoi(argv[1]) : 4;
-    const int cols = argc > 2 ? std::atoi(argv[2]) : 4;
+    int rows = 4;
+    int cols = 4;
+    if (argc > 3 || (argc > 1 && !parseInt(argv[1], &rows)) ||
+        (argc > 2 && !parseInt(argv[2], &cols))) {
+        std::fprintf(stderr, "usage: ring_explorer [rows] [cols]\n");
+        return 2;
+    }
     MeshTopology mesh(rows, cols);
     BypassRing ring(mesh);
 
@@ -63,5 +87,5 @@ main(int argc, char **argv)
         std::printf("\n(criticality sweep skipped for large meshes; "
                     "run fig06_router_criticality)\n");
     }
-    return 0;
+    return bench::stdoutStatus();
 }

@@ -5,7 +5,8 @@
  * The library's contract after the hidden-static purge: independent
  * NocSystems share NO mutable state except the mutex-guarded
  * CriticalityCache and the lock-free trace selection, so concurrent
- * campaigns are bit-identical to serial ones. Each case is its own
+ * campaigns are bit-identical to serial ones -- and so are the figure
+ * benches' pooled points (bench::runPoints). Each case is its own
  * tier-1 ctest entry (`ctest -R Concurrency`); CI also runs them under
  * ThreadSanitizer, where DISABLED_PlantedStaticCacheRace reproduces the
  * pre-fix bug shape as a detected race (negative control for the TSan
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "common/trace.hh"
 #include "network/noc_system.hh"
 #include "topology/criticality.hh"
@@ -101,6 +103,68 @@ TEST(Concurrency, ConcurrentConstructionSharesCriticalityCache)
     EXPECT_FALSE(perfA.empty());
     EXPECT_EQ(perfA, perfB);
     EXPECT_GT(CriticalityCache::instance().entries(), 0u);
+}
+
+/** Require every field of @p a to equal the same field of @p b. */
+void
+expectSameRecord(const RunRecord &a, const RunRecord &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.created, b.created);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.deliveredFraction, b.deliveredFraction);
+    EXPECT_EQ(a.avgLatency, b.avgLatency);
+    EXPECT_EQ(a.p99Latency, b.p99Latency);
+    EXPECT_EQ(a.avgHops, b.avgHops);
+    EXPECT_EQ(a.wakeups, b.wakeups);
+    EXPECT_EQ(a.idleFraction, b.idleFraction);
+    EXPECT_EQ(a.idleLeqBet, b.idleLeqBet);
+    EXPECT_EQ(a.offFraction, b.offFraction);
+    EXPECT_EQ(a.energy.routerStatic, b.energy.routerStatic);
+    EXPECT_EQ(a.energy.routerDynamic, b.energy.routerDynamic);
+    EXPECT_EQ(a.energy.linkStatic, b.energy.linkStatic);
+    EXPECT_EQ(a.energy.linkDynamic, b.energy.linkDynamic);
+    EXPECT_EQ(a.energy.pgOverhead, b.energy.pgOverhead);
+    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
+    EXPECT_EQ(a.injectedFaults, b.injectedFaults);
+    EXPECT_EQ(a.retransmits, b.retransmits);
+    EXPECT_EQ(a.recovered, b.recovered);
+    EXPECT_EQ(a.flitsEaten, b.flitsEaten);
+    EXPECT_EQ(a.drained, b.drained);
+}
+
+TEST(Concurrency, FigurePointsOnThePoolMatchSerial)
+{
+    // The figure benches' table shape: 4 designs x 2 rates on 4x4 with a
+    // short window, plus one shortened PARSEC model.
+    std::vector<bench::Point> points;
+    for (double rate : {0.05, 0.20}) {
+        for (int d = 0; d < 4; ++d)
+            points.push_back(
+                {.cfg = makeShippedConfig(static_cast<PgDesign>(d), 4, 4),
+                 .rate = rate, .warmup = 500, .measure = 2000, .seed = 9});
+    }
+    ParsecParams canneal = parsecByName("canneal");
+    canneal.transactionsPerCore = 20;
+    points.push_back({.cfg = makeShippedConfig(PgDesign::kNord, 4, 4),
+                      .parsec = &canneal});
+
+    std::vector<RunRecord> serial;
+    for (const bench::Point &pt : points)
+        serial.push_back(bench::runPoint(pt));
+
+    // The pool is hardware_concurrency() threads wide, capped at the
+    // table size; start from a cold cache so construction contends.
+    CriticalityCache::instance().clear();
+    bench::runPoints(points);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "point " << i << " ("
+                     << pgDesignName(points[i].cfg.design) << ")");
+        EXPECT_GT(points[i].rec.delivered, 0u);
+        expectSameRecord(points[i].rec, serial[i]);
+    }
 }
 
 TEST(Concurrency, TraceSelectionIsResettable)
