@@ -4,15 +4,38 @@
  * traffic, and print latency / power-gating statistics.
  *
  * Usage: quickstart [injection_rate_flits_per_node_cycle]
+ *
+ * The rate must be wholly a number in (0, 1]; anything else prints the
+ * usage and exits 2.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "bench_util.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/synthetic_traffic.hh"
+
+namespace {
+
+/** Parse all of @p arg as a rate in (0, 1]; false on any other text. */
+bool
+parseRate(const char *arg, double *out)
+{
+    const char *end = arg + std::strlen(arg);
+    double v = 0.0;
+    const auto [last, ec] = std::from_chars(arg, end, v);
+    if (ec != std::errc() || last != end || !std::isfinite(v) || v <= 0.0 ||
+        v > 1.0)
+        return false;
+    *out = v;
+    return true;
+}
+
+}  // namespace
 
 int
 main(int argc, char **argv)
@@ -20,8 +43,10 @@ main(int argc, char **argv)
     using namespace nord;
 
     double rate = 0.05;
-    if (argc > 1)
-        rate = std::atof(argv[1]);
+    if (argc > 2 || (argc > 1 && !parseRate(argv[1], &rate))) {
+        std::fprintf(stderr, "usage: quickstart [rate in (0, 1]]\n");
+        return 2;
+    }
 
     NocConfig cfg;
     cfg.rows = 4;

@@ -6,6 +6,8 @@
 #include "campaign/campaign_point.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "campaign/exit_codes.hh"
 #include "campaign/journal.hh"
@@ -17,6 +19,8 @@
 #include "traffic/parsec_workload.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <time.h>
 #endif
 
@@ -172,6 +176,30 @@ saveWorkerCheckpoint(NocSystem &sys, const PointSpec &spec,
     return true;
 }
 
+/**
+ * Bump the checkpoint file's mtime to now: the executor's heartbeat
+ * between full saves. Without utimensat the heartbeat is a full save.
+ */
+bool
+touchWorkerCheckpoint(NocSystem &sys, const PointSpec &spec,
+                      const std::string &path, std::uint64_t phase)
+{
+#if defined(__unix__) || defined(__APPLE__)
+    (void)sys;
+    (void)phase;
+    if (utimensat(AT_FDCWD, path.c_str(), nullptr, 0) != 0) {
+        std::fprintf(diagStream(),
+                     "[worker %llu] heartbeat touch of %s failed: %s\n",
+                     static_cast<unsigned long long>(spec.id),
+                     path.c_str(), std::strerror(errno));
+        return false;
+    }
+    return true;
+#else
+    return saveWorkerCheckpoint(sys, spec, path, phase);
+#endif
+}
+
 void
 selfTestHangForever(const PointSpec &spec)
 {
@@ -302,7 +330,30 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         }
     }
 
-    const Cycle every = std::max<Cycle>(opts.checkpointEvery, 1);
+    // The heartbeat after every chunk: a full checkpoint when this
+    // attempt has written none yet, when the last one is fullEvery
+    // cycles old, or at a phase change (force); otherwise only a
+    // touch of the checkpoint file's mtime.
+    const Cycle fullEvery = std::max<Cycle>(opts.checkpointEvery, 1);
+    const Cycle every = std::min(kHeartbeatCycles, fullEvery);
+    bool savedThisAttempt = false;
+    Cycle lastSave = 0;
+    const auto heartbeat = [&](std::uint64_t ckptPhase, bool force) {
+        const bool full = force || !savedThisAttempt ||
+                          sys.now() - lastSave >= fullEvery;
+        const bool ok =
+            full ? saveWorkerCheckpoint(sys, spec, paths.checkpoint,
+                                        ckptPhase)
+                 : touchWorkerCheckpoint(sys, spec, paths.checkpoint,
+                                         ckptPhase);
+        if (full) {
+            savedThisAttempt = true;
+            lastSave = sys.now();
+        }
+        if (ok && opts.onHeartbeat)
+            opts.onHeartbeat(sys.now(), full);
+        return ok;
+    };
     const Cycle hangAt = spec.measure / 2;
 
     if (spec.kind == WorkloadKind::kSynthetic) {
@@ -314,14 +365,14 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                 const Cycle chunk =
                     std::min<Cycle>(every, spec.measure - sys.now());
                 sys.run(chunk);
-                if (!saveWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                          kPhaseRunning))
+                // The phase change below saves at the last chunk's end.
+                if (sys.now() < spec.measure &&
+                    !heartbeat(kPhaseRunning, false))
                     return kExitInfraFailure;
             }
             sys.setWorkload(nullptr);
             phase = kPhaseDrain;
-            if (!saveWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                      kPhaseDrain))
+            if (!heartbeat(kPhaseDrain, true))
                 return kExitInfraFailure;
         }
         const Cycle limit = spec.measure + opts.drainBudget;
@@ -329,9 +380,7 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         while (!done && sys.now() < limit) {
             const Cycle chunk = std::min<Cycle>(every, limit - sys.now());
             done = sys.runTowardCompletion(chunk);
-            if (!done &&
-                !saveWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                      kPhaseDrain))
+            if (!done && !heartbeat(kPhaseDrain, false))
                 return kExitInfraFailure;
         }
     } else {
@@ -343,9 +392,7 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                 selfTestHangForever(spec);
             const Cycle chunk = std::min<Cycle>(every, limit - sys.now());
             done = sys.runTowardCompletion(chunk);
-            if (!done &&
-                !saveWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                      kPhaseRunning))
+            if (!done && !heartbeat(kPhaseRunning, false))
                 return kExitInfraFailure;
         }
     }

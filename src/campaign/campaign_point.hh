@@ -5,10 +5,11 @@
  * A campaign is a grid of PointSpecs expanded in a fixed deterministic
  * order; the point id is the index in that order and is what the journal,
  * the checkpoint files and the report key on. Each point runs as its own
- * supervised worker process (runPointWorker), checkpointing periodically
- * so the executor can read heartbeats from the checkpoint file's
- * mtime and so a killed attempt resumes bit-exactly instead of starting
- * over.
+ * supervised worker process (runPointWorker). Every kHeartbeatCycles
+ * cycles the worker either saves a full checkpoint or touches the
+ * checkpoint file, so the executor can read heartbeats from the file's
+ * mtime, and a killed attempt resumes bit-exactly from its last full
+ * checkpoint instead of starting over.
  *
  * The worker's contract with the supervisor:
  *  - exit codes follow the campaign taxonomy (exit_codes.hh);
@@ -24,6 +25,7 @@
 #define NORD_CAMPAIGN_CAMPAIGN_POINT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -121,20 +123,31 @@ struct PointPaths
 /** Compose the artifact paths of point @p id under @p outDir. */
 PointPaths pointPaths(const std::string &outDir, std::uint64_t id);
 
+/** Cycles between two worker heartbeats (at most checkpointEvery). */
+constexpr Cycle kHeartbeatCycles = 500;
+
 /** Worker knobs forwarded by the executor. */
 struct WorkerOptions
 {
-    Cycle checkpointEvery = 500;  ///< checkpoint/heartbeat period
-    Cycle drainBudget = 500000;   ///< extra cycles allowed for draining
+    Cycle checkpointEvery = 5000;  ///< full-checkpoint period in cycles
+    Cycle drainBudget = 500000;    ///< extra cycles allowed for draining
+    /** Test hook: after each heartbeat, its cycle and whether it wrote a
+     *  full checkpoint (false: it only touched the file). */
+    std::function<void(Cycle now, bool saved)> onHeartbeat;
 };
 
 /**
- * The worker body: run @p spec to completion, checkpointing to
- * paths.checkpoint every opts.checkpointEvery cycles, and atomically
- * write the result line to paths.result. Resumes transparently from an
- * existing checkpoint; a corrupt or mismatched checkpoint is discarded
- * and the point restarts from scratch (diagnosed on the worker's
- * stderr). Returns a campaign taxonomy exit code.
+ * The worker body: run @p spec to completion and atomically write the
+ * result line to paths.result. It runs in chunks of
+ * min(kHeartbeatCycles, opts.checkpointEvery) cycles, and after each
+ * chunk heartbeats through paths.checkpoint: a full checkpoint on the
+ * attempt's first heartbeat, whenever the last one is
+ * opts.checkpointEvery cycles old, and when the workload detaches for
+ * the drain; otherwise a touch of the file's mtime. Resumes
+ * transparently from an existing checkpoint; a corrupt or mismatched
+ * checkpoint is discarded and the point restarts from scratch
+ * (diagnosed on the worker's stderr). Returns a campaign taxonomy exit
+ * code.
  */
 int runPointWorker(const PointSpec &spec, const PointPaths &paths,
                    const WorkerOptions &opts);

@@ -3,7 +3,8 @@
  * Campaign executor: the one supervision loop behind nord-campaign.
  *
  * An executor supervises a fleet of forked point workers, each
- * heartbeating through its checkpoint file's mtime:
+ * heartbeating through its checkpoint file's mtime (a full save or a
+ * touch every kHeartbeatCycles simulated cycles):
  *
  *  - no heartbeat progress for hangTimeoutSec  -> SIGKILL, class "hang";
  *  - nonzero taxonomy exit                     -> classified per
@@ -63,7 +64,7 @@ struct ExecutorOptions
     int workers = 2;
     int maxFailures = 3;
     double hangTimeoutSec = 30.0;
-    double pollIntervalSec = 0.05;
+    double pollIntervalSec = 0.005;
     BackoffPolicy backoff;
     WorkerOptions worker;
     ChaosOptions chaos;

@@ -33,6 +33,12 @@ using PacketId = std::uint64_t;
 /** Sentinel for "no node". */
 inline constexpr NodeId kInvalidNode = -1;
 
+/**
+ * Largest mesh, in nodes: a flit's route history (recordVisit in
+ * flit.hh) keeps node ids as std::int16_t.
+ */
+inline constexpr int kMaxMeshNodes = std::numeric_limits<std::int16_t>::max();
+
 /** Sentinel for "no VC". */
 inline constexpr VcId kInvalidVc = -1;
 

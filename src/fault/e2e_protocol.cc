@@ -40,6 +40,8 @@ E2eEndpoint::registerSend(const PacketDescriptor &desc)
     entry.firstSent = desc.createdAt;
     entry.deadline = desc.createdAt + config_.fault.retransTimeout;
     flow.pending.emplace(seq, entry);
+    ++pending_;
+    nextDeadline_ = std::min(nextDeadline_, entry.deadline);
     return seq;
 }
 
@@ -91,6 +93,7 @@ E2eEndpoint::onAck(NodeId from, std::uint32_t seq, Cycle now)
         fs.recoveryLatencySum += now - it->second.firstSent;
     }
     flowIt->second.pending.erase(it);
+    --pending_;
 }
 
 void
@@ -108,6 +111,7 @@ E2eEndpoint::onNack(NodeId from, std::uint32_t seq, Cycle now)
     ++entry.retries;
     entry.retransmitted = true;
     entry.deadline = now + backoffTimeout(entry.retries);
+    nextDeadline_ = std::min(nextDeadline_, entry.deadline);
     ++stats_.flow(id_, from).retransmits;
     nackResends_.push_back({entry.desc, seq});
 }
@@ -208,21 +212,17 @@ E2eEndpoint::onFlitArrived(const Flit &flit, Cycle now,
 }
 
 void
-E2eEndpoint::service(Cycle now, std::vector<Resend> &resends,
-                     std::vector<AckSend> &acks)
+E2eEndpoint::expireTimers(Cycle now, std::vector<Resend> &resends)
 {
-    // Fast retransmits requested by NACKs.
-    while (!nackResends_.empty()) {
-        resends.push_back(nackResends_.front());
-        nackResends_.pop_front();
-    }
-
-    // Retransmission timeouts (deterministic order: flows by node id,
-    // entries by sequence number).
+    // Deterministic order: flows by node id, entries by sequence number.
+    // The walk visits every entry, so it leaves the exact earliest
+    // remaining deadline behind as the new bound.
+    Cycle earliest = kNeverCycle;
     for (auto &[dst, flow] : tx_) {
         for (auto it = flow.pending.begin(); it != flow.pending.end();) {
             TxEntry &entry = it->second;
             if (entry.deadline > now) {
+                earliest = std::min(earliest, entry.deadline);
                 ++it;
                 continue;
             }
@@ -232,6 +232,7 @@ E2eEndpoint::service(Cycle now, std::vector<Resend> &resends,
                 ++fs.failed;
                 stats_.packetFailed();
                 it = flow.pending.erase(it);
+                --pending_;
                 continue;
             }
             ++entry.retries;
@@ -240,9 +241,26 @@ E2eEndpoint::service(Cycle now, std::vector<Resend> &resends,
             ++fs.retransmits;
             ++fs.timeouts;
             resends.push_back({entry.desc, it->first});
+            earliest = std::min(earliest, entry.deadline);
             ++it;
         }
     }
+    nextDeadline_ = earliest;
+}
+
+void
+E2eEndpoint::service(Cycle now, std::vector<Resend> &resends,
+                     std::vector<AckSend> &acks)
+{
+    // Fast retransmits requested by NACKs.
+    while (!nackResends_.empty()) {
+        resends.push_back(nackResends_.front());
+        nackResends_.pop_front();
+    }
+
+    // Retransmission timeouts: no entry can be due before the bound.
+    if (now >= nextDeadline_)
+        expireTimers(now, resends);
 
     // ACKs whose piggyback window expired go standalone.
     while (!ackQueue_.empty() && ackQueue_.front().due <= now) {
@@ -252,28 +270,30 @@ E2eEndpoint::service(Cycle now, std::vector<Resend> &resends,
     }
 }
 
-bool
-E2eEndpoint::quiescent() const
+E2eEndpoint::TimerProbe
+E2eEndpoint::probeTimers() const
 {
-    if (!ackQueue_.empty() || !nackResends_.empty())
-        return false;
+    TimerProbe p;
+    p.keptPending = pending_;
+    p.keptBound = nextDeadline_;
+    p.scanEarliest = kNeverCycle;
     for (const auto &[dst, flow] : tx_) {
         (void)dst;
-        if (!flow.pending.empty())
-            return false;
+        p.scanPending += flow.pending.size();
+        for (const auto &[seq, entry] : flow.pending) {
+            (void)seq;
+            p.scanEarliest = std::min(p.scanEarliest, entry.deadline);
+        }
     }
-    return true;
+    return p;
 }
 
-size_t
-E2eEndpoint::pendingSends() const
+void
+E2eEndpoint::recountTimers()
 {
-    size_t count = 0;
-    for (const auto &[dst, flow] : tx_) {
-        (void)dst;
-        count += flow.pending.size();
-    }
-    return count;
+    const TimerProbe scan = probeTimers();
+    pending_ = scan.scanPending;
+    nextDeadline_ = scan.scanEarliest;
 }
 
 void

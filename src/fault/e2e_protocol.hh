@@ -94,10 +94,36 @@ class E2eEndpoint
                  std::vector<AckSend> &acks);
 
     /** No unacked sends and no protocol traffic waiting to be emitted. */
-    bool quiescent() const;
+    bool quiescent() const
+    {
+        return pending_ == 0 && ackQueue_.empty() && nackResends_.empty();
+    }
 
     /** Unacked data packets currently awaiting ACK or retransmission. */
-    size_t pendingSends() const;
+    size_t pendingSends() const { return pending_; }
+
+    /**
+     * The timer bookkeeping as kept, beside what a scan of the buffers
+     * gives: the pending count and the earliest pending deadline
+     * (kNeverCycle when nothing is pending).
+     */
+    struct TimerProbe
+    {
+        size_t keptPending = 0;
+        Cycle keptBound = 0;  ///< nextDeadline_
+        size_t scanPending = 0;
+        Cycle scanEarliest = 0;
+    };
+
+    /** Auditor hook: the kept timer bookkeeping beside a full scan. */
+    TimerProbe probeTimers() const;
+
+    /**
+     * Rebuild the pending count and the deadline bound from the
+     * retransmission buffers. NocSystem calls it after every restore
+     * walk, which writes the buffers but neither of the two.
+     */
+    void recountTimers();
 
     /**
      * Checkpoint hook: retransmission buffers, flow sequence state,
@@ -156,6 +182,9 @@ class E2eEndpoint
     /** Timeout for the (retries)-th retransmission, with backoff. */
     Cycle backoffTimeout(int retries) const;
 
+    /** Walk every pending entry: retransmit or fail the expired ones. */
+    void expireTimers(Cycle now, std::vector<Resend> &resends);
+
     NORD_STATE_EXCLUDE(config, "endpoint identity fixed at construction")
     NodeId id_;
     const NocConfig &config_;
@@ -166,6 +195,15 @@ class E2eEndpoint
     std::unordered_map<PacketId, RxPacketState> inFlightRx_;
     std::deque<AckItem> ackQueue_;
     std::deque<Resend> nackResends_;  ///< fast retransmits awaiting service
+
+    // Timer bookkeeping, so a cycle with no expired deadline costs no
+    // walk: service() skips the timeout walk while now < nextDeadline_.
+    NORD_STATE_EXCLUDE(cache, "sum of the pending buffers' sizes; "
+                       "recountTimers() rebuilds it after a restore")
+    size_t pending_ = 0;
+    NORD_STATE_EXCLUDE(cache, "lower bound on every pending deadline; "
+                       "recountTimers() rebuilds it after a restore")
+    Cycle nextDeadline_ = kNeverCycle;
 };
 
 }  // namespace nord

@@ -48,9 +48,17 @@ NocConfig::problems() const
     }
 
     // --- Mesh / ring structure -------------------------------------------
+    // In 64 bits: rows * cols may overflow an int (numNodes()).
+    const std::int64_t nodes = std::int64_t{rows} * cols;
     if (rows < 2 || cols < 2) {
         flag("mesh must be at least 2x2 (got " + std::to_string(rows) +
              "x" + std::to_string(cols) + ")");
+    }
+    if (nodes > kMaxMeshNodes) {
+        flag("mesh must have at most " + std::to_string(kMaxMeshNodes) +
+             " nodes (got " + std::to_string(rows) + "x" +
+             std::to_string(cols) + " = " + std::to_string(nodes) +
+             "): route histories store node ids in 16 bits");
     }
     if (rows % 2 != 0) {
         flag("canonical bypass-ring construction requires an even row "
@@ -100,7 +108,7 @@ NocConfig::problems() const
         flag("sleep guards must be >= 0");
     if (niStarvationLimit < 1)
         flag("niStarvationLimit must be >= 1");
-    if (nordPerfCentricCount > numNodes()) {
+    if (nordPerfCentricCount > nodes) {
         flag("nordPerfCentricCount (" +
              std::to_string(nordPerfCentricCount) +
              ") exceeds the node count");
@@ -118,7 +126,7 @@ NocConfig::problems() const
             }
         }
         for (const FaultEvent &ev : fault.schedule) {
-            if (ev.node < 0 || ev.node >= numNodes()) {
+            if (ev.node < 0 || ev.node >= nodes) {
                 flag("scheduled fault targets node " +
                      std::to_string(ev.node) + " outside the " +
                      std::to_string(rows) + "x" + std::to_string(cols) +

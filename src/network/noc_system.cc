@@ -542,6 +542,8 @@ NocSystem::restoreDerivedState()
 {
     for (auto &r : routers_)
         r->recountOccupancy();
+    for (auto &ni : nis_)
+        ni->recountE2eTimers();
     // The restored state may hold work for components the active set had
     // retired (or vice versa): re-arm everything. No-op ticks keep
     // bit-identity.

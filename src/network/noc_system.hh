@@ -242,9 +242,9 @@ class NocSystem
 
     /**
      * After a load walk: rebuild each router's occupancy counters and
-     * work masks and re-arm every component, exactly as in a freshly
-     * built system.
-     * Neither step touches hashed state.
+     * work masks and each E2E endpoint's timer bookkeeping, and re-arm
+     * every component, exactly as in a freshly built system.
+     * None of these touches hashed state.
      */
     void restoreDerivedState();
 

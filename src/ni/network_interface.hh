@@ -91,6 +91,16 @@ class NetworkInterface : public Clocked
     /** End-to-end protocol endpoint (null unless config.fault.e2e). */
     const E2eEndpoint *e2e() const { return e2e_.get(); }
 
+    /**
+     * After a restore walk: rebuild the E2E endpoint's timer bookkeeping
+     * (E2eEndpoint::recountTimers), which the walk does not carry.
+     */
+    void recountE2eTimers()
+    {
+        if (e2e_)
+            e2e_->recountTimers();
+    }
+
     // --- Router-facing interface -------------------------------------------
     /** A flit left the router's local output port; arrives at @p due. */
     void acceptEjection(const Flit &flit, Cycle due);

@@ -110,7 +110,17 @@ CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
     }
 }
 
-void
+// The Floyd-Warshall kernel below vectorizes; on x86-64 it also gets an
+// AVX2 clone, picked at load time on CPUs that have it. The integer math
+// is the same in both clones.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define NORD_FLOYD_WARSHALL_CLONES \
+    __attribute__((target_clones("avx2", "default")))
+#else
+#define NORD_FLOYD_WARSHALL_CLONES
+#endif
+
+NORD_FLOYD_WARSHALL_CLONES void
 CriticalityAnalyzer::shortestPaths(const std::vector<bool> &poweredOn,
                                    std::vector<std::int16_t> &distHops,
                                    std::vector<std::int16_t> &distCycles) const

@@ -5,6 +5,7 @@
 
 #include "topology/mesh.hh"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -16,6 +17,10 @@ MeshTopology::MeshTopology(int rows, int cols)
 {
     if (rows < 2 || cols < 2)
         NORD_FATAL("mesh must be at least 2x2, got %dx%d", rows, cols);
+    const std::int64_t nodes = std::int64_t{rows} * cols;
+    if (nodes > kMaxMeshNodes)
+        NORD_FATAL("mesh must have at most %d nodes, got %dx%d = %lld",
+                   kMaxMeshNodes, rows, cols, static_cast<long long>(nodes));
 }
 
 NodeId

@@ -65,6 +65,15 @@ ParsecWorkload::bind(NocSystem &system)
 {
     Workload::bind(system);
     numNodes_ = system.config().numNodes();
+    // Each core's L2 banks within two hops, ascending by node id.
+    const auto &mesh = system.mesh();
+    nearBanks_.assign(static_cast<size_t>(numNodes_), {});
+    for (NodeId core = 0; core < numNodes_; ++core) {
+        for (NodeId n = 0; n < numNodes_; ++n) {
+            if (mesh.manhattan(core, n) <= 2)
+                nearBanks_[core].push_back(n);
+        }
+    }
     cores_.assign(static_cast<size_t>(numNodes_), Core{});
     total_ = 0;
     std::uint64_t coreSeed = phaseRng_.next64();
@@ -104,12 +113,7 @@ ParsecWorkload::issueTransaction(NodeId core, Cycle now)
         // near the requester, concentrating traffic spatially so edge
         // routers see long idle stretches (Section 3.1's location-
         // dependent idleness).
-        const auto &mesh = system_->mesh();
-        std::vector<NodeId> near;
-        for (NodeId n = 0; n < numNodes_; ++n) {
-            if (mesh.manhattan(core, n) <= 2)
-                near.push_back(n);
-        }
+        const std::vector<NodeId> &near = nearBanks_[core];
         home = near[c.rng.uniformInt(near.size())];
     } else {
         // Remaining accesses hash uniformly over all banks.

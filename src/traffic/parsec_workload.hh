@@ -126,6 +126,9 @@ class ParsecWorkload : public Workload
     std::uint64_t total_ = 0;
     NORD_STATE_EXCLUDE(config, "mesh size fixed at construction")
     int numNodes_ = 0;
+    NORD_STATE_EXCLUDE(config, "each core's banks within two hops, "
+                       "derived from the mesh at bind()")
+    std::vector<std::vector<NodeId>> nearBanks_;
 
     static constexpr Cycle kL2Latency = 6;
     static constexpr Cycle kMemLatency = 128;

@@ -40,6 +40,7 @@ InvariantAuditor::kindName(Kind k)
       case Kind::kVcState: return "vc-state";
       case Kind::kPgSafety: return "pg-safety";
       case Kind::kLiveness: return "liveness";
+      case Kind::kE2eTimers: return "e2e-timers";
     }
     return "unknown";
 }
@@ -598,6 +599,28 @@ InvariantAuditor::checkFlitAges(Pass &p)
     }
 }
 
+// --- Invariant 6: E2E timer bookkeeping -------------------------------------
+
+void
+InvariantAuditor::checkE2eTimers(Pass &p, NodeId id)
+{
+    const E2eEndpoint *e2e = sys_.ni(id).e2e();
+    if (!e2e)
+        return;
+    const E2eEndpoint::TimerProbe t = e2e->probeTimers();
+    if (t.keptPending != t.scanPending || t.keptBound > t.scanEarliest) {
+        report(p, Kind::kE2eTimers, id,
+               formatString(
+                   "node %d E2E timers out of sync: %zu pending with "
+                   "deadline bound %llu, but its buffers hold %zu with "
+                   "the earliest due at %llu",
+                   id, t.keptPending,
+                   static_cast<unsigned long long>(t.keptBound),
+                   t.scanPending,
+                   static_cast<unsigned long long>(t.scanEarliest)));
+    }
+}
+
 void
 InvariantAuditor::watchdog(Cycle now)
 {
@@ -634,6 +657,8 @@ InvariantAuditor::fullSweep(Pass &p, bool controllersSettled)
     for (NodeId id = 0; id < n; ++id)
         checkPgSafety(p, id, controllersSettled);
     checkFlitAges(p);
+    for (NodeId id = 0; id < n; ++id)
+        checkE2eTimers(p, id);
 }
 
 void

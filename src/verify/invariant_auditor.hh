@@ -23,6 +23,10 @@
  *  5. Liveness -- a network-wide progress watchdog (deadlock) and a
  *     per-flit age bound (livelock), both dumping a full stall diagnosis
  *     before aborting.
+ *  6. E2E timer bookkeeping -- each end-to-end endpoint's O(1) pending
+ *     count agrees with a count of its retransmission buffers, and its
+ *     deadline bound is no later than the earliest pending deadline (a
+ *     later bound would skip a due retransmission).
  *
  * A router power-state transition triggers a *scoped* check instead of a
  * sweep: families 2-4 over the transitioning router and its mesh
@@ -89,6 +93,7 @@ class InvariantAuditor : public Clocked
         kVcState,
         kPgSafety,
         kLiveness,
+        kE2eTimers,
     };
 
     /** One detected invariant violation. */
@@ -199,7 +204,8 @@ class InvariantAuditor : public Clocked
     };
 
     /**
-     * Families 1-4 network-wide, then flit ages. @p controllersSettled is
+     * Families 1-4 network-wide, then flit ages and the E2E timers.
+     * @p controllersSettled is
      * false for a mid-cycle (transition-time) sweep, which skips the
      * lost-wakeup check: later controllers have not evaluated yet.
      */
@@ -218,6 +224,7 @@ class InvariantAuditor : public Clocked
     void checkVcStates(Pass &p, NodeId id);
     void checkPgSafety(Pass &p, NodeId id, bool controllersSettled);
     void checkFlitAges(Pass &p);
+    void checkE2eTimers(Pass &p, NodeId id);
 
     /** Deadlock watchdog: network-wide forward progress, every cycle. */
     void watchdog(Cycle now);

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,10 +36,13 @@
 #include "campaign/fleet.hh"
 #include "campaign/journal.hh"
 #include "campaign/orchestrator.hh"
+#include "ckpt/checkpoint.hh"
 #include "temp_dir.hh"
 
 #ifdef NORD_CAMPAIGN_POSIX
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -623,6 +627,60 @@ TEST(CampaignWorker, RateOutsideUnitIntervalIsBadConfig)
             << "rate " << rate;
     }
 }
+
+#ifdef NORD_CAMPAIGN_POSIX
+TEST(CampaignWorker, FullSavesOnScheduleTouchesBetween)
+{
+    // A heartbeat every 500 cycles: a full save on the attempt's first,
+    // then once the last save is checkpointEvery cycles old, and at the
+    // run-to-drain phase change; every other heartbeat only touches the
+    // file. After each heartbeat the hook winds the file's mtime back to
+    // 2001, so the next heartbeat must move it forward even when the
+    // bytes stay the same.
+    PointSpec spec;
+    spec.rate = 0.05;
+    spec.measure = 3000;
+    WorkerOptions opts;
+    opts.checkpointEvery = 1200;
+    const PointPaths paths =
+        pointPaths(freshDir("campaign-heartbeat"), spec.id);
+
+    // Per heartbeat: its cycle, whether it saved, and the cycle and
+    // phase the checkpoint file holds afterwards.
+    using Beat = std::tuple<Cycle, bool, Cycle, std::uint64_t>;
+    std::vector<Beat> beats;
+    std::string lastBytes;
+    opts.onHeartbeat = [&](Cycle now, bool saved) {
+        std::uint64_t mtimeNs = 0;
+        ASSERT_TRUE(fileMtimeNs(paths.checkpoint, &mtimeNs));
+        EXPECT_GT(mtimeNs, 1000000000ull * 1000000000ull)
+            << "heartbeat at " << now << " left the mtime wound back";
+        const std::string bytes = slurp(paths.checkpoint);
+        EXPECT_EQ(bytes == lastBytes, !saved)
+            << "heartbeat at " << now << ": bytes must change exactly on "
+            << "a full save";
+        lastBytes = bytes;
+        CheckpointMeta meta;
+        std::string err;
+        ASSERT_TRUE(readCheckpointFile(paths.checkpoint, &meta, nullptr,
+                                       &err))
+            << err;
+        beats.emplace_back(now, saved, meta.cycle, meta.user[0]);
+        const struct timespec past[2] = {{1000000000, 0},
+                                         {1000000000, 0}};
+        ASSERT_EQ(utimensat(AT_FDCWD, paths.checkpoint.c_str(), past, 0), 0);
+    };
+    ASSERT_EQ(runPointWorker(spec, paths, opts), kExitOk);
+
+    // Phase 0 runs the workload, phase 1 drains; at 0.05 on 4x4 the drain
+    // ends within one chunk, so no heartbeat follows the phase change.
+    const std::vector<Beat> expected = {
+        {500, true, 500, 0},    {1000, false, 500, 0},
+        {1500, false, 500, 0},  {2000, true, 2000, 0},
+        {2500, false, 2000, 0}, {3000, true, 3000, 1}};
+    EXPECT_EQ(beats, expected);
+}
+#endif
 
 TEST(CampaignEndToEnd, CompletesResumesAndSurvivesJournalTruncation)
 {

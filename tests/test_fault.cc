@@ -332,6 +332,61 @@ TEST(FaultCampaign, Nord8x8MidLoadTransientAcceptance)
     sys.checkInvariants();
 }
 
+// --- E2E timers: the deadline bound ----------------------------------------
+
+TEST(E2eTimers, NackLowersTheDeadlineBound)
+{
+    // service() walks the retransmission buffers only once now reaches
+    // the endpoint's deadline bound, so every change to a pending
+    // deadline must keep the bound at or below it. In a run a NACK only
+    // moves a deadline later (time moves forward and the backoff grows);
+    // driven directly with a packet created after the NACK's cycle, the
+    // NACK moves it earlier, and the timeout must still fire on time.
+    NocConfig cfg;
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    NetworkStats stats(cfg.numNodes(), 0);
+    E2eEndpoint ep(0, cfg, stats);
+    PacketDescriptor desc;
+    desc.src = 0;
+    desc.dst = 5;
+    desc.createdAt = 10000;
+    const std::uint32_t seq = ep.registerSend(desc);
+    EXPECT_EQ(ep.pendingSends(), 1u);
+
+    Flit nack;
+    nack.kind = E2eKind::kAck;
+    nack.src = 5;
+    nack.dst = 0;
+    nack.nackSeq = seq;
+    std::vector<Flit> tails;
+    ep.onFlitArrived(nack, 100, tails);
+    const Cycle due = 100 + 2 * cfg.fault.retransTimeout;
+    const E2eEndpoint::TimerProbe t = ep.probeTimers();
+    EXPECT_EQ(t.scanEarliest, due);
+    EXPECT_LE(t.keptBound, t.scanEarliest);
+
+    std::vector<E2eEndpoint::Resend> resends;
+    std::vector<E2eEndpoint::AckSend> acks;
+    ep.service(101, resends, acks);
+    EXPECT_EQ(resends.size(), 1u) << "the NACK's fast retransmit";
+    resends.clear();
+    ep.service(due - 1, resends, acks);
+    EXPECT_TRUE(resends.empty());
+    ep.service(due, resends, acks);
+    EXPECT_EQ(resends.size(), 1u) << "the timeout retransmit";
+    EXPECT_EQ(stats.flowTotals().timeouts, 1u);
+    EXPECT_EQ(ep.pendingSends(), 1u);
+    EXPECT_FALSE(ep.quiescent());
+
+    Flit ack = nack;
+    ack.nackSeq = 0;
+    ack.ackSeq = seq;
+    ep.onFlitArrived(ack, due + 1, tails);
+    EXPECT_EQ(ep.pendingSends(), 0u);
+    EXPECT_TRUE(ep.quiescent());
+}
+
 // --- Randomized soak (design x seed) ----------------------------------------
 
 class FaultSoak

@@ -634,6 +634,8 @@ exclusionRegistry()
         {"CriticalityCache::steering_", Proof::kCacheClear},
         {"CriticalityCache::sweep_", Proof::kCacheClear},
         {"E2eEndpoint::id_", Proof::kTwinConstruction},
+        {"E2eEndpoint::nextDeadline_", Proof::kFreshRestore},
+        {"E2eEndpoint::pending_", Proof::kFreshRestore},
         {"FaultInjector::auditor_", Proof::kTwinConstruction},
         {"FaultInjector::schedule_", Proof::kTwinConstruction},
         {"FlitLink::dst_", Proof::kTwinConstruction},
@@ -659,6 +661,7 @@ exclusionRegistry()
         {"NocSystem::ticker_", Proof::kTwinConstruction},
         {"NordController::sleepGuard_", Proof::kTwinConstruction},
         {"NordController::threshold_", Proof::kTwinConstruction},
+        {"ParsecWorkload::nearBanks_", Proof::kTwinConstruction},
         {"ParsecWorkload::numNodes_", Proof::kTwinConstruction},
         {"ParsecWorkload::params_", Proof::kTwinConstruction},
         {"PgController::listener_", Proof::kTwinConstruction},
@@ -800,6 +803,41 @@ TEST(StateTruthing, FreshRestoreMembersAreHashNeutral)
         ASSERT_EQ(sys1.stateHash(), sys2.stateHash())
             << "cycle " << sys1.now();
     }
+}
+
+TEST(StateTruthing, FreshRestoreE2eTimersAreHashNeutral)
+{
+    // The E2E endpoints' pending counts and deadline bounds: sys1's carry
+    // the run's history, sys2's are rebuilt from the loaded buffers. With
+    // drops the timeout path fires, and the hashes must match as both
+    // run on.
+    NocConfig cfg = truthConfig(PgDesign::kNord);
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    cfg.fault.flitDropRate = 2e-3;
+    NocSystem sys1(cfg);
+    SyntheticTraffic t1(TrafficPattern::kUniformRandom, 0.10, 7);
+    sys1.setWorkload(&t1);
+    sys1.run(600);
+
+    StateSerializer save(SerialMode::kSave);
+    sys1.saveState(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+    NocSystem sys2(cfg);
+    SyntheticTraffic t2(TrafficPattern::kUniformRandom, 0.10, 7);
+    sys2.setWorkload(&t2);
+    StateSerializer load(save.takeBuffer());
+    sys2.loadState(load);
+    ASSERT_TRUE(load.ok()) << load.error();
+
+    EXPECT_EQ(sys1.stateHash(), sys2.stateHash());
+    for (int step = 0; step < 20; ++step) {
+        sys1.run(50);
+        sys2.run(50);
+        ASSERT_EQ(sys1.stateHash(), sys2.stateHash())
+            << "cycle " << sys1.now();
+    }
+    EXPECT_GT(sys1.stats().flowTotals().timeouts, 0u);
 }
 
 TEST(StateTruthing, CacheClearMembersAreHashNeutral)

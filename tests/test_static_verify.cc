@@ -387,6 +387,13 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          [](NocConfig &c) { c.design = static_cast<PgDesign>(-1); }},
         {"mesh must be at least 2x2", [](NocConfig &c) { c.cols = 1; }},
         {"even row count", [](NocConfig &c) { c.rows = 3; }},
+        {"at most 32767 nodes",
+         [](NocConfig &c) {
+             // rows * cols overflows an int: the bound is computed in
+             // 64 bits, before anything is sized by it.
+             c.rows = 50000;
+             c.cols = 50000;
+         }},
         {"need at least 2 VCs", [](NocConfig &c) { c.numVcs = 1; }},
         {"at most 64 VCs per port", [](NocConfig &c) { c.numVcs = 65; }},
         {"escape class is empty", [](NocConfig &c) { c.numEscapeVcs = 0; }},

@@ -496,5 +496,53 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
     std::remove(good.c_str());
 }
 
+TEST(InvariantAuditorTest, E2eTimersMatchAScanAcrossRestores)
+{
+    // An NI's load walk writes its E2E endpoint's retransmission buffers
+    // but neither the pending count nor the deadline bound. A bare
+    // NetworkInterface::serializeState load leaves both as built, which
+    // the sweep must flag; loadState rebuilds them and stays silent.
+    NocConfig cfg;
+    cfg.design = PgDesign::kNoPg;
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    cfg.fault.flitDropRate = 2e-3;
+    NocSystem src(cfg);
+    SyntheticTraffic ts(TrafficPattern::kUniformRandom, 0.10, 7);
+    src.setWorkload(&ts);
+    src.run(400);
+    std::size_t pending = 0;
+    for (NodeId id = 0; id < cfg.numNodes(); ++id)
+        pending += src.ni(id).e2e()->pendingSends();
+    ASSERT_GT(pending, 0u) << "nothing pending; the check proves nothing";
+    src.auditor().sweep(src.now());
+    EXPECT_FALSE(src.auditor().hasViolation(Kind::kE2eTimers));
+    StateSerializer save(SerialMode::kSave);
+    src.saveState(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+
+    {
+        NocSystem bare(cfg);
+        for (NodeId id = 0; id < cfg.numNodes(); ++id) {
+            StateSerializer one(SerialMode::kSave);
+            src.ni(id).serializeState(one);
+            ASSERT_TRUE(one.ok()) << one.error();
+            StateSerializer load(one.buffer());
+            bare.ni(id).serializeState(load);
+            ASSERT_TRUE(load.ok()) << load.error();
+        }
+        bare.auditor().sweep(bare.now());
+        EXPECT_TRUE(bare.auditor().hasViolation(Kind::kE2eTimers));
+    }
+    NocSystem restored(cfg);
+    SyntheticTraffic t(TrafficPattern::kUniformRandom, 0.10, 7);
+    restored.setWorkload(&t);
+    StateSerializer load(save.takeBuffer());
+    restored.loadState(load);
+    ASSERT_TRUE(load.ok()) << load.error();
+    restored.auditor().sweep(restored.now());
+    EXPECT_FALSE(restored.auditor().hasViolation(Kind::kE2eTimers));
+}
+
 }  // namespace
 }  // namespace nord

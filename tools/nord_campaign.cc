@@ -88,8 +88,10 @@ usage()
         "  --max-failures K     counted failures before quarantine\n"
         "                       (default 3)\n"
         "  --hang-timeout SEC   heartbeat starvation kill (default 30)\n"
-        "  --checkpoint-every N worker checkpoint period in cycles\n"
-        "                       (default 500)\n"
+        "  --checkpoint-every N worker full-checkpoint period in cycles\n"
+        "                       (default 5000); between full saves the\n"
+        "                       worker touches the file every 500 cycles\n"
+        "                       as its heartbeat\n"
         "  --backoff-initial S  first retry delay (default 0.25)\n"
         "  --backoff-max S      retry delay cap (default 30)\n"
         "\n"
