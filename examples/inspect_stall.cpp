@@ -10,63 +10,12 @@
  * outside the four designs is NocConfig::validate's to reject (exit 1).
  */
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hh"
+#include "common/parse_number.hh"
 #include "network/noc_system.hh"
 #include "traffic/synthetic_traffic.hh"
-
-namespace {
-
-/** Parse all of @p arg as an int; false on any other text. */
-bool
-parseInt(const char *arg, int *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(arg, &end, 10);
-    if (*arg == '\0' || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-        v > INT_MAX)
-        return false;
-    *out = static_cast<int>(v);
-    return true;
-}
-
-/** Parse all of @p arg as a rate in (0, 1]. */
-bool
-parseRate(const char *arg, double *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(arg, &end);
-    if (*arg == '\0' || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v) || v <= 0.0 || v > 1.0)
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Parse all of @p arg as a positive cycle count. */
-bool
-parseCycles(const char *arg, nord::Cycle *out)
-{
-    // strtoull accepts a sign and wraps "-5"; demand digits only.
-    if (*arg < '0' || *arg > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v == 0)
-        return false;
-    *out = v;
-    return true;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -75,9 +24,10 @@ main(int argc, char **argv)
     int design = 3;
     double rate = 0.05;
     Cycle cycles = 100000;
-    if (argc > 4 || (argc > 1 && !parseInt(argv[1], &design)) ||
-        (argc > 2 && !parseRate(argv[2], &rate)) ||
-        (argc > 3 && !parseCycles(argv[3], &cycles))) {
+    if (argc > 4 || (argc > 1 && !parseNumber(argv[1], &design)) ||
+        (argc > 2 && !(parseNumber(argv[2], &rate) && rate > 0.0 &&
+                       rate <= 1.0)) ||
+        (argc > 3 && !(parseNumber(argv[3], &cycles) && cycles > 0))) {
         std::fprintf(stderr,
                      "usage: inspect_stall [design 0-3] [rate in (0, 1]] "
                      "[cycles > 0]\n");

@@ -9,33 +9,13 @@
  * usage and exits 2.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hh"
+#include "common/parse_number.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/synthetic_traffic.hh"
-
-namespace {
-
-/** Parse all of @p arg as a rate in (0, 1]; false on any other text. */
-bool
-parseRate(const char *arg, double *out)
-{
-    const char *end = arg + std::strlen(arg);
-    double v = 0.0;
-    const auto [last, ec] = std::from_chars(arg, end, v);
-    if (ec != std::errc() || last != end || !std::isfinite(v) || v <= 0.0 ||
-        v > 1.0)
-        return false;
-    *out = v;
-    return true;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -43,7 +23,8 @@ main(int argc, char **argv)
     using namespace nord;
 
     double rate = 0.05;
-    if (argc > 2 || (argc > 1 && !parseRate(argv[1], &rate))) {
+    if (argc > 2 || (argc > 1 && !(parseNumber(argv[1], &rate) &&
+                                   rate > 0.0 && rate <= 1.0))) {
         std::fprintf(stderr, "usage: quickstart [rate in (0, 1]]\n");
         return 2;
     }

@@ -10,25 +10,11 @@
  * (exit 1).
  */
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hh"
+#include "common/parse_number.hh"
 #include "topology/criticality.hh"
-
-namespace {
-
-/** Parse all of @p arg as an int; false on any other text. */
-bool
-parseInt(const char *arg, int *out)
-{
-    const char *end = arg + std::strlen(arg);
-    const auto [last, ec] = std::from_chars(arg, end, *out);
-    return ec == std::errc() && last == end;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -37,8 +23,8 @@ main(int argc, char **argv)
 
     int rows = 4;
     int cols = 4;
-    if (argc > 3 || (argc > 1 && !parseInt(argv[1], &rows)) ||
-        (argc > 2 && !parseInt(argv[2], &cols))) {
+    if (argc > 3 || (argc > 1 && !parseNumber(argv[1], &rows)) ||
+        (argc > 2 && !parseNumber(argv[2], &cols))) {
         std::fprintf(stderr, "usage: ring_explorer [rows] [cols]\n");
         return 2;
     }

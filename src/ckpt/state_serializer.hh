@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -142,8 +141,8 @@ class StateSerializer
 
     // --- Containers --------------------------------------------------------
     /**
-     * Size-prefixed sequence (vector/deque) of io()-able elements. On load
-     * the container is cleared and refilled.
+     * Size-prefixed sequence (vector, deque, ring) of io()-able
+     * elements. On load the container is cleared and refilled.
      */
     template <typename C>
     void ioSequence(C &c)

@@ -20,11 +20,11 @@
  *
  * ArenaAllocator<T> adapts a PoolArena to the std allocator interface.
  * A default-constructed (nullptr-arena) allocator degrades to plain
- * ::operator new/delete, so the same container type serves both the
- * arena and heap configurations -- bit-identical simulation either way,
- * proven by tests/test_perf_invariance.cc. Two containers sit on it:
- * ArenaRing for the bounded queues of the cycle loop, ArenaDeque for the
- * unbounded NI injection/ejection queues.
+ * ::operator new/delete, so components built without a NocSystem (unit
+ * tests of one router, NI or link) keep the same container type. One
+ * container sits on it: ArenaRing, the FIFO of every queue in the cycle
+ * loop (VC buffers, link delay lines, the NI's injection and ejection
+ * queues, bypass latch and stage 3).
  */
 
 #ifndef NORD_COMMON_ARENA_HH
@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <new>
 #include <type_traits>
@@ -89,8 +88,12 @@ class PoolArena
     /** Block alignment guarantee (also the header size). */
     static constexpr std::size_t kAlign = 16;
 
-    /** Largest pooled payload; bigger requests use ::operator new. */
-    static constexpr std::size_t kMaxClassBytes = 4096;
+    /**
+     * Largest pooled payload; bigger requests use ::operator new. 8 KiB
+     * keeps a 64-flit ring (the deepest NI injection backlog a loaded
+     * 8x8 mesh reaches in tens of thousands of cycles) inside the pool.
+     */
+    static constexpr std::size_t kMaxClassBytes = 8192;
 
   private:
     struct Header
@@ -133,8 +136,7 @@ class PoolArena
 /**
  * std-compatible allocator over a PoolArena. With arena == nullptr it is
  * a plain global-heap allocator: same type, same container layout, so a
- * config toggle (NocConfig::perf.arena) switches backing stores without
- * changing any simulation-visible behavior.
+ * component built outside a NocSystem behaves exactly as one inside it.
  */
 template <typename T>
 class ArenaAllocator
@@ -188,24 +190,18 @@ class ArenaAllocator
 };
 
 /**
- * Deque whose nodes come from a PoolArena (or the heap when detached).
- * For unbounded queues (NI injection/ejection), where a ring that never
- * shrinks would hold its largest backlog for the rest of the run.
- */
-template <typename T>
-using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
-
-/**
- * Contiguous FIFO ring for the bounded per-cycle queues (VC buffers,
- * link delay lines, NI bypass latch and stage 3). The owner reserves the
- * queue's bound up front; a full ring grows by doubling and never
- * shrinks, so a queue that reached its working size allocates nothing
- * more. Capacity is exactly what was reserved, not rounded to a power of
- * two: a 5-flit VC buffer takes 5 slots of 128 bytes, not 8. Storage
- * comes from an ArenaAllocator (heap when detached). Iteration runs in
- * FIFO order, which is what StateSerializer::ioSequence writes, so a
- * ring serializes to the same bytes as a deque holding the same
- * elements.
+ * Contiguous FIFO ring for every per-cycle queue (VC buffers, link delay
+ * lines, NI injection/ejection queues, bypass latch and stage 3). The
+ * owner reserves the queue's bound (or its usual depth) up front; a full
+ * ring grows by doubling and never shrinks, so a queue that reached its
+ * working size allocates nothing more. Popping the last element rewinds
+ * the ring to slot 0, so a queue that drains between bursts keeps its
+ * elements contiguous. Capacity is exactly what was reserved, not
+ * rounded to a power of two: a 5-flit VC buffer takes 5 slots of 128
+ * bytes, not 8. Storage comes from an ArenaAllocator (heap when
+ * detached). Iteration runs in FIFO order, which is what
+ * StateSerializer::ioSequence writes, so a ring serializes to the same
+ * bytes as any sequence holding the same elements.
  */
 template <typename T>
 class ArenaRing
@@ -345,9 +341,10 @@ class ArenaRing
     void pop_front()
     {
         NORD_DCHECK(size_ != 0, "pop_front() of an empty ring");
-        if (++head_ == cap_)
+        if (--size_ == 0)
             head_ = 0;
-        --size_;
+        else if (++head_ == cap_)
+            head_ = 0;
     }
 
     /** Drop every element; the storage stays. */

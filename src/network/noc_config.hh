@@ -75,31 +75,6 @@ struct VerifyConfig
 };
 
 /**
- * Performance knobs (see bench/nordbench and DESIGN.md section 5.10).
- *
- * Both are semantics-preserving: tests/test_perf_invariance.cc proves
- * per-cycle stateHash() bit-identity across every setting, and neither
- * enters the config fingerprint, so checkpoints move freely between
- * perf configurations.
- */
-struct PerfConfig
-{
-    /**
-     * Idle-component event skipping: quiescent routers/links drop off the
-     * kernel's active set and advance in O(1) until a producer wakes
-     * them (Clocked::kernelWake).
-     */
-    bool skipIdle = true;
-
-    /**
-     * Pool-arena allocation for flit/packet buffers (src/common/arena.hh)
-     * instead of per-flit heap churn. Off = plain operator new/delete
-     * through the same allocator type.
-     */
-    bool arena = true;
-};
-
-/**
  * All tunables of one simulated network.
  *
  * Plain aggregate so experiments can brace-initialize or tweak fields
@@ -193,14 +168,6 @@ struct NocConfig
 
     // --- Fault campaign ----------------------------------------------------
     FaultConfig fault;            ///< fault injection + resilience layer
-
-    // --- Performance -------------------------------------------------------
-    /**
-     * Non-semantic perf settings; excluded from configFingerprint() (a
-     * checkpoint taken with skipping/arena on restores fine with them
-     * off, and vice versa).
-     */
-    PerfConfig perf;
 
     // --- Derived helpers --------------------------------------------------
     int numNodes() const { return rows * cols; }

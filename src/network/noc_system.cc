@@ -52,7 +52,6 @@ NocSystem::NocSystem(const NocConfig &config)
                     auditor_->onPowerTransition(now, r->id());
             });
     }
-    kernel_.setSkipEnabled(config_.perf.skipIdle);
     registerAll();
 }
 
@@ -66,9 +65,9 @@ NocSystem::buildRouters()
     nis_.reserve(n);
     for (NodeId id = 0; id < n; ++id) {
         routers_.push_back(std::make_unique<Router>(
-            id, config_, mesh_, ring_, stats_, perfArena()));
+            id, config_, mesh_, ring_, stats_, &arena_));
         nis_.push_back(std::make_unique<NetworkInterface>(
-            id, config_, stats_, perfArena()));
+            id, config_, stats_, &arena_));
     }
     for (NodeId id = 0; id < n; ++id) {
         routers_[id]->setNi(nis_[id].get());
@@ -96,9 +95,9 @@ NocSystem::buildLinks()
             // Flit link: router id, output dir -> router nb, input port
             // opposite(dir). Credit link: flows back to id's output dir.
             auto flink = std::make_unique<FlitLink>(
-                routers_[nb].get(), opposite(dir), perfArena());
+                routers_[nb].get(), opposite(dir), &arena_);
             auto clink = std::make_unique<CreditLink>(
-                routers_[id].get(), dir, perfArena());
+                routers_[id].get(), dir, &arena_);
             routers_[id]->connectOutput(dir, routers_[nb].get(),
                                         flink.get());
             routers_[nb]->connectInput(opposite(dir), flink.get());

@@ -96,8 +96,8 @@ class NocSystem
     SimKernel &kernel() { return kernel_; }
     const SimKernel &kernel() const { return kernel_; }
 
-    /** Flit/packet pool (allocation stats; used even when perf.arena is
-     *  off, in which case it simply stays empty). */
+    /** The pool behind every flit queue of the routers, NIs and links
+     *  (allocation stats, test hooks). */
     const PoolArena &arena() const { return arena_; }
 
     /** Inject one packet from @p src to @p dst (used by workloads). */
@@ -200,8 +200,10 @@ class NocSystem
      * Restore the full dynamic state from @p path. Rejects checkpoints
      * with a different format version or configuration fingerprint and
      * never panics on corrupt input -- the caller can fall back to an
-     * older checkpoint. Returns false with *err set on failure; the
-     * system state is unspecified after a failed load (rebuild it).
+     * older checkpoint. The load is transactional: it snapshots the
+     * state first and rolls back to it on any failure, so a failed load
+     * leaves the system exactly as it was. Returns false with *err set
+     * on failure.
      */
     bool loadCheckpoint(const std::string &path,
                         std::array<std::uint64_t, 4> *user = nullptr,
@@ -247,12 +249,6 @@ class NocSystem
      * None of these touches hashed state.
      */
     void restoreDerivedState();
-
-    /** Pool handed to component constructors: null = heap mode. */
-    PoolArena *perfArena()
-    {
-        return config_.perf.arena ? &arena_ : nullptr;
-    }
 
     NORD_STATE_EXCLUDE(config, "the run configuration itself; fixed at build")
     NocConfig config_;

@@ -20,12 +20,18 @@ NetworkInterface::NetworkInterface(NodeId id, const NocConfig &config,
     : id_(id), config_(config), stats_(stats), counters_(stats.router(id)),
       injectQ_(ArenaAllocator<Flit>(arena)),
       localCredits_(static_cast<size_t>(config.numVcs), config.bufferDepth),
-      ejectQ_(ArenaAllocator<std::pair<Flit, Cycle>>(arena)),
+      ejectQ_(ArenaAllocator<EjectEntry>(arena)),
       latch_(static_cast<size_t>(config.numVcs),
              ArenaRing<LatchEntry>(ArenaAllocator<LatchEntry>(arena))),
       fwd_(static_cast<size_t>(config.numVcs)),
       stage3_(ArenaAllocator<StagedFlit>(arena))
 {
+    // The router ejects at most one flit a cycle, each due 3 cycles
+    // later. The injection backlog has no bound: 16 flits hold a burst
+    // of three 5-flit packets, past which (near saturation) the ring
+    // doubles.
+    ejectQ_.reserve(4);
+    injectQ_.reserve(16);
     // NoRD's bypass: a latch slot holds at most a buffer's worth
     // (bypassLatchWrite); stage 2 stages one flit a cycle and stage 3
     // sends it the next. The other designs never use either queue.
@@ -101,7 +107,7 @@ NetworkInterface::enqueuePacket(const PacketDescriptor &desc)
 void
 NetworkInterface::acceptEjection(const Flit &flit, Cycle due)
 {
-    ejectQ_.emplace_back(flit, due);
+    ejectQ_.push_back({flit, due});
 }
 
 void
@@ -167,8 +173,8 @@ NetworkInterface::e2eService(Cycle now)
 void
 NetworkInterface::processEjection(Cycle now)
 {
-    while (!ejectQ_.empty() && ejectQ_.front().second <= now) {
-        deliverFlit(ejectQ_.front().first, now);
+    while (!ejectQ_.empty() && ejectQ_.front().due <= now) {
+        deliverFlit(ejectQ_.front().flit, now);
         ejectQ_.pop_front();
     }
 }
@@ -615,9 +621,9 @@ NetworkInterface::serializeState(StateSerializer &s)
     s.ioSequence(injectQ_);
     s.ioSequence(localCredits_);
     s.io(injectVc_);
-    s.ioSequence(ejectQ_, [&s](std::pair<Flit, Cycle> &e) {
-        s.io(e.first);
-        s.io(e.second);
+    s.ioSequence(ejectQ_, [&s](EjectEntry &e) {
+        s.io(e.flit);
+        s.io(e.due);
     });
     s.io(packetsReceived_);
     // The latch has one slot per VC, fixed at construction; serializing

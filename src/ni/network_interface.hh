@@ -24,7 +24,6 @@
 #define NORD_NI_NETWORK_INTERFACE_HH
 
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -179,8 +178,8 @@ class NetworkInterface : public Clocked
     template <typename Fn>
     void forEachPendingFlit(Fn &&fn) const
     {
-        for (const auto &entry : ejectQ_)
-            fn(entry.first);
+        for (const EjectEntry &e : ejectQ_)
+            fn(e.flit);
         for (const auto &slot : latch_) {
             for (const LatchEntry &e : slot)
                 fn(e.flit);
@@ -200,6 +199,13 @@ class NetworkInterface : public Clocked
     void serializeState(StateSerializer &s);
 
   private:
+    /** A flit on its way from the router's local output to the node. */
+    struct EjectEntry
+    {
+        Flit flit;
+        Cycle due;  ///< cycle the flit reaches the node
+    };
+
     struct LatchEntry
     {
         Flit flit;
@@ -263,12 +269,12 @@ class NetworkInterface : public Clocked
     DeliveryCallback onDelivery_;
 
     // Injection.
-    ArenaDeque<Flit> injectQ_;
+    ArenaRing<Flit> injectQ_;
     std::vector<int> localCredits_;   ///< router local-port buffer credits
     VcId injectVc_ = kInvalidVc;      ///< VC of the packet being injected
 
     // Ejection.
-    ArenaDeque<std::pair<Flit, Cycle>> ejectQ_;
+    ArenaRing<EjectEntry> ejectQ_;
     std::uint64_t packetsReceived_ = 0;
 
     // Bypass.

@@ -20,7 +20,6 @@
 #ifndef NORD_TRAFFIC_PARSEC_WORKLOAD_HH
 #define NORD_TRAFFIC_PARSEC_WORKLOAD_HH
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -120,8 +119,9 @@ class ParsecWorkload : public Workload
     bool phaseActive_ = false;
     Cycle phaseEnd_ = 0;
     std::vector<Core> cores_;
-    std::deque<PendingReply> replies_;  ///< sorted by insertion; due times
-                                        ///< checked each tick
+    /** Requests waiting at their home node, in no particular order:
+     *  each tick services the due ones by swap-and-pop. */
+    std::vector<PendingReply> replies_;
     std::uint64_t completed_ = 0;
     std::uint64_t total_ = 0;
     NORD_STATE_EXCLUDE(config, "mesh size fixed at construction")

@@ -1,9 +1,11 @@
 /**
  * @file
  * PoolArena / ArenaAllocator unit tests: reuse after free, double-free
- * detection, alignment, exhaustion growth, and teardown leak accounting;
- * ArenaRing: FIFO order across wraparound and growth, iteration order,
- * deque-identical checkpoint bytes, heap fallback and empty-access checks.
+ * detection, alignment, exhaustion growth, teardown leak accounting, and
+ * a whole system that allocates nothing under steady load; ArenaRing:
+ * FIFO order across wraparound and growth, the rewind of an emptied
+ * ring, iteration order, deque-identical checkpoint bytes, heap fallback
+ * and empty-access checks.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include "ckpt/state_serializer.hh"
 #include "common/arena.hh"
 #include "common/flit.hh"
+#include "network/noc_system.hh"
+#include "traffic/synthetic_traffic.hh"
 
 namespace nord {
 namespace {
@@ -131,27 +135,36 @@ TEST(Arena, PlantedLeakFlaggedByTeardownAccounting)
 
 TEST(Arena, AllocatorBackedDequeRoundTrips)
 {
+    // The NI's injection queue: an unbounded FIFO that grows by doubling
+    // through the arena and hands every block back at teardown.
     PoolArena arena;
     {
-        ArenaDeque<Flit> q{ArenaAllocator<Flit>(&arena)};
+        ArenaRing<Flit> q{ArenaAllocator<Flit>(&arena)};
         for (int i = 0; i < 1000; ++i) {
             Flit f;
             f.seq = static_cast<std::int16_t>(i % 128);
             q.push_back(f);
+            // A 64-flit backlog still grows inside the pool.
+            if (i == 63) {
+                EXPECT_EQ(arena.stats().oversize, 0u);
+            }
         }
         EXPECT_GT(arena.stats().allocCalls, 0u);
-        while (!q.empty())
+        EXPECT_GT(arena.stats().oversize, 0u);
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_EQ(q.front().seq, static_cast<std::int16_t>(i % 128));
             q.pop_front();
-        q.shrink_to_fit();
+        }
+        EXPECT_TRUE(q.empty());
     }
     EXPECT_EQ(arena.checkTeardown(), 0u);
 }
 
 TEST(Arena, NullArenaAllocatorUsesHeap)
 {
-    // The heap-mode toggle: a default allocator must work standalone and
-    // never touch any arena.
-    ArenaDeque<int> q;
+    // A component built outside a NocSystem: a default allocator must
+    // work standalone and never touch any arena.
+    ArenaRing<int> q;
     for (int i = 0; i < 100; ++i)
         q.push_back(i);
     EXPECT_EQ(q.size(), 100u);
@@ -162,6 +175,26 @@ TEST(Arena, NullArenaAllocatorUsesHeap)
     PoolArena arena;
     ArenaAllocator<int> pooled(&arena);
     EXPECT_TRUE(heap1 != pooled);
+}
+
+TEST(Arena, SteadyLoadAllocatesNothing)
+{
+    // Every flit queue of the cycle loop sits on an ArenaRing that keeps
+    // its storage: once the NIs' injection queues have reached their
+    // working depth, a sub-saturation run allocates nothing at all.
+    NocConfig cfg;
+    cfg.design = PgDesign::kNoPg;
+    NocSystem sys(cfg);
+    SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.10, 5);
+    sys.setWorkload(&traffic);
+    sys.run(5000);
+    const std::uint64_t warm = sys.arena().stats().allocCalls;
+    const std::uint64_t delivered = sys.stats().packetsDelivered();
+    sys.run(5000);
+    EXPECT_GT(sys.stats().packetsDelivered(), delivered + 1000)
+        << "the window carried no traffic; the check proved nothing";
+    EXPECT_EQ(sys.arena().stats().allocCalls, warm);
+    sys.setWorkload(nullptr);
 }
 
 // --- ArenaRing ---------------------------------------------------------------
@@ -203,6 +236,25 @@ TEST(ArenaRing, WraparoundAcrossGrowthKeepsFifoOrder)
         want.push_back(v);
     EXPECT_EQ(drain(q), want);
     EXPECT_EQ(q.capacity(), 12u);  // never shrinks
+}
+
+TEST(ArenaRing, EmptiedRingRewindsToSlotZero)
+{
+    ArenaRing<int> q;
+    q.reserve(4);
+    q.push_back(0);
+    const int *slot0 = &q.front();
+    q.push_back(1);
+    q.push_back(2);
+    q.pop_front();
+    q.pop_front();
+    q.pop_front();
+    // Drained three slots in: the next element starts over at slot 0,
+    // so a queue that empties between bursts keeps its elements
+    // contiguous.
+    q.push_back(3);
+    EXPECT_EQ(&q.front(), slot0);
+    EXPECT_EQ(q.capacity(), 4u);
 }
 
 TEST(ArenaRing, IterationOrderEqualsPopOrder)

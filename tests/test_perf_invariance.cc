@@ -1,16 +1,15 @@
 /**
  * @file
- * Bit-identity lockdown for the performance layer.
+ * Bit-identity lockdown for idle-component skipping.
  *
- * The contract under test: idle-router event skipping (perf.skipIdle)
- * and the pool-arena flit storage (perf.arena) are pure optimizations.
- * A system running with either (or both) toggled must march through the
- * exact same per-cycle stateHash() sequence as the plain
- * tick-everything, heap-everything build -- for every power-gating
- * design, with the fault campaign and E2E resilience active, and across
- * a checkpoint saved on one side and restored on the other (the
- * configuration fingerprint deliberately excludes PerfConfig, so
- * checkpoints cross perf settings).
+ * The contract under test: the kernel's event skipping
+ * (SimKernel::setSkipEnabled, on by default) is a pure optimization. A
+ * system running with it must march through the exact same per-cycle
+ * stateHash() sequence as one that ticks every component every cycle --
+ * for every power-gating design, with the fault campaign and E2E
+ * resilience active, with the toggle flipped mid-run, and across a
+ * checkpoint saved on one side and restored on the other (the toggle is
+ * not part of the checkpoint, so checkpoints cross it).
  *
  * A randomized soak (seeds 1-3, one ctest entry each) stretches the
  * same lockstep over a heavier campaign with mid-run checkpoint/restore
@@ -31,13 +30,11 @@ namespace nord {
 namespace {
 
 NocConfig
-perfConfig(PgDesign design, bool skip, bool arena, std::uint64_t seed = 1)
+perfConfig(PgDesign design, std::uint64_t seed = 1)
 {
     NocConfig cfg;
     cfg.design = design;
     cfg.seed = seed;
-    cfg.perf.skipIdle = skip;
-    cfg.perf.arena = arena;
     cfg.fault.enabled = true;
     cfg.fault.e2e = true;
     cfg.fault.flitCorruptRate = 1e-4;
@@ -61,27 +58,31 @@ expectSameStats(const NocSystem &a, const NocSystem &b)
 }
 
 /**
- * March @p ref and @p alt in per-cycle stateHash() lockstep under the
- * same traffic, then drain both and compare final state and stats.
+ * March a serial system (skipping off) and a skipping one in per-cycle
+ * stateHash() lockstep under the same traffic, then drain both and
+ * compare final state and stats. With @p toggleEvery > 0 the second
+ * system flips its skip toggle every that many cycles instead.
  */
 void
-expectLockstep(const NocConfig &refCfg, const NocConfig &altCfg,
-               double load, std::uint64_t seed, Cycle cycles)
+expectLockstep(const NocConfig &cfg, double load, std::uint64_t seed,
+               Cycle cycles, Cycle toggleEvery = 0)
 {
-    NocSystem ref(refCfg);
-    NocSystem alt(altCfg);
+    NocSystem ref(cfg);
+    NocSystem alt(cfg);
+    ref.kernel().setSkipEnabled(false);
     SyntheticTraffic tr(TrafficPattern::kUniformRandom, load, seed);
     SyntheticTraffic ta(TrafficPattern::kUniformRandom, load, seed);
     ref.setWorkload(&tr);
     alt.setWorkload(&ta);
     for (Cycle i = 0; i < cycles; ++i) {
+        if (toggleEvery != 0 && i % toggleEvery == 0 && i != 0)
+            alt.kernel().setSkipEnabled(!alt.kernel().skipEnabled());
         ref.run(1);
         alt.run(1);
         ASSERT_EQ(ref.stateHash(), alt.stateHash())
-            << "perf layer diverged at cycle " << (i + 1) << " (design "
-            << pgDesignName(refCfg.design) << ", skip "
-            << altCfg.perf.skipIdle << ", arena " << altCfg.perf.arena
-            << ")";
+            << "skipping diverged at cycle " << (i + 1) << " (design "
+            << pgDesignName(cfg.design) << ", skip "
+            << alt.kernel().skipEnabled() << ")";
     }
     ref.setWorkload(nullptr);
     alt.setWorkload(nullptr);
@@ -99,22 +100,18 @@ expectLockstep(const NocConfig &refCfg, const NocConfig &altCfg,
 
 TEST(PerfInvariance, SkipAndArenaLockstepAllDesigns)
 {
-    for (int d = 0; d < 4; ++d) {
-        const auto design = static_cast<PgDesign>(d);
-        expectLockstep(perfConfig(design, false, false),
-                       perfConfig(design, true, true), 0.08, 7, 400);
-    }
+    for (int d = 0; d < 4; ++d)
+        expectLockstep(perfConfig(static_cast<PgDesign>(d)), 0.08, 7, 400);
 }
 
 TEST(PerfInvariance, TogglesAreIndependentlyInvariant)
 {
-    // Each optimization alone must also be bit-identical -- a bug in one
-    // must not hide behind a compensating bug in the other.
-    const NocConfig ref = perfConfig(PgDesign::kNord, false, false);
-    expectLockstep(ref, perfConfig(PgDesign::kNord, true, false), 0.08,
-                   11, 350);
-    expectLockstep(ref, perfConfig(PgDesign::kNord, false, true), 0.08,
-                   11, 350);
+    // The toggle acts at any cycle boundary: flipping it mid-run (which
+    // re-activates every component) must be as invisible as either
+    // setting held throughout. Two periods, so the flips land at
+    // different phases of the run.
+    expectLockstep(perfConfig(PgDesign::kNord), 0.08, 11, 350, 37);
+    expectLockstep(perfConfig(PgDesign::kNord), 0.08, 11, 350, 100);
 }
 
 TEST(PerfInvariance, LowLoadDeepSleepLockstep)
@@ -122,8 +119,7 @@ TEST(PerfInvariance, LowLoadDeepSleepLockstep)
     // Low load is where skipping actually fires (long gated stretches):
     // the highest-risk regime for a wake edge that arrives late.
     for (PgDesign d : {PgDesign::kNord, PgDesign::kConvPgOpt}) {
-        expectLockstep(perfConfig(d, false, false),
-                       perfConfig(d, true, true), 0.01, 13, 600);
+        expectLockstep(perfConfig(d), 0.01, 13, 600);
     }
 }
 
@@ -134,32 +130,32 @@ TEST(PerfInvariance, SameWordWakesLockstepOn2x4)
     // into a parked router wakes a later slot of the word being walked:
     // stepOne must tick it in the same pass, as the serial walk does.
     for (PgDesign d : {PgDesign::kNord, PgDesign::kConvPg}) {
-        NocConfig ref = perfConfig(d, false, true);
-        NocConfig alt = perfConfig(d, true, true);
-        ref.rows = alt.rows = 2;
-        ref.cols = alt.cols = 4;
-        expectLockstep(ref, alt, 0.03, 19, 800);
+        NocConfig cfg = perfConfig(d);
+        cfg.rows = 2;
+        cfg.cols = 4;
+        expectLockstep(cfg, 0.03, 19, 800);
     }
 }
 
 TEST(PerfInvariance, CheckpointCrossesPerfSettings)
 {
-    // Save mid-run from the optimized system, restore into a plain one
-    // (and vice versa): PerfConfig is excluded from the configuration
-    // fingerprint, so the checkpoint must load, and the restored run
-    // must stay in lockstep with the donor.
+    // Save mid-run from the skipping system, restore into a serial one
+    // (and vice versa): the toggle is not part of the checkpoint, so the
+    // checkpoint must load, and the restored run must stay in lockstep
+    // with the donor.
     const std::string path = testTempPath("nord_perf_cross.ckpt");
     for (int dir = 0; dir < 2; ++dir) {
         const bool donorFast = (dir == 0);
-        NocSystem donor(perfConfig(PgDesign::kNord, donorFast, donorFast));
+        NocSystem donor(perfConfig(PgDesign::kNord));
+        donor.kernel().setSkipEnabled(donorFast);
         SyntheticTraffic td(TrafficPattern::kUniformRandom, 0.08, 17);
         donor.setWorkload(&td);
         donor.run(500);
         std::string err;
         ASSERT_TRUE(donor.saveCheckpoint(path, {}, &err)) << err;
 
-        NocSystem heir(
-            perfConfig(PgDesign::kNord, !donorFast, !donorFast));
+        NocSystem heir(perfConfig(PgDesign::kNord));
+        heir.kernel().setSkipEnabled(!donorFast);
         SyntheticTraffic th(TrafficPattern::kUniformRandom, 0.08, 17);
         heir.setWorkload(&th);
         ASSERT_TRUE(heir.loadCheckpoint(path, nullptr, &err)) << err;
@@ -186,17 +182,15 @@ class PerfInvarianceSoak : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(PerfInvarianceSoak, InvarianceFaultSoak)
 {
     const std::uint64_t seed = GetParam();
-    NocConfig refCfg = perfConfig(PgDesign::kNord, false, false, seed);
-    refCfg.fault.flitCorruptRate = 5e-4;
-    refCfg.fault.flitDropRate = 5e-4;
-    refCfg.fault.lostWakeupRate = 0.01;
-    refCfg.verify.interval = 8;
-    NocConfig altCfg = refCfg;
-    altCfg.perf.skipIdle = true;
-    altCfg.perf.arena = true;
+    NocConfig cfg = perfConfig(PgDesign::kNord, seed);
+    cfg.fault.flitCorruptRate = 5e-4;
+    cfg.fault.flitDropRate = 5e-4;
+    cfg.fault.lostWakeupRate = 0.01;
+    cfg.verify.interval = 8;
 
-    NocSystem ref(refCfg);
-    NocSystem alt(altCfg);
+    NocSystem ref(cfg);
+    NocSystem alt(cfg);
+    ref.kernel().setSkipEnabled(false);
     SyntheticTraffic tr(TrafficPattern::kUniformRandom, 0.06, seed);
     SyntheticTraffic ta(TrafficPattern::kUniformRandom, 0.06, seed);
     ref.setWorkload(&tr);
@@ -211,7 +205,7 @@ TEST_P(PerfInvarianceSoak, InvarianceFaultSoak)
             << "soak diverged at cycle " << (i + 1) << " (seed " << seed
             << ")";
         if (i == 1500) {
-            // Mid-soak, one side only: checkpoint the optimized system
+            // Mid-soak, one side only: checkpoint the skipping system
             // and reload it into itself. A save/restore cycle must be
             // invisible to the lockstep.
             std::string err;

@@ -21,9 +21,6 @@
  * cannot be written, 13 when drained by SIGINT/SIGTERM.
  */
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +33,7 @@
 #include "campaign/exit_codes.hh"
 #include "campaign/orchestrator.hh"
 #include "common/log.hh"
+#include "common/parse_number.hh"
 #include "network/noc_config.hh"
 
 namespace {
@@ -118,53 +116,15 @@ splitList(const std::string &arg)
     return out;
 }
 
-// Scalar parsers: the whole string must be the number (no trailing
-// junk, no empty string, no out-of-range or non-finite value).
-
+/** A non-empty comma list of numbers. */
+template <typename T>
 bool
-parseU64(const std::string &s, std::uint64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || s[0] == '-' || *end != '\0' || errno == ERANGE)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseInt(const std::string &s, int *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (s.empty() || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-        v > INT_MAX)
-        return false;
-    *out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseDouble(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseU64List(const std::string &arg, std::vector<std::uint64_t> *out)
+parseNumberList(const std::string &arg, std::vector<T> *out)
 {
     out->clear();
     for (const std::string &s : splitList(arg)) {
-        std::uint64_t v = 0;
-        if (!parseU64(s, &v))
+        T v{};
+        if (!parseNumber(s, &v))
             return false;
         out->push_back(v);
     }
@@ -178,20 +138,7 @@ parseNodeList(const std::string &arg, std::vector<NodeId> *out)
     out->clear();
     for (const std::string &s : splitList(arg)) {
         int v = kInvalidNode;
-        if (s != "none" && !(parseInt(s, &v) && v >= 0))
-            return false;
-        out->push_back(v);
-    }
-    return !out->empty();
-}
-
-bool
-parseDoubleList(const std::string &arg, std::vector<double> *out)
-{
-    out->clear();
-    for (const std::string &s : splitList(arg)) {
-        double v = 0.0;
-        if (!parseDouble(s, &v))
+        if (s != "none" && !(parseNumber(s, &v) && v >= 0))
             return false;
         out->push_back(v);
     }
@@ -228,8 +175,8 @@ main(int argc, char **argv)
         return argv[i + 1];
     };
     // Parse argv[i + 1] as the scalar value of flag argv[i], or exit.
-    auto scalar = [&](int i, auto parse, auto *out) {
-        if (!parse(needValue(i), out)) {
+    auto scalar = [&](int i, auto *out) {
+        if (!parseNumber(needValue(i), out)) {
             std::fprintf(stderr, "bad %s value '%s'\n", argv[i],
                          argv[i + 1]);
             std::exit(kExitBadConfig);
@@ -280,13 +227,13 @@ main(int argc, char **argv)
             grid.parsec = splitList(needValue(i));
             ++i;
         } else if (a == "--rates") {
-            if (!parseDoubleList(needValue(i), &grid.rates)) {
+            if (!parseNumberList(needValue(i), &grid.rates)) {
                 std::fprintf(stderr, "bad --rates list\n");
                 return kExitBadConfig;
             }
             ++i;
         } else if (a == "--fault-rates") {
-            if (!parseDoubleList(needValue(i), &grid.faultRates)) {
+            if (!parseNumberList(needValue(i), &grid.faultRates)) {
                 std::fprintf(stderr, "bad --fault-rates list\n");
                 return kExitBadConfig;
             }
@@ -298,40 +245,40 @@ main(int argc, char **argv)
             }
             ++i;
         } else if (a == "--seeds") {
-            if (!parseU64List(needValue(i), &grid.seeds)) {
+            if (!parseNumberList(needValue(i), &grid.seeds)) {
                 std::fprintf(stderr, "bad --seeds list\n");
                 return kExitBadConfig;
             }
             ++i;
         } else if (a == "--rows") {
-            scalar(i, parseInt, &grid.rows);
+            scalar(i, &grid.rows);
             ++i;
         } else if (a == "--cols") {
-            scalar(i, parseInt, &grid.cols);
+            scalar(i, &grid.cols);
             ++i;
         } else if (a == "--cycles") {
-            scalar(i, parseU64, &grid.measure);
+            scalar(i, &grid.measure);
             ++i;
         } else if (a == "--min-delivered") {
-            scalar(i, parseDouble, &grid.minDelivered);
+            scalar(i, &grid.minDelivered);
             ++i;
         } else if (a == "--workers") {
-            scalar(i, parseInt, &opts.workers);
+            scalar(i, &opts.workers);
             ++i;
         } else if (a == "--max-failures") {
-            scalar(i, parseInt, &opts.maxFailures);
+            scalar(i, &opts.maxFailures);
             ++i;
         } else if (a == "--hang-timeout") {
-            scalar(i, parseDouble, &opts.hangTimeoutSec);
+            scalar(i, &opts.hangTimeoutSec);
             ++i;
         } else if (a == "--checkpoint-every") {
-            scalar(i, parseU64, &opts.worker.checkpointEvery);
+            scalar(i, &opts.worker.checkpointEvery);
             ++i;
         } else if (a == "--backoff-initial") {
-            scalar(i, parseDouble, &opts.backoff.initialSec);
+            scalar(i, &opts.backoff.initialSec);
             ++i;
         } else if (a == "--backoff-max") {
-            scalar(i, parseDouble, &opts.backoff.maxSec);
+            scalar(i, &opts.backoff.maxSec);
             ++i;
         } else {
             std::fprintf(stderr, "unknown option '%s' (--help)\n",
