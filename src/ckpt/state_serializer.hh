@@ -26,13 +26,11 @@
 #ifndef NORD_CKPT_STATE_SERIALIZER_HH
 #define NORD_CKPT_STATE_SERIALIZER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -232,39 +230,6 @@ class StateSerializer
     void ioMap(std::map<K, V> &m)
     {
         ioMap(m, [this](V &v) { io(v); });
-    }
-
-    /**
-     * Unordered map. Saved/hashed in sorted-key order so the walk is
-     * deterministic regardless of the map's bucket history. Keyed access
-     * is the only operation the simulator performs on these maps, so the
-     * rebuilt insertion order cannot change behavior.
-     */
-    template <typename K, typename V, typename Fn>
-    void ioUnorderedMap(std::unordered_map<K, V> &m, Fn &&valueFn)
-    {
-        std::uint64_t n = m.size();
-        io(n);
-        if (loading()) {
-            m.clear();
-            for (std::uint64_t i = 0; i < n && ok(); ++i) {
-                K k{};
-                io(k);
-                V v{};
-                valueFn(v);
-                m.emplace(std::move(k), std::move(v));
-            }
-        } else {
-            std::vector<K> keys;
-            keys.reserve(m.size());
-            for (auto &kv : m)
-                keys.push_back(kv.first);
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys) {
-                io(k);
-                valueFn(m.at(k));
-            }
-        }
     }
 
     // --- Results ------------------------------------------------------------

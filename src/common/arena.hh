@@ -24,7 +24,9 @@
  * tests of one router, NI or link) keep the same container type. One
  * container sits on it: ArenaRing, the FIFO of every queue in the cycle
  * loop (VC buffers, link delay lines, the NI's injection and ejection
- * queues, bypass latch and stage 3).
+ * queues, bypass latch and stage 3) and of the E2E endpoint's buffers,
+ * three of which it keeps as sorted tables (indexed access plus an
+ * order-keeping insert and erase).
  */
 
 #ifndef NORD_COMMON_ARENA_HH
@@ -191,7 +193,9 @@ class ArenaAllocator
 
 /**
  * Contiguous FIFO ring for every per-cycle queue (VC buffers, link delay
- * lines, NI injection/ejection queues, bypass latch and stage 3). The
+ * lines, NI injection/ejection queues, bypass latch and stage 3, the E2E
+ * buffers). Indexed access and an insert or erase at any position, which
+ * keep the order of the rest, let it also hold a small sorted table. The
  * owner reserves the queue's bound (or its usual depth) up front; a full
  * ring grows by doubling and never shrinks, so a queue that reached its
  * working size allocates nothing more. Popping the last element rewinds
@@ -347,6 +351,62 @@ class ArenaRing
             head_ = 0;
     }
 
+    /** Element @p i in FIFO order (0 = front). */
+    T &operator[](std::size_t i)
+    {
+        NORD_DCHECK(i < size_, "ring index %zu past size %zu", i, size_);
+        return at(i);
+    }
+    const T &operator[](std::size_t i) const
+    {
+        NORD_DCHECK(i < size_, "ring index %zu past size %zu", i, size_);
+        return at(i);
+    }
+
+    /**
+     * Insert @p v at position @p pos (0 = front, size() = back), keeping
+     * the order of the rest. The shorter side moves over by one slot.
+     */
+    void insert(std::size_t pos, const T &v)
+    {
+        NORD_DCHECK(pos <= size_, "ring insert at %zu past size %zu", pos,
+                    size_);
+        const T copy = v;  // v may live in the ring
+        if (size_ == cap_)
+            regrow(cap_ == 0 ? 1 : cap_ * 2);
+        if (pos < size_ / 2) {
+            head_ = head_ == 0 ? cap_ - 1 : head_ - 1;
+            ++size_;
+            for (std::size_t i = 0; i < pos; ++i)
+                at(i) = at(i + 1);
+        } else {
+            ++size_;
+            for (std::size_t i = size_ - 1; i > pos; --i)
+                at(i) = at(i - 1);
+        }
+        at(pos) = copy;
+    }
+
+    /**
+     * Remove the element at position @p pos, keeping the order of the
+     * rest. The shorter side moves over by one slot.
+     */
+    void erase(std::size_t pos)
+    {
+        NORD_DCHECK(pos < size_, "ring erase at %zu past size %zu", pos,
+                    size_);
+        if (pos < size_ / 2) {
+            for (std::size_t i = pos; i > 0; --i)
+                at(i) = at(i - 1);
+            pop_front();
+        } else {
+            for (std::size_t i = pos; i + 1 < size_; ++i)
+                at(i) = at(i + 1);
+            if (--size_ == 0)
+                head_ = 0;
+        }
+    }
+
     /** Drop every element; the storage stays. */
     void clear()
     {
@@ -363,7 +423,7 @@ class ArenaRing
     /** Slot of position @p i < 2 * cap_ (compare-and-subtract, no %). */
     std::size_t wrap(std::size_t i) const { return i < cap_ ? i : i - cap_; }
 
-    /** Element @p i in FIFO order (0 = front). */
+    /** Element @p i in FIFO order, unchecked. */
     T &at(std::size_t i) { return buf_[wrap(head_ + i)]; }
     const T &at(std::size_t i) const { return buf_[wrap(head_ + i)]; }
 

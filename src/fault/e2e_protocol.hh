@@ -15,6 +15,16 @@
  * when possible and travel as standalone single-flit control packets after
  * a short coalescing window otherwise.
  *
+ * State layout: every buffer is an ArenaRing over the system's pool
+ * arena. Three are tables sorted by key -- the sender's pending sends by
+ * (destination, sequence number), the receiver's held tails by (source,
+ * sequence number), partly arrived multi-flit copies by packet id -- and
+ * the ACK and fast-retransmit queues are FIFOs. Beside them sits one
+ * dense per-node array of sequence numbers per side. A send, an arrival
+ * or an ACK moves entries within storage the buffers already own, so
+ * steady traffic allocates nothing; a buffer grows by doubling to its
+ * deepest backlog and never shrinks.
+ *
  * The endpoint is pure bookkeeping: it never touches the network directly.
  * The NI feeds it arriving flits and executes the sends it requests, so
  * protocol traffic flows through the exact same injection paths (and, for
@@ -25,11 +35,9 @@
 #define NORD_FAULT_E2E_PROTOCOL_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/flit.hh"
 #include "common/state_annotations.hh"
 #include "common/types.hh"
@@ -61,7 +69,9 @@ class E2eEndpoint
         std::uint32_t nackSeq = 0;
     };
 
-    E2eEndpoint(NodeId id, const NocConfig &config, NetworkStats &stats);
+    /** @p arena backs the buffers (null: the heap). */
+    E2eEndpoint(NodeId id, const NocConfig &config, NetworkStats &stats,
+                PoolArena *arena = nullptr);
 
     /**
      * Sender: allocate the next sequence number of flow id -> desc.dst
@@ -96,32 +106,40 @@ class E2eEndpoint
     /** No unacked sends and no protocol traffic waiting to be emitted. */
     bool quiescent() const
     {
-        return pending_ == 0 && ackQueue_.empty() && nackResends_.empty();
+        return tx_.empty() && ackQueue_.empty() && nackResends_.empty();
     }
 
     /** Unacked data packets currently awaiting ACK or retransmission. */
-    size_t pendingSends() const { return pending_; }
+    size_t pendingSends() const { return tx_.size(); }
+
+    /** What the endpoint's buffers hold (tests and diagnostics). */
+    struct Occupancy
+    {
+        size_t retrying = 0;       ///< pending sends retransmitted once+
+        size_t heldTails = 0;      ///< intact tails behind a reorder hole
+        size_t partialCopies = 0;  ///< multi-flit copies partly arrived
+    };
+
+    Occupancy occupancy() const;
 
     /**
-     * The timer bookkeeping as kept, beside what a scan of the buffers
-     * gives: the pending count and the earliest pending deadline
-     * (kNeverCycle when nothing is pending).
+     * The deadline bound as kept, beside the earliest pending deadline a
+     * scan of the retransmission buffer gives (kNeverCycle when nothing
+     * is pending).
      */
     struct TimerProbe
     {
-        size_t keptPending = 0;
         Cycle keptBound = 0;  ///< nextDeadline_
-        size_t scanPending = 0;
         Cycle scanEarliest = 0;
     };
 
-    /** Auditor hook: the kept timer bookkeeping beside a full scan. */
+    /** Auditor hook: the kept deadline bound beside a full scan. */
     TimerProbe probeTimers() const;
 
     /**
-     * Rebuild the pending count and the deadline bound from the
-     * retransmission buffers. NocSystem calls it after every restore
-     * walk, which writes the buffers but neither of the two.
+     * Rebuild the deadline bound from the retransmission buffer.
+     * NocSystem calls it after every restore walk, which writes the
+     * buffer but not the bound.
      */
     void recountTimers();
 
@@ -132,33 +150,25 @@ class E2eEndpoint
     void serializeState(StateSerializer &s);
 
   private:
+    /** Per-node sequence numbers of one side, on the arena. */
+    using SeqArray =
+        std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>>;
+
     /** One unacked packet in the retransmission buffer. */
     struct TxEntry
     {
-        PacketDescriptor desc;
+        PacketDescriptor desc;  ///< desc.dst names the flow
+        std::uint32_t seq = 0;
         Cycle firstSent = 0;
         Cycle deadline = 0;
         int retries = 0;
         bool retransmitted = false;
     };
 
-    /** Sender state for flow id_ -> dst. */
-    struct TxFlow
-    {
-        std::uint32_t nextSeq = 1;
-        std::map<std::uint32_t, TxEntry> pending;
-    };
-
-    /** Receiver state for flow src -> id_. */
-    struct RxFlow
-    {
-        std::uint32_t expected = 1;         ///< next in-order sequence
-        std::map<std::uint32_t, Flit> reorder;  ///< held intact tails
-    };
-
     /** Damage accumulated by the in-flight copy with one physical id. */
-    struct RxPacketState
+    struct RxCopy
     {
+        PacketId packet = 0;
         bool headUnparseable = false;
         bool damaged = false;
     };
@@ -171,6 +181,31 @@ class E2eEndpoint
         std::uint32_t nackSeq = 0;
         Cycle due = 0;  ///< standalone emission deadline
     };
+
+    // Sort keys of the three tables: the flow's node in the high word
+    // and the sequence number in the low one, or the packet id.
+    static std::uint64_t keyOf(const TxEntry &e);
+    static std::uint64_t keyOf(const Flit &tail);
+    static std::uint64_t keyOf(const RxCopy &c) { return c.packet; }
+
+    /** First position of @p table whose key is not below @p key. */
+    template <typename T>
+    static std::size_t lowerBound(const ArenaRing<T> &table,
+                                  std::uint64_t key);
+
+    /**
+     * Walk one side's flows in the layout of a node-keyed map of flows:
+     * the number of touched flows (a sequence number off 1, or an entry
+     * held), then per flow in node order its node, its sequence number
+     * in @p seqs and its entries of @p table in key order, each through
+     * @p entryFn.
+     */
+    template <typename T, typename EntryFn>
+    void ioFlows(StateSerializer &s, SeqArray &seqs,
+                 ArenaRing<T> &table, EntryFn &&entryFn);
+
+    /** Position of pending send @p seq to @p dst in tx_, or tx_.size(). */
+    std::size_t findSend(NodeId dst, std::uint32_t seq) const;
 
     void queueAck(NodeId dst, std::uint32_t ackSeq, std::uint32_t nackSeq,
                   Cycle now);
@@ -190,17 +225,16 @@ class E2eEndpoint
     const NocConfig &config_;
     NetworkStats &stats_;
 
-    std::map<NodeId, TxFlow> tx_;
-    std::map<NodeId, RxFlow> rx_;
-    std::unordered_map<PacketId, RxPacketState> inFlightRx_;
-    std::deque<AckItem> ackQueue_;
-    std::deque<Resend> nackResends_;  ///< fast retransmits awaiting service
+    SeqArray nextSeq_;   ///< per destination, from 1
+    SeqArray expected_;  ///< per source: next in order
+    ArenaRing<TxEntry> tx_;    ///< unacked sends by (dst, seq)
+    ArenaRing<Flit> held_;     ///< intact out-of-order tails by (src, seq)
+    ArenaRing<RxCopy> inFlightRx_;  ///< partly arrived copies by packet
+    ArenaRing<AckItem> ackQueue_;
+    ArenaRing<Resend> nackResends_;  ///< fast retransmits awaiting service
 
     // Timer bookkeeping, so a cycle with no expired deadline costs no
     // walk: service() skips the timeout walk while now < nextDeadline_.
-    NORD_STATE_EXCLUDE(cache, "sum of the pending buffers' sizes; "
-                       "recountTimers() rebuilds it after a restore")
-    size_t pending_ = 0;
     NORD_STATE_EXCLUDE(cache, "lower bound on every pending deadline; "
                        "recountTimers() rebuilds it after a restore")
     Cycle nextDeadline_ = kNeverCycle;

@@ -44,7 +44,7 @@ NetworkInterface::NetworkInterface(NodeId id, const NocConfig &config,
     // (a dropped tail never releases its flow) can grow it further.
     claimed_.reserve(static_cast<size_t>(config.numVcs));
     if (config.fault.e2e)
-        e2e_ = std::make_unique<E2eEndpoint>(id, config, stats);
+        e2e_ = std::make_unique<E2eEndpoint>(id, config, stats, arena);
 }
 
 std::string

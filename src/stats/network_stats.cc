@@ -5,6 +5,9 @@
 
 #include "stats/network_stats.hh"
 
+#include <algorithm>
+#include <string>
+
 #include "ckpt/state_serializer.hh"
 #include "common/log.hh"
 
@@ -124,18 +127,21 @@ NetworkStats::controlPacketDelivered()
 FlowStats &
 NetworkStats::flow(NodeId src, NodeId dst)
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    return flows_[key];
+    const size_t n = routers_.size();
+    if (flows_.empty()) {
+        flows_.resize(n * n);
+        flowTouched_.resize(n * n);
+    }
+    const size_t i = static_cast<size_t>(src) * n + static_cast<size_t>(dst);
+    flowTouched_[i] = 1;
+    return flows_[i];
 }
 
 FlowStats
 NetworkStats::flowTotals() const
 {
     FlowStats t;
-    for (const auto &[key, f] : flows_) {
-        (void)key;
+    for (const FlowStats &f : flows_) {
         t.delivered += f.delivered;
         t.retransmits += f.retransmits;
         t.timeouts += f.timeouts;
@@ -344,6 +350,45 @@ serializeFlow(StateSerializer &s, FlowStats &f)
 }  // namespace
 
 void
+NetworkStats::serializeFlows(StateSerializer &s)
+{
+    // The touched flows in (src, dst) order, each keyed (src << 32) | dst:
+    // the layout of a map from that key.
+    const std::uint64_t n = routers_.size();
+    std::uint64_t count = 0;
+    for (std::uint8_t touched : flowTouched_)
+        count += touched;
+    s.io(count);
+    if (!s.loading()) {
+        for (size_t i = 0; i < flows_.size(); ++i) {
+            if (!flowTouched_[i])
+                continue;
+            std::uint64_t key = ((i / n) << 32) | (i % n);
+            s.io(key);
+            serializeFlow(s, flows_[i]);
+        }
+        return;
+    }
+    std::fill(flows_.begin(), flows_.end(), FlowStats{});
+    std::fill(flowTouched_.begin(), flowTouched_.end(), 0);
+    std::uint64_t last = 0;
+    for (std::uint64_t k = 0; k < count && s.ok(); ++k) {
+        std::uint64_t key = 0;
+        s.io(key);
+        const std::uint64_t src = key >> 32;
+        const std::uint64_t dst = key & 0xffffffffu;
+        if (src >= n || dst >= n || (k != 0 && key <= last)) {
+            s.fail("flow record " + std::to_string(key) +
+                   " out of order or off the mesh");
+            return;
+        }
+        last = key;
+        serializeFlow(s, flow(static_cast<NodeId>(src),
+                              static_cast<NodeId>(dst)));
+    }
+}
+
+void
 NetworkStats::serializeState(StateSerializer &s)
 {
     s.section(StateSerializer::tag4("STAT"));
@@ -366,7 +411,7 @@ NetworkStats::serializeState(StateSerializer &s)
     s.io(hopSum_);
     s.io(measuredPackets_);
     s.ioSequence(latencyHist_);
-    s.ioMap(flows_, [&s](FlowStats &f) { serializeFlow(s, f); });
+    serializeFlows(s);
     s.io(nextPacketId_);
 }
 

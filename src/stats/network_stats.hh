@@ -12,7 +12,6 @@
 #define NORD_STATS_NETWORK_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/flit.hh"
@@ -164,7 +163,11 @@ class NetworkStats
     /** A standalone ACK/NACK control packet reached its destination. */
     void controlPacketDelivered();
 
-    /** Mutable per-flow resilience stats for flow src -> dst. */
+    /**
+     * Mutable per-flow resilience stats for flow src -> dst. The first
+     * call sizes a dense numRouters x numRouters table, so only a run
+     * with the E2E layer (the one caller) pays for it.
+     */
     FlowStats &flow(NodeId src, NodeId dst);
 
     // --- Router activity ---------------------------------------------------
@@ -202,9 +205,6 @@ class NetworkStats
     {
         return controlPacketsDelivered_;
     }
-
-    /** Read-only per-flow resilience stats. */
-    const std::map<std::uint64_t, FlowStats> &flows() const { return flows_; }
 
     /** Sum of all per-flow resilience stats. */
     FlowStats flowTotals() const;
@@ -245,6 +245,9 @@ class NetworkStats
     void serializeState(StateSerializer &s);
 
   private:
+    /** The flow records' part of serializeState. */
+    void serializeFlows(StateSerializer &s);
+
     std::vector<ActivityCounters> routers_;
     std::vector<IdlePeriodHistogram> idleHists_;
     // Open empty/busy run per router: mode flag + start cycle
@@ -267,7 +270,8 @@ class NetworkStats
     std::uint64_t hopSum_ = 0;
     std::uint64_t measuredPackets_ = 0;
     std::vector<std::uint64_t> latencyHist_;  ///< 1-cycle buckets + overflow
-    std::map<std::uint64_t, FlowStats> flows_;  ///< key (src << 32) | dst
+    std::vector<FlowStats> flows_;  ///< [src * numRouters + dst], or empty
+    std::vector<std::uint8_t> flowTouched_;  ///< flow() ever called on it
     PacketId nextPacketId_ = 1;
 };
 

@@ -608,15 +608,12 @@ InvariantAuditor::checkE2eTimers(Pass &p, NodeId id)
     if (!e2e)
         return;
     const E2eEndpoint::TimerProbe t = e2e->probeTimers();
-    if (t.keptPending != t.scanPending || t.keptBound > t.scanEarliest) {
+    if (t.keptBound > t.scanEarliest) {
         report(p, Kind::kE2eTimers, id,
                formatString(
-                   "node %d E2E timers out of sync: %zu pending with "
-                   "deadline bound %llu, but its buffers hold %zu with "
-                   "the earliest due at %llu",
-                   id, t.keptPending,
-                   static_cast<unsigned long long>(t.keptBound),
-                   t.scanPending,
+                   "node %d E2E timers out of sync: deadline bound %llu, "
+                   "but its retransmission buffer has one due at %llu",
+                   id, static_cast<unsigned long long>(t.keptBound),
                    static_cast<unsigned long long>(t.scanEarliest)));
     }
 }

@@ -23,10 +23,9 @@
  *  5. Liveness -- a network-wide progress watchdog (deadlock) and a
  *     per-flit age bound (livelock), both dumping a full stall diagnosis
  *     before aborting.
- *  6. E2E timer bookkeeping -- each end-to-end endpoint's O(1) pending
- *     count agrees with a count of its retransmission buffers, and its
- *     deadline bound is no later than the earliest pending deadline (a
- *     later bound would skip a due retransmission).
+ *  6. E2E timer bookkeeping -- each end-to-end endpoint's deadline
+ *     bound is no later than the earliest pending deadline (a later
+ *     bound would skip a due retransmission).
  *
  * A router power-state transition triggers a *scoped* check instead of a
  * sweep: families 2-4 over the transitioning router and its mesh

@@ -211,6 +211,14 @@ drain(ArenaRing<int> &q)
     return out;
 }
 
+/** Pop order of a copy, leaving @p q as it is. */
+std::vector<int>
+drainCopy(const ArenaRing<int> &q)
+{
+    ArenaRing<int> copy(q);
+    return drain(copy);
+}
+
 TEST(ArenaRing, WraparoundAcrossGrowthKeepsFifoOrder)
 {
     PoolArena arena;
@@ -331,6 +339,86 @@ TEST(ArenaRing, NullArenaUsesHeapAndPooledRingLeaksNothing)
         EXPECT_GT(arena.stats().liveBlocks, 0u);
     }
     EXPECT_EQ(arena.checkTeardown(), 0u);
+}
+
+/** The ring's contents by index, front first. */
+std::vector<int>
+indexed(const ArenaRing<int> &q)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < q.size(); ++i)
+        out.push_back(q[i]);
+    return out;
+}
+
+TEST(ArenaRing, IndexedReadsAcrossWraparoundAndGrowth)
+{
+    ArenaRing<int> q;
+    q.reserve(4);
+    std::deque<int> model;
+    int next = 0;
+    // Push two, pop one, so the contents wrap inside capacity 4 and then
+    // grow twice while wrapped; every step reads back by index.
+    for (int step = 0; step < 12; ++step) {
+        q.push_back(next);
+        model.push_back(next++);
+        q.push_back(next);
+        model.push_back(next++);
+        q.pop_front();
+        model.pop_front();
+        ASSERT_EQ(indexed(q), std::vector<int>(model.begin(), model.end()))
+            << "step " << step;
+    }
+    EXPECT_EQ(q.capacity(), 16u);
+    q[3] = -7;  // writes land where reads find them
+    EXPECT_EQ(q[3], -7);
+    EXPECT_EQ(std::vector<int>(q.begin(), q.end())[3], -7);
+}
+
+TEST(ArenaRing, EraseAndInsertAtAnyPositionKeepFifoOrder)
+{
+    // Front, middle and back positions on a wrapped ring, against a
+    // deque: the shorter side moves, the order of the rest stays.
+    ArenaRing<int> q;
+    q.reserve(8);
+    std::deque<int> model;
+    for (int i = 0; i < 5; ++i) {
+        q.push_back(i);
+        model.push_back(i);
+    }
+    for (int i = 0; i < 3; ++i) {  // head at slot 3: contents wrap
+        q.pop_front();
+        model.pop_front();
+        q.push_back(5 + i);
+        model.push_back(5 + i);
+    }
+    auto same = [&] {
+        return indexed(q) == std::vector<int>(model.begin(), model.end()) &&
+               drainCopy(q) == std::vector<int>(model.begin(), model.end());
+    };
+    ASSERT_TRUE(same());
+    for (int where = 0; where < 3; ++where) {  // front, middle, back
+        const std::size_t pos =
+            where == 0 ? 0 : where == 1 ? model.size() / 2 : model.size() - 1;
+        q.erase(pos);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(pos));
+        ASSERT_TRUE(same()) << "erase at " << pos;
+    }
+    ASSERT_EQ(model.size(), 2u);
+    int v = 100;
+    for (std::size_t pos : {0, 1, 4, 2, 5, 0, 4}) {  // the last one grows it
+        q.insert(pos, v);
+        model.insert(model.begin() + static_cast<std::ptrdiff_t>(pos), v++);
+        ASSERT_TRUE(same()) << "insert at " << pos;
+    }
+    EXPECT_EQ(q.capacity(), 16u);
+    while (!model.empty()) {
+        const std::size_t pos = model.size() / 2;
+        q.erase(pos);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(pos));
+        ASSERT_TRUE(same());
+    }
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(ArenaRing, EmptyAccessTripsDcheck)

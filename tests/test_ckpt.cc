@@ -19,6 +19,7 @@
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/state_serializer.hh"
+#include "fault/e2e_protocol.hh"
 #include "network/noc_system.hh"
 #include "temp_dir.hh"
 #include "traffic/parsec_workload.hh"
@@ -527,6 +528,43 @@ TEST(CheckpointFuzz, SampledPayloadBitFlipsRejectedWithRollback)
     }
     std::remove(golden.c_str());
     std::remove(path.c_str());
+}
+
+TEST(Checkpoint, E2eStateBytesPinned)
+{
+    // The E2E layer's serialized bytes, pinned: a faulted 8x8 NoRD run
+    // saved at cycle 3000, with a retried send, a tail held behind a
+    // reorder hole and a partly arrived multi-flit copy in the payload,
+    // must hash to the value the map-based endpoint wrote. Any change to
+    // the layout of the endpoint's buffers has to keep these bytes.
+    NocConfig cfg = makeShippedConfig(PgDesign::kNord, 8, 8);
+    cfg.fault.enabled = true;
+    cfg.fault.e2e = true;
+    cfg.fault.flitCorruptRate = 1e-3;
+    cfg.fault.flitDropRate = 1e-3;
+    cfg.verify.interval = 256;
+    cfg.verify.policy = AuditPolicy::kRecover;
+    NocSystem sys(cfg);
+    SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.06, 11);
+    sys.setWorkload(&traffic);
+    sys.run(3000);
+
+    E2eEndpoint::Occupancy held;
+    for (NodeId id = 0; id < cfg.numNodes(); ++id) {
+        const E2eEndpoint::Occupancy o = sys.ni(id).e2e()->occupancy();
+        held.retrying += o.retrying;
+        held.heldTails += o.heldTails;
+        held.partialCopies += o.partialCopies;
+    }
+    EXPECT_GT(held.retrying, 0u);
+    EXPECT_GT(held.heldTails, 0u);
+    EXPECT_GT(held.partialCopies, 0u);
+
+    StateSerializer save(SerialMode::kSave);
+    sys.saveState(save);
+    ASSERT_TRUE(save.ok()) << save.error();
+    EXPECT_EQ(fnv1a(save.buffer()), 0x426a710a836b2c67ULL);
+    sys.setWorkload(nullptr);
 }
 
 TEST(Checkpoint, HashModeMatchesSaveBufferDigest)

@@ -635,7 +635,6 @@ exclusionRegistry()
         {"CriticalityCache::sweep_", Proof::kCacheClear},
         {"E2eEndpoint::id_", Proof::kTwinConstruction},
         {"E2eEndpoint::nextDeadline_", Proof::kFreshRestore},
-        {"E2eEndpoint::pending_", Proof::kFreshRestore},
         {"FaultInjector::auditor_", Proof::kTwinConstruction},
         {"FaultInjector::schedule_", Proof::kTwinConstruction},
         {"FlitLink::dst_", Proof::kTwinConstruction},
@@ -807,8 +806,8 @@ TEST(StateTruthing, FreshRestoreMembersAreHashNeutral)
 
 TEST(StateTruthing, FreshRestoreE2eTimersAreHashNeutral)
 {
-    // The E2E endpoints' pending counts and deadline bounds: sys1's carry
-    // the run's history, sys2's are rebuilt from the loaded buffers. With
+    // The E2E endpoints' deadline bounds: sys1's carry the run's
+    // history, sys2's are rebuilt from the loaded buffers. With
     // drops the timeout path fires, and the hashes must match as both
     // run on.
     NocConfig cfg = truthConfig(PgDesign::kNord);

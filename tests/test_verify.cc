@@ -498,10 +498,10 @@ TEST(InvariantAuditorTest, OccupancyCountersMatchAScanAcrossRestores)
 
 TEST(InvariantAuditorTest, E2eTimersMatchAScanAcrossRestores)
 {
-    // An NI's load walk writes its E2E endpoint's retransmission buffers
-    // but neither the pending count nor the deadline bound. A bare
-    // NetworkInterface::serializeState load leaves both as built, which
-    // the sweep must flag; loadState rebuilds them and stays silent.
+    // An NI's load walk writes its E2E endpoint's retransmission buffer
+    // but not the deadline bound. A bare NetworkInterface::serializeState
+    // load leaves the bound as built, which the sweep must flag;
+    // loadState rebuilds it and stays silent.
     NocConfig cfg;
     cfg.design = PgDesign::kNoPg;
     cfg.fault.enabled = true;
