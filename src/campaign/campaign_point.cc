@@ -1,28 +1,20 @@
 /**
  * @file
- * Campaign point expansion and the supervised worker body.
+ * Campaign point expansion and the worker body.
  */
 
 #include "campaign/campaign_point.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "campaign/exit_codes.hh"
-#include "campaign/journal.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/fnv.hh"
+#include "common/json_escape.hh"
 #include "common/log.hh"
 #include "network/noc_system.hh"
 #include "network/run_record.hh"
 #include "traffic/parsec_workload.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <time.h>
-#endif
 
 namespace nord {
 namespace campaign {
@@ -51,10 +43,6 @@ specJson(const PointSpec &spec)
         spec.faultRate, spec.minDelivered);
     if (spec.deadRouter != kInvalidNode)
         s += detail::formatString(",\"deadRouter\":%d", spec.deadRouter);
-    if (spec.selfTest != SelfTest::kNone)
-        s += detail::formatString(
-            ",\"selfTest\":\"%s\"",
-            spec.selfTest == SelfTest::kPoison ? "poison" : "hang");
     s += "}";
     return s;
 }
@@ -126,7 +114,6 @@ pointPaths(const std::string &outDir, std::uint64_t id)
     PointPaths p;
     p.checkpoint = stem + ".ckpt";
     p.result = stem + ".result.json";
-    p.stderrLog = stem + ".stderr";
     return p;
 }
 
@@ -176,47 +163,6 @@ saveWorkerCheckpoint(NocSystem &sys, const PointSpec &spec,
     return true;
 }
 
-/**
- * Bump the checkpoint file's mtime to now: the executor's heartbeat
- * between full saves. Without utimensat the heartbeat is a full save.
- */
-bool
-touchWorkerCheckpoint(NocSystem &sys, const PointSpec &spec,
-                      const std::string &path, std::uint64_t phase)
-{
-#if defined(__unix__) || defined(__APPLE__)
-    (void)sys;
-    (void)phase;
-    if (utimensat(AT_FDCWD, path.c_str(), nullptr, 0) != 0) {
-        std::fprintf(diagStream(),
-                     "[worker %llu] heartbeat touch of %s failed: %s\n",
-                     static_cast<unsigned long long>(spec.id),
-                     path.c_str(), std::strerror(errno));
-        return false;
-    }
-    return true;
-#else
-    return saveWorkerCheckpoint(sys, spec, path, phase);
-#endif
-}
-
-void
-selfTestHangForever(const PointSpec &spec)
-{
-    std::fprintf(diagStream(),
-                 "[worker %llu] self-test: entering deliberate hang\n",
-                 static_cast<unsigned long long>(spec.id));
-    if (std::fflush(diagStream()) != 0) {
-        // Diagnostics are best-effort; the hang itself is the test.
-    }
-#if defined(__unix__) || defined(__APPLE__)
-    for (;;) {
-        struct timespec s = {3600, 0};
-        nanosleep(&s, nullptr);
-    }
-#endif
-}
-
 }  // namespace
 
 int
@@ -224,14 +170,6 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                const WorkerOptions &opts)
 {
     const auto diagId = static_cast<unsigned long long>(spec.id);
-
-    if (spec.selfTest == SelfTest::kPoison) {
-        std::fprintf(diagStream(),
-                     "[worker %llu] self-test poison point: failing the "
-                     "delivery gate deterministically\n",
-                     diagId);
-        return kExitGateFailure;
-    }
 
     const NocConfig cfg = pointConfig(spec);
     const std::vector<std::string> problems = cfg.problems();
@@ -262,7 +200,7 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         return kExitBadConfig;
     }
     // An id off the mesh would trip killRouter's assert, and that abort
-    // would be classed as a crash and retried.
+    // would be classed as a crash instead of a bad config.
     if (spec.deadRouter != kInvalidNode &&
         (spec.deadRouter < 0 || spec.deadRouter >= spec.rows * spec.cols)) {
         std::fprintf(diagStream(),
@@ -330,57 +268,32 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         }
     }
 
-    // The heartbeat after every chunk: a full checkpoint when this
-    // attempt has written none yet, when the last one is fullEvery
-    // cycles old, or at a phase change (force); otherwise only a
-    // touch of the checkpoint file's mtime.
-    const Cycle fullEvery = std::max<Cycle>(opts.checkpointEvery, 1);
-    const Cycle every = std::min(kHeartbeatCycles, fullEvery);
-    bool savedThisAttempt = false;
-    Cycle lastSave = 0;
-    const auto heartbeat = [&](std::uint64_t ckptPhase, bool force) {
-        const bool full = force || !savedThisAttempt ||
-                          sys.now() - lastSave >= fullEvery;
-        const bool ok =
-            full ? saveWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                        ckptPhase)
-                 : touchWorkerCheckpoint(sys, spec, paths.checkpoint,
-                                         ckptPhase);
-        if (full) {
-            savedThisAttempt = true;
-            lastSave = sys.now();
-        }
-        if (ok && opts.onHeartbeat)
-            opts.onHeartbeat(sys.now(), full);
-        return ok;
+    // A full checkpoint after every chunk that does not end its phase,
+    // and at the run-to-drain phase change.
+    const Cycle every = opts.checkpointEvery;
+    const auto save = [&](std::uint64_t ckptPhase) {
+        return saveWorkerCheckpoint(sys, spec, paths.checkpoint, ckptPhase);
     };
-    const Cycle hangAt = spec.measure / 2;
 
     if (spec.kind == WorkloadKind::kSynthetic) {
         if (phase == kPhaseRunning) {
             while (sys.now() < spec.measure) {
-                if (spec.selfTest == SelfTest::kHang &&
-                    sys.now() >= hangAt)
-                    selfTestHangForever(spec);
-                const Cycle chunk =
-                    std::min<Cycle>(every, spec.measure - sys.now());
-                sys.run(chunk);
+                sys.run(std::min<Cycle>(every, spec.measure - sys.now()));
                 // The phase change below saves at the last chunk's end.
-                if (sys.now() < spec.measure &&
-                    !heartbeat(kPhaseRunning, false))
+                if (sys.now() < spec.measure && !save(kPhaseRunning))
                     return kExitInfraFailure;
             }
             sys.setWorkload(nullptr);
             phase = kPhaseDrain;
-            if (!heartbeat(kPhaseDrain, true))
+            if (!save(kPhaseDrain))
                 return kExitInfraFailure;
         }
         const Cycle limit = spec.measure + opts.drainBudget;
         bool done = sys.completionReached();
         while (!done && sys.now() < limit) {
-            const Cycle chunk = std::min<Cycle>(every, limit - sys.now());
-            done = sys.runTowardCompletion(chunk);
-            if (!done && !heartbeat(kPhaseDrain, false))
+            done = sys.runTowardCompletion(
+                std::min<Cycle>(every, limit - sys.now()));
+            if (!done && !save(kPhaseDrain))
                 return kExitInfraFailure;
         }
     } else {
@@ -388,11 +301,9 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         const Cycle limit = 30'000'000;
         bool done = sys.completionReached();
         while (!done && sys.now() < limit) {
-            if (spec.selfTest == SelfTest::kHang && sys.now() >= hangAt)
-                selfTestHangForever(spec);
-            const Cycle chunk = std::min<Cycle>(every, limit - sys.now());
-            done = sys.runTowardCompletion(chunk);
-            if (!done && !heartbeat(kPhaseRunning, false))
+            done = sys.runTowardCompletion(
+                std::min<Cycle>(every, limit - sys.now()));
+            if (!done && !save(kPhaseRunning))
                 return kExitInfraFailure;
         }
     }

@@ -3,29 +3,27 @@
  * One campaign point: a (design, config, seed, workload) simulation unit.
  *
  * A campaign is a grid of PointSpecs expanded in a fixed deterministic
- * order; the point id is the index in that order and is what the journal,
- * the checkpoint files and the report key on. Each point runs as its own
- * supervised worker process (runPointWorker). Every kHeartbeatCycles
- * cycles the worker either saves a full checkpoint or touches the
- * checkpoint file, so the executor can read heartbeats from the file's
- * mtime, and a killed attempt resumes bit-exactly from its last full
- * checkpoint instead of starting over.
+ * order; the point id is the index in that order and is what the
+ * checkpoint files, the result files and the report key on. Each point
+ * runs as its own forked worker process (runPointWorker). Every
+ * WorkerOptions::checkpointEvery cycles the worker saves a full
+ * checkpoint, so a killed worker resumes bit-exactly from its last one
+ * instead of starting over.
  *
- * The worker's contract with the supervisor:
+ * The worker's contract with the campaign loop:
  *  - exit codes follow the campaign taxonomy (exit_codes.hh);
  *  - the result file is written atomically, so it either holds one
  *    complete JSON line or does not exist;
  *  - the result is a pure function of the spec: however many times the
- *    attempt is killed and resumed, the bytes that eventually land in
+ *    worker is killed and resumed, the bytes that eventually land in
  *    the result file are identical (this is what checkpoint bit-exactness
- *    buys, and what makes campaign reports chaos-invariant).
+ *    buys, and what makes a resumed campaign's report byte-identical).
  */
 
 #ifndef NORD_CAMPAIGN_CAMPAIGN_POINT_HH
 #define NORD_CAMPAIGN_CAMPAIGN_POINT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,18 +38,6 @@ enum class WorkloadKind : std::uint8_t
 {
     kSynthetic = 0,  ///< open-loop synthetic pattern at a fixed rate
     kParsec = 1,     ///< closed-loop PARSEC benchmark model
-};
-
-/**
- * Self-test behavior injected into a worker, used by the campaign tests
- * to create deterministic poison and hang points without hand-crafting
- * a failing configuration.
- */
-enum class SelfTest : std::uint8_t
-{
-    kNone = 0,
-    kPoison = 1,  ///< fail the delivery gate deterministically
-    kHang = 2,    ///< stop heartbeating forever mid-run
 };
 
 /** Full specification of one point (see file comment). */
@@ -70,7 +56,6 @@ struct PointSpec
     double faultRate = 0.0;    ///< transient corrupt+drop rate (0 = off)
     NodeId deadRouter = kInvalidNode;  ///< permanently dead router (none)
     double minDelivered = 0.0; ///< delivery gate (0 = no gate)
-    SelfTest selfTest = SelfTest::kNone;
 };
 
 /** Human/report name of the point's workload. */
@@ -115,39 +100,29 @@ std::vector<PointSpec> expandGrid(const GridSpec &grid);
 /** Where one point's artifacts live under the campaign out-dir. */
 struct PointPaths
 {
-    std::string checkpoint;  ///< heartbeat + resume state
+    std::string checkpoint;  ///< resume state
     std::string result;      ///< atomically-written result JSON line
-    std::string stderrLog;   ///< worker stderr capture
 };
 
 /** Compose the artifact paths of point @p id under @p outDir. */
 PointPaths pointPaths(const std::string &outDir, std::uint64_t id);
 
-/** Cycles between two worker heartbeats (at most checkpointEvery). */
-constexpr Cycle kHeartbeatCycles = 500;
-
-/** Worker knobs forwarded by the executor. */
+/** The worker's fixed schedule. */
 struct WorkerOptions
 {
-    Cycle checkpointEvery = 5000;  ///< full-checkpoint period in cycles
-    Cycle drainBudget = 500000;    ///< extra cycles allowed for draining
-    /** Test hook: after each heartbeat, its cycle and whether it wrote a
-     *  full checkpoint (false: it only touched the file). */
-    std::function<void(Cycle now, bool saved)> onHeartbeat;
+    static constexpr Cycle checkpointEvery = 5000;  ///< full-save period
+    static constexpr Cycle drainBudget = 500000;    ///< cycles to drain
 };
 
 /**
  * The worker body: run @p spec to completion and atomically write the
  * result line to paths.result. It runs in chunks of
- * min(kHeartbeatCycles, opts.checkpointEvery) cycles, and after each
- * chunk heartbeats through paths.checkpoint: a full checkpoint on the
- * attempt's first heartbeat, whenever the last one is
- * opts.checkpointEvery cycles old, and when the workload detaches for
- * the drain; otherwise a touch of the file's mtime. Resumes
- * transparently from an existing checkpoint; a corrupt or mismatched
- * checkpoint is discarded and the point restarts from scratch
- * (diagnosed on the worker's stderr). Returns a campaign taxonomy exit
- * code.
+ * WorkerOptions::checkpointEvery cycles and saves a full checkpoint to
+ * paths.checkpoint after each chunk that does not end its phase, and
+ * once when the workload detaches for the drain. Resumes transparently
+ * from an existing checkpoint; a corrupt or mismatched checkpoint is
+ * discarded and the point restarts from scratch (diagnosed on the
+ * worker's stderr). Returns a campaign taxonomy exit code.
  */
 int runPointWorker(const PointSpec &spec, const PointPaths &paths,
                    const WorkerOptions &opts);

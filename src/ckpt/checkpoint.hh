@@ -93,7 +93,7 @@ bool fsyncParentDir(const std::string &path, std::string *err = nullptr);
  * Atomically replace @p path with @p head followed by @p body: write
  * "<path>.tmp", fsync, rename, then fsync the parent directory so the
  * rename itself is durable. The one durable writer for checkpoints and
- * campaign results, reports and provenance. Returns false and sets
+ * campaign results and reports. Returns false and sets
  * @p err on any I/O failure; the previous file, if any, is untouched in
  * that case.
  */

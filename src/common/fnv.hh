@@ -4,7 +4,8 @@
  * digests, config and grid fingerprints, and backoff jitter.
  *
  * Every persisted digest depends on these exact constants and byte
- * order, so a change here invalidates checkpoints and campaign journals.
+ * order, so a change here invalidates checkpoints and campaign grid
+ * fingerprints.
  */
 
 #ifndef NORD_COMMON_FNV_HH

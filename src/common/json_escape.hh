@@ -1,6 +1,6 @@
 /**
  * @file
- * JSON string escaping shared by the campaign journal/reports and the
+ * JSON string escaping shared by the campaign point specs and the
  * nord-lint CLI.
  *
  * Header-only and std-only, so the standalone nord-lint build includes it

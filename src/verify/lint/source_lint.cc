@@ -417,9 +417,9 @@ checkUncheckedIo(const std::string &path, const std::string &original,
                  const std::string &stripped, const Scope &scope,
                  std::vector<LintFinding> &out)
 {
-    // Durability code (checkpoints, the campaign journal) must never
+    // Durability code (checkpoints, campaign results) must never
     // drop an I/O result: an ignored fwrite/fsync/rename is exactly how
-    // a "durable" journal silently loses its tail on a full disk. The
+    // a "durable" file silently loses its tail on a full disk. The
     // heuristic flags a call used as a bare statement -- the last
     // non-space character before the call (skipping a std:: qualifier)
     // is a statement boundary, so the return value cannot have been

@@ -29,7 +29,7 @@
  *  - unchecked-io: fwrite/fflush/fsync/rename called as a bare statement
  *    (result discarded) in the durability layers src/ckpt/ and
  *    src/campaign/ -- an ignored I/O result there is how a "durable"
- *    journal silently loses its tail on a full disk;
+ *    file silently loses its tail on a full disk;
  *  - state coverage: every src/ file also feeds the declaration parser
  *    (verify/statecheck/), whose rules report each data member that is
  *    neither serialized nor legally NORD_STATE_EXCLUDE-annotated

@@ -344,7 +344,7 @@ TEST(Checkpoint, AuditorRecoverStateSurvivesRestore)
 // ---------------------------------------------------------------------
 // Container fuzz: truncations and bit flips.
 //
-// The campaign executor restarts workers from whatever checkpoint a
+// A rerun campaign restarts workers from whatever checkpoint a
 // SIGKILL left behind, so the loader must survive arbitrary damage: every
 // truncation and every single-bit flip must fail with a diagnostic --
 // never crash, never allocate absurdly (the header digest guards paySize

@@ -1,27 +1,24 @@
 /**
  * @file
- * nord-campaign: fault-tolerant simulation campaign runner.
+ * nord-campaign: resumable simulation campaign runner.
  *
  * Expands a (design x workload x rate x faultRate x deadRouter x seed)
- * grid into a crash-resumable work queue, supervises a fleet of forked
- * workers (heartbeats, per-point hang kills, capped jittered retry
- * backoff, poison-point quarantine) and aggregates the results into
- * report.json / report.csv / provenance.json. See DESIGN.md section 5.9.
+ * grid into points, runs each in its own forked worker process
+ * (campaign::runCampaign) and aggregates the results into report.json /
+ * report.csv. See DESIGN.md section 5.9.
  *
- * There is one supervision loop, campaign::runExecutor, over one
- * campaign directory: the flock()ed journal DIR/journal.jsonl, the
- * worker artifacts and the reports all live in DIR. SIGKILL it at any
- * moment, rerun the same command line, and it resumes from its journal
- * to a byte-identical report; a second live run on the same DIR is
- * refused.
+ * The worker artifacts and the reports all live in one campaign
+ * directory DIR. Kill the run at any moment, rerun the same command
+ * line, and it skips the finished points and resumes the others from
+ * their checkpoints to a byte-identical report; a second live run on
+ * the same DIR, or a run of a different grid on it, is refused.
  *
  * Exit codes follow the campaign taxonomy (src/campaign/exit_codes.hh):
  * 0 when every point completed, 10 when any point was quarantined, 11
- * on a bad command line, 12 on orchestration failure or when stdout
- * cannot be written, 13 when drained by SIGINT/SIGTERM.
+ * on a bad command line, 12 on a campaign failure or when stdout cannot
+ * be written.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "campaign/campaign_point.hh"
-#include "campaign/executor.hh"
 #include "campaign/exit_codes.hh"
 #include "campaign/orchestrator.hh"
 #include "common/log.hh"
@@ -45,16 +41,14 @@ void
 usage()
 {
     std::printf(
-        "usage: nord-campaign --out DIR [grid options]\n"
-        "                     [supervision options]\n"
+        "usage: nord-campaign --out DIR [--workers N] [grid options]\n"
         "\n"
-        "Runs (or resumes) a crash-resumable simulation campaign: the\n"
-        "grid is expanded into a journaled work queue, each point runs\n"
-        "as a supervised, checkpointing worker process, failures retry\n"
-        "with capped jittered backoff, and deterministic failures are\n"
-        "quarantined as poison with diagnostics. Rerunning the same\n"
-        "command resumes from the journal and reproduces the report\n"
-        "byte-for-byte.\n"
+        "Runs (or resumes) a simulation campaign: each point of the grid\n"
+        "runs as its own checkpointing worker process, and a point whose\n"
+        "worker fails is quarantined at once with its exit code or\n"
+        "signal. Rerunning the same command skips the finished points,\n"
+        "resumes the others from their checkpoints and reproduces the\n"
+        "report byte-for-byte.\n"
         "\n"
         "grid options:\n"
         "  --designs LIST       comma list of nopg|convpg|convpgopt|nord\n"
@@ -77,22 +71,12 @@ usage()
         "  --min-delivered F    delivery-fraction gate; below it a point\n"
         "                       fails deterministically and quarantines\n"
         "\n"
-        "supervision options:\n"
-        "  --out DIR            campaign directory: journal, worker\n"
-        "                       checkpoints/results and reports. A\n"
-        "                       second live run on the same DIR is\n"
-        "                       refused\n"
+        "run options:\n"
+        "  --out DIR            campaign directory: worker checkpoints\n"
+        "                       (every 5000 cycles) and results, and\n"
+        "                       the reports. A second live run on DIR,\n"
+        "                       or a run of another grid, is refused\n"
         "  --workers N          concurrent workers (default 2)\n"
-        "  --max-failures K     counted failures before quarantine\n"
-        "                       (default 3)\n"
-        "  --hang-timeout SEC   heartbeat starvation kill (default 30)\n"
-        "  --checkpoint-every N worker full-checkpoint period in cycles\n"
-        "                       (default 5000); between full saves the\n"
-        "                       worker touches the file every 500 cycles\n"
-        "                       as its heartbeat\n"
-        "  --backoff-initial S  first retry delay (default 0.25)\n"
-        "  --backoff-max S      retry delay cap (default 30)\n"
-        "\n"
         "  --list               print the expanded grid and exit\n"
         "  --help               this text\n");
 }
@@ -152,19 +136,14 @@ stdoutStatus(int code = kExitOk)
     return flushStdout() ? code : kExitInfraFailure;
 }
 
-void
-onSignal(int)
-{
-    requestCampaignDrain();
-}
-
 }  // namespace
 
 int
 main(int argc, char **argv)
 {
     GridSpec grid;
-    ExecutorOptions opts;
+    std::string outDir;
+    int workers = 2;
     bool list = false;
 
     auto needValue = [&](int i) -> const char * {
@@ -191,7 +170,7 @@ main(int argc, char **argv)
         } else if (a == "--list") {
             list = true;
         } else if (a == "--out") {
-            opts.outDir = needValue(i);
+            outDir = needValue(i);
             ++i;
         } else if (a == "--designs") {
             grid.designs.clear();
@@ -263,22 +242,7 @@ main(int argc, char **argv)
             scalar(i, &grid.minDelivered);
             ++i;
         } else if (a == "--workers") {
-            scalar(i, &opts.workers);
-            ++i;
-        } else if (a == "--max-failures") {
-            scalar(i, &opts.maxFailures);
-            ++i;
-        } else if (a == "--hang-timeout") {
-            scalar(i, &opts.hangTimeoutSec);
-            ++i;
-        } else if (a == "--checkpoint-every") {
-            scalar(i, &opts.worker.checkpointEvery);
-            ++i;
-        } else if (a == "--backoff-initial") {
-            scalar(i, &opts.backoff.initialSec);
-            ++i;
-        } else if (a == "--backoff-max") {
-            scalar(i, &opts.backoff.maxSec);
+            scalar(i, &workers);
             ++i;
         } else {
             std::fprintf(stderr, "unknown option '%s' (--help)\n",
@@ -306,7 +270,7 @@ main(int argc, char **argv)
             std::printf("%s\n", specJson(spec).c_str());
         return stdoutStatus();
     }
-    if (opts.outDir.empty()) {
+    if (outDir.empty()) {
         std::fprintf(stderr, "--out DIR is required (--help)\n");
         return kExitBadConfig;
     }
@@ -315,12 +279,9 @@ main(int argc, char **argv)
         return kExitBadConfig;
     }
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-
-    ExecutorOutcome out;
+    CampaignOutcome out;
     std::string err;
-    if (!runExecutor(specs, opts, &out, &err)) {
+    if (!runCampaign(specs, outDir, workers, &out, &err)) {
         std::fprintf(stderr, "campaign failed: %s\n", err.c_str());
         return kExitInfraFailure;
     }
@@ -330,12 +291,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(out.quarantined),
                 static_cast<unsigned long long>(out.missing),
                 static_cast<unsigned long long>(out.launches));
-    if (out.interrupted) {
-        std::printf("nord-campaign: drained by signal; rerun the same "
-                    "command to resume\n");
-        return stdoutStatus(kExitInterrupted);
-    }
-    if (out.wroteReports)
-        std::printf("nord-campaign: report %s\n", out.reportJson.c_str());
+    std::printf("nord-campaign: report %s\n", out.reportJson.c_str());
     return stdoutStatus(out.quarantined > 0 ? kExitGateFailure : kExitOk);
 }
