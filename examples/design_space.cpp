@@ -5,9 +5,12 @@
  * latency / energy for NoRD under a PARSEC-like load.
  *
  * Usage: design_space [benchmark]   (default: ferret)
+ *
+ * NORD_QUICK=1 shortens the script 8x, as it does for the figure benches.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "network/noc_system.hh"
@@ -42,18 +45,20 @@ main(int argc, char **argv)
          [](NocConfig &c) { c.nordPerfCentricCount = 0; }},
     };
 
-    std::printf("=== NoRD design space on %s ===\n", params.name.c_str());
-    std::printf("%-22s %10s %12s\n", "variant", "latency", "energy(uJ)");
+    std::vector<bench::Point> points;
     for (const Variant &v : variants) {
         NocConfig cfg;
         cfg.design = PgDesign::kNord;
         v.apply(cfg);
-        NocSystem sys(cfg);
-        ParsecWorkload wl(params, 1);
-        sys.setWorkload(&wl);
-        sys.runToCompletion(30'000'000);
-        const RunRecord r = recordRun(sys);
-        std::printf("%-22s %10.2f %12.2f\n", v.name, r.avgLatency,
+        points.push_back({.cfg = cfg, .parsec = &params});
+    }
+    bench::runPoints(points);
+
+    std::printf("=== NoRD design space on %s ===\n", params.name.c_str());
+    std::printf("%-22s %10s %12s\n", "variant", "latency", "energy(uJ)");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const RunRecord &r = points[i].rec;
+        std::printf("%-22s %10.2f %12.2f\n", variants[i].name, r.avgLatency,
                     r.energy.total() * 1e6 /* uJ */);
     }
     return bench::stdoutStatus();

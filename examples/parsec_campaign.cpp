@@ -9,9 +9,8 @@
  * NORD_QUICK=1 shortens the script 8x, as it does for the figure benches.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <vector>
 
 #include "bench_util.hh"
 #include "network/noc_system.hh"
@@ -25,11 +24,14 @@ main(int argc, char **argv)
 
     const char *name = argc > 1 ? argv[1] : "canneal";
     const ParsecParams &params = parsecByName(name);
-    ParsecParams script = params;
-    if (const char *quick = std::getenv("NORD_QUICK"); quick &&
-        quick[0] == '1')
-        script.transactionsPerCore =
-            std::max(50, script.transactionsPerCore / 8);
+
+    std::vector<bench::Point> points;
+    for (int d = 0; d < 4; ++d) {
+        NocConfig cfg;
+        cfg.design = static_cast<PgDesign>(d);
+        points.push_back({.cfg = cfg, .parsec = &params});
+    }
+    bench::runPoints(points);
 
     std::printf("benchmark: %s (gap %.0f, mlp %d, %d txns/core)\n\n",
                 params.name.c_str(), params.computeGapMean,
@@ -38,19 +40,11 @@ main(int argc, char **argv)
                 "exec(cyc)", "latency", "wakeups", "idle%", "off%",
                 "staticE", "totalE");
 
-    RunRecord base;
-    for (int d = 0; d < 4; ++d) {
-        NocConfig cfg;
-        cfg.design = static_cast<PgDesign>(d);
-        NocSystem sys(cfg);
-        ParsecWorkload wl(script, 1);
-        sys.setWorkload(&wl);
-        sys.runToCompletion(30'000'000);
-        const RunRecord r = recordRun(sys);
-        if (d == 0)
-            base = r;
+    const RunRecord &base = points[0].rec;
+    for (const bench::Point &pt : points) {
+        const RunRecord &r = pt.rec;
         std::printf("%-12s %9llu %9.2f %9llu %7.1f%% %7.1f%% %8.2f%% %8.2f%%\n",
-                    pgDesignName(cfg.design),
+                    pgDesignName(pt.cfg.design),
                     static_cast<unsigned long long>(r.cycles),
                     r.avgLatency,
                     static_cast<unsigned long long>(r.wakeups),

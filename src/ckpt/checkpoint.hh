@@ -41,9 +41,11 @@ namespace nord {
 
 /**
  * Current checkpoint container format version
- * (2: header digest; 3: transition-based idle-run stats layout).
+ * (2: header digest; 3: transition-based idle-run stats layout;
+ * 4: fault-injector section without a schedule cursor or stuck/dead
+ * tallies).
  */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** File magic ("NRDC" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4344524eu;

@@ -66,7 +66,6 @@ class StateSerializer
 
     SerialMode mode() const { return mode_; }
     bool loading() const { return mode_ == SerialMode::kLoad; }
-    bool hashing() const { return mode_ == SerialMode::kHash; }
 
     /** False once any structural error occurred (sticky). */
     bool ok() const { return error_.empty(); }

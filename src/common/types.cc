@@ -21,12 +21,6 @@ dirName(Direction d)
 }
 
 const char *
-vcClassName(VcClass c)
-{
-    return c == VcClass::kEscape ? "escape" : "adaptive";
-}
-
-const char *
 pgDesignName(PgDesign d)
 {
     switch (d) {

@@ -106,9 +106,6 @@ enum class VcClass : std::int8_t {
     kAdaptive = 1,
 };
 
-/** Name of a VC class. */
-const char *vcClassName(VcClass c);
-
 /** Flit position within its packet. */
 enum class FlitType : std::int8_t {
     kHead = 0,

@@ -5,58 +5,19 @@
 
 #include "fault/fault_injector.hh"
 
-#include <algorithm>
-
 #include "ckpt/state_serializer.hh"
-#include "common/log.hh"
 #include "network/noc_system.hh"
 #include "verify/invariant_auditor.hh"
 
 namespace nord {
 
 FaultInjector::FaultInjector(NocSystem &sys, const NocConfig &config)
-    : sys_(sys),
-      config_(config),
-      rng_(config.seed, RngStream::kFaults),
-      schedule_(config.fault.schedule)
+    : sys_(sys), config_(config), rng_(config.seed, RngStream::kFaults)
 {
-    std::stable_sort(schedule_.begin(), schedule_.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.at < b.at;
-                     });
 }
 
 void
-FaultInjector::dispatchScheduled(Cycle now)
-{
-    while (scheduleIdx_ < schedule_.size() &&
-           schedule_[scheduleIdx_].at <= now) {
-        const FaultEvent &ev = schedule_[scheduleIdx_++];
-        PgController &ctl = sys_.controller(ev.node);
-        switch (ev.cls) {
-          case FaultClass::kDeadRouter:
-            ctl.markDead(now);
-            ++counts_.dead;
-            break;
-          case FaultClass::kStuckPg:
-            ctl.injectWakeupSuppression(now + ev.duration);
-            ++counts_.stuck;
-            break;
-          case FaultClass::kLostWakeup:
-            ctl.injectWakeupSuppression(
-                now + (ev.duration > 0 ? ev.duration
-                                       : config_.fault.lostWakeupStall));
-            ++counts_.lostWakeup;
-            break;
-          default:
-            NORD_PANIC("fault class %s cannot be scheduled",
-                       faultClassName(ev.cls));
-        }
-    }
-}
-
-void
-FaultInjector::injectTransients(Cycle now)
+FaultInjector::tick(Cycle now)
 {
     const FaultConfig &fc = config_.fault;
     const int n = config_.numNodes();
@@ -102,7 +63,7 @@ FaultInjector::injectTransients(Cycle now)
             PgController &ctl = sys_.controller(id);
             if (ctl.state() == PowerState::kOff && !ctl.dead() &&
                 rng_.bernoulli(fc.lostWakeupRate)) {
-                ctl.injectWakeupSuppression(now + fc.lostWakeupStall);
+                ctl.injectWakeupSuppression(now + kLostWakeupStall);
                 ++counts_.lostWakeup;
             }
         }
@@ -110,27 +71,14 @@ FaultInjector::injectTransients(Cycle now)
 }
 
 void
-FaultInjector::tick(Cycle now)
-{
-    dispatchScheduled(now);
-    injectTransients(now);
-}
-
-void
 FaultInjector::serializeState(StateSerializer &s)
 {
     s.section(StateSerializer::tag4("FINJ"));
     s.io(rng_);
-    std::uint64_t idx = scheduleIdx_;
-    s.io(idx);
-    scheduleIdx_ = static_cast<size_t>(idx);
     s.io(counts_.corrupt);
     s.io(counts_.drop);
     s.io(counts_.creditLeak);
     s.io(counts_.lostWakeup);
-    s.io(counts_.stuck);
-    s.io(counts_.dead);
 }
-
 
 }  // namespace nord

@@ -6,12 +6,11 @@
  * faults of cycle N perturb the network state that cycle-N evaluation then
  * observes -- exactly like a glitch on the wire.
  *
- * Two injection modes run side by side:
- *  - Scheduled events (dead router, stuck-at PG controller, lost wakeup)
- *    fire at fixed cycles for reproducible single-fault experiments.
- *  - Bernoulli transients (flit corruption/drop, credit leaks, lost
- *    wakeups) are drawn each cycle from the dedicated kFaults RNG stream,
- *    so traffic replay stays bit-identical with the campaign on or off.
+ * It draws Bernoulli transients (flit corruption/drop, credit leaks, lost
+ * wakeups) each cycle from the dedicated kFaults RNG stream, so traffic
+ * replay stays bit-identical with the campaign on or off. One-off faults
+ * (a dead router, a suppression window) are direct calls on the system;
+ * see fault_config.hh.
  *
  * Every leaked credit is announced to the InvariantAuditor via
  * expectCreditDeficit(), which lets its recover mode repair the counter
@@ -23,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/state_annotations.hh"
@@ -51,14 +49,15 @@ class FaultInjector : public Clocked
         std::uint64_t drop = 0;
         std::uint64_t creditLeak = 0;
         std::uint64_t lostWakeup = 0;
-        std::uint64_t stuck = 0;
-        std::uint64_t dead = 0;
 
         std::uint64_t total() const
         {
-            return corrupt + drop + creditLeak + lostWakeup + stuck + dead;
+            return corrupt + drop + creditLeak + lostWakeup;
         }
     };
+
+    /** Length of the wakeup-suppression window a lost wakeup causes. */
+    static constexpr Cycle kLostWakeupStall = 64;
 
     FaultInjector(NocSystem &sys, const NocConfig &config);
 
@@ -72,27 +71,15 @@ class FaultInjector : public Clocked
     /** Faults injected so far. */
     const Counts &counts() const { return counts_; }
 
-    /**
-     * Checkpoint hook: RNG position, schedule cursor and tallies. The
-     * schedule itself is rebuilt from config at construction and therefore
-     * not serialized.
-     */
+    /** Checkpoint hook: RNG position and tallies. */
     void serializeState(StateSerializer &s);
 
   private:
-    void dispatchScheduled(Cycle now);
-    void injectTransients(Cycle now);
-
     NocSystem &sys_;
     const NocConfig &config_;
     NORD_STATE_EXCLUDE(config, "auditor wiring attached by NocSystem")
     InvariantAuditor *auditor_ = nullptr;
     Rng rng_;
-    NORD_STATE_EXCLUDE(config,
-        "fault schedule derived from config at construction; the cursor "
-        "scheduleIdx_ is the live state")
-    std::vector<FaultEvent> schedule_;  ///< sorted by cycle
-    size_t scheduleIdx_ = 0;
     Counts counts_;
 };
 

@@ -10,31 +10,6 @@
 
 namespace nord {
 
-const char *
-auditPolicyName(AuditPolicy p)
-{
-    switch (p) {
-      case AuditPolicy::kAbort: return "abort";
-      case AuditPolicy::kDiagnose: return "diagnose";
-      case AuditPolicy::kRecover: return "recover";
-    }
-    return "?";
-}
-
-const char *
-faultClassName(FaultClass cls)
-{
-    switch (cls) {
-      case FaultClass::kFlitCorrupt: return "flit-corrupt";
-      case FaultClass::kFlitDrop: return "flit-drop";
-      case FaultClass::kCreditLeak: return "credit-leak";
-      case FaultClass::kStuckPg: return "stuck-pg";
-      case FaultClass::kLostWakeup: return "lost-wakeup";
-      case FaultClass::kDeadRouter: return "dead-router";
-    }
-    return "?";
-}
-
 std::vector<std::string>
 NocConfig::problems() const
 {
@@ -123,22 +98,6 @@ NocConfig::problems() const
             if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too
                 flag("fault rates must be probabilities in [0, 1]");
                 break;
-            }
-        }
-        for (const FaultEvent &ev : fault.schedule) {
-            if (ev.node < 0 || ev.node >= nodes) {
-                flag("scheduled fault targets node " +
-                     std::to_string(ev.node) + " outside the " +
-                     std::to_string(rows) + "x" + std::to_string(cols) +
-                     " mesh");
-            }
-            if (ev.cls != FaultClass::kDeadRouter &&
-                ev.cls != FaultClass::kStuckPg &&
-                ev.cls != FaultClass::kLostWakeup) {
-                flag(std::string("scheduled ") + faultClassName(ev.cls) +
-                     " fault: only dead-router / stuck-pg / lost-wakeup "
-                     "faults can be scheduled; transient classes are "
-                     "rate-driven");
             }
         }
     }

@@ -26,19 +26,15 @@ enum class AuditPolicy : std::int8_t
 {
     /** Dump state and panic on the first unexpected violation. */
     kAbort,
-    /** Print a diagnosis and keep running; violations accumulate. */
-    kDiagnose,
     /**
-     * Like kDiagnose, but additionally repair what can be repaired (e.g.
-     * restore credits leaked by an injected fault) and treat violations
-     * announced by the fault injector as expected, so campaigns measure
-     * recovery instead of dying on the first transient.
+     * Print a diagnosis of each unexpected violation and keep running
+     * (violations accumulate), repair what can be repaired (e.g. restore
+     * credits leaked by an injected fault) and treat violations announced
+     * by the fault injector as expected, so campaigns measure recovery
+     * instead of dying on the first transient.
      */
     kRecover,
 };
-
-/** Name string for an audit policy. */
-const char *auditPolicyName(AuditPolicy p);
 
 /**
  * Runtime invariant-audit settings (see src/verify/).
@@ -60,9 +56,9 @@ struct VerifyConfig
 
     /**
      * Reaction to violations found by kernel-driven sweeps: abort (dump
-     * state + panic, the default), diagnose (print + accumulate, used by
-     * fault-injection tests), or recover (repair + tolerate expected
-     * fault transients, used by fault campaigns).
+     * state + panic, the default) or recover (print + accumulate, repair
+     * + tolerate expected fault transients; used by fault campaigns and
+     * the fault-injection tests).
      */
     AuditPolicy policy = AuditPolicy::kAbort;
 

@@ -436,17 +436,9 @@ NocSystem::configFingerprint() const
     s.io(f.flitDropRate);
     s.io(f.creditLeakRate);
     s.io(f.lostWakeupRate);
-    s.io(f.lostWakeupStall);
-    s.ioSequence(f.schedule, [&s](FaultEvent &e) {
-        s.io(e.at);
-        s.io(e.cls);
-        s.io(e.node);
-        s.io(e.duration);
-    });
     s.io(f.e2e);
     s.io(f.retransTimeout);
     s.io(f.retryLimit);
-    s.io(f.wakeupWatchdog);
     return s.hash();
 }
 

@@ -131,8 +131,8 @@ class NocSystem
     const FaultInjector *injector() const { return injector_.get(); }
 
     /**
-     * Permanently fail router @p id right now (same effect as a scheduled
-     * kDeadRouter event). NoRD demotes it to always-gated and serves its
+     * Permanently fail router @p id right now, before the next cycle's
+     * components tick. NoRD demotes it to always-gated and serves its
      * node over the bypass ring; baselines pin it on and eat what routes
      * into it.
      */

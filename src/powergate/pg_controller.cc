@@ -153,9 +153,8 @@ PgController::tick(Cycle now)
     // the ramp, recovering lost/stuck wakeup commands. Never fires in a
     // fault-free run.
     if (!dead_ && state_ == PowerState::kOff && wakeRequested_ &&
-        config_.fault.wakeupWatchdog > 0 &&
         wakePendingSince_ != kNeverCycle &&
-        now - wakePendingSince_ >= config_.fault.wakeupWatchdog) {
+        now - wakePendingSince_ >= kWakeupWatchdogCycles) {
         suppressWakeUntil_ = 0;  // the watchdog path is not suppressible
         beginWakeup(now);
         ++watchdogWakes_;

@@ -196,6 +196,14 @@ class NoPgController : public PgController
 inline constexpr int kConvOptSleepGuard = 4;
 
 /**
+ * Wakeup watchdog: a gated router whose latched wakeup request has been
+ * pending this many cycles is force-woken by an independent supervisor,
+ * recovering lost or stuck wakeups. Never fires in a fault-free run (a
+ * healthy controller wakes within a cycle).
+ */
+inline constexpr Cycle kWakeupWatchdogCycles = 128;
+
+/**
  * Conventional power-gating (Conv_PG / Conv_PG_OPT, Section 3.1).
  *
  * Gates off as soon as the router datapath is empty (after @p sleepGuard

@@ -714,22 +714,15 @@ InvariantAuditor::applyPolicy(size_t before, Cycle now)
     size_t newUnexpected = 0;
     for (size_t i = before; i < violations_.size(); ++i) {
         const Violation &v = violations_[i];
-        if (!v.expected) {
-            ++newUnexpected;
-            if (!firstUnexpected)
-                firstUnexpected = &v;
-        }
-        // kAbort stays quiet about expected violations (they are part of
-        // the configured fault campaign); kDiagnose narrates everything;
-        // kRecover narrates only what it could not attribute or repair.
-        const bool print =
-            config_.policy == AuditPolicy::kDiagnose ? true : !v.expected;
-        if (print) {
-            std::fprintf(diagStream(), "[auditor] %s%s: %s\n",
-                         kindName(v.kind),
-                         v.expected ? " (expected)" : "",
-                         v.diagnosis.c_str());
-        }
+        // Expected violations are part of the configured fault campaign:
+        // narrate only what could not be attributed or repaired.
+        if (v.expected)
+            continue;
+        ++newUnexpected;
+        if (!firstUnexpected)
+            firstUnexpected = &v;
+        std::fprintf(diagStream(), "[auditor] %s: %s\n", kindName(v.kind),
+                     v.diagnosis.c_str());
     }
     if (config_.policy != AuditPolicy::kAbort || newUnexpected == 0)
         return;

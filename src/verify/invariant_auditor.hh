@@ -42,11 +42,10 @@
  * from a transitioning router: its detection latency is bounded by
  * `verify.interval`.
  *
- * Violations are recorded with a human-readable diagnosis. What a
- * kernel-driven sweep then does is governed by `verify.policy`:
- * `kAbort` dumps state and panics on the first *unexpected* violation,
- * `kDiagnose` prints every new violation and keeps running, and
- * `kRecover` additionally repairs what it can -- credit deficits that a
+ * Violations are recorded with a human-readable diagnosis. A
+ * kernel-driven sweep prints every new *unexpected* violation, then
+ * `verify.policy` decides: `kAbort` dumps state and panics, `kRecover`
+ * keeps running and repairs what it can -- credit deficits that a
  * FaultInjector announced via expectCreditDeficit() are restored in place
  * and counted in recoveredFaults(). Injected faults the auditor was told
  * about (announced leaks, suppressed or dead controllers) are marked

@@ -48,18 +48,6 @@ fsmEventName(FsmEvent e)
 }
 
 const char *
-fsmMutationName(FsmMutation m)
-{
-    switch (m) {
-      case FsmMutation::kNone: return "none";
-      case FsmMutation::kDeafWakeupInput: return "deaf-wakeup-input";
-      case FsmMutation::kDropIcGuard: return "drop-ic-guard";
-      case FsmMutation::kNoDrainCheck: return "no-drain-check";
-    }
-    return "?";
-}
-
-const char *
 fsmPropertyName(FsmProperty p)
 {
     switch (p) {

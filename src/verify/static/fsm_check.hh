@@ -92,9 +92,6 @@ enum class FsmMutation : std::int8_t
     kNoDrainCheck,
 };
 
-/** Name of a mutation. */
-const char *fsmMutationName(FsmMutation m);
-
 /** One abstract state of the product FSM. */
 struct FsmState
 {
@@ -149,7 +146,7 @@ struct FsmOptions
     /** NoRD wakeup threshold (window sum that must trigger the ramp). */
     int wakeupThreshold = 2;
 
-    /** Model the always-on wakeup watchdog (config.fault.wakeupWatchdog). */
+    /** Model the always-on wakeup watchdog (kWakeupWatchdogCycles). */
     bool watchdog = false;
 
     /** Seeded controller bug, if any. */

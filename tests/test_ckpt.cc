@@ -536,7 +536,9 @@ TEST(Checkpoint, E2eStateBytesPinned)
     // saved at cycle 3000, with a retried send, a tail held behind a
     // reorder hole and a partly arrived multi-flit copy in the payload,
     // must hash to the value the map-based endpoint wrote. Any change to
-    // the layout of the endpoint's buffers has to keep these bytes.
+    // the layout of the endpoint's buffers has to keep these bytes. (The
+    // pin moved once, with checkpoint version 4: the fault injector's
+    // section lost three u64s, and every other byte stayed.)
     NocConfig cfg = makeShippedConfig(PgDesign::kNord, 8, 8);
     cfg.fault.enabled = true;
     cfg.fault.e2e = true;
@@ -563,7 +565,7 @@ TEST(Checkpoint, E2eStateBytesPinned)
     StateSerializer save(SerialMode::kSave);
     sys.saveState(save);
     ASSERT_TRUE(save.ok()) << save.error();
-    EXPECT_EQ(fnv1a(save.buffer()), 0x426a710a836b2c67ULL);
+    EXPECT_EQ(fnv1a(save.buffer()), 0x5bd2a1bf08044127ULL);
     sys.setWorkload(nullptr);
 }
 

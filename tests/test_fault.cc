@@ -167,10 +167,33 @@ TEST(FaultCampaign, LostWakeupsRecoveredByWatchdog)
 {
     NocConfig cfg = campaignConfig(PgDesign::kConvPg);
     cfg.fault.e2e = false;  // nothing is lost; delivery must be exact
-    cfg.fault.lostWakeupRate = 0.02;
-    cfg.fault.lostWakeupStall = 1u << 20;  // effectively stuck-at-off
-    cfg.fault.wakeupWatchdog = 64;
     cfg.verify.interval = 8;
+
+    // A gated router whose wakeup input is deaf for good: only the
+    // watchdog can bring it back.
+    {
+        NocSystem sys(cfg);
+        sys.run(200);
+        const NodeId victim = 5;
+        ASSERT_EQ(sys.controller(victim).state(), PowerState::kOff);
+        sys.controller(victim).injectWakeupSuppression(kNeverCycle);
+        SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.03, 9);
+        sys.setWorkload(&traffic);
+        sys.run(2000);
+        sys.setWorkload(nullptr);
+        ASSERT_TRUE(sys.runToCompletion(100000));
+
+        EXPECT_GE(sys.controller(victim).watchdogWakes(), 1u);
+        // A lost wakeup only delays packets; none may be dropped.
+        EXPECT_EQ(sys.stats().packetsDelivered(),
+                  sys.stats().packetsCreated());
+        EXPECT_EQ(sys.auditor().unexpectedViolations(), 0u);
+        sys.checkInvariants();
+    }
+
+    // Rate-driven lost wakeups: each suppression window delays, never
+    // drops.
+    cfg.fault.lostWakeupRate = 0.02;
     NocSystem sys(cfg);
     SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.03, 9);
     sys.setWorkload(&traffic);
@@ -179,11 +202,6 @@ TEST(FaultCampaign, LostWakeupsRecoveredByWatchdog)
     ASSERT_TRUE(sys.runToCompletion(100000));
 
     ASSERT_GT(sys.injector()->counts().lostWakeup, 0u);
-    std::uint64_t watchdogWakes = 0;
-    for (NodeId id = 0; id < cfg.numNodes(); ++id)
-        watchdogWakes += sys.controller(id).watchdogWakes();
-    EXPECT_GE(watchdogWakes, 1u);
-    // A lost wakeup only delays packets; none may be dropped.
     EXPECT_EQ(sys.stats().packetsDelivered(), sys.stats().packetsCreated());
     EXPECT_EQ(sys.auditor().unexpectedViolations(), 0u);
     sys.checkInvariants();
@@ -193,20 +211,27 @@ TEST(FaultCampaign, ShortSuppressionRecoversWithoutWatchdog)
 {
     NocConfig cfg = campaignConfig(PgDesign::kConvPg);
     cfg.fault.e2e = false;
-    cfg.fault.wakeupWatchdog = 512;
-    // One scheduled lost wakeup whose window expires long before the
-    // watchdog: the handshake must recover naturally.
-    cfg.fault.schedule.push_back(
-        {100, FaultClass::kLostWakeup, 5, 16});
     cfg.verify.interval = 8;
     NocSystem sys(cfg);
+    // One lost wakeup whose window expires long before the watchdog
+    // would fire: the handshake must recover naturally.
+    const NodeId victim = 5;
+    sys.run(100);
+    ASSERT_EQ(sys.controller(victim).state(), PowerState::kOff);
+    const Cycle until = sys.now() + 16;
+    sys.controller(victim).injectWakeupSuppression(until);
+    sys.inject(victim, 10, 5);  // its NI requests a wakeup every cycle
+    while (sys.now() < until) {
+        ASSERT_EQ(sys.controller(victim).state(), PowerState::kOff)
+            << "suppressed router woke at cycle " << sys.now();
+        sys.run(1);
+    }
     SyntheticTraffic traffic(TrafficPattern::kUniformRandom, 0.03, 13);
     sys.setWorkload(&traffic);
-    sys.run(1500);
+    sys.run(1500 - sys.now());
     sys.setWorkload(nullptr);
     ASSERT_TRUE(sys.runToCompletion(50000));
 
-    EXPECT_EQ(sys.injector()->counts().lostWakeup, 1u);
     std::uint64_t watchdogWakes = 0;
     for (NodeId id = 0; id < cfg.numNodes(); ++id)
         watchdogWakes += sys.controller(id).watchdogWakes();

@@ -636,7 +636,6 @@ exclusionRegistry()
         {"E2eEndpoint::id_", Proof::kTwinConstruction},
         {"E2eEndpoint::nextDeadline_", Proof::kFreshRestore},
         {"FaultInjector::auditor_", Proof::kTwinConstruction},
-        {"FaultInjector::schedule_", Proof::kTwinConstruction},
         {"FlitLink::dst_", Proof::kTwinConstruction},
         {"FlitLink::inPort_", Proof::kTwinConstruction},
         {"InvariantAuditor::config_", Proof::kTwinConstruction},

@@ -423,14 +423,6 @@ TEST(StaticLint, EveryConfigRuleIsLintedAndFatal)
          [](NocConfig &c) { c.fault.flitDropRate = 1.5; }},
         {"fault rates must be probabilities",
          [](NocConfig &c) { c.fault.lostWakeupRate = std::nan(""); }},
-        {"outside the 4x4 mesh",
-         [](NocConfig &c) {
-             c.fault.schedule.push_back({10, FaultClass::kDeadRouter, 16, 0});
-         }},
-        {"transient classes are rate-driven",
-         [](NocConfig &c) {
-             c.fault.schedule.push_back({10, FaultClass::kFlitDrop, 3, 0});
-         }},
         {"fault.retransTimeout must be",
          [](NocConfig &c) { c.fault.retransTimeout = 0; }},
         {"fault.retryLimit must be",
