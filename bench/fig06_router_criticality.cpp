@@ -39,7 +39,7 @@ main()
     const int knee = CriticalityAnalyzer::kneePoint(sweep);
     std::printf("\nknee: %d routers (paper: 6)\n", knee);
     std::printf("performance-centric set:");
-    for (NodeId r : analyzer.performanceCentricSet(knee))
+    for (NodeId r : sweep[knee].poweredOn)
         std::printf(" %d", r);
     std::printf("\n(paper's set {4,5,6,7,13,14} assumes the paper's ring "
                 "construction;\n ours differs but the knee and curve "

@@ -50,7 +50,8 @@ main(int argc, char **argv)
                     ring.crossesDateline(n) ? "  <- dateline edge" : "");
     }
 
-    if (mesh.numNodes() <= 36) {
+    // The sweep takes about 0.2 s at 12x12 and grows as n^4 log n.
+    if (mesh.numNodes() <= 144) {
         CriticalityAnalyzer analyzer(mesh, ring);
         auto sweep = analyzer.greedySweep();
         const int knee = CriticalityAnalyzer::kneePoint(sweep);

@@ -6,6 +6,7 @@
 #include "campaign/campaign_point.hh"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "campaign/exit_codes.hh"
 #include "ckpt/checkpoint.hh"
@@ -221,16 +222,25 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
         : static_cast<Workload *>(&synthetic);
 
     // Resume from this point's checkpoint when one exists. A checkpoint
-    // that cannot be restored (corrupt file, stale spec) is discarded and
-    // the point restarts from scratch: a damaged artifact must degrade to
-    // recomputation, never to a wedged point.
+    // that cannot be restored (corrupt file, stale spec) is discarded,
+    // with a diagnosis, and the point restarts from scratch: a damaged
+    // artifact must degrade to recomputation, never to a wedged point.
     std::uint64_t phase = kPhaseRunning;
     bool resumed = false;
     {
         CheckpointMeta meta;
         std::string err;
-        if (readCheckpointFile(paths.checkpoint, &meta, nullptr, &err) &&
-            meta.user[1] == spec.id) {
+        std::error_code ec;
+        if (!std::filesystem::exists(paths.checkpoint, ec)) {
+            // A fresh start: nothing to resume or to discard.
+        } else if (!readCheckpointFile(paths.checkpoint, &meta, nullptr,
+                                       &err)) {
+            // err says why the file was rejected.
+        } else if (meta.user[1] != spec.id) {
+            err = detail::formatString(
+                "it belongs to point %llu",
+                static_cast<unsigned long long>(meta.user[1]));
+        } else {
             const std::uint64_t ckptPhase = meta.user[0];
             if (ckptPhase == kPhaseRunning)
                 sys.setWorkload(workload);
@@ -243,18 +253,18 @@ runPointWorker(const PointSpec &spec, const PointPaths &paths,
                              "%llu\n",
                              diagId, paths.checkpoint.c_str(),
                              static_cast<unsigned long long>(sys.now()));
-            } else {
+            } else if (ckptPhase == kPhaseRunning) {
                 // loadCheckpoint is transactional (it rolls the system
                 // back on failure), so the point can restart from
                 // scratch within this same attempt.
-                std::fprintf(diagStream(),
-                             "[worker %llu] discarding unusable "
-                             "checkpoint %s (%s); restarting point\n",
-                             diagId, paths.checkpoint.c_str(),
-                             err.c_str());
-                if (ckptPhase == kPhaseRunning)
-                    sys.setWorkload(nullptr);
+                sys.setWorkload(nullptr);
             }
+        }
+        if (!err.empty()) {
+            std::fprintf(diagStream(),
+                         "[worker %llu] discarding unusable checkpoint %s "
+                         "(%s); restarting point\n",
+                         diagId, paths.checkpoint.c_str(), err.c_str());
         }
         if (!resumed) {
             if (std::remove(paths.checkpoint.c_str()) != 0) {

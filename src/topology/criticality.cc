@@ -1,6 +1,7 @@
 /**
  * @file
- * Floyd-Warshall router-criticality analysis.
+ * Router-criticality analysis: all-pairs shortest paths over the mixed
+ * mesh/ring graph, and the greedy sweep over powered-on sets.
  */
 
 #include "topology/criticality.hh"
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "common/log.hh"
 
@@ -15,17 +17,70 @@ namespace nord {
 
 namespace {
 
-/** Path length type of the all-pairs matrices (hops and cycles). */
-using Dist = std::int16_t;
+/**
+ * One all-pairs entry, `cycles << 16 | hops`. Adding two entries adds
+ * both fields: a path of at most n-1 < 32767 hops, or two of them, never
+ * carries into the cycles. So the smaller entry is the lower-latency
+ * path, fewer hops breaking a tie, and a relaxation is a plain min.
+ */
+using Dist = std::int32_t;
+
+constexpr int kHopBits = 16;
+constexpr Dist kHopMask = (Dist{1} << kHopBits) - 1;
+
+/** Every path's latency stays below this (the constructor's range guard). */
+constexpr Dist kMaxCycles = std::numeric_limits<std::int16_t>::max() / 2;
 
 /**
- * "No path yet". Half of INT16_MAX, so the sum of two entries -- the
- * candidate of one relaxation -- never overflows, and any finite path
- * (at most n-1 hops; the constructor's range guard) stays below it.
+ * "No path yet": above every finite path, and the sum of two of them --
+ * the candidate of one relaxation -- still fits an int32_t.
  */
-constexpr Dist kUnreachable = std::numeric_limits<Dist>::max() / 2;
+constexpr Dist kUnreachable = kMaxCycles << kHopBits;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** The entry of one hop costing @p cycles. */
+constexpr Dist
+hopDist(int cycles)
+{
+    return static_cast<Dist>(cycles) << kHopBits | 1;
+}
+
+// The kernels below vectorize; on x86-64 they also get an AVX2 clone,
+// picked at load time on CPUs that have it. The integer math is the
+// same in both clones.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define NORD_FLOYD_WARSHALL_CLONES \
+    __attribute__((target_clones("avx2", "default")))
+#else
+#define NORD_FLOYD_WARSHALL_CLONES
+#endif
+
+/**
+ * Floyd-Warshall passes over routers [first, last): afterwards @p m also
+ * holds the paths with those routers as intermediates. Entries are exact
+ * minima, so passes commute and any order gives the same matrix. Pass k
+ * never changes row k or column k (m[k][k] = 0), so row k is skipped,
+ * never aliases row i, and the branchless inner loop vectorizes.
+ */
+NORD_FLOYD_WARSHALL_CLONES void
+relaxThrough(Dist *m, int n, const NodeId *first, const NodeId *last)
+{
+    for (; first != last; ++first) {
+        const int k = *first;
+        const Dist *__restrict rowK = m + static_cast<size_t>(k) * n;
+        for (int i = 0; i < n; ++i) {
+            if (i == k)
+                continue;
+            Dist *__restrict rowI = m + static_cast<size_t>(i) * n;
+            const Dist ik = rowI[k];
+            if (ik == kUnreachable)
+                continue;
+            for (int j = 0; j < n; ++j)
+                rowI[j] = std::min(rowI[j], ik + rowK[j]);
+        }
+    }
+}
 
 /**
  * Hop and cycle totals over every ordered pair i != j of one all-pairs
@@ -47,24 +102,38 @@ struct PairSums
     }
 };
 
-PairSums
-pairSums(int n, const std::vector<Dist> &hops,
-         const std::vector<Dist> &cycles)
+/**
+ * Totals of min(m[i][j], to[i] + from[j]): the distances of a graph whose
+ * paths either avoid one router (m) or run through it (to it, then from
+ * it). All-kUnreachable @p to and @p from sum @p m itself.
+ */
+NORD_FLOYD_WARSHALL_CLONES PairSums
+pairSums(int n, const Dist *m, const Dist *to, const Dist *__restrict from)
 {
     // The diagonal stays 0 (no self edges, no negative costs), so whole
-    // row-major sums are the off-diagonal sums.
+    // row-major sums are the off-diagonal sums. A row's totals fit an
+    // int32_t: n < 32768 entries of at most n-1 hops and kMaxCycles.
     PairSums sums;
     Dist worst = 0;
-    for (std::size_t ij = 0; ij < cycles.size(); ++ij) {
-        sums.hops += hops[ij];
-        sums.cycles += cycles[ij];
-        worst = std::max(worst, cycles[ij]);
+    for (int i = 0; i < n; ++i) {
+        const Dist *__restrict rowI = m + static_cast<size_t>(i) * n;
+        const Dist toI = to[i];
+        std::int32_t hops = 0;
+        std::int32_t cycles = 0;
+        for (int j = 0; j < n; ++j) {
+            const Dist d = std::min(rowI[j], toI + from[j]);
+            hops += d & kHopMask;
+            cycles += d >> kHopBits;
+            worst = std::max(worst, d);
+        }
+        sums.hops += hops;
+        sums.cycles += cycles;
     }
     if (worst == kUnreachable) {
         for (int i = 0; i < n; ++i) {
             for (int j = 0; j < n; ++j) {
-                NORD_ASSERT(cycles[static_cast<std::size_t>(i) * n + j] !=
-                                kUnreachable,
+                NORD_ASSERT(std::min(m[static_cast<size_t>(i) * n + j],
+                                     to[i] + from[j]) != kUnreachable,
                             "network disconnected between %d and %d", i, j);
             }
         }
@@ -88,6 +157,187 @@ makePoint(const std::vector<bool> &poweredOn, const PairSums &sums)
     return pt;
 }
 
+/**
+ * The mixed graph of one powered-on set (see criticality.hh). Edge x -> y
+ * exists when x can hand a flit to y. Cost is charged for traversing y
+ * (the hop's pipeline) -- consistent for whole paths since the source NI
+ * injects directly into x's pipeline.
+ */
+struct MixedGraph
+{
+    const MeshTopology &mesh;
+    const BypassRing &ring;
+    Dist intoOn;   ///< a hop into a powered-on router
+    Dist intoOff;  ///< a hop into a gated-off router
+
+    /** Overwrite @p m (n*n) with the one-hop paths of @p poweredOn. */
+    void directEdges(const std::vector<bool> &poweredOn, Dist *m) const
+    {
+        const int n = mesh.numNodes();
+        std::fill(m, m + static_cast<size_t>(n) * n, kUnreachable);
+        for (int i = 0; i < n; ++i)
+            m[static_cast<size_t>(i) * n + i] = 0;
+        auto addEdge = [&](NodeId x, NodeId y) {
+            m[static_cast<size_t>(x) * n + y] =
+                poweredOn[y] ? intoOn : intoOff;
+        };
+        for (NodeId x = 0; x < n; ++x) {
+            if (!poweredOn[x]) {
+                // Gated-off: only the ring edge out of the NI bypass.
+                addEdge(x, ring.successor(x));
+                continue;
+            }
+            for (int d = 0; d < kNumMeshDirs; ++d) {
+                NodeId y = mesh.neighbor(x, indexDir(d));
+                if (y == kInvalidNode)
+                    continue;
+                if (poweredOn[y] || ring.predecessor(y) == x) {
+                    // Into an on router: always allowed. Into an off
+                    // router: only via its Bypass Inport (we must be its
+                    // ring predecessor).
+                    addEdge(x, y);
+                }
+            }
+        }
+    }
+};
+
+/**
+ * One step of the greedy sweep: of the routers still off, the one whose
+ * powering on gives the smallest average distance (per-hop latency as
+ * tie-break, then the lowest id), by divide and conquer.
+ *
+ * Every candidate graph shares the edges among the routers other than
+ * its candidate c. So a matrix relaxed through every router but c -- in
+ * the base graph, where all candidates are off -- holds c's graph's
+ * paths that avoid c, and c's <= 4 in- and out-edges give the rest. The
+ * recursion shares the relaxations: a half's matrix is its parent's,
+ * relaxed through the other half's routers. That is O(m log m) passes
+ * for m candidates, against m * n for one Floyd-Warshall per candidate.
+ */
+class CandidateSearch
+{
+  public:
+    explicit CandidateSearch(const MixedGraph &graph)
+        : graph_(graph), n_(graph.mesh.numNodes()),
+          to_(static_cast<size_t>(n_)), from_(static_cast<size_t>(n_))
+    {
+        // A left half goes one matrix deeper with at most half the
+        // candidates; a right half reuses its parent's matrix.
+        size_t depth = 1;
+        for (int m = n_; m > 1; m = (m + 1) / 2)
+            ++depth;
+        levels_.assign(depth,
+                       std::vector<Dist>(static_cast<size_t>(n_) * n_));
+    }
+
+    /** The router to power on next, and the sums of that graph. */
+    std::pair<NodeId, PairSums> best(const std::vector<bool> &poweredOn)
+    {
+        on_ = &poweredOn;
+        std::vector<NodeId> onIds;
+        std::vector<NodeId> offIds;
+        for (NodeId x = 0; x < n_; ++x)
+            (poweredOn[x] ? onIds : offIds).push_back(x);
+        best_ = -1;
+        bestDist_ = kInf;
+        bestLat_ = kInf;
+        Dist *base = levels_[0].data();
+        graph_.directEdges(poweredOn, base);
+        relaxThrough(base, n_, onIds.data(), onIds.data() + onIds.size());
+        if (!offIds.empty())
+            search(0, offIds.data(), offIds.data() + offIds.size());
+        return {best_, bestSums_};
+    }
+
+  private:
+    /**
+     * levels_[depth] is relaxed through every router but the candidates
+     * [first, last), which are sorted. The left half goes first, so the
+     * leaves arrive in increasing id and the first wins a tie.
+     */
+    void search(size_t depth, const NodeId *first, const NodeId *last)
+    {
+        const size_t cells = static_cast<size_t>(n_) * n_;
+        Dist *m = levels_[depth].data();
+        if (last - first == 1) {
+            consider(*first, m);
+            return;
+        }
+        const NodeId *mid = first + (last - first) / 2;
+        NORD_DCHECK(depth + 1 < levels_.size(), "recursion too deep");
+        Dist *half = levels_[depth + 1].data();
+        std::copy(m, m + cells, half);
+        relaxThrough(half, n_, mid, last);
+        search(depth + 1, first, mid);
+        relaxThrough(m, n_, first, mid);
+        search(depth, mid, last);
+    }
+
+    /**
+     * Score candidate @p c from @p m, relaxed through every router but c.
+     * Paths of c's graph avoid c (m as is) or run through it: to[i] over
+     * c's in-edges, from[j] over its out-edges, with c on. Row c and
+     * column c of m hold c-off paths, so they give way to to and from.
+     */
+    void consider(NodeId c, Dist *m)
+    {
+        const std::vector<bool> &on = *on_;
+        const size_t n = static_cast<size_t>(n_);
+        std::fill(to_.begin(), to_.end(), kUnreachable);
+        std::fill(from_.begin(), from_.end(), kUnreachable);
+        auto inEdge = [&](NodeId x) {
+            for (size_t i = 0; i < n; ++i)
+                to_[i] = std::min(to_[i], m[i * n + x] + graph_.intoOn);
+        };
+        auto outEdge = [&](NodeId y) {
+            const Dist hop = on[y] ? graph_.intoOn : graph_.intoOff;
+            const Dist *rowY = m + y * n;
+            for (size_t j = 0; j < n; ++j)
+                from_[j] = std::min(from_[j], hop + rowY[j]);
+        };
+        for (int d = 0; d < kNumMeshDirs; ++d) {
+            const NodeId y = graph_.mesh.neighbor(c, indexDir(d));
+            if (y == kInvalidNode)
+                continue;
+            if (on[y])
+                inEdge(y);
+            if (on[y] || graph_.ring.predecessor(y) == c)
+                outEdge(y);
+        }
+        // A gated-off predecessor reaches c through its NI bypass.
+        const NodeId pred = graph_.ring.predecessor(c);
+        if (!on[pred])
+            inEdge(pred);
+        to_[c] = 0;
+        from_[c] = 0;
+        std::fill(m + c * n, m + (c + 1) * n, kUnreachable);
+        for (size_t i = 0; i < n; ++i)
+            m[i * n + c] = kUnreachable;
+
+        const PairSums sums = pairSums(n_, m, to_.data(), from_.data());
+        const double dist = sums.avgDistanceHops(n_);
+        const double lat = sums.avgPerHopLatency();
+        if (dist < bestDist_ || (dist == bestDist_ && lat < bestLat_)) {
+            best_ = c;
+            bestDist_ = dist;
+            bestLat_ = lat;
+            bestSums_ = sums;
+        }
+    }
+
+    const MixedGraph &graph_;
+    const int n_;
+    std::vector<std::vector<Dist>> levels_;
+    std::vector<Dist> to_;
+    std::vector<Dist> from_;
+    const std::vector<bool> *on_ = nullptr;
+    NodeId best_ = -1;
+    double bestDist_ = kInf;
+    double bestLat_ = kInf;
+    PairSums bestSums_;
+};
+
 }  // namespace
 
 CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
@@ -101,110 +351,41 @@ CriticalityAnalyzer::CriticalityAnalyzer(const MeshTopology &mesh,
     const std::int64_t longest =
         static_cast<std::int64_t>(mesh_.numNodes() - 1) *
         std::max(onHopCycles_, offHopCycles_);
-    if (std::min(onHopCycles_, offHopCycles_) < 0 || longest >= kUnreachable) {
+    if (std::min(onHopCycles_, offHopCycles_) < 0 || longest >= kMaxCycles) {
         NORD_FATAL("criticality analysis of a %dx%d mesh with hop costs "
                    "%d/%d cycles: a path of up to %lld cycles must be "
                    "non-negative and below %d",
                    mesh_.rows(), mesh_.cols(), onHopCycles_, offHopCycles_,
-                   static_cast<long long>(longest), kUnreachable);
+                   static_cast<long long>(longest), kMaxCycles);
     }
 }
 
-// The Floyd-Warshall kernel below vectorizes; on x86-64 it also gets an
-// AVX2 clone, picked at load time on CPUs that have it. The integer math
-// is the same in both clones.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define NORD_FLOYD_WARSHALL_CLONES \
-    __attribute__((target_clones("avx2", "default")))
-#else
-#define NORD_FLOYD_WARSHALL_CLONES
-#endif
-
-NORD_FLOYD_WARSHALL_CLONES void
+void
 CriticalityAnalyzer::shortestPaths(const std::vector<bool> &poweredOn,
-                                   std::vector<std::int16_t> &distHops,
-                                   std::vector<std::int16_t> &distCycles) const
+                                   std::vector<std::int32_t> &dist) const
 {
     const int n = mesh_.numNodes();
     NORD_ASSERT(static_cast<int>(poweredOn.size()) == n,
                 "poweredOn size %zu != %d", poweredOn.size(), n);
-    distHops.assign(static_cast<size_t>(n) * n, kUnreachable);
-    distCycles.assign(static_cast<size_t>(n) * n, kUnreachable);
-    for (int i = 0; i < n; ++i) {
-        distHops[static_cast<size_t>(i) * n + i] = 0;
-        distCycles[static_cast<size_t>(i) * n + i] = 0;
-    }
-
-    // Edge x -> y exists when x can hand a flit to y. Cost is charged for
-    // traversing y (the hop's pipeline) -- consistent for whole paths since
-    // the source NI injects directly into x's pipeline.
-    auto addEdge = [&](NodeId x, NodeId y) {
-        const int hopCost = poweredOn[y] ? onHopCycles_ : offHopCycles_;
-        distHops[static_cast<size_t>(x) * n + y] = 1;
-        distCycles[static_cast<size_t>(x) * n + y] =
-            static_cast<Dist>(hopCost);
-    };
-
-    for (NodeId x = 0; x < n; ++x) {
-        if (!poweredOn[x]) {
-            // Gated-off: only the ring edge out of the NI bypass.
-            addEdge(x, ring_.successor(x));
-            continue;
-        }
-        for (int d = 0; d < kNumMeshDirs; ++d) {
-            NodeId y = mesh_.neighbor(x, indexDir(d));
-            if (y == kInvalidNode)
-                continue;
-            if (poweredOn[y] || ring_.predecessor(y) == x) {
-                // Into an on router: always allowed. Into an off router:
-                // only via its Bypass Inport (we must be its ring
-                // predecessor).
-                addEdge(x, y);
-            }
-        }
-    }
-
-    // Floyd-Warshall on cycles; hops follow the same relaxations (strict
-    // <, so ties keep the earlier path). Pass k never changes row k or
-    // column k (D[k][k] = 0), so row k is skipped, never aliases row i,
-    // and the branchless inner loop vectorizes.
-    for (int k = 0; k < n; ++k) {
-        const size_t rowK = static_cast<size_t>(k) * n;
-        const Dist *__restrict cyclesK = &distCycles[rowK];
-        const Dist *__restrict hopsK = &distHops[rowK];
-        for (int i = 0; i < n; ++i) {
-            if (i == k)
-                continue;
-            const size_t rowI = static_cast<size_t>(i) * n;
-            Dist *__restrict cyclesI = &distCycles[rowI];
-            Dist *__restrict hopsI = &distHops[rowI];
-            const Dist cyclesIK = cyclesI[k];
-            if (cyclesIK == kUnreachable)
-                continue;
-            const Dist hopsIK = hopsI[k];
-            for (int j = 0; j < n; ++j) {
-                const Dist cand = static_cast<Dist>(cyclesIK + cyclesK[j]);
-                const Dist candHops = static_cast<Dist>(hopsIK + hopsK[j]);
-                const Dist oldCycles = cyclesI[j];
-                const Dist oldHops = hopsI[j];
-                const bool better = cand < oldCycles;
-                hopsI[j] = better ? candHops : oldHops;
-                cyclesI[j] = better ? cand : oldCycles;
-            }
-        }
-    }
+    dist.resize(static_cast<size_t>(n) * n);
+    const MixedGraph graph{mesh_, ring_, hopDist(onHopCycles_),
+                           hopDist(offHopCycles_)};
+    graph.directEdges(poweredOn, dist.data());
+    std::vector<NodeId> all(static_cast<size_t>(n));
+    std::iota(all.begin(), all.end(), 0);
+    relaxThrough(dist.data(), n, all.data(), all.data() + n);
 }
 
 std::vector<double>
 CriticalityAnalyzer::distanceMatrixCycles(
     const std::vector<bool> &poweredOn) const
 {
-    std::vector<Dist> hops;
-    std::vector<Dist> cycles;
-    shortestPaths(poweredOn, hops, cycles);
-    std::vector<double> out(cycles.size());
-    std::transform(cycles.begin(), cycles.end(), out.begin(), [](Dist c) {
-        return c == kUnreachable ? kInf : static_cast<double>(c);
+    std::vector<Dist> dist;
+    shortestPaths(poweredOn, dist);
+    std::vector<double> out(dist.size());
+    std::transform(dist.begin(), dist.end(), out.begin(), [](Dist d) {
+        return d == kUnreachable ? kInf
+                                 : static_cast<double>(d >> kHopBits);
     });
     return out;
 }
@@ -212,47 +393,31 @@ CriticalityAnalyzer::distanceMatrixCycles(
 CriticalityPoint
 CriticalityAnalyzer::analyze(const std::vector<bool> &poweredOn) const
 {
-    std::vector<Dist> hops;
-    std::vector<Dist> cycles;
-    shortestPaths(poweredOn, hops, cycles);
-    return makePoint(poweredOn, pairSums(mesh_.numNodes(), hops, cycles));
+    const int n = mesh_.numNodes();
+    std::vector<Dist> dist;
+    shortestPaths(poweredOn, dist);
+    const std::vector<Dist> none(static_cast<size_t>(n), kUnreachable);
+    return makePoint(poweredOn,
+                     pairSums(n, dist.data(), none.data(), none.data()));
 }
 
 std::vector<CriticalityPoint>
 CriticalityAnalyzer::greedySweep() const
 {
     const int n = mesh_.numNodes();
+    const MixedGraph graph{mesh_, ring_, hopDist(onHopCycles_),
+                           hopDist(offHopCycles_)};
+    // One set of recursion matrices serves every step.
+    CandidateSearch search(graph);
     std::vector<bool> on(n, false);
-    // One pair of matrices serves every candidate of every step.
-    std::vector<Dist> hops;
-    std::vector<Dist> cycles;
     std::vector<CriticalityPoint> sweep;
     sweep.push_back(analyze(on));
 
     for (int k = 1; k <= n; ++k) {
-        int best = -1;
-        double bestDist = kInf;
-        double bestLat = kInf;
-        PairSums bestSums;
-        for (NodeId cand = 0; cand < n; ++cand) {
-            if (on[cand])
-                continue;
-            on[cand] = true;
-            shortestPaths(on, hops, cycles);
-            on[cand] = false;
-            const PairSums sums = pairSums(n, hops, cycles);
-            const double dist = sums.avgDistanceHops(n);
-            const double lat = sums.avgPerHopLatency();
-            if (dist < bestDist || (dist == bestDist && lat < bestLat)) {
-                best = cand;
-                bestDist = dist;
-                bestLat = lat;
-                bestSums = sums;
-            }
-        }
+        const auto [best, sums] = search.best(on);
         NORD_ASSERT(best >= 0, "greedy sweep found no candidate at k=%d", k);
         on[best] = true;
-        sweep.push_back(makePoint(on, bestSums));
+        sweep.push_back(makePoint(on, sums));
     }
     return sweep;
 }

@@ -14,7 +14,9 @@
  *
  * Hop costs model latency: a hop into a powered-on router costs the full
  * pipeline (4 stages + LT), a hop into a gated-off router costs the bypass
- * pipeline (2 stages + LT).
+ * pipeline (2 stages + LT). A shortest path has the least latency, and the
+ * fewest hops among the paths of that latency; a pair's hop count is that
+ * path's.
  */
 
 #ifndef NORD_TOPOLOGY_CRITICALITY_HH
@@ -58,9 +60,8 @@ class CriticalityAnalyzer
      * @param offRouterHopCycles per-hop latency through a bypassed router
      *        (default 3: 2-cycle bypass + LT)
      *
-     * Fatal when a path of numNodes()-1 of the costlier hop does not fit
-     * the 16-bit distance matrices (meshes past about 57x57), or when a
-     * hop cost is negative.
+     * Fatal when a path of numNodes()-1 of the costlier hop reaches 16383
+     * cycles (meshes past about 57x57), or when a hop cost is negative.
      */
     CriticalityAnalyzer(const MeshTopology &mesh, const BypassRing &ring,
                         int onRouterHopCycles = 5,
@@ -68,7 +69,7 @@ class CriticalityAnalyzer
 
     /**
      * Average node-to-node distance (hops) and per-hop latency for a given
-     * powered-on set, via Floyd-Warshall over the mixed graph.
+     * powered-on set, via all-pairs shortest paths over the mixed graph.
      */
     CriticalityPoint analyze(const std::vector<bool> &poweredOn) const;
 
@@ -83,8 +84,11 @@ class CriticalityAnalyzer
 
     /**
      * Greedy sweep: starting from all routers off, repeatedly power on the
-     * router that minimizes average node-to-node distance (per-hop latency
-     * as tie-break). Returns numNodes()+1 points (k = 0 .. numNodes).
+     * router that minimizes average node-to-node distance (per-hop latency,
+     * then the lower id, as tie-breaks). Returns numNodes()+1 points
+     * (k = 0 .. numNodes). Each step scores every candidate by one shared
+     * divide-and-conquer recursion, O(n^3 log n), rather than one
+     * Floyd-Warshall per candidate.
      */
     std::vector<CriticalityPoint> greedySweep() const;
 
@@ -105,13 +109,14 @@ class CriticalityAnalyzer
 
   private:
     /**
-     * All-pairs shortest distances (row-major n*n) in hops and in
-     * cycles, overwriting both matrices. Unreachable pairs hold
-     * INT16_MAX/2; the constructor guarantees every path is shorter.
+     * All-pairs shortest paths (row-major n*n) by Floyd-Warshall,
+     * overwriting @p dist. Each entry is `cycles << 16 | hops`, so the
+     * relaxation's min picks the least latency, then the fewest hops,
+     * whatever order the passes run in. Unreachable pairs hold
+     * `16383 << 16`; the constructor guarantees every path is shorter.
      */
     void shortestPaths(const std::vector<bool> &poweredOn,
-                       std::vector<std::int16_t> &distHops,
-                       std::vector<std::int16_t> &distCycles) const;
+                       std::vector<std::int32_t> &dist) const;
 
     const MeshTopology &mesh_;
     const BypassRing &ring_;
@@ -121,10 +126,10 @@ class CriticalityAnalyzer
 
 /**
  * Process-wide cache of criticality-analysis results, keyed by mesh
- * shape. The greedy Floyd-Warshall sweep is deterministic per shape, so
- * it runs once per (rows, cols): knee() and every perfSet() read that one
- * sweep, and benches and tests that construct many NocSystems share it.
- * steering() adds one Floyd-Warshall pass per performance-centric set.
+ * shape. The greedy sweep is deterministic per shape, so it runs once
+ * per (rows, cols): knee() and every perfSet() read that one sweep, and
+ * benches and tests that construct many NocSystems share it. steering()
+ * adds one all-pairs shortest-path run per performance-centric set.
  *
  * This replaces the anonymous function-local `static std::map` caches
  * that used to live in noc_system.cc and cdg.cc: those were unsynchronized

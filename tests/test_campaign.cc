@@ -362,6 +362,72 @@ TEST(CampaignWorker, RateOutsideUnitIntervalIsBadConfig)
     }
 }
 
+/** A short synthetic point; its drain phase leaves a checkpoint. */
+PointSpec
+shortPoint(std::uint64_t id)
+{
+    PointSpec spec;
+    spec.id = id;
+    spec.design = PgDesign::kNord;
+    spec.rate = 0.05;
+    spec.measure = 300;
+    return spec;
+}
+
+TEST(CampaignWorker, FreshPointDiscardsNothing)
+{
+    const std::string dir = freshDir("campaign-fresh-point");
+    const PointPaths paths = pointPaths(dir, 0);
+    testing::internal::CaptureStderr();
+    const int rc = runPointWorker(shortPoint(0), paths, WorkerOptions{});
+    const std::string diag = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, kExitOk);
+    EXPECT_EQ(diag.find("checkpoint"), std::string::npos) << diag;
+}
+
+TEST(CampaignWorker, RejectedCheckpointIsDiagnosedAndRecomputed)
+{
+    // A checkpoint file that exists but cannot be used -- corrupt, or
+    // another point's -- is named on stderr, and the point's result is
+    // the fresh run's, byte for byte.
+    const std::string fresh = freshDir("campaign-reject-fresh");
+    ASSERT_EQ(runPointWorker(shortPoint(0), pointPaths(fresh, 0),
+                             WorkerOptions{}),
+              kExitOk);
+    const std::string expected = slurp(pointPaths(fresh, 0).result);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(runPointWorker(shortPoint(1), pointPaths(fresh, 1),
+                             WorkerOptions{}),
+              kExitOk);
+    const std::string otherPoint = slurp(pointPaths(fresh, 1).checkpoint);
+    ASSERT_FALSE(otherPoint.empty());
+
+    const std::pair<const char *, std::string> cases[] = {
+        {"is not a checkpoint", std::string(256, 'x')},
+        {"it belongs to point 1", otherPoint},
+    };
+    for (const auto &[reason, bytes] : cases) {
+        SCOPED_TRACE(reason);
+        const std::string dir = freshDir("campaign-reject");
+        const PointPaths paths = pointPaths(dir, 0);
+        {
+            std::ofstream out(paths.checkpoint,
+                              std::ios::out | std::ios::binary);
+            out << bytes;
+        }
+        testing::internal::CaptureStderr();
+        const int rc = runPointWorker(shortPoint(0), paths, WorkerOptions{});
+        const std::string diag = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(rc, kExitOk);
+        EXPECT_NE(diag.find("discarding unusable checkpoint " +
+                            paths.checkpoint),
+                  std::string::npos)
+            << diag;
+        EXPECT_NE(diag.find(reason), std::string::npos) << diag;
+        EXPECT_EQ(slurp(paths.result), expected);
+    }
+}
+
 TEST(CampaignEndToEnd, CompletesAndRerunReusesResults)
 {
     const std::string dir = freshDir("campaign_e2e");

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/log.hh"
@@ -383,6 +385,41 @@ TEST(CriticalityOracle, IntegerSweepMatchesDoubleReference)
     }
 }
 
+TEST(CriticalityOracle, EveryCandidateGraphMatchesReference)
+{
+    // Every graph the reference sweep scores: a step's powered-on set
+    // plus one router still off. The library's fewest-hops tie-break
+    // must give the visiting-order reference's sums on each of them.
+    for (auto [rows, cols] : {std::pair{2, 2}, {2, 5}, {4, 4}, {4, 6},
+                              {6, 4}, {6, 6}, {8, 8}}) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        MeshTopology mesh(rows, cols);
+        BypassRing ring(mesh);
+        CriticalityAnalyzer analyzer(mesh, ring);
+        ReferenceAnalyzer reference(mesh, ring);
+        const int n = mesh.numNodes();
+
+        const auto steps = reference.greedySweep();
+        for (size_t k = 0; k + 1 < steps.size(); ++k) {
+            std::vector<bool> on(n, false);
+            for (NodeId r : steps[k].poweredOn)
+                on[r] = true;
+            for (NodeId c = 0; c < n; ++c) {
+                if (on[c])
+                    continue;
+                on[c] = true;
+                const CriticalityPoint pt = analyzer.analyze(on);
+                const CriticalityPoint expected = reference.analyze(on);
+                on[c] = false;
+                EXPECT_EQ(pt.avgDistanceHops, expected.avgDistanceHops)
+                    << "k=" << k << " router " << c;
+                EXPECT_EQ(pt.avgPerHopLatency, expected.avgPerHopLatency)
+                    << "k=" << k << " router " << c;
+            }
+        }
+    }
+}
+
 TEST(CriticalityCacheTest, EightByEightKneeAndSetArePinned)
 {
     // The values the double-precision analysis produced for 8x8.
@@ -395,6 +432,39 @@ TEST(CriticalityCacheTest, EightByEightKneeAndSetArePinned)
     EXPECT_EQ(cache.perfSet(mesh, ring, knee),
               (std::vector<NodeId>{0, 1, 8, 9, 17, 24, 25, 33, 40, 41, 49,
                                    57}));
+}
+
+TEST(CriticalityCacheTest, TenByTenKneeAndSetArePinned)
+{
+    // The values the visiting-order analysis produced for 10x10, the
+    // first shape where some minimum-latency paths differ in hop count.
+    // The hash covers every sweep point: FNV-1a 64 over the bits of
+    // each point's distance and then latency, low byte first.
+    CriticalityCache &cache = CriticalityCache::instance();
+    cache.clear();
+    MeshTopology mesh(10, 10);
+    BypassRing ring(mesh);
+    const int knee = cache.knee(mesh, ring);
+    EXPECT_EQ(knee, 15);
+    EXPECT_EQ(cache.perfSet(mesh, ring, knee),
+              (std::vector<NodeId>{0, 1, 10, 11, 21, 30, 31, 41, 50, 51, 61,
+                                   70, 71, 81, 91}));
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](double value) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (bits >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (const CriticalityPoint &pt :
+         CriticalityAnalyzer(mesh, ring).greedySweep()) {
+        mix(pt.avgDistanceHops);
+        mix(pt.avgPerHopLatency);
+    }
+    EXPECT_EQ(hash, 0x63c5d98b183ad06aULL);
 }
 
 TEST(CriticalityCacheTest, PerfSetIsSortedPrefixOfOneSweep)
